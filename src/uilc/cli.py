@@ -29,7 +29,7 @@ from .machine import (
     run_target,
 )
 from .model import MachineConfig, make_config
-from .uil import Program, format_program, parse, validate
+from .uil import ParseError, Program, format_program, parse, validate
 
 FUZZ_REGISTER_COUNTS = (3, 4, 8)
 
@@ -42,7 +42,7 @@ def _config(args, registers: int | None = None) -> MachineConfig:
     r = registers if registers is not None else args.registers
     if r < 1:
         raise CliError("--registers must be at least 1")
-    return make_config(r, use_preferences=not args.no_preference, fuel=args.fuel)
+    return make_config(r, use_preferences=not args.no_preference)
 
 
 def _load(path: str) -> tuple[Program, AnnotatedProgram]:
@@ -123,7 +123,7 @@ def cmd_compare(args) -> int:
     for path in _compare_inputs(args.file):
         try:
             program, annotated = _load(str(path))
-        except (CliError, Exception) as e:  # keep going over a corpus
+        except (CliError, ParseError) as e:  # keep going over a corpus
             errors.append(f"{path}: {e}")
             continue
         for r in registers:
@@ -282,8 +282,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: register pressure: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # parse errors are diagnostics; the rest are bugs
-        from .uil import ParseError
-
         if isinstance(e, (ParseError, MachineFault, OutOfFuel)):
             print(f"error: {e}", file=sys.stderr)
             return 1

@@ -8,12 +8,21 @@ observation (return value plus ordered heap writes) is the correctness
 criterion for an allocation; an exhaustive eviction-choice search over
 small straight-line programs provides a lower bound that the default
 replacement policy is expected to meet.
+
+Both executors decode once, then dispatch on small integers.  Faults
+that an instruction's text decides (register out of range, negative
+slot, unknown label, operator or relation) become an entry that raises
+the first of them only when it runs; heap range, indirect-jump label
+values, the frame pointer, running off the end and fuel are checked as
+the simulator runs, and unbound variables, unknown procedures, arity, heap
+range and fuel as the interpreter runs.
 """
 
 from __future__ import annotations
 
+import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .analysis import (
     AnnotatedProgram,
@@ -40,7 +49,7 @@ from .isa import (
     TargetProgram,
 )
 from .model import MachineConfig, Reg
-from .uil import Assign, BinExpr, Call, Cmp, If, MemRead, MemWrite, Program, ReturnValue
+from .uil import Assign, BinExpr, Call, If, MemRead, MemWrite, Program, ReturnValue
 
 _WORD_MASK = (1 << 64) - 1
 _SIGN_BIT = 1 << 63
@@ -53,28 +62,10 @@ def wrap64(v: int) -> int:
     return v - (1 << 64) if v & _SIGN_BIT else v
 
 
-def _binop(op: str, a: int, b: int) -> int:
-    if op == "+":
-        return wrap64(a + b)
-    if op == "-":
-        return wrap64(a - b)
-    if op == "*":
-        return wrap64(a * b)
-    raise MachineFault(f"unknown operator {op!r}")
-
-
-def _compare(rel: str, a: int, b: int) -> bool:
-    if rel == "<":
-        return a < b
-    if rel == "<=":
-        return a <= b
-    if rel == "=":
-        return a == b
-    if rel == ">=":
-        return a >= b
-    if rel == ">":
-        return a > b
-    raise MachineFault(f"unknown relation {rel!r}")
+_BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_RELATIONS = {
+    "<": operator.lt, "<=": operator.le, "=": operator.eq, ">=": operator.ge, ">": operator.gt
+}
 
 
 class MachineFault(Exception):
@@ -119,148 +110,216 @@ def heap_from_seed(seed: int, size: int = DEFAULT_HEAP_WORDS) -> list[int]:
 # ---------------------------------------------------------------------------
 # Target machine
 
+# Decoded-instruction opcodes, numbered so that `op <= _STORE` past _JUMP
+# means a frame-slot access.  _MLOAD, _MSTORE and _HEAPFAULT keep a heap
+# address, as two source operands, at d[1:5]; _HEAPFAULT is an access whose
+# other register is out of range, raised once the address has checked out.
+(_JUMP, _LOAD, _STORE, _BINOP, _CJUMP, _MOVE, _LOADIMM, _IJUMP, _ADVANCE, _RELEASE,
+ _HALT, _FAULT, _MLOAD, _MSTORE, _HEAPFAULT) = range(15)
+
+
+def _src(s) -> tuple[int, bool]:
+    return (s.i, True) if type(s) is Reg else (s, False)
+
+
+def _fault(ok: range, *checks) -> tuple:
+    """Fault entry for the first failing check in evaluation order: a Reg
+    outside `ok` or a message string.  Anything else passes."""
+    for c in checks:
+        if type(c) is str:
+            return (_FAULT, c)
+        if type(c) is Reg and c.i not in ok:
+            return (_FAULT, f"register r{c.i} out of range")
+    raise AssertionError("no failing check")
+
+
+def _slot_fault(slot: int) -> str | None:
+    return f"negative frame slot fv{slot}" if slot < 0 else None
+
+
+def _heap_access(i: MemLoad | MemStore, ok: range) -> tuple:
+    (b, bf), (x, xf) = _src(i.base), _src(i.index)
+    if (bf and b not in ok) or (xf and x not in ok):
+        return _fault(ok, i.base, i.index)
+    v, vf = (i.dst, True) if type(i) is MemLoad else _src(i.src)
+    if vf and v not in ok:
+        return (_HEAPFAULT, b, bf, x, xf, f"register r{v} out of range")
+    return (_MLOAD, b, bf, x, xf, v) if type(i) is MemLoad else (_MSTORE, b, bf, x, xf, v, vf)
+
 
 class _Machine:
     def __init__(self, insts: list[Inst], cfg: MachineConfig, heap: list[int]):
-        self.insts = insts
         self.cfg = cfg
         self.regs = [0] * cfg.registers
-        self.fp = 0
         self.stack: list[int] = []
         self.heap = heap
-        self.pc = 0
-        self.writes: list[tuple[int, int]] = []
-        self.stats = TrafficStats()
-        self._fp_checkpoints: list[int] = []
+        self.label_pcs: list[int] = []  # by label ordinal
+        self.ordinal: dict[str, int] = {}
+        ok = range(cfg.registers)
+        code: list[tuple | None] = []
+        later: list[int] = []  # label users, decoded once every label is known
+        loads = stores = moves = 0
+        # one entry per instruction; see _fault for those whose text makes them fault
+        for pc, i in enumerate(insts):
+            kind = type(i)
+            if kind is BinOpInst:
+                (a, af), (b, bf) = _src(i.a), _src(i.b)
+                f = _BINOPS.get(i.op)
+                code.append((_BINOP, f, i.dst, a, af, b, bf)
+                            if (not af or a in ok) and (not bf or b in ok) and f and i.dst in ok
+                            else _fault(ok, i.a, i.b, f or f"unknown operator {i.op!r}", Reg(i.dst)))
+            elif kind is LoadImm:
+                code.append((_LOADIMM, i.dst, i.imm) if i.dst in ok else _fault(ok, Reg(i.dst)))
+            elif kind is Load:
+                loads += 1
+                code.append((_LOAD, i.dst, i.slot) if i.slot >= 0 and i.dst in ok
+                            else _fault(ok, _slot_fault(i.slot), Reg(i.dst)))
+            elif kind is Store:
+                stores += 1
+                code.append((_STORE, i.src, i.slot) if i.slot >= 0 and i.src in ok
+                            else _fault(ok, Reg(i.src), _slot_fault(i.slot)))
+            elif kind is Move:
+                moves += 1
+                code.append((_MOVE, i.dst, i.src) if i.src in ok and i.dst in ok
+                            else _fault(ok, Reg(i.src), Reg(i.dst)))
+            elif kind is MemLoad or kind is MemStore:
+                code.append(_heap_access(i, ok))
+            elif kind is FrameAdjust:
+                code.append((_ADVANCE if i.delta > 0 else _RELEASE, i.delta))
+            elif kind is LabelDef:
+                if i.label in self.ordinal:
+                    raise MachineFault(f"duplicate label {i.label}")
+                self.ordinal[i.label] = len(self.label_pcs)
+                self.label_pcs.append(pc)
+                code.append((_JUMP, pc + 1))
+            elif kind is Halt:
+                code.append((_HALT,))
+            elif kind is Jump or kind is CondJump or kind is LoadLabel:
+                later.append(pc)
+                code.append(None)
+            else:
+                code.append((_FAULT, f"unknown instruction {i!r}"))
+        self.stats = TrafficStats(
+            static_loads=loads, static_stores=stores, static_moves=moves, instructions=len(insts)
+        )
+        self.end = len(code)  # entries from here on raise on arrival
+        code.append((_FAULT, "execution ran off the end of the program"))
+        for pc in later:
+            code[pc] = self._decode_label_user(insts[pc], ok, code)
+        self.code = code
 
-        self.labels: list[str] = []
-        self.label_pc: dict[str, int] = {}
-        self.label_ordinal: dict[str, int] = {}
-        for i, inst in enumerate(insts):
-            if isinstance(inst, LabelDef):
-                if inst.label in self.label_pc:
-                    raise MachineFault(f"duplicate label {inst.label}")
-                self.label_ordinal[inst.label] = len(self.labels)
-                self.label_pc[inst.label] = i
-                self.labels.append(inst.label)
+    def _decode_label_user(self, i: Jump | CondJump | LoadLabel, ok: range, code: list) -> tuple:
+        """The entry of an instruction that names a label, once every label is known."""
+        if type(i) is LoadLabel:
+            if i.label not in self.ordinal:
+                return (_FAULT, f"unknown label {i.label}")
+            return (_LOADIMM, i.dst, self.ordinal[i.label]) if i.dst in ok else _fault(ok, Reg(i.dst))
+        if type(i) is Jump and type(i.target) is Reg:
+            return (_IJUMP, i.target.i) if i.target.i in ok else _fault(ok, i.target)
+        if type(i) is Jump:
+            return (_JUMP, self._target(i.target, code))
+        (a, af), (b, bf) = _src(i.a), _src(i.b)
+        f = _RELATIONS.get(i.rel)
+        if (af and a not in ok) or (bf and b not in ok) or not f:
+            return _fault(ok, i.a, i.b, f or f"unknown relation {i.rel!r}")
+        return (_CJUMP, f, a, af, b, bf, self._target(i.target, code))
 
-        self.stats.static_loads = sum(1 for i in insts if isinstance(i, Load))
-        self.stats.static_stores = sum(1 for i in insts if isinstance(i, Store))
-        self.stats.static_moves = sum(1 for i in insts if isinstance(i, Move))
-        self.stats.instructions = len(insts)
-
-    def _reg(self, r: int) -> int:
-        if not 0 <= r < self.cfg.registers:
-            raise MachineFault(f"register r{r} out of range")
-        return self.regs[r]
-
-    def _set_reg(self, r: int, v: int) -> None:
-        if not 0 <= r < self.cfg.registers:
-            raise MachineFault(f"register r{r} out of range")
-        self.regs[r] = v
-
-    def _src(self, s) -> int:
-        return self._reg(s.i) if isinstance(s, Reg) else s
-
-    def _slot_index(self, slot: int) -> int:
-        if slot < 0:
-            raise MachineFault(f"negative frame slot fv{slot}")
-        return self.fp + slot
-
-    def _read_slot(self, slot: int) -> int:
-        idx = self._slot_index(slot)
-        if idx >= len(self.stack):
-            self.stack.extend([0] * (idx + 1 - len(self.stack)))
-        return self.stack[idx]
-
-    def _write_slot(self, slot: int, v: int) -> None:
-        idx = self._slot_index(slot)
-        if idx >= len(self.stack):
-            self.stack.extend([0] * (idx + 1 - len(self.stack)))
-        self.stack[idx] = v
-
-    def _heap_addr(self, base: int, index: int) -> int:
-        addr = base + index
-        if not 0 <= addr < len(self.heap):
-            raise MachineFault(f"heap access out of range: {base}+{index}")
-        return addr
-
-    def _goto(self, label: str) -> None:
-        if label not in self.label_pc:
-            raise MachineFault(f"jump to unknown label {label}")
-        self.pc = self.label_pc[label]
+    def _target(self, label: str, code: list) -> int:
+        """The pc of a label; an unknown label gets an entry past the end
+        that faults on arrival, so a branch faults only when taken."""
+        if label in self.ordinal:
+            return self.label_pcs[self.ordinal[label]]
+        code.append((_FAULT, f"jump to unknown label {label}"))
+        return len(code) - 1
 
     def run(self, fuel: int) -> Observation:
-        while True:
-            if self.pc >= len(self.insts):
-                raise MachineFault("execution ran off the end of the program")
-            if fuel <= 0:
-                raise OutOfFuel("instruction budget exhausted")
-            fuel -= 1
-            inst = self.insts[self.pc]
-            self.pc += 1
-            self.stats.steps += 1
-            if isinstance(inst, Halt):
-                return Observation(self.regs[self.cfg.ret_val_reg], tuple(self.writes))
-            self._step(inst)
-
-    def _step(self, inst: Inst) -> None:
-        if isinstance(inst, LabelDef):
-            return
-        if isinstance(inst, Move):
-            self._set_reg(inst.dst, self._reg(inst.src))
-            self.stats.dynamic_moves += 1
-        elif isinstance(inst, LoadImm):
-            self._set_reg(inst.dst, inst.imm)
-        elif isinstance(inst, Load):
-            self._set_reg(inst.dst, self._read_slot(inst.slot))
-            self.stats.dynamic_loads += 1
-        elif isinstance(inst, Store):
-            self._write_slot(inst.slot, self._reg(inst.src))
-            self.stats.dynamic_stores += 1
-        elif isinstance(inst, BinOpInst):
-            self._set_reg(inst.dst, _binop(inst.op, self._src(inst.a), self._src(inst.b)))
-        elif isinstance(inst, MemLoad):
-            addr = self._heap_addr(self._src(inst.base), self._src(inst.index))
-            self._set_reg(inst.dst, self.heap[addr])
-        elif isinstance(inst, MemStore):
-            addr = self._heap_addr(self._src(inst.base), self._src(inst.index))
-            value = self._src(inst.src)
-            self.heap[addr] = value
-            self.writes.append((addr, value))
-        elif isinstance(inst, CondJump):
-            if _compare(inst.rel, self._src(inst.a), self._src(inst.b)):
-                self._goto(inst.target)
-        elif isinstance(inst, Jump):
-            if isinstance(inst.target, Reg):
-                ordinal = self._reg(inst.target.i)
-                if not 0 <= ordinal < len(self.labels):
-                    raise MachineFault(f"indirect jump to bad label value {ordinal}")
-                self._goto(self.labels[ordinal])
-            else:
-                self._goto(inst.target)
-        elif isinstance(inst, LoadLabel):
-            if inst.label not in self.label_ordinal:
-                raise MachineFault(f"unknown label {inst.label}")
-            self._set_reg(inst.dst, self.label_ordinal[inst.label])
-        elif isinstance(inst, FrameAdjust):
-            if inst.delta > 0:
-                self._fp_checkpoints.append(self.fp)
-                self.fp += inst.delta
-            else:
-                self.fp += inst.delta
-                if self.fp < 0:
-                    raise MachineFault("frame pointer went negative")
-                if not self._fp_checkpoints:
-                    raise MachineFault("frame release without matching advance")
-                expected = self._fp_checkpoints.pop()
-                if self.fp != expected:
-                    raise MachineFault(
-                        f"unbalanced frame adjustment: fp {self.fp} != {expected}"
-                    )
-                self.stats.call_rounds += 1
-        else:  # pragma: no cover
-            raise MachineFault(f"unknown instruction {inst!r}")
+        code, end, label_pcs = self.code, self.end, self.label_pcs
+        regs, stack, heap = self.regs, self.stack, self.heap
+        n_labels, heap_words = len(label_pcs), len(heap)
+        writes: list[tuple[int, int]] = []
+        checkpoints: list[int] = []  # fp before each advance not yet released
+        pc = fp = loads = stores = moves = rounds = 0
+        budget = fuel
+        try:
+            while True:
+                if fuel <= 0:
+                    if pc >= end:  # running off the end is checked before fuel
+                        raise MachineFault(code[pc][1])
+                    raise OutOfFuel("instruction budget exhausted")
+                fuel -= 1
+                d = code[pc]
+                pc += 1
+                op = d[0]
+                if op == _JUMP:  # labels are jumps to the next pc
+                    pc = d[1]
+                elif op <= _STORE:
+                    k = fp + d[2]
+                    if k >= len(stack):
+                        stack.extend([0] * (k + 1 - len(stack)))
+                    if op == _LOAD:
+                        regs[d[1]] = stack[k]
+                        loads += 1
+                    else:
+                        stack[k] = regs[d[1]]
+                        stores += 1
+                elif op == _BINOP:
+                    _, f, dst, a, af, b, bf = d
+                    v = f(regs[a] if af else a, regs[b] if bf else b)
+                    regs[dst] = v if -_SIGN_BIT <= v < _SIGN_BIT else wrap64(v)
+                elif op == _CJUMP:
+                    _, f, a, af, b, bf, target = d
+                    if f(regs[a] if af else a, regs[b] if bf else b):
+                        pc = target
+                elif op == _MOVE:
+                    regs[d[1]] = regs[d[2]]
+                    moves += 1
+                elif op == _LOADIMM:
+                    regs[d[1]] = d[2]
+                elif op == _IJUMP:
+                    k = regs[d[1]]
+                    if not 0 <= k < n_labels:
+                        raise MachineFault(f"indirect jump to bad label value {k}")
+                    pc = label_pcs[k]
+                elif op == _ADVANCE:
+                    checkpoints.append(fp)
+                    fp += d[1]
+                elif op == _RELEASE:
+                    fp += d[1]
+                    if fp < 0:
+                        raise MachineFault("frame pointer went negative")
+                    if not checkpoints:
+                        raise MachineFault("frame release without matching advance")
+                    expected = checkpoints.pop()
+                    if fp != expected:
+                        raise MachineFault(f"unbalanced frame adjustment: fp {fp} != {expected}")
+                    rounds += 1
+                elif op == _HALT:
+                    return Observation(regs[self.cfg.ret_val_reg], tuple(writes))
+                elif op == _FAULT:
+                    if pc > end:
+                        fuel += 1  # arriving past the end is not a step
+                    raise MachineFault(d[1])
+                else:
+                    _, b, bf, x, xf, v = d[:6]
+                    b = regs[b] if bf else b
+                    x = regs[x] if xf else x
+                    if not 0 <= b + x < heap_words:
+                        raise MachineFault(f"heap access out of range: {b}+{x}")
+                    if op == _MLOAD:
+                        regs[v] = heap[b + x]
+                    elif op == _MSTORE:
+                        v = regs[v] if d[6] else v
+                        heap[b + x] = v
+                        writes.append((b + x, v))
+                    else:
+                        raise MachineFault(v)
+        finally:
+            s = self.stats
+            s.steps += budget - fuel
+            s.dynamic_loads += loads
+            s.dynamic_stores += stores
+            s.dynamic_moves += moves
+            s.call_rounds += rounds
 
 
 def run_target(
@@ -297,91 +356,130 @@ def run_insts(
 # ---------------------------------------------------------------------------
 # Reference interpreter
 
+# Decoded-statement opcodes.  Operands decode to (name or value, is_variable);
+# both heap statements keep their address at s[1:5].  A branch falls into its
+# then-block, which ends in a _S_GOTO past the else-block.
+_S_BIN, _S_SET, _S_IF, _S_CALL, _S_RETURN, _S_MREAD, _S_MWRITE, _S_FAULT, _S_GOTO = range(9)
 
-@dataclass
-class _Frame:
-    env: dict[str, int]
-    blocks: list[list]  # stack of [statements, next_index]
-    ret_action: tuple[str, str] | None  # ("bind", name), ("discard", ""), None=result
+
+def _unknown(kind: str, name: str):
+    def fault(a: int, b: int) -> bool:
+        raise MachineFault(f"unknown {kind} {name!r}")
+
+    return fault
+
+
+def _decode_body(body, defs: dict, tail: bool, out: list) -> list:
+    """Append the statement tuples of `body` to `out`; `tail` holds when
+    nothing in the frame runs after the body, so its last call is a tail call."""
+    for k, s in enumerate(body):
+        kind = type(s)
+        last = tail and k == len(body) - 1
+        if kind is Assign:
+            rhs = s.rhs
+            if type(rhs) is BinExpr:
+                a, b = rhs.a, rhs.b
+                f = _BINOPS.get(rhs.op) or _unknown("operator", rhs.op)
+                out.append((_S_BIN, s.dst, f, a, isinstance(a, str), b, isinstance(b, str)))
+            elif type(rhs) is MemRead:
+                a, b = rhs.base, rhs.index
+                out.append((_S_MREAD, a, isinstance(a, str), b, isinstance(b, str), s.dst))
+            else:
+                out.append((_S_SET, s.dst, rhs, isinstance(rhs, str)))
+        elif kind is ReturnValue:
+            out.append((_S_RETURN, s.value, isinstance(s.value, str)))
+        elif kind is If:
+            a, b = s.test.a, s.test.b
+            f = _RELATIONS.get(s.test.rel) or _unknown("relation", s.test.rel)
+            branch = len(out)
+            out.append(None)
+            _decode_body(s.then_body, defs, last, out)
+            goto = len(out)
+            out.append(None)
+            _decode_body(s.else_body, defs, last, out)
+            out[branch] = (_S_IF, f, a, isinstance(a, str), b, isinstance(b, str), goto + 1)
+            out[goto] = (_S_GOTO, len(out))
+        elif kind is Call:
+            d = defs.get(s.callee)
+            if d is None:
+                out.append((_S_FAULT, f"call to unknown procedure '{s.callee}'"))
+            elif len(d.params) != len(s.args):
+                out.append((_S_FAULT, f"arity mismatch calling '{s.callee}'"))
+            else:
+                args = tuple((p_, a, isinstance(a, str)) for p_, a in zip(d.params, s.args))
+                out.append((_S_CALL, s.callee, args, s.dst, last and s.dst is None))
+        elif kind is MemWrite:
+            a, b, v = s.base, s.index, s.src
+            out.append((_S_MWRITE, a, isinstance(a, str), b, isinstance(b, str), v, isinstance(v, str)))
+        else:
+            out.append((_S_FAULT, f"unknown statement {s!r}"))
+    return out
 
 
 def run_uil(p: Program, heap: list[int] | None = None, fuel: int = 10**6) -> Observation:
     """Environment-based interpretation of a validated program."""
     heap = heap if heap is not None else default_heap()
+    heap_words = len(heap)
     defs = {d.name: d for d in p.definitions}
+    bodies = {name: _decode_body(d.body, defs, True, []) for name, d in defs.items()}
     writes: list[tuple[int, int]] = []
-
-    def operand(env, v) -> int:
-        if isinstance(v, int):
-            return v
-        if v not in env:
-            raise MachineFault(f"unbound variable '{v}'")
-        return env[v]
-
-    def heap_addr(base: int, index: int) -> int:
-        addr = base + index
-        if not 0 <= addr < len(heap):
-            raise MachineFault(f"heap access out of range: {base}+{index}")
-        return addr
-
-    frames = [_Frame({}, [[p.body, 0]], None)]
-    while frames:
-        fr = frames[-1]
-        while fr.blocks and fr.blocks[-1][1] >= len(fr.blocks[-1][0]):
-            fr.blocks.pop()
-        if not fr.blocks:
-            raise MachineFault("body ended without a return or tail call")
-        block = fr.blocks[-1]
-        s = block[0][block[1]]
-        block[1] += 1
-        if fuel <= 0:
-            raise OutOfFuel("statement budget exhausted")
-        fuel -= 1
-
-        if isinstance(s, Assign):
-            rhs = s.rhs
-            if isinstance(rhs, BinExpr):
-                value = _binop(rhs.op, operand(fr.env, rhs.a), operand(fr.env, rhs.b))
-            elif isinstance(rhs, MemRead):
-                value = heap[heap_addr(operand(fr.env, rhs.base), operand(fr.env, rhs.index))]
+    env: dict[str, int] = {}
+    code, i = _decode_body(p.body, defs, True, []), 0
+    frames: list[tuple] = []  # suspended callers: (env, code, i, result variable)
+    try:
+        while True:
+            s = code[i]
+            i += 1
+            op = s[0]
+            if op == _S_GOTO:  # leaves a then-block; not a statement
+                i = s[1]
+                continue
+            if fuel <= 0:
+                raise OutOfFuel("statement budget exhausted")
+            fuel -= 1
+            if op == _S_BIN:
+                _, dst, f, a, av, b, bv = s
+                v = f(env[a] if av else a, env[b] if bv else b)
+                env[dst] = v if -_SIGN_BIT <= v < _SIGN_BIT else wrap64(v)
+            elif op == _S_SET:
+                env[s[1]] = env[s[2]] if s[3] else s[2]
+            elif op == _S_IF:
+                _, f, a, av, b, bv, else_at = s
+                if not f(env[a] if av else a, env[b] if bv else b):
+                    i = else_at
+            elif op == _S_CALL:
+                _, callee, args, dst, tail = s
+                callee_env = {}
+                for name, a, av in args:
+                    callee_env[name] = env[a] if av else a
+                if not tail:
+                    frames.append((env, code, i, dst))
+                env, code, i = callee_env, bodies[callee], 0
+            elif op == _S_RETURN:
+                v = env[s[1]] if s[2] else s[1]
+                if not frames:
+                    return Observation(v, tuple(writes))
+                env, code, i, dst = frames.pop()
+                if dst is not None:
+                    env[dst] = v
+            elif op == _S_MREAD or op == _S_MWRITE:
+                _, b, bv, x, xv = s[:5]
+                b = env[b] if bv else b
+                x = env[x] if xv else x
+                if not 0 <= b + x < heap_words:
+                    raise MachineFault(f"heap access out of range: {b}+{x}")
+                if op == _S_MREAD:
+                    env[s[5]] = heap[b + x]
+                else:
+                    v = env[s[5]] if s[6] else s[5]
+                    heap[b + x] = v
+                    writes.append((b + x, v))
             else:
-                value = operand(fr.env, rhs)
-            fr.env[s.dst] = value
-        elif isinstance(s, MemWrite):
-            addr = heap_addr(operand(fr.env, s.base), operand(fr.env, s.index))
-            value = operand(fr.env, s.src)
-            heap[addr] = value
-            writes.append((addr, value))
-        elif isinstance(s, If):
-            taken = _compare(s.test.rel, operand(fr.env, s.test.a), operand(fr.env, s.test.b))
-            block = [s.then_body if taken else s.else_body, 0]
-            fr.blocks.append(block)
-        elif isinstance(s, Call):
-            d = defs.get(s.callee)
-            if d is None:
-                raise MachineFault(f"call to unknown procedure '{s.callee}'")
-            if len(d.params) != len(s.args):
-                raise MachineFault(f"arity mismatch calling '{s.callee}'")
-            env = {p_: operand(fr.env, a) for p_, a in zip(d.params, s.args)}
-            exhausted = all(i >= len(b) for b, i in fr.blocks)
-            if s.dst is None and exhausted:
-                action = fr.ret_action
-                frames.pop()
-                frames.append(_Frame(env, [[d.body, 0]], action))
-            else:
-                action = ("bind", s.dst) if s.dst is not None else ("discard", "")
-                frames.append(_Frame(env, [[d.body, 0]], action))
-        elif isinstance(s, ReturnValue):
-            value = operand(fr.env, s.value)
-            action = fr.ret_action
-            frames.pop()
-            if action is None:
-                return Observation(value, tuple(writes))
-            if action[0] == "bind":
-                frames[-1].env[action[1]] = value
-        else:  # pragma: no cover
-            raise MachineFault(f"unknown statement {s!r}")
-    raise MachineFault("program ended without producing a value")
+                raise MachineFault(s[1])
+    except KeyError as e:
+        raise MachineFault(f"unbound variable '{e.args[0]}'") from None
+    except IndexError:  # only code[i] can run out: past a body's last statement
+        raise MachineFault("body ended without a return or tail call") from None
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ class MachineConfig:
     ret_addr_reg: int = 0
     ret_val_reg: int = 1
     use_preferences: bool = True
-    fuel: int = 10**6
 
     def __post_init__(self) -> None:
         if self.registers < 1:
@@ -61,7 +60,6 @@ def make_config(
     *,
     max_arg_regs: int = 3,
     use_preferences: bool = True,
-    fuel: int = 10**6,
 ) -> MachineConfig:
     """Default convention: r0 return address, r1 result, r1.. arguments."""
     n_args = max(0, min(max_arg_regs, registers - 1))
@@ -72,7 +70,6 @@ def make_config(
         ret_addr_reg=0,
         ret_val_reg=ret_val,
         use_preferences=use_preferences,
-        fuel=fuel,
     )
 
 

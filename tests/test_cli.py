@@ -133,6 +133,16 @@ def test_compare_continues_past_bad_files(capsys, tmp_path):
     assert "bad.uil" in err
 
 
+def test_compare_internal_fault_exits_two(capsys, monkeypatch, split_file):
+    def broken(program):
+        raise RuntimeError("annotate blew up")
+
+    monkeypatch.setattr("uilc.cli.annotate", broken)
+    code, _, err = run_cli(capsys, "compare", split_file)
+    assert code == 2
+    assert "internal error: RuntimeError: annotate blew up" in err
+
+
 def test_fuzz_count_zero_trivially_passes(capsys):
     code, out, _ = run_cli(capsys, "fuzz", "--count", "0")
     assert code == 0

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from uilc.allocator import alloc_program
@@ -5,6 +7,7 @@ from uilc.analysis import annotate, annotate_statements
 from uilc.gen import generate_program, generate_straight_line
 from uilc.isa import (
     BinOpInst,
+    CondJump,
     FrameAdjust,
     Halt,
     Jump,
@@ -12,6 +15,7 @@ from uilc.isa import (
     Load,
     LoadImm,
     LoadLabel,
+    MemLoad,
     MemStore,
     Move,
     Store,
@@ -37,6 +41,20 @@ from uilc.model import Reg, make_config
 from uilc.uil import parse, validate
 
 from conftest import SPLIT_SRC, load_program
+
+DATA = Path(__file__).parent / "data"
+
+
+def run_fault(insts, registers=2, heap=None):
+    with pytest.raises(MachineFault) as excinfo:
+        run_target(insts, make_config(registers), heap)
+    return str(excinfo.value)
+
+
+def uil_fault(src, heap=None):
+    with pytest.raises(MachineFault) as excinfo:
+        run_uil(parse(src), heap)
+    return str(excinfo.value)
 
 # The golden two-register allocation: fill both registers, spill one,
 # compute, load it back, and sum.
@@ -83,8 +101,15 @@ def test_run_uil_memory_write_trace():
 
 
 def test_run_uil_heap_out_of_range_faults():
-    with pytest.raises(MachineFault):
-        run_uil(parse("(letrec () (mset! 9999 0 1) (return 0))"))
+    assert uil_fault("(letrec () (mset! 9999 0 1) (return 0))") == (
+        "heap access out of range: 9999+0"
+    )
+    assert uil_fault("(letrec () (set! x (mref -1 0)) (return x))") == (
+        "heap access out of range: -1+0"
+    )
+    assert uil_fault("(letrec () (mset! 2 0 1) (return 0))", heap=[0, 0]) == (
+        "heap access out of range: 2+0"
+    )
 
 
 def test_run_uil_diverging_recursion_exhausts_fuel():
@@ -227,22 +252,33 @@ def test_determinism_identical_observations_and_stats():
 
 def test_frame_imbalance_is_a_fault():
     cfg = make_config(2)
-    with pytest.raises(MachineFault):
+    with pytest.raises(MachineFault, match=r"^unbalanced frame adjustment: fp 1 != 0$"):
         run_insts([FrameAdjust(2), FrameAdjust(-1)], cfg)
-    with pytest.raises(MachineFault):
+    with pytest.raises(MachineFault, match="^frame pointer went negative$"):
         run_insts([FrameAdjust(-1)], cfg)
+    assert run_fault([FrameAdjust(2), FrameAdjust(-3), Halt()]) == "frame pointer went negative"
+    assert run_fault([FrameAdjust(0), Halt()]) == "frame release without matching advance"
 
 
 def test_indirect_jump_validates_label_values():
     cfg = make_config(2)
-    with pytest.raises(MachineFault):
+    with pytest.raises(MachineFault, match="^indirect jump to bad label value 99$"):
         run_target([LoadImm(0, 99), Jump(Reg(0)), Halt()], cfg)
+    program = [LabelDef("a"), LoadImm(0, 1), Jump(Reg(0)), Halt()]
+    assert run_fault(program) == "indirect jump to bad label value 1"
+    assert run_fault([LoadImm(0, -1), Jump(Reg(0))]) == "indirect jump to bad label value -1"
 
 
 def test_running_off_the_end_is_a_fault():
     cfg = make_config(2)
-    with pytest.raises(MachineFault):
+    with pytest.raises(MachineFault, match="^execution ran off the end of the program$"):
         run_target([LoadImm(0, 1)], cfg)
+    assert run_fault([]) == "execution ran off the end of the program"
+    # checked before fuel: one unit runs the load, and none is left
+    with pytest.raises(MachineFault):
+        run_target([LoadImm(0, 1)], cfg, fuel=1)
+    with pytest.raises(OutOfFuel):
+        run_target([LoadImm(0, 1)], cfg, fuel=0)
 
 
 def test_asm_round_trip_on_generated_programs():
@@ -271,8 +307,6 @@ def test_asm_round_trip_covers_every_instruction_form():
         MemStore(Reg(0), 3, Reg(1)),
         Halt(),
     ]
-    from uilc.isa import CondJump, MemLoad
-
     insts += [MemLoad(1, Reg(0), 0), CondJump("<=", Reg(0), 5, ".L1")]
     assert parse_asm(format_insts(insts)) == insts
 
@@ -296,3 +330,209 @@ def test_spill_free_shape_accepts_result_chaining():
     src = "(letrec ((f (lambda (n) (return n)))) (set! a (f 5)) (return a))"
     _, ap = load_program(src)
     assert spill_free_shape(ap, make_config(8))
+
+
+# ---------------------------------------------------------------------------
+# Fault pinning: every MachineFault message, and the step that raises it
+
+
+@pytest.mark.parametrize(
+    "inst, message",
+    [
+        (Move(0, 5), "register r5 out of range"),
+        (BinOpInst("+", 0, Reg(1), Reg(3)), "register r3 out of range"),
+        (MemLoad(0, Reg(2), 0), "register r2 out of range"),
+        (MemStore(0, 0, Reg(4)), "register r4 out of range"),
+        (Store(0, 9), "register r9 out of range"),
+        (Jump(Reg(6)), "register r6 out of range"),
+        (CondJump("<", 0, Reg(2), "nowhere"), "register r2 out of range"),
+    ],
+)
+def test_bad_source_register_faults(inst, message):
+    assert run_fault([inst, Halt()]) == message
+
+
+@pytest.mark.parametrize(
+    "inst, message",
+    [
+        (Move(7, 0), "register r7 out of range"),
+        (LoadImm(2, 1), "register r2 out of range"),
+        (Load(3, 0), "register r3 out of range"),
+        (BinOpInst("*", 4, 1, 2), "register r4 out of range"),
+        (MemLoad(5, 0, 0), "register r5 out of range"),
+        (LoadLabel(2, "here"), "register r2 out of range"),
+    ],
+)
+def test_bad_destination_register_faults(inst, message):
+    assert run_fault([inst, LabelDef("here"), Halt()]) == message
+
+
+def test_negative_slot_faults():
+    assert run_fault([Load(0, -1), Halt()]) == "negative frame slot fv-1"
+    assert run_fault([Store(-2, 0), Halt()]) == "negative frame slot fv-2"
+
+
+def test_unknown_labels_fault():
+    assert run_fault([Jump("nowhere"), Halt()]) == "jump to unknown label nowhere"
+    taken = [CondJump("<", 0, 1, "nowhere"), Halt()]
+    assert run_fault(taken) == "jump to unknown label nowhere"
+    assert run_fault([LoadLabel(0, "nowhere"), Halt()]) == "unknown label nowhere"
+
+
+def test_branch_to_unknown_label_faults_only_when_taken():
+    obs, stats = run_target([CondJump(">", 0, 1, "nowhere"), Halt()], make_config(2))
+    assert obs == Observation(0, ()) and stats.steps == 2
+
+
+def test_heap_out_of_range_faults():
+    assert run_fault([MemLoad(0, 60, 4), Halt()]) == "heap access out of range: 60+4"
+    assert run_fault([MemStore(-1, 0, 5), Halt()]) == "heap access out of range: -1+0"
+    assert run_fault([MemLoad(0, 3, 0), Halt()], heap=[0, 0, 0]) == "heap access out of range: 3+0"
+
+
+def test_unknown_operator_and_relation_fault():
+    assert run_fault([BinOpInst("/", 0, 1, 2), Halt()]) == "unknown operator '/'"
+    assert run_fault([CondJump("!=", 0, 1, "x"), Halt()]) == "unknown relation '!='"
+
+
+def test_duplicate_label_faults_before_running():
+    assert run_fault([Halt(), LabelDef("a"), LabelDef("a")]) == "duplicate label a"
+
+
+@pytest.mark.parametrize(
+    "inst, message",
+    [
+        (Move(9, 8), "register r8 out of range"),
+        (BinOpInst("/", 5, Reg(4), 1), "register r4 out of range"),
+        (BinOpInst("/", 5, Reg(0), 1), "unknown operator '/'"),
+        (Load(5, -1), "negative frame slot fv-1"),
+        (Store(-1, 5), "register r5 out of range"),
+        (LoadLabel(5, "nowhere"), "unknown label nowhere"),
+        (CondJump("!=", Reg(0), Reg(0), "nowhere"), "unknown relation '!='"),
+        (CondJump("!=", Reg(7), 0, "nowhere"), "register r7 out of range"),
+        (MemLoad(5, 60, 10), "heap access out of range: 60+10"),
+        (MemLoad(5, 0, 0), "register r5 out of range"),
+        (MemLoad(5, Reg(6), 0), "register r6 out of range"),
+        (MemStore(Reg(7), 60, Reg(6)), "register r7 out of range"),
+        (MemStore(60, 10, Reg(6)), "heap access out of range: 60+10"),
+        (MemStore(0, 0, Reg(6)), "register r6 out of range"),
+    ],
+)
+def test_instruction_with_two_faults_raises_the_first(inst, message):
+    assert run_fault([inst, Halt()]) == message
+
+
+def test_malformed_instructions_after_halt_do_not_fault():
+    dead = [
+        Move(0, 9),
+        LoadImm(9, 0),
+        Load(0, -1),
+        Store(-1, 0),
+        BinOpInst("/", 0, 1, 2),
+        MemLoad(9, 0, 0),
+        CondJump("!=", 0, 1, "nowhere"),
+        CondJump("<", 0, 1, "nowhere"),
+        Jump("nowhere"),
+        Jump(Reg(9)),
+        LoadLabel(0, "nowhere"),
+    ]
+    obs, stats = run_target([LoadImm(1, 4), Halt()] + dead, make_config(2))
+    assert obs == Observation(4, ())
+    assert stats.steps == 2 and stats.instructions == 2 + len(dead)
+
+
+def test_fault_fires_at_its_step_not_before():
+    # the first instruction runs (its store lands) before the second faults
+    heap = default_heap()
+    with pytest.raises(MachineFault):
+        run_target([MemStore(0, 0, 7), Move(0, 9), Halt()], make_config(2), heap)
+    assert heap[0] == 7
+
+
+def test_run_target_fuel_boundary():
+    _, ap = load_program((DATA / "fib.uil").read_text())
+    cfg = make_config(3)
+    tp = alloc_program(ap, cfg)
+    obs, stats = run_target(tp, cfg)
+    assert obs.value == 55
+    again, stats_again = run_target(tp, cfg, fuel=stats.steps)
+    assert again == obs and stats_again.as_dict() == stats.as_dict()
+    with pytest.raises(OutOfFuel):
+        run_target(tp, cfg, fuel=stats.steps - 1)
+
+
+def test_unknown_jump_target_faults_even_on_the_last_unit_of_fuel():
+    with pytest.raises(MachineFault):
+        run_target([Jump("nowhere"), Halt()], make_config(2), fuel=1)
+    with pytest.raises(MachineFault):
+        run_target([CondJump("=", 0, 0, "nowhere"), Halt()], make_config(2), fuel=1)
+
+
+# Statements run by this program: the entry's set!-call and return, and per
+# call of f its if, then one return (n = 0) or set!, tail call (n > 0).
+RUN_UIL_FUEL_SRC = """
+(letrec ((f (lambda (n)
+  (if (= n 0)
+    (begin (return 9))
+    (begin (set! m (- n 1)) (f m))))))
+  (set! x (f 3))
+  (return x))
+"""
+
+
+def test_run_uil_fuel_boundary():
+    program, _ = load_program(RUN_UIL_FUEL_SRC)
+    statements = 2 + 3 * 3 + 2
+    assert run_uil(program, fuel=statements) == Observation(9, ())
+    with pytest.raises(OutOfFuel):
+        run_uil(program, fuel=statements - 1)
+
+
+def test_run_uil_faults_name_their_cause():
+    assert uil_fault("(letrec () (return x))") == "unbound variable 'x'"
+    assert uil_fault("(letrec () (set! y (+ 1 z)) (return y))") == "unbound variable 'z'"
+    assert uil_fault("(letrec () (g 1))") == "call to unknown procedure 'g'"
+    assert uil_fault("(letrec ((f (lambda (a) (return a)))) (f 1 2))") == (
+        "arity mismatch calling 'f'"
+    )
+    assert uil_fault("(letrec ((f (lambda (a) (return a)))) (f q))") == "unbound variable 'q'"
+    assert uil_fault("(letrec () (set! x 1))") == "body ended without a return or tail call"
+
+
+def test_run_uil_faults_only_on_executed_statements():
+    src = "(letrec () (if (< 0 1) (begin (return 1)) (begin (g y))))"
+    assert run_uil(parse(src)) == Observation(1, ())
+
+
+# ---------------------------------------------------------------------------
+# Golden traffic: assembly printed by `uilc alloc` for tests/data/*.uil,
+# run as text, so the simulator's counts are pinned whatever the allocator
+# emits later
+
+_FIB = Observation(55, ((0, 55),))
+_WALK = Observation(16128589941724529, tuple((a, 16128589941724529) for a in range(37, 31, -1)))
+GOLDEN_TRAFFIC = {
+    ("fib", 2): (_FIB, dict(static_loads=3, static_stores=3, static_moves=3, dynamic_loads=264,
+                            dynamic_stores=264, dynamic_moves=264, instructions=33, steps=2562,
+                            call_rounds=176)),
+    ("fib", 4): (_FIB, dict(static_loads=3, static_stores=3, static_moves=3, dynamic_loads=264,
+                            dynamic_stores=264, dynamic_moves=264, instructions=33, steps=2562,
+                            call_rounds=176)),
+    ("walk", 2): (_WALK, dict(static_loads=31, static_stores=29, static_moves=0, dynamic_loads=152,
+                              dynamic_stores=125, dynamic_moves=0, instructions=86, steps=375,
+                              call_rounds=6)),
+    ("walk", 4): (_WALK, dict(static_loads=19, static_stores=20, static_moves=3, dynamic_loads=99,
+                              dynamic_stores=90, dynamic_moves=13, instructions=68, steps=300,
+                              call_rounds=6)),
+}
+
+
+@pytest.mark.parametrize("kernel, registers", sorted(GOLDEN_TRAFFIC))
+def test_golden_traffic_fixture(kernel, registers):
+    want_obs, want_stats = GOLDEN_TRAFFIC[kernel, registers]
+    insts = parse_asm((DATA / f"{kernel}_r{registers}.s").read_text())
+    obs, stats = run_target(insts, make_config(registers), heap_from_seed(5))
+    assert obs == want_obs
+    assert stats.as_dict() == want_stats
+    source = parse((DATA / f"{kernel}.uil").read_text())
+    assert run_uil(source, heap_from_seed(5)) == want_obs
