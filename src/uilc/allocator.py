@@ -156,7 +156,7 @@ def pick_victim(
 def _pick_free(m: Model, var: str, cfg: MachineConfig, prefs: dict[str, int] | None) -> int | None:
     if prefs:
         r = prefs.get(var)
-        if r is not None and r < cfg.registers and r not in m.regmap.values():
+        if r is not None and r < cfg.registers and r not in m.reg_owner:
             return r
     return m.free_register(cfg)
 
@@ -354,14 +354,11 @@ def shuffle(
     if len(set(dsts)) != len(dsts):
         raise AllocError("overlapping shuffle destinations")
 
-    reg_owner = {r: v for v, r in m.regmap.items()}
-    slot_owner = {s: v for v, s in m.stackmap.items()}
-
     def owner(loc: MoveSrc) -> str | None:
         if isinstance(loc, Reg):
-            return reg_owner.get(loc.i)
+            return m.reg_owner.get(loc.i)
         if isinstance(loc, Slot):
-            return slot_owner.get(loc.i)
+            return m.slot_owner.get(loc.i)
         return None
 
     moved: dict[str, list[MoveDst]] = {}
@@ -392,8 +389,8 @@ def shuffle(
     insts = _sequence_moves(
         moves,
         cfg,
-        pinned_regs=set(result.regmap.values()),
-        busy_slots=set(m.stackmap.values()) | set(result.stackmap.values()),
+        pinned_regs=result.reg_owner.keys(),
+        busy_slots=m.slot_owner.keys() | result.slot_owner.keys(),
     )
     return result, insts
 
@@ -479,7 +476,7 @@ class _BodyAllocator:
             moves,
             self.cfg,
             pinned_regs=pinned_regs,
-            busy_slots=set(m.stackmap.values()),
+            busy_slots=m.slot_owner.keys(),
         )
 
     # -- statement dispatch --------------------------------------------------
@@ -533,8 +530,9 @@ class _BodyAllocator:
         m1, insts = self._load(m, opvars, frozenset(opvars), a.point)
         vals = [self._operand_value(m1, o) for o in ops]
 
-        m2 = m1.drop(a.ends - {s.dst})
-        m2 = m2.drop({s.dst})  # implicit renaming: the old binding dies here
+        # operands that end here die, and so does the destination's old
+        # binding (implicit renaming)
+        m2 = m1.drop(a.ends | {s.dst})
         m2, evict_insts, d = self._dest_reg(m2, s.dst, a.point)
         insts.extend(evict_insts)
 
@@ -612,7 +610,7 @@ class _BodyAllocator:
                 moves.append((src, Reg(rdst)))
             if sdst is not None and m2l.slot_of(v) != sdst:
                 moves.append((src, Slot(sdst)))
-        shuffle_insts = self._seq(moves, m2l, pinned_regs=set(m3l.regmap.values()))
+        shuffle_insts = self._seq(moves, m2l, pinned_regs=m3l.reg_owner.keys())
 
         end_label = self.labels.fresh()
         insts.extend(else_insts)

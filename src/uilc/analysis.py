@@ -60,7 +60,8 @@ class NextUseTable:
         return self._after.get(point, {}).get(var, INF)
 
     def _record(self, point: int, uses: dict[str, float]) -> None:
-        self._after[point] = dict(uses)
+        # stored as given: the annotator never mutates a map once recorded
+        self._after[point] = uses
 
 
 def next_use(table: NextUseTable, point: int, var: str) -> float:
@@ -141,7 +142,7 @@ def _annotate_body(
     set of the map is exactly the live set.
     """
     annotated: list[AnnotatedStatement] = []
-    uses = dict(cont)
+    uses = cont  # never mutated: each statement builds its own `before`
     for s, point, then_skel, else_skel in reversed(skeleton):
         if isinstance(s, If):
             then_body, then_uses = _annotate_body(then_skel, uses, table)
@@ -149,11 +150,11 @@ def _annotate_body(
             after = _merge_min(then_uses, else_uses)
             table._record(point, after)
             live_after = frozenset(uses)  # join liveness
-            live_out = set(after)
+            refs = stmt_refs(s)
             before = dict(after)
-            for v in stmt_refs(s):
+            for v in refs:
                 before[v] = min(before.get(v, INF), point)
-            ends = frozenset(set(before) - live_out)
+            ends = frozenset(refs).difference(after)
             annotated.append(
                 AnnotatedStatement(
                     s,
@@ -170,16 +171,17 @@ def _annotate_body(
         else:
             table._record(point, uses)
             live_after = frozenset(uses)
-            live_out = set(uses)
             before = dict(uses)
             defs = stmt_defs(s)
+            refs = stmt_refs(s)
             for v in defs:
                 before.pop(v, None)
-            for v in stmt_refs(s):
+            for v in refs:
                 before[v] = min(before.get(v, INF), point)
             # Endings: live into the statement (or defined by it) but not
-            # live after it.  A dead definition ends immediately.
-            ends = frozenset((set(before) | set(defs)) - live_out)
+            # live after it, which is (refs | defs) - live_after.  A dead
+            # definition ends immediately.
+            ends = frozenset(refs + defs) - live_after
             annotated.append(AnnotatedStatement(s, point, ends, live_after))
             uses = before
     annotated.reverse()

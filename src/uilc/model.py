@@ -3,8 +3,9 @@
 A model mirrors the runtime machine state during allocation.  Variables
 bind to registers and stack slots separately; the same variable may hold
 both at once (multi-homing), which is what lets redundant saves be
-elided.  Models are immutable values: every operation returns a fresh
-one, and injectivity holds in both maps at all times.
+elided.  Models are immutable values: every update returns a fresh one
+(or the same one when it changes nothing), and injectivity holds in both
+maps at all times.
 """
 
 from __future__ import annotations
@@ -76,30 +77,48 @@ def make_config(
 class Model:
     """Immutable variable-to-location binding with binding-order tags.
 
+    ``reg_owner`` and ``slot_owner`` index the maps the other way round
+    (register or slot to variable).  Updates keep them in step, so each
+    bind checks for a collision with one lookup and injectivity holds by
+    construction; ``check()`` verifies it in full.
+
     The order tag (a monotone counter on register binds) exists only so
     recency-based eviction policies are deterministic; it never affects
     equality.
     """
 
-    __slots__ = ("regmap", "stackmap", "_seq", "_counter")
+    __slots__ = ("regmap", "stackmap", "reg_owner", "slot_owner", "_seq", "_counter")
 
     def __init__(
         self,
         regmap: dict[str, int] | None = None,
         stackmap: dict[str, int] | None = None,
-        _seq: dict[str, int] | None = None,
-        _counter: int = 0,
+        *,
+        _state: tuple | None = None,
     ):
+        if _state is not None:
+            # an update hands over fresh maps and indexes it keeps in step
+            (self.regmap, self.stackmap, self.reg_owner, self.slot_owner,
+             self._seq, self._counter) = _state
+            return
         self.regmap = dict(regmap or {})
         self.stackmap = dict(stackmap or {})
-        self._seq = dict(_seq or {})
-        self._counter = _counter
-        regs = list(self.regmap.values())
-        slots = list(self.stackmap.values())
-        if len(set(regs)) != len(regs):
+        self.reg_owner = {r: v for v, r in self.regmap.items()}
+        self.slot_owner = {s: v for v, s in self.stackmap.items()}
+        self._seq: dict[str, int] = {}
+        self._counter = 0
+        self.check()
+
+    def check(self) -> None:
+        """Raise ModelError unless both maps are injective and indexed."""
+        if len(set(self.regmap.values())) != len(self.regmap):
             raise ModelError("two variables share a register")
-        if len(set(slots)) != len(slots):
+        if len(set(self.stackmap.values())) != len(self.stackmap):
             raise ModelError("two variables share a stack slot")
+        if self.reg_owner != {r: v for v, r in self.regmap.items()} or (
+            self.slot_owner != {s: v for v, s in self.stackmap.items()}
+        ):
+            raise ModelError("owner index out of step with the maps")
 
     # -- queries ----------------------------------------------------------
 
@@ -125,64 +144,80 @@ class Model:
 
     def register_residents(self) -> list[tuple[str, int]]:
         """(variable, register) pairs ordered by register index."""
-        return sorted(self.regmap.items(), key=lambda kv: kv[1])
+        return [(v, r) for r, v in sorted(self.reg_owner.items())]
 
     def bind_seq(self, v: str) -> int:
+        """Order tag of v's latest register bind (-1 if none); read only
+        for register residents."""
         return self._seq.get(v, -1)
 
     def free_register(self, cfg: MachineConfig) -> int | None:
-        used = set(self.regmap.values())
         for r in range(cfg.registers):
-            if r not in used:
+            if r not in self.reg_owner:
                 return r
         return None
 
     def free_slot(self) -> int:
-        used = set(self.stackmap.values())
         i = 0
-        while i in used:
+        while i in self.slot_owner:
             i += 1
         return i
 
     # -- updates (return fresh models) -------------------------------------
 
     def bind_reg(self, v: str, r: int) -> "Model":
-        for other, bound in self.regmap.items():
-            if bound == r and other != v:
-                raise ModelError(f"register r{r} already holds '{other}'")
-        regmap = dict(self.regmap)
+        other = self.reg_owner.get(r)
+        if other is not None and other != v:
+            raise ModelError(f"register r{r} already holds '{other}'")
+        regmap, reg_owner, seq = dict(self.regmap), dict(self.reg_owner), dict(self._seq)
+        old = regmap.get(v)
+        if old is not None:
+            del reg_owner[old]
         regmap[v] = r
-        seq = dict(self._seq)
+        reg_owner[r] = v
         seq[v] = self._counter
-        return Model(regmap, self.stackmap, seq, self._counter + 1)
+        return Model(_state=(
+            regmap, self.stackmap, reg_owner, self.slot_owner, seq, self._counter + 1
+        ))
 
     def bind_slot(self, v: str, s: int) -> "Model":
-        for other, bound in self.stackmap.items():
-            if bound == s and other != v:
-                raise ModelError(f"slot fv{s} already holds '{other}'")
-        stackmap = dict(self.stackmap)
+        other = self.slot_owner.get(s)
+        if other is not None and other != v:
+            raise ModelError(f"slot fv{s} already holds '{other}'")
+        stackmap, slot_owner = dict(self.stackmap), dict(self.slot_owner)
+        old = stackmap.get(v)
+        if old is not None:
+            del slot_owner[old]
         stackmap[v] = s
-        return Model(self.regmap, stackmap, self._seq, self._counter)
+        slot_owner[s] = v
+        return Model(_state=(
+            self.regmap, stackmap, self.reg_owner, slot_owner, self._seq, self._counter
+        ))
 
     def unbind_reg(self, v: str) -> "Model":
-        regmap = dict(self.regmap)
-        regmap.pop(v, None)
-        return Model(regmap, self.stackmap, self._seq, self._counter)
+        if v not in self.regmap:
+            return self
+        regmap, reg_owner = _without(self.regmap, self.reg_owner, (v,))
+        return Model(_state=(
+            regmap, self.stackmap, reg_owner, self.slot_owner, self._seq, self._counter
+        ))
 
     def unbind_slot(self, v: str) -> "Model":
-        stackmap = dict(self.stackmap)
-        stackmap.pop(v, None)
-        return Model(self.regmap, stackmap, self._seq, self._counter)
+        if v not in self.stackmap:
+            return self
+        stackmap, slot_owner = _without(self.stackmap, self.slot_owner, (v,))
+        return Model(_state=(
+            self.regmap, stackmap, self.reg_owner, slot_owner, self._seq, self._counter
+        ))
 
     def drop(self, vs) -> "Model":
         """Remove all bindings of the given names; unknown names are fine."""
-        names = set(vs)
+        names = {v for v in vs if v in self.regmap or v in self.stackmap}
         if not names:
             return self
-        regmap = {v: r for v, r in self.regmap.items() if v not in names}
-        stackmap = {v: s for v, s in self.stackmap.items() if v not in names}
-        seq = {v: q for v, q in self._seq.items() if v not in names}
-        return Model(regmap, stackmap, seq, self._counter)
+        regmap, reg_owner = _without(self.regmap, self.reg_owner, names)
+        stackmap, slot_owner = _without(self.stackmap, self.slot_owner, names)
+        return Model(_state=(regmap, stackmap, reg_owner, slot_owner, self._seq, self._counter))
 
     def restrict(self, keep) -> "Model":
         return self.drop(self.variables() - set(keep))
@@ -213,20 +248,14 @@ class Model:
         return f"Model({self.dump()})"
 
 
-def drop(m: Model, vs) -> Model:
-    return m.drop(vs)
-
-
-def whereis(m: Model, v: str) -> Location:
-    return m.whereis(v)
-
-
-def free_register(m: Model, cfg: MachineConfig) -> int | None:
-    return m.free_register(cfg)
-
-
-def free_slot(m: Model) -> int:
-    return m.free_slot()
+def _without(mapping: dict, owner: dict, names) -> tuple[dict, dict]:
+    """The map and its owner index without the given (distinct) names."""
+    hit = [v for v in names if v in mapping]
+    if hit:
+        mapping, owner = dict(mapping), dict(owner)
+        for v in hit:
+            del owner[mapping.pop(v)]
+    return mapping, owner
 
 
 def initial_model(params: tuple[str, ...], cfg: MachineConfig) -> Model:

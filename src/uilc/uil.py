@@ -129,49 +129,24 @@ class Diagnostic:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer / s-expression reader
+# S-expression reader
 
 
-@dataclass(frozen=True)
 class _Token:
-    text: str
-    line: int
-    col: int
+    """Atom of the reader."""
 
+    __slots__ = ("text", "line", "col")
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            col += 1
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            tokens.append(_Token(c, line, col))
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < n and text[i] not in " \t\r\n();":
-                i += 1
-                col += 1
-            tokens.append(_Token(text[start:i], line, start_col))
-    return tokens
+    def __init__(self, text: str, line: int, col: int):
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 class _Sexpr:
     """List node of the reader; atoms are _Token."""
+
+    __slots__ = ("items", "line", "col")
 
     def __init__(self, items: list, line: int, col: int):
         self.items = items
@@ -179,29 +154,39 @@ class _Sexpr:
         self.col = col
 
 
-def _read_all(tokens: list[_Token]) -> list:
-    forms = []
-    i = 0
+# One match per newline, parenthesis, comment or atom; spaces, tabs and
+# carriage returns match nothing and are skipped.  Every character but a
+# newline advances the column by one.
+_TOKEN_RE = re.compile(r"[\n()]|;[^\n]*|[^ \t\r\n();]+")
 
-    def read(i: int):
-        tok = tokens[i]
-        if tok.text == "(":
-            items = []
-            j = i + 1
-            while True:
-                if j >= len(tokens):
-                    raise ParseError("unclosed parenthesis", tok.line, tok.col)
-                if tokens[j].text == ")":
-                    return _Sexpr(items, tok.line, tok.col), j + 1
-                item, j = read(j)
-                items.append(item)
-        if tok.text == ")":
-            raise ParseError("unexpected ')'", tok.line, tok.col)
-        return tok, i + 1
 
-    while i < len(tokens):
-        form, i = read(i)
-        forms.append(form)
+def _read_all(text: str) -> list:
+    """Read the top-level forms in one left-to-right pass."""
+    forms: list = []
+    items = forms  # the list that receives the next form
+    open_lists: list[_Sexpr] = []
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        tok = m.group()
+        c = tok[0]
+        if c == "\n":
+            line += 1
+            line_start = m.end()
+        elif c == "(":
+            node = _Sexpr([], line, m.start() - line_start + 1)
+            items.append(node)
+            open_lists.append(node)
+            items = node.items
+        elif c == ")":
+            if not open_lists:
+                raise ParseError("unexpected ')'", line, m.start() - line_start + 1)
+            open_lists.pop()
+            items = open_lists[-1].items if open_lists else forms
+        elif c != ";":
+            items.append(_Token(tok, line, m.start() - line_start + 1))
+    if open_lists:
+        innermost = open_lists[-1]
+        raise ParseError("unclosed parenthesis", innermost.line, innermost.col)
     return forms
 
 
@@ -359,7 +344,7 @@ def parse(text: str) -> Program:
 
     Raises ParseError with line/column on malformed input.
     """
-    forms = _read_all(_tokenize(text))
+    forms = _read_all(text)
     if len(forms) != 1:
         if not forms:
             raise ParseError("empty input", 1, 1)

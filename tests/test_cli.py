@@ -93,6 +93,14 @@ def test_parse_error_exits_one(capsys, tmp_path):
     assert "error" in err
 
 
+def test_deeply_nested_parse_error_exits_one(capsys, tmp_path):
+    path = tmp_path / "deep.uil"
+    path.write_text("(" * 5000)
+    code, _, err = run_cli(capsys, "alloc", str(path))
+    assert code == 1
+    assert "1:5000: unclosed parenthesis" in err
+
+
 def test_validation_diagnostics_exit_one(capsys, tmp_path):
     path = tmp_path / "undef.uil"
     path.write_text("(letrec () (set! x y) (return x))")

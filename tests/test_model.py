@@ -114,14 +114,62 @@ def test_rebinding_same_variable_moves_it():
     assert m.regmap == {"x": 2}
 
 
+def test_rebinding_frees_the_old_location():
+    m = Model({"x": 1}, {"x": 0}).bind_reg("x", 2).bind_slot("x", 3)
+    assert m.free_register(make_config(4)) == 0
+    assert m.free_slot() == 0
+    m = m.bind_reg("y", 1).bind_slot("y", 0)  # no collision with x's old homes
+    assert m.regmap == {"x": 2, "y": 1}
+    assert m.stackmap == {"x": 3, "y": 0}
+    m.check()
+
+
+def test_public_constructor_rejects_shared_locations():
+    with pytest.raises(ModelError, match="share a register"):
+        Model({"x": 1, "y": 1}, {})
+    with pytest.raises(ModelError, match="share a stack slot"):
+        Model({}, {"x": 0, "y": 0})
+
+
+def test_public_constructor_copies_its_maps():
+    regmap = {"x": 1}
+    m = Model(regmap, {})
+    regmap["y"] = 2
+    assert m.regmap == {"x": 1}
+
+
+def _hand_built(regmap, stackmap, reg_owner, slot_owner):
+    return Model(_state=(regmap, stackmap, reg_owner, slot_owner, {}, 0))
+
+
+def test_check_rejects_hand_built_collisions():
+    with pytest.raises(ModelError, match="share a register"):
+        _hand_built({"x": 1, "y": 1}, {}, {1: "y"}, {}).check()
+    with pytest.raises(ModelError, match="share a stack slot"):
+        _hand_built({}, {"x": 0, "y": 0}, {}, {0: "y"}).check()
+    with pytest.raises(ModelError, match="out of step"):
+        _hand_built({"x": 1}, {}, {2: "x"}, {}).check()
+    _hand_built({"x": 1}, {"x": 0}, {1: "x"}, {0: "x"}).check()
+
+
+def test_unknown_names_leave_the_model_unchanged():
+    m = Model({"x": 1}, {"y": 0})
+    assert m.drop({"nosuch"}) is m
+    assert m.unbind_reg("y") is m
+    assert m.unbind_slot("x") is m
+    assert m.unbind_reg("nosuch") == m
+    assert m.unbind_slot("nosuch") == m
+
+
 def test_injectivity_under_random_operation_sequences():
     rng = random.Random(1)
     names = [f"v{i}" for i in range(6)]
+    cfg = make_config(4)
     for _ in range(300):
         m = Model()
         for _ in range(25):
             v = rng.choice(names)
-            op = rng.randrange(5)
+            op = rng.randrange(6)
             try:
                 if op == 0:
                     m = m.bind_reg(v, rng.randrange(4))
@@ -131,14 +179,23 @@ def test_injectivity_under_random_operation_sequences():
                     m = m.drop({v})
                 elif op == 3:
                     m = m.unbind_reg(v)
+                elif op == 4:
+                    m = m.unbind_slot(v)
                 else:
                     m = m.bind_slot(v, m.free_slot())
             except ModelError:
                 continue
+            m.check()
             regs = list(m.regmap.values())
             slots = list(m.stackmap.values())
             assert len(set(regs)) == len(regs)
             assert len(set(slots)) == len(slots)
+            # the owner index answers what a scan of the maps answers
+            assert m.free_register(cfg) == next(
+                (r for r in range(4) if r not in regs), None
+            )
+            assert m.free_slot() == min(i for i in range(len(slots) + 1) if i not in slots)
+            assert m.register_residents() == sorted(m.regmap.items(), key=lambda kv: kv[1])
 
 
 def test_free_register_never_bound():

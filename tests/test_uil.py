@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from uilc.gen import generate_program
@@ -201,3 +203,85 @@ def test_roundtrip_nested_branches():
     p = parse(src)
     assert validate(p) == []
     assert parse(format_program(p)) == p
+
+
+# ---------------------------------------------------------------------------
+# Exact error positions: (message, line, column), columns counting every
+# character of the line (tabs and carriage returns included) from 1
+
+
+def _parse_error(text):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    e = exc.value
+    return e.message, e.line, e.col
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # tabs and \r\n before a bad token
+        ("(letrec ()\r\n\t(set! x 0)\r\n\t  (return x#))", ("bad operand 'x#'", 3, 12)),
+        ("(letrec ()\r\n\t(return\r\tx#))", ("bad operand 'x#'", 2, 11)),
+        ("(letrec ()\r\n\t(set! x 0)\r\n \t(return (if)))", ("expected an identifier or integer", 3, 11)),
+        # a comment at EOF with no newline
+        ("(letrec () (set! x 0) (return x) ; trailing", ("unclosed parenthesis", 1, 1)),
+        ("(letrec ()\n (set! x (+ 1))) ; trailing", ("'+' takes two operands", 2, 10)),
+        # an unclosed ( three levels deep points at the innermost one
+        ("(letrec ()\n  (if (< a b)\n    (begin (set! x 1)", ("unclosed parenthesis", 3, 5)),
+        # a stray ) after a complete form
+        ("(letrec () (return 0))\n  )", ("unexpected ')'", 2, 3)),
+        ("(letrec () (return 0)))", ("unexpected ')'", 1, 23)),
+        # a second top-level form
+        ("(letrec () (return 0))\n(letrec () (return 1))", ("expected a single (letrec ...) form", 2, 1)),
+        ("(letrec () (return 0)) x", ("expected a single (letrec ...) form", 1, 24)),
+        # empty and comment-only input
+        ("", ("empty input", 1, 1)),
+        ("  \t\r\n", ("empty input", 1, 1)),
+        ("; nothing here\n;; more\n", ("empty input", 1, 1)),
+        ("; no newline", ("empty input", 1, 1)),
+        # an immediate wider than 64 bits
+        ("(letrec ()\n  (return 18446744073709551616))", ("immediate 18446744073709551616 does not fit a 64-bit word", 2, 11)),
+        ("(letrec () (return -9223372036854775809))", ("immediate -9223372036854775809 does not fit a 64-bit word", 1, 20)),
+    ],
+)
+def test_parse_error_exact_position(text, expected):
+    assert _parse_error(text) == expected
+
+
+def test_comment_at_eof_without_newline_parses():
+    p = parse("(letrec () (set! x 0) (return x)) ; trailing")
+    assert p.body == (Assign("x", 0), ReturnValue("x"))
+
+
+def test_deep_nesting_is_a_parse_error():
+    assert _parse_error("(" * 5000) == ("unclosed parenthesis", 1, 5000)
+
+
+_EDIT_CHARS = "()  \t\n\r;x9-+RETbegin"
+
+
+def test_parse_roundtrip_and_random_edits_property():
+    rng = random.Random(4)
+    texts = []
+    for seed in range(300):
+        p = generate_program(seed)
+        text = format_program(p)
+        assert parse(text) == p
+        texts.append(text)
+    for _ in range(2000):
+        chars = list(rng.choice(texts))
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(chars) + 1)
+            kind = rng.randrange(3)
+            if kind == 0:
+                chars.insert(i, rng.choice(_EDIT_CHARS))
+            elif i < len(chars):
+                if kind == 1:
+                    del chars[i]
+                else:
+                    chars[i] = rng.choice(_EDIT_CHARS)
+        try:
+            parse("".join(chars))
+        except ParseError:
+            pass
