@@ -18,7 +18,8 @@ furthest away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 from .analysis import (
     AnnotatedProgram,
@@ -51,7 +52,7 @@ from .model import (
     Slot,
     initial_model,
 )
-from .uil import Assign, BinExpr, Call, If, MemRead, MemWrite, ReturnValue, _fmt_statement
+from .uil import Assign, BinExpr, Call, If, MemRead, MemWrite, ReturnValue, _fmt_statement, variables
 
 POLICIES = ("furthest", "lifo", "fifo")
 
@@ -153,6 +154,16 @@ def pick_victim(
     raise ValueError(f"unknown policy {policy!r}")
 
 
+def _evict(
+    m: Model, protected, table: NextUseTable, point: int, policy: str
+) -> tuple[Model, list[Inst], int]:
+    """Free the register of the policy's victim, saving the victim first."""
+    victim = pick_victim(m, protected, table, point, policy)
+    m, insts = save(m, [victim])
+    r = m.reg_of(victim)
+    return m.unbind_reg(victim), insts, r
+
+
 def _pick_free(m: Model, var: str, cfg: MachineConfig, prefs: dict[str, int] | None) -> int | None:
     if prefs:
         r = prefs.get(var)
@@ -194,11 +205,8 @@ def load(
             raise ModelError(f"cannot load unbound variable '{v}'")
         r = _pick_free(m, v, cfg, prefs)
         if r is None:
-            victim = pick_victim(m, prot, table, point, policy)
-            m, saves = save(m, [victim])
+            m, saves, r = _evict(m, prot, table, point, policy)
             insts.extend(saves)
-            r = m.reg_of(victim)
-            m = m.unbind_reg(victim)
         insts.append(Load(r, m.slot_of(v)))
         m = m.bind_reg(v, r)
     return m, insts
@@ -399,16 +407,6 @@ def shuffle(
 # Compound transformers (dispatch on statement syntax)
 
 
-class _LabelGen:
-    def __init__(self) -> None:
-        self.n = 0
-
-    def fresh(self) -> str:
-        label = f".L{self.n}"
-        self.n += 1
-        return label
-
-
 def _stmt_text(stmt) -> str:
     buf: list[str] = []
     _fmt_statement(stmt, 0, buf)
@@ -423,7 +421,7 @@ class _BodyAllocator:
         cfg: MachineConfig,
         policy: str,
         table: NextUseTable,
-        labels: _LabelGen,
+        labels: itertools.count,
         is_entry: bool,
         scope: str,
         trace: list[TraceEntry] | None = None,
@@ -445,6 +443,9 @@ class _BodyAllocator:
     def _load(self, m: Model, vs, protected, point: int) -> tuple[Model, list[Inst]]:
         return load(m, vs, protected, self.table, point, self.policy, self.cfg, self.prefs)
 
+    def _fresh_label(self) -> str:
+        return f".L{next(self.labels)}"
+
     def _operand_value(self, m: Model, op) -> Reg | int:
         if isinstance(op, str):
             r = m.reg_of(op)
@@ -452,6 +453,13 @@ class _BodyAllocator:
                 raise AllocError(f"operand '{op}' not register-resident")
             return Reg(r)
         return op
+
+    def _load_operands(self, a: AnnotatedStatement, m: Model) -> tuple[Model, list[Inst], list]:
+        """Load the statement's variable operands together; return their values in order."""
+        ops = a.stmt.operands()
+        opvars = variables(ops)
+        m1, insts = self._load(m, opvars, frozenset(opvars), a.point)
+        return m1, insts, [self._operand_value(m1, o) for o in ops]
 
     def _dest_reg(self, m: Model, var: str, point: int) -> tuple[Model, list[Inst], int]:
         """Bind a freshly assigned variable to a register.
@@ -463,11 +471,7 @@ class _BodyAllocator:
         insts: list[Inst] = []
         r = _pick_free(m, var, self.cfg, self.prefs)
         if r is None:
-            victim = pick_victim(m, frozenset(), self.table, point, self.policy)
-            m, saves = save(m, [victim])
-            insts.extend(saves)
-            r = m.reg_of(victim)
-            m = m.unbind_reg(victim)
+            m, insts, r = _evict(m, frozenset(), self.table, point, self.policy)
         m = m.bind_reg(var, r)
         return m, insts, r
 
@@ -520,15 +524,7 @@ class _BodyAllocator:
     def _assign(self, a: AnnotatedStatement, m: Model) -> tuple[list[Inst], Model]:
         s = a.stmt
         rhs = s.rhs
-        if isinstance(rhs, BinExpr):
-            ops = [rhs.a, rhs.b]
-        elif isinstance(rhs, MemRead):
-            ops = [rhs.base, rhs.index]
-        else:
-            ops = [rhs]
-        opvars = [o for o in ops if isinstance(o, str)]
-        m1, insts = self._load(m, opvars, frozenset(opvars), a.point)
-        vals = [self._operand_value(m1, o) for o in ops]
+        m1, insts, vals = self._load_operands(a, m)
 
         # operands that end here die, and so does the destination's old
         # binding (implicit renaming)
@@ -537,9 +533,9 @@ class _BodyAllocator:
         insts.extend(evict_insts)
 
         if isinstance(rhs, BinExpr):
-            insts.append(BinOpInst(rhs.op, d, vals[0], vals[1]))
+            insts.append(BinOpInst(rhs.op, d, *vals))
         elif isinstance(rhs, MemRead):
-            insts.append(MemLoad(d, vals[0], vals[1]))
+            insts.append(MemLoad(d, *vals))
         elif isinstance(rhs, str):
             if vals[0].i != d:
                 insts.append(Move(d, vals[0].i))
@@ -551,23 +547,16 @@ class _BodyAllocator:
         return insts, m2
 
     def _memwrite(self, a: AnnotatedStatement, m: Model) -> tuple[list[Inst], Model]:
-        s = a.stmt
-        ops = [s.base, s.index, s.src]
-        opvars = [o for o in ops if isinstance(o, str)]
-        m1, insts = self._load(m, opvars, frozenset(opvars), a.point)
-        vals = [self._operand_value(m1, o) for o in ops]
-        insts.append(MemStore(vals[0], vals[1], vals[2]))
+        m1, insts, vals = self._load_operands(a, m)
+        insts.append(MemStore(*vals))
         return insts, m1.drop(a.ends)
 
     def _if(self, a: AnnotatedStatement, m: Model, ctx: Ctx) -> tuple[list[Inst], Model]:
         s = a.stmt
-        testvars = [o for o in (s.test.a, s.test.b) if isinstance(o, str)]
-        m1, insts = self._load(m, testvars, frozenset(testvars), a.point)
-        va = self._operand_value(m1, s.test.a)
-        vb = self._operand_value(m1, s.test.b)
+        m1, insts, (va, vb) = self._load_operands(a, m)
         m1 = m1.drop(a.ends)
 
-        then_label = self.labels.fresh()
+        then_label = self._fresh_label()
         insts.append(CondJump(s.test.rel, va, vb, then_label))
 
         # a variable referenced on only one side dies entering the other;
@@ -612,7 +601,7 @@ class _BodyAllocator:
                 moves.append((src, Slot(sdst)))
         shuffle_insts = self._seq(moves, m2l, pinned_regs=m3l.reg_owner.keys())
 
-        end_label = self.labels.fresh()
+        end_label = self._fresh_label()
         insts.extend(else_insts)
         insts.append(Jump(end_label))
         insts.append(LabelDef(then_label))
@@ -675,7 +664,7 @@ class _BodyAllocator:
         for j in range(n_stack_args):
             # outgoing stack args become the callee's fv0.. once fp advances
             moves.append((arg_srcs[n_reg_args + j], Slot(k + j)))
-        lab1 = self.labels.fresh()
+        lab1 = self._fresh_label()
         moves.append((LabelArg(lab1), Reg(cfg.ret_addr_reg)))
 
         insts = self._seq(moves, m1)
@@ -729,20 +718,6 @@ class _BodyAllocator:
 # Whole-program entry points
 
 
-def alloc_stmt(
-    a: AnnotatedStatement,
-    m: Model,
-    ctx: Ctx,
-    cfg: MachineConfig,
-    table: NextUseTable,
-    policy: str = "furthest",
-) -> tuple[list[Inst], Model]:
-    """Allocate a single annotated statement against a model."""
-    labels = _LabelGen()
-    body = _BodyAllocator(cfg, policy, table, labels, is_entry=False, scope="<stmt>")
-    return body.stmt(a, m, ctx)
-
-
 def alloc_fragment(
     body: tuple[AnnotatedStatement, ...],
     table: NextUseTable,
@@ -752,8 +727,9 @@ def alloc_fragment(
     ctx: Ctx = "nontail",
 ) -> tuple[list[Inst], Model]:
     """Allocate a bare statement sequence starting from a given model."""
-    labels = _LabelGen()
-    alloc = _BodyAllocator(cfg, policy, table, labels, is_entry=True, scope="<fragment>")
+    alloc = _BodyAllocator(
+        cfg, policy, table, itertools.count(), is_entry=True, scope="<fragment>"
+    )
     return alloc.run(body, m if m is not None else Model(), ctx)
 
 
@@ -769,7 +745,7 @@ def alloc_program(
     entry body starts from an empty model, returns by halting, and
     passes a halt continuation to tail calls.
     """
-    labels = _LabelGen()
+    labels = itertools.count()
     entry_alloc = _BodyAllocator(
         cfg, policy, ap.entry_table, labels, is_entry=True, scope="<entry>", trace=trace
     )

@@ -12,18 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .uil import (
-    Assign,
-    BinExpr,
-    Call,
-    If,
-    MemRead,
-    MemWrite,
-    Program,
-    ReturnValue,
-    Statement,
-    format_program,
-)
+from .uil import Call, If, Program, Statement, _fmt_statement, variables
 
 INF = math.inf
 
@@ -64,10 +53,6 @@ class NextUseTable:
         self._after[point] = uses
 
 
-def next_use(table: NextUseTable, point: int, var: str) -> float:
-    return table.next_use(point, var)
-
-
 @dataclass(frozen=True)
 class AnnotatedProc:
     name: str
@@ -88,33 +73,9 @@ class AnnotatedProgram:
 
 def stmt_refs(s: Statement) -> list[str]:
     """Variables (and callee names) referenced by a statement itself."""
-    if isinstance(s, Assign):
-        rhs = s.rhs
-        if isinstance(rhs, BinExpr):
-            ops = [rhs.a, rhs.b]
-        elif isinstance(rhs, MemRead):
-            ops = [rhs.base, rhs.index]
-        else:
-            ops = [rhs]
-        return [v for v in ops if isinstance(v, str)]
-    if isinstance(s, MemWrite):
-        return [v for v in (s.base, s.index, s.src) if isinstance(v, str)]
-    if isinstance(s, If):
-        return [v for v in (s.test.a, s.test.b) if isinstance(v, str)]
-    if isinstance(s, Call):
-        # The callee name counts as a reference and shows up in ending sets.
-        return [s.callee] + [v for v in s.args if isinstance(v, str)]
-    if isinstance(s, ReturnValue):
-        return [s.value] if isinstance(s.value, str) else []
-    raise TypeError(f"unknown statement {s!r}")
-
-
-def stmt_defs(s: Statement) -> list[str]:
-    if isinstance(s, Assign):
-        return [s.dst]
-    if isinstance(s, Call) and s.dst is not None:
-        return [s.dst]
-    return []
+    refs = variables(s.operands())
+    # The callee name counts as a reference and shows up in ending sets.
+    return [s.callee, *refs] if isinstance(s, Call) else refs
 
 
 def _number(stmts: tuple[Statement, ...], counter: list[int]) -> list:
@@ -172,7 +133,7 @@ def _annotate_body(
             table._record(point, uses)
             live_after = frozenset(uses)
             before = dict(uses)
-            defs = stmt_defs(s)
+            defs = s.defs()
             refs = stmt_refs(s)
             for v in defs:
                 before.pop(v, None)
@@ -181,7 +142,7 @@ def _annotate_body(
             # Endings: live into the statement (or defined by it) but not
             # live after it, which is (refs | defs) - live_after.  A dead
             # definition ends immediately.
-            ends = frozenset(refs + defs) - live_after
+            ends = frozenset(refs).union(defs) - live_after
             annotated.append(AnnotatedStatement(s, point, ends, live_after))
             uses = before
     annotated.reverse()
@@ -203,15 +164,11 @@ def annotate(p: Program) -> AnnotatedProgram:
     """
     procs = []
     for d in p.definitions:
-        table = NextUseTable()
-        skeleton = _number(d.body, [0])
-        body, entry_uses = _annotate_body(skeleton, {}, table)
+        body, table, entry_uses = _annotate_sequence(d.body)
         procs.append(
             AnnotatedProc(d.name, d.params, body, table, frozenset(entry_uses))
         )
-    entry_table = NextUseTable()
-    skeleton = _number(p.body, [0])
-    entry, _ = _annotate_body(skeleton, {}, entry_table)
+    entry, entry_table, _ = _annotate_sequence(p.body)
     return AnnotatedProgram(p, entry, entry_table, tuple(procs))
 
 
@@ -219,10 +176,18 @@ def annotate_statements(stmts: tuple[Statement, ...]) -> tuple[
     tuple[AnnotatedStatement, ...], NextUseTable
 ]:
     """Annotate a bare statement sequence (a body fragment)."""
-    table = NextUseTable()
-    skeleton = _number(stmts, [0])
-    body, _ = _annotate_body(skeleton, {}, table)
+    body, table, _ = _annotate_sequence(stmts)
     return body, table
+
+
+def _annotate_sequence(stmts: tuple[Statement, ...]):
+    """Number a body from point 0 and annotate it into a table of its own.
+
+    Returns the annotated body, its table and the map live on entry.
+    """
+    table = NextUseTable()
+    body, entry_uses = _annotate_body(_number(stmts, [0]), {}, table)
+    return body, table, entry_uses
 
 
 def _fmt_ends(ends: frozenset[str]) -> str:
@@ -237,8 +202,6 @@ def dump_annotated(body: tuple[AnnotatedStatement, ...], indent: int = 0) -> str
 
 
 def _dump_into(body, indent: int, lines: list[str]) -> None:
-    from .uil import _fmt_statement  # canonical statement text
-
     pad = "  " * indent
     for a in body:
         if isinstance(a.stmt, If):
@@ -254,22 +217,9 @@ def _dump_into(body, indent: int, lines: list[str]) -> None:
             lines.append(f"{pad}{buf[0]}, {_fmt_ends(a.ends)}")
 
 
-def max_live(body: tuple[AnnotatedStatement, ...]) -> int:
-    """Peak simultaneous liveness: live-through plus defined, per statement."""
-    peak = 0
-    for a in _walk(body):
-        live = set(a.live_after) | set(stmt_refs(a.stmt)) | set(stmt_defs(a.stmt))
-        peak = max(peak, len(live))
-    return peak
-
-
-def _walk(body):
-    for a in body:
-        yield a
-        yield from _walk(a.then_body)
-        yield from _walk(a.else_body)
-
-
 def walk_statements(body: tuple[AnnotatedStatement, ...]):
     """Iterate annotated statements in pre-order, branches included."""
-    return _walk(body)
+    for a in body:
+        yield a
+        yield from walk_statements(a.then_body)
+        yield from walk_statements(a.else_body)

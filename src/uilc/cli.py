@@ -18,7 +18,7 @@ from pathlib import Path
 from .allocator import POLICIES, PressureError, TraceEntry, alloc_program
 from .analysis import AnnotatedProgram, annotate
 from .gen import generate_program
-from .isa import format_insts, format_target
+from .isa import format_insts, format_target, static_traffic
 from .machine import (
     MachineFault,
     OutOfFuel,
@@ -87,14 +87,13 @@ def cmd_run(args) -> int:
     except OutOfFuel:
         print(f"error: fuel exhausted after {args.fuel} instructions", file=sys.stderr)
         return 1
+    loads, stores, moves = static_traffic(tp.flatten())
     if args.json:
-        print(json.dumps({"return": obs.value, "writes": len(obs.writes), **stats.as_dict()}))
+        static = {"static_loads": loads, "static_stores": stores, "static_moves": moves}
+        print(json.dumps({"return": obs.value, "writes": len(obs.writes), **static, **stats.as_dict()}))
         return 0
     print(f"return value: {obs.value}")
-    print(
-        f"static:  loads={stats.static_loads} stores={stats.static_stores} "
-        f"moves={stats.static_moves} instructions={stats.instructions}"
-    )
+    print(f"static:  loads={loads} stores={stores} moves={moves} instructions={stats.instructions}")
     print(
         f"dynamic: loads={stats.dynamic_loads} stores={stats.dynamic_stores} "
         f"moves={stats.dynamic_moves} steps={stats.steps}"

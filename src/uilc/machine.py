@@ -24,13 +24,7 @@ import operator
 import random
 from dataclasses import dataclass
 
-from .analysis import (
-    AnnotatedProgram,
-    AnnotatedStatement,
-    stmt_defs,
-    stmt_refs,
-    walk_statements,
-)
+from .analysis import AnnotatedProgram, AnnotatedStatement, stmt_refs, walk_statements
 from .isa import (
     BinOpInst,
     CondJump,
@@ -84,9 +78,6 @@ class Observation:
 
 @dataclass
 class TrafficStats:
-    static_loads: int = 0
-    static_stores: int = 0
-    static_moves: int = 0
     dynamic_loads: int = 0
     dynamic_stores: int = 0
     dynamic_moves: int = 0
@@ -158,7 +149,6 @@ class _Machine:
         ok = range(cfg.registers)
         code: list[tuple | None] = []
         later: list[int] = []  # label users, decoded once every label is known
-        loads = stores = moves = 0
         # one entry per instruction; see _fault for those whose text makes them fault
         for pc, i in enumerate(insts):
             kind = type(i)
@@ -171,15 +161,12 @@ class _Machine:
             elif kind is LoadImm:
                 code.append((_LOADIMM, i.dst, i.imm) if i.dst in ok else _fault(ok, Reg(i.dst)))
             elif kind is Load:
-                loads += 1
                 code.append((_LOAD, i.dst, i.slot) if i.slot >= 0 and i.dst in ok
                             else _fault(ok, _slot_fault(i.slot), Reg(i.dst)))
             elif kind is Store:
-                stores += 1
                 code.append((_STORE, i.src, i.slot) if i.slot >= 0 and i.src in ok
                             else _fault(ok, Reg(i.src), _slot_fault(i.slot)))
             elif kind is Move:
-                moves += 1
                 code.append((_MOVE, i.dst, i.src) if i.src in ok and i.dst in ok
                             else _fault(ok, Reg(i.src), Reg(i.dst)))
             elif kind is MemLoad or kind is MemStore:
@@ -199,9 +186,7 @@ class _Machine:
                 code.append(None)
             else:
                 code.append((_FAULT, f"unknown instruction {i!r}"))
-        self.stats = TrafficStats(
-            static_loads=loads, static_stores=stores, static_moves=moves, instructions=len(insts)
-        )
+        self.stats = TrafficStats(instructions=len(insts))
         self.end = len(code)  # entries from here on raise on arrival
         code.append((_FAULT, "execution ran off the end of the program"))
         for pc in later:
@@ -554,7 +539,7 @@ def belady_oracle(body, R: int) -> int:
         if isinstance(a.stmt, (If, Call)):
             raise ValueError("oracle handles straight-line code only")
         reads = list(dict.fromkeys(stmt_refs(a.stmt)))
-        defs = stmt_defs(a.stmt)
+        defs = a.stmt.defs()
         variables.update(reads)
         variables.update(defs)
         steps.append((reads, a.ends, defs[0] if defs else None))
@@ -640,7 +625,7 @@ def spill_free_shape(ap: AnnotatedProgram, cfg: MachineConfig) -> bool:
     def body_ok(body: tuple[AnnotatedStatement, ...], in_proc: bool) -> bool:
         budget = cfg.registers - (1 if in_proc else 0)
         for a in walk_statements(body):
-            live = (set(a.live_after) | set(stmt_refs(a.stmt)) | set(stmt_defs(a.stmt)))
+            live = set(a.live_after).union(stmt_refs(a.stmt), a.stmt.defs())
             live -= proc_names
             if len(live) > budget:
                 return False
@@ -663,7 +648,7 @@ def spill_free_shape(ap: AnnotatedProgram, cfg: MachineConfig) -> bool:
                     continue
                 if in_proc:
                     return False  # the return address is live across the call
-                across = (set(a.live_after) - set(stmt_defs(a.stmt))) - proc_names
+                across = (set(a.live_after) - set(a.stmt.defs())) - proc_names
                 if across:
                     return False
         return True

@@ -30,6 +30,11 @@ _INT_RE = re.compile(r"^-?[0-9]+$")
 
 Pos = tuple[int, int]  # (line, column), 1-based
 
+# Deepest parenthesis nesting the reader accepts.  Every later stage
+# recurses on nested `if`s, and this keeps them all well inside the
+# interpreter's default recursion limit.
+MAX_DEPTH = 200
+
 
 class ParseError(Exception):
     def __init__(self, message: str, line: int, col: int):
@@ -45,11 +50,17 @@ class BinExpr:
     a: Operand
     b: Operand
 
+    def operands(self) -> tuple[Operand, ...]:
+        return (self.a, self.b)
+
 
 @dataclass(frozen=True)
 class MemRead:
     base: Operand
     index: Operand
+
+    def operands(self) -> tuple[Operand, ...]:
+        return (self.base, self.index)
 
 
 Rhs = BinExpr | MemRead | Operand
@@ -62,11 +73,20 @@ class Cmp:
     b: Operand
 
 
+# Every statement answers operands(): each operand it reads, immediates
+# included, in evaluation order; and defs(): the variables it assigns.
 @dataclass(frozen=True)
 class Assign:
     dst: str
     rhs: Rhs
     pos: Pos | None = field(default=None, compare=False)
+
+    def operands(self) -> tuple[Operand, ...]:
+        rhs = self.rhs
+        return (rhs,) if isinstance(rhs, (str, int)) else rhs.operands()
+
+    def defs(self) -> tuple[str, ...]:
+        return (self.dst,)
 
 
 @dataclass(frozen=True)
@@ -76,6 +96,12 @@ class MemWrite:
     src: Operand
     pos: Pos | None = field(default=None, compare=False)
 
+    def operands(self) -> tuple[Operand, ...]:
+        return (self.base, self.index, self.src)
+
+    def defs(self) -> tuple[str, ...]:
+        return ()
+
 
 @dataclass(frozen=True)
 class If:
@@ -83,6 +109,12 @@ class If:
     then_body: tuple["Statement", ...]
     else_body: tuple["Statement", ...]
     pos: Pos | None = field(default=None, compare=False)
+
+    def operands(self) -> tuple[Operand, ...]:
+        return (self.test.a, self.test.b)
+
+    def defs(self) -> tuple[str, ...]:
+        return ()
 
 
 @dataclass(frozen=True)
@@ -93,14 +125,31 @@ class Call:
     dst: str | None = None
     pos: Pos | None = field(default=None, compare=False)
 
+    def operands(self) -> tuple[Operand, ...]:
+        return self.args
+
+    def defs(self) -> tuple[str, ...]:
+        return () if self.dst is None else (self.dst,)
+
 
 @dataclass(frozen=True)
 class ReturnValue:
     value: Operand
     pos: Pos | None = field(default=None, compare=False)
 
+    def operands(self) -> tuple[Operand, ...]:
+        return (self.value,)
+
+    def defs(self) -> tuple[str, ...]:
+        return ()
+
 
 Statement = Assign | MemWrite | If | Call | ReturnValue
+
+
+def variables(operands) -> list[str]:
+    """The variables among operands, in order; immediates are dropped."""
+    return [v for v in operands if isinstance(v, str)]
 
 
 @dataclass(frozen=True)
@@ -165,6 +214,7 @@ def _read_all(text: str) -> list:
     forms: list = []
     items = forms  # the list that receives the next form
     open_lists: list[_Sexpr] = []
+    too_deep: _Sexpr | None = None  # the first list opened past MAX_DEPTH
     line, line_start = 1, 0
     for m in _TOKEN_RE.finditer(text):
         tok = m.group()
@@ -177,6 +227,8 @@ def _read_all(text: str) -> list:
             items.append(node)
             open_lists.append(node)
             items = node.items
+            if too_deep is None and len(open_lists) > MAX_DEPTH:
+                too_deep = node
         elif c == ")":
             if not open_lists:
                 raise ParseError("unexpected ')'", line, m.start() - line_start + 1)
@@ -187,6 +239,8 @@ def _read_all(text: str) -> list:
     if open_lists:
         innermost = open_lists[-1]
         raise ParseError("unclosed parenthesis", innermost.line, innermost.col)
+    if too_deep is not None:
+        raise _err(too_deep, f"nesting deeper than {MAX_DEPTH} parentheses")
     return forms
 
 
@@ -447,10 +501,6 @@ def format_program(p: Program) -> str:
 # Validator
 
 
-def _operand_vars(*operands: Operand) -> list[str]:
-    return [v for v in operands if isinstance(v, str)]
-
-
 def _check_defined(
     operands: list[str],
     defined: set[str],
@@ -486,7 +536,6 @@ def _validate_body(
     body: tuple[Statement, ...],
     defined: set[str],
     arities: dict[str, int],
-    where: str,
     diags: list[Diagnostic],
     tail: bool,
 ) -> set[str]:
@@ -497,36 +546,19 @@ def _validate_body(
     proc_names = set(arities)
     for idx, s in enumerate(body):
         is_tail = tail and idx == len(body) - 1
+        _check_defined(variables(s.operands()), defined, proc_names, s.pos, diags)
         if isinstance(s, Assign):
-            rhs = s.rhs
-            if isinstance(rhs, BinExpr):
-                _check_defined(_operand_vars(rhs.a, rhs.b), defined, proc_names, s.pos, diags)
-            elif isinstance(rhs, MemRead):
-                _check_defined(
-                    _operand_vars(rhs.base, rhs.index), defined, proc_names, s.pos, diags
-                )
-            else:
-                _check_defined(_operand_vars(rhs), defined, proc_names, s.pos, diags)
             if s.dst == RESERVED_NAME:
                 diags.append(Diagnostic(f"cannot assign reserved name '{RESERVED_NAME}'", s.pos))
             if s.dst in proc_names:
                 diags.append(Diagnostic(f"cannot assign procedure name '{s.dst}'", s.pos))
-            defined = defined | {s.dst}
-        elif isinstance(s, MemWrite):
-            _check_defined(
-                _operand_vars(s.base, s.index, s.src), defined, proc_names, s.pos, diags
-            )
         elif isinstance(s, If):
-            _check_defined(
-                _operand_vars(s.test.a, s.test.b), defined, proc_names, s.pos, diags
-            )
             if not s.then_body or not s.else_body:
                 diags.append(Diagnostic("'if' branches must be nonempty", s.pos))
-            then_defined = _validate_body(s.then_body, set(defined), arities, where, diags, is_tail)
-            else_defined = _validate_body(s.else_body, set(defined), arities, where, diags, is_tail)
+            then_defined = _validate_body(s.then_body, set(defined), arities, diags, is_tail)
+            else_defined = _validate_body(s.else_body, set(defined), arities, diags, is_tail)
             defined = then_defined & else_defined
         elif isinstance(s, Call):
-            _check_defined(_operand_vars(*s.args), defined, proc_names, s.pos, diags)
             if s.callee not in arities:
                 diags.append(Diagnostic(f"call to undefined procedure '{s.callee}'", s.pos))
             elif len(s.args) != arities[s.callee]:
@@ -545,11 +577,10 @@ def _validate_body(
                     diags.append(
                         Diagnostic("result-binding call cannot sit in tail position", s.pos)
                     )
-                defined = defined | {s.dst}
         elif isinstance(s, ReturnValue):
-            _check_defined(_operand_vars(s.value), defined, proc_names, s.pos, diags)
             if not is_tail:
                 diags.append(Diagnostic("return outside tail position", s.pos))
+        defined = defined.union(s.defs())
     return defined
 
 
@@ -574,7 +605,7 @@ def validate(p: Program) -> list[Diagnostic]:
             diags.append(
                 Diagnostic(f"procedure '{d.name}' must end in a return or tail call", d.pos)
             )
-        _validate_body(d.body, set(d.params), arities, d.name, diags, tail=True)
+        _validate_body(d.body, set(d.params), arities, diags, tail=True)
 
     if not p.body:
         diags.append(Diagnostic("program body is empty", None))
@@ -583,5 +614,5 @@ def validate(p: Program) -> list[Diagnostic]:
             diags.append(
                 Diagnostic("program body must end in a return or tail call", p.body[-1].pos)
             )
-        _validate_body(p.body, set(), arities, "<entry>", diags, tail=True)
+        _validate_body(p.body, set(), arities, diags, tail=True)
     return diags

@@ -25,6 +25,19 @@ CHAIN_SRC = """
 """
 
 
+def nested_ifs(levels):
+    """Entry body with `levels` nested non-tail ifs on one line.
+
+    The letrec is depth 1 and level k's `if` depth 2k, so the deepest
+    parentheses sit at depth 2 * levels + 3; the first of them is the
+    innermost level's `(+ x 1)`.
+    """
+    text = "(set! y (* x 2))"
+    for _ in range(levels):
+        text = f"(if (< x 1000) (begin (set! x (+ x 1)) {text}) (begin (set! y (- y 1))))"
+    return f"(letrec () (set! x 0) (set! y 0) {text} (return y))"
+
+
 def load_program(src):
     program = parse(src)
     diags = validate(program)

@@ -7,7 +7,6 @@ from uilc.analysis import (
     annotate,
     annotate_statements,
     dump_annotated,
-    stmt_defs,
     stmt_refs,
     walk_statements,
 )
@@ -35,7 +34,7 @@ def _paths(body):
                 for tail in tails:
                     result.append([head] + inner + tail)
         return result
-    entry = (s.point, stmt_refs(s.stmt), stmt_defs(s.stmt))
+    entry = (s.point, stmt_refs(s.stmt), s.stmt.defs())
     return [[entry] + tail for tail in tails]
 
 
@@ -79,10 +78,10 @@ def _check_against_oracle(body, table):
     live_in, live_out, next_use = _oracle_facts(list(body))
     variables = set()
     for a in walk_statements(body):
-        variables |= set(stmt_refs(a.stmt)) | set(stmt_defs(a.stmt))
+        variables |= set(stmt_refs(a.stmt)) | set(a.stmt.defs())
     for a in walk_statements(body):
         p = a.point
-        expected_ends = (live_in[p] | set(stmt_defs(a.stmt))) - live_out[p]
+        expected_ends = (live_in[p] | set(a.stmt.defs())) - live_out[p]
         assert a.ends == expected_ends, (p, a.ends, expected_ends)
         for v in variables:
             want = next_use.get((p, v), math.inf)
@@ -202,7 +201,7 @@ def test_consistency_ends_iff_dead_and_live_in():
                 for v in live_in[a.point] | a.ends:
                     dead = table.next_use(a.point, v) == INF
                     in_ends = v in a.ends
-                    live_entering = v in (live_in[a.point] | set(stmt_defs(a.stmt)))
+                    live_entering = v in (live_in[a.point] | set(a.stmt.defs()))
                     assert in_ends == (dead and live_entering), (a.point, v)
 
 
@@ -222,6 +221,12 @@ def test_points_are_preorder_unique():
         points = _all_points(body)
         assert points == sorted(points)
         assert len(points) == len(set(points))
+
+
+def test_stmt_refs_puts_the_callee_first():
+    p = parse("(letrec ((f (lambda (a b) (return a)))) (set! r (f 1 x)) (f r 2))")
+    assert stmt_refs(p.body[0]) == ["f", "x"]
+    assert stmt_refs(p.body[1]) == ["f", "r"]
 
 
 def test_fragment_annotation():
@@ -254,6 +259,6 @@ def test_straight_line_forward_reconstruction_matches_backward_pass():
         ap = annotate(p)
         body, table = ap.entry, ap.entry_table
         for a in body:
-            candidates = set(stmt_refs(a.stmt)) | set(stmt_defs(a.stmt))
+            candidates = set(stmt_refs(a.stmt)) | set(a.stmt.defs())
             forward_ends = {v for v in candidates if table.next_use(a.point, v) == INF}
             assert forward_ends == set(a.ends), (seed, a.point)

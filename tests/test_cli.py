@@ -1,11 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from uilc.cli import main
 from uilc.machine import EquivReport
 
-from conftest import SPLIT_SRC, CHAIN_SRC
+from conftest import SPLIT_SRC, CHAIN_SRC, nested_ifs
 
 
 @pytest.fixture
@@ -71,6 +72,27 @@ def test_run_json_output(capsys, split_file):
     assert payload["dynamic_stores"] == 1
 
 
+WALK = str(Path(__file__).parent / "data" / "walk.uil")
+
+
+def test_run_reports_every_traffic_count(capsys):
+    argv = ("run", WALK, "--registers", "4", "--seed", "5")
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert out == (
+        '{"return": 16128589941724529, "writes": 6, "static_loads": 19, "static_stores": 20,'
+        ' "static_moves": 3, "dynamic_loads": 99, "dynamic_stores": 90, "dynamic_moves": 13,'
+        ' "instructions": 68, "steps": 300, "call_rounds": 6}\n'
+    )
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == [
+        "return value: 16128589941724529",
+        "static:  loads=19 stores=20 moves=3 instructions=68",
+        "dynamic: loads=99 stores=90 moves=13 steps=300",
+    ]
+
+
 def test_run_spill_free_at_eight_registers(capsys, split_file):
     code, out, _ = run_cli(capsys, "run", split_file, "--registers", "8", "--json")
     payload = json.loads(out)
@@ -99,6 +121,14 @@ def test_deeply_nested_parse_error_exits_one(capsys, tmp_path):
     code, _, err = run_cli(capsys, "alloc", str(path))
     assert code == 1
     assert "1:5000: unclosed parenthesis" in err
+
+
+def test_valid_but_too_deeply_nested_program_exits_one(capsys, tmp_path):
+    path = tmp_path / "deep_ifs.uil"
+    path.write_text(nested_ifs(400))
+    code, _, err = run_cli(capsys, "alloc", str(path))
+    assert code == 1
+    assert "nesting deeper than 200 parentheses" in err
 
 
 def test_validation_diagnostics_exit_one(capsys, tmp_path):

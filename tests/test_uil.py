@@ -2,11 +2,17 @@ import random
 
 import pytest
 
+from uilc.allocator import POLICIES, alloc_program
+from uilc.analysis import annotate
 from uilc.gen import generate_program
+from uilc.machine import equivalent
+from uilc.model import make_config
 from uilc.uil import (
+    MAX_DEPTH,
     Assign,
     BinExpr,
     Call,
+    Cmp,
     If,
     MemRead,
     MemWrite,
@@ -16,9 +22,10 @@ from uilc.uil import (
     format_program,
     parse,
     validate,
+    variables,
 )
 
-from conftest import CHAIN_SRC
+from conftest import CHAIN_SRC, nested_ifs
 
 
 def test_parse_smallest_program():
@@ -175,6 +182,78 @@ def test_procedure_name_not_a_value():
     assert any("used as a value" in d.message for d in validate(p))
 
 
+# Every operand in evaluation order, immediates kept, and the assigned variables.
+_STATEMENT_CASES = [
+    (Assign("x", 7), (7,), ("x",)),
+    (Assign("x", "y"), ("y",), ("x",)),
+    (Assign("x", BinExpr("-", 3, "y")), (3, "y"), ("x",)),
+    (Assign("x", MemRead("b", 2)), ("b", 2), ("x",)),
+    (MemWrite("b", 1, "v"), ("b", 1, "v"), ()),
+    (If(Cmp("<", "a", 0), (ReturnValue(1),), (ReturnValue(2),)), ("a", 0), ()),
+    (Call("f", ("a", 4, "b")), ("a", 4, "b"), ()),
+    (Call("f", ("a",), dst="r"), ("a",), ("r",)),
+    (ReturnValue(5), (5,), ()),
+    (ReturnValue("v"), ("v",), ()),
+]
+
+
+@pytest.mark.parametrize("stmt,operands,defs", _STATEMENT_CASES)
+def test_statement_operands_and_defs(stmt, operands, defs):
+    assert stmt.operands() == operands
+    assert stmt.defs() == defs
+    assert variables(stmt.operands()) == [v for v in operands if isinstance(v, str)]
+
+
+# Programs drawing several diagnostics from one statement, with the exact
+# text, position and order that `validate` reports them in.
+_VALIDATE_CASES = [
+    (
+        "(letrec ((f (lambda (x) (return x)))) (set! RET (f RET)))",
+        [
+            "1:39: program body must end in a return or tail call",
+            "1:39: 'RET' is a reserved name",
+            "1:39: cannot assign reserved name 'RET'",
+            "1:39: result-binding call cannot sit in tail position",
+        ],
+    ),
+    (
+        # a call may bind a procedure name; reading it back is still an error
+        "(letrec ((f (lambda () (return 1)))) (set! f (f)) (set! f 1) (return f))",
+        ["1:51: cannot assign procedure name 'f'", "1:62: procedure 'f' used as a value"],
+    ),
+    (
+        "(letrec ((f (lambda (a b) (return a)))) (f u) (g RET) (return u) (f 1 2))",
+        [
+            "1:41: variable 'u' may be used before assignment",
+            "1:41: 'f' takes 2 argument(s), got 1",
+            "1:47: 'RET' is a reserved name",
+            "1:47: call to undefined procedure 'g'",
+            "1:55: variable 'u' may be used before assignment",
+            "1:55: return outside tail position",
+        ],
+    ),
+    (
+        "(letrec ((f (lambda () (return 1)))) (mset! RET f u) (set! y (mref f v))"
+        " (if (< w RET) (begin (return f)) (begin (return y))))",
+        [
+            "1:38: 'RET' is a reserved name",
+            "1:38: procedure 'f' used as a value",
+            "1:38: variable 'u' may be used before assignment",
+            "1:54: procedure 'f' used as a value",
+            "1:54: variable 'v' may be used before assignment",
+            "1:74: variable 'w' may be used before assignment",
+            "1:74: 'RET' is a reserved name",
+            "1:95: procedure 'f' used as a value",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("text,expected", _VALIDATE_CASES)
+def test_validate_exact_diagnostics(text, expected):
+    assert [str(d) for d in validate(parse(text))] == expected
+
+
 def test_print_canonical_form(split_prog):
     program, _ = split_prog
     text = format_program(program)
@@ -256,6 +335,29 @@ def test_comment_at_eof_without_newline_parses():
 
 def test_deep_nesting_is_a_parse_error():
     assert _parse_error("(" * 5000) == ("unclosed parenthesis", 1, 5000)
+
+
+# nested_ifs(n) reaches parenthesis depth 2n + 3
+DEEPEST_IFS = (MAX_DEPTH - 3) // 2
+
+
+def test_deepest_accepted_nesting_runs_every_stage():
+    text = nested_ifs(DEEPEST_IFS)
+    p = parse(text)
+    assert validate(p) == []
+    assert parse(format_program(p)) == p
+    ap = annotate(p)
+    for r in (2, 3, 8):
+        cfg = make_config(r)
+        for policy in POLICIES:
+            tp = alloc_program(ap, cfg, policy, trace=[])
+            assert equivalent(p, tp, cfg).ok, (r, policy)
+
+
+def test_nesting_past_max_depth_is_a_parse_error():
+    text = nested_ifs(DEEPEST_IFS + 1)
+    innermost = text.rindex("(+ x 1)") + 1
+    assert _parse_error(text) == (f"nesting deeper than {MAX_DEPTH} parentheses", 1, innermost)
 
 
 _EDIT_CHARS = "()  \t\n\r;x9-+RETbegin"
