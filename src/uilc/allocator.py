@@ -22,6 +22,7 @@ import itertools
 from dataclasses import dataclass
 
 from .analysis import (
+    INF,
     AnnotatedProgram,
     AnnotatedStatement,
     NextUseTable,
@@ -136,21 +137,17 @@ def pick_victim(
     furthest: maximal next-use position, ties to the lowest register.
     lifo/fifo: most/least recently register-bound.
     """
-    candidates = [(r, v) for v, r in m.register_residents() if v not in protected]
+    candidates = [v for v, _ in m.register_residents() if v not in protected]
     if not candidates:
         raise PressureError("no evictable register: all residents are in use")
     if policy == "furthest":
-        best_r, best_v = candidates[0]
-        best_use = table.next_use(point, best_v)
-        for r, v in candidates[1:]:
-            use = table.next_use(point, v)
-            if use > best_use:
-                best_r, best_v, best_use = r, v, use
-        return best_v
+        uses = table.uses_after(point)
+        # max keeps the first of equals: candidates run by register index
+        return max(candidates, key=lambda v: uses.get(v, INF))
     if policy == "lifo":
-        return max(candidates, key=lambda rv: m.bind_seq(rv[1]))[1]
+        return max(candidates, key=m.bind_seq)
     if policy == "fifo":
-        return min(candidates, key=lambda rv: m.bind_seq(rv[1]))[1]
+        return min(candidates, key=m.bind_seq)
     raise ValueError(f"unknown policy {policy!r}")
 
 
@@ -189,6 +186,9 @@ def load(
     register; the victim is saved first (for free when multi-homed).
     Neither the listed variables nor the protected set may be evicted.
     """
+    regmap = m.regmap
+    if len(m.reg_owner) <= cfg.registers and all(v in regmap for v in vs):
+        return m, []
     vs = list(dict.fromkeys(vs))
     prot = frozenset(protected) | set(vs)
     needed = set(vs) | {v for v in prot if m.reg_of(v) is not None}
@@ -458,7 +458,7 @@ class _BodyAllocator:
         """Load the statement's variable operands together; return their values in order."""
         ops = a.stmt.operands()
         opvars = variables(ops)
-        m1, insts = self._load(m, opvars, frozenset(opvars), a.point)
+        m1, insts = self._load(m, opvars, opvars, a.point)
         return m1, insts, [self._operand_value(m1, o) for o in ops]
 
     def _dest_reg(self, m: Model, var: str, point: int) -> tuple[Model, list[Inst], int]:

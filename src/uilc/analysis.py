@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .uil import Call, If, Program, Statement, _fmt_statement, variables
 
 INF = math.inf
+
+_NO_USES = MappingProxyType({})  # the uses recorded at an unknown point
 
 
 @dataclass(frozen=True)
@@ -46,7 +49,11 @@ class NextUseTable:
         self._after: dict[int, dict[str, float]] = {}
 
     def next_use(self, point: int, var: str) -> float:
-        return self._after.get(point, {}).get(var, INF)
+        return self._after.get(point, _NO_USES).get(var, INF)
+
+    def uses_after(self, point: int):
+        """Read-only map of every variable live after `point` to its next use."""
+        return self._after.get(point, _NO_USES)
 
     def _record(self, point: int, uses: dict[str, float]) -> None:
         # stored as given: the annotator never mutates a map once recorded
