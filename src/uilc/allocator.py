@@ -220,6 +220,15 @@ def _loc_key(loc) -> tuple[int, int]:
     return (0, loc.i) if isinstance(loc, Reg) else (1, loc.i)
 
 
+def _leg_rank(src: MoveSrc, dst: MoveDst, has_temp: bool) -> int:
+    """Order of a ready leg: the legs that keep a temporary free go first."""
+    if isinstance(src, Reg):
+        return 0 if isinstance(dst, Reg) else 1
+    if isinstance(dst, Reg):
+        return 3
+    return 2 if has_temp else 4  # needs a temporary: wait for one
+
+
 def _sequence_moves(
     moves: list[tuple[MoveSrc, MoveDst]],
     cfg: MachineConfig,
@@ -230,13 +239,26 @@ def _sequence_moves(
 
     The mapping is broken into paths and loops.  A path of k locations
     costs k-1 single moves, emitted deepest destination first; each loop
-    costs one extra instruction through a temporary (a free register
-    when one exists, else a scratch stack slot).  Slot-to-slot legs
-    route through a register temporary; when every register holds a
-    needed value, one is borrowed around the leg.
+    costs one extra instruction that parks its entry value in a free
+    register (or a scratch stack slot when none is free).
+
+    A leg into a slot from anything but a register passes through a
+    temporary: a register that is not pinned, not a pending source and
+    not yet written (a destination register still waiting for its value
+    holds a dead one).  Ready legs therefore go in the order that keeps a
+    temporary for the legs that need one, then by location index:
+    register <- register, then slot <- register (a store, which can free
+    its source), then slot <- slot/immediate/label while a temporary is
+    free, and last register <- slot/immediate/label.  A slot leg that
+    finds no temporary waits while any other leg is ready.  When nothing
+    else is ready it first moves a parked loop value out to a scratch
+    slot, which frees that register; only when no register holds a parked
+    value does it borrow one, spilling it around the leg.
 
     ``pinned_regs`` hold values that must survive the whole sequence;
-    ``busy_slots`` are occupied frame slots scratch must avoid.
+    pinning a destination register changes nothing, as its old value dies
+    at its leg anyway.  ``busy_slots`` are occupied frame slots scratch
+    must avoid.
     """
     pending: dict[MoveDst, MoveSrc] = {}
     written: set[int] = set()
@@ -258,8 +280,10 @@ def _sequence_moves(
         if isinstance(src, (Reg, Slot)):
             src_count[src] = src_count.get(src, 0) + 1
 
-    live_regs = set(pinned_regs) | {s.i for s in src_count if isinstance(s, Reg)}
     pending_dst_regs = {d.i for d in pending if isinstance(d, Reg)}
+    pinned_regs = set(pinned_regs) - pending_dst_regs
+    live_regs = pinned_regs | {s.i for s in src_count if isinstance(s, Reg)}
+    parked: set[int] = set()  # registers holding a loop's entry value
     used_slots = set(busy_slots) | identity_slots
     for loc in list(pending) + list(src_count):
         if isinstance(loc, Slot):
@@ -274,9 +298,11 @@ def _sequence_moves(
         used_slots.add(s)
         return s
 
-    def temp_reg() -> int | None:
+    def temp_reg(dead_dsts: bool = True) -> int | None:
         for r in range(cfg.registers):
-            if r not in live_regs and r not in pending_dst_regs and r not in written:
+            if r not in live_regs and r not in written and (
+                dead_dsts or r not in pending_dst_regs
+            ):
                 return r
         return None
 
@@ -289,6 +315,14 @@ def _sequence_moves(
             return LoadLabel(r, src.label)
         return LoadImm(r, src)
 
+    def redirect(old: MoveSrc, new: MoveSrc) -> None:
+        """Make every pending reader of `old` read `new` instead."""
+        for dst, src in pending.items():
+            if src == old:
+                pending[dst] = new
+                src_count[new] = src_count.get(new, 0) + 1
+                consume(old)
+
     def emit_leg(dst: MoveDst, src: MoveSrc) -> None:
         if isinstance(dst, Reg):
             insts.append(value_into_reg(dst.i, src))
@@ -298,6 +332,12 @@ def _sequence_moves(
             return
         # value must pass through a register on its way to the slot
         t = temp_reg()
+        if t is None and parked:
+            # move a parked loop value out to the stack to free its register
+            t = min(parked)
+            keep = fresh_slot()
+            insts.append(Store(keep, t))
+            redirect(Reg(t), Slot(keep))
         if t is not None:
             insts.append(value_into_reg(t, src))
             insts.append(Store(dst.i, t))
@@ -318,11 +358,15 @@ def _sequence_moves(
             del src_count[src]
             if isinstance(src, Reg) and src.i not in pinned_regs:
                 live_regs.discard(src.i)
+                parked.discard(src.i)
 
     while pending:
         ready = [d for d in pending if src_count.get(d, 0) == 0]
         if ready:
-            d = min(ready, key=_loc_key)
+            d = ready[0]
+            if len(ready) > 1:
+                has_temp = temp_reg() is not None
+                d = min(ready, key=lambda d: (_leg_rank(pending[d], d, has_temp), _loc_key(d)))
             s = pending.pop(d)
             emit_leg(d, s)
             consume(s)
@@ -333,17 +377,16 @@ def _sequence_moves(
             continue
         # Every pending destination is still someone's source: a loop.
         # Park the entry value in a temporary and redirect its readers.
+        # A destination register is no temporary here: parked, it would
+        # become a source and hold up its own leg.
         d0 = min(pending, key=_loc_key)
-        t = temp_reg()
-        temp: MoveSrc = Reg(t) if t is not None else Slot(fresh_slot())
+        t = temp_reg(dead_dsts=False)
+        temp: MoveDst = Reg(t) if t is not None else Slot(fresh_slot())
         emit_leg(temp, d0)
-        if isinstance(temp, Reg):
-            live_regs.add(temp.i)
-        for dst, src in list(pending.items()):
-            if src == d0:
-                pending[dst] = temp
-                src_count[temp] = src_count.get(temp, 0) + 1
-                consume(d0)
+        if t is not None:
+            live_regs.add(t)
+            parked.add(t)
+        redirect(d0, temp)
 
     return insts
 
@@ -611,6 +654,15 @@ class _BodyAllocator:
         return insts, m3l
 
     def _call(self, a: AnnotatedStatement, m: Model, ctx: Ctx) -> tuple[list[Inst], Model]:
+        """Move the arguments and the return address into place and jump.
+
+        A non-tail call keeps every call-live value in this frame: a value
+        that already has a slot keeps it, and a register-only one is
+        stored to the lowest free slot, in register order.  The frame
+        pointer advances by the highest home slot + 1 (not at all when
+        nothing lives across the call), so the outgoing stack arguments,
+        placed just above it, become the callee's fv0, fv1, ...
+        """
         s = a.stmt
         cfg = self.cfg
         arg_srcs: list[MoveSrc] = []
@@ -641,24 +693,14 @@ class _BodyAllocator:
             insts.append(Jump(s.callee))
             return insts, m1
 
-        # call-lives survive in compacted slots 0..k-1 of this frame
-        call_lives = m1.variables()
-        slotted = sorted(
-            (v for v in call_lives if m1.slot_of(v) is not None),
-            key=lambda v: m1.stackmap[v],
-        )
-        reg_only = sorted(
-            (v for v in call_lives if m1.slot_of(v) is None),
-            key=lambda v: m1.regmap[v],
-        )
-        home = {v: i for i, v in enumerate(slotted + reg_only)}
-        k = len(home)
-
         moves = []
-        for v, slot_i in home.items():
-            if m1.slot_of(v) == slot_i:
-                continue  # already saved in place: nothing to emit
-            moves.append((m1.whereis(v), Slot(slot_i)))
+        home = dict(m1.stackmap)
+        free_slots = (i for i in itertools.count() if i not in m1.slot_owner)
+        for v, r in m1.register_residents():
+            if v not in home:
+                home[v] = next(free_slots)
+                moves.append((Reg(r), Slot(home[v])))
+        k = max(home.values(), default=-1) + 1
         for i in range(n_reg_args):
             moves.append((arg_srcs[i], Reg(cfg.arg_regs[i])))
         for j in range(n_stack_args):
@@ -676,9 +718,7 @@ class _BodyAllocator:
             insts.append(FrameAdjust(-k))
 
         # registers do not survive the call; the result arrives in ret_val
-        m2 = Model()
-        for v, slot_i in home.items():
-            m2 = m2.bind_slot(v, slot_i)
+        m2 = Model({}, home)
         if s.dst is not None and s.dst not in a.ends:
             m2 = m2.bind_reg(s.dst, cfg.ret_val_reg)
         return insts, m2

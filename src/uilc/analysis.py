@@ -49,7 +49,7 @@ class NextUseTable:
         self._after: dict[int, dict[str, float]] = {}
 
     def next_use(self, point: int, var: str) -> float:
-        return self._after.get(point, _NO_USES).get(var, INF)
+        return self.uses_after(point).get(var, INF)
 
     def uses_after(self, point: int):
         """Read-only map of every variable live after `point` to its next use."""

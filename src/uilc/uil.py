@@ -547,12 +547,12 @@ def _validate_body(
     for idx, s in enumerate(body):
         is_tail = tail and idx == len(body) - 1
         _check_defined(variables(s.operands()), defined, proc_names, s.pos, diags)
-        if isinstance(s, Assign):
-            if s.dst == RESERVED_NAME:
+        for v in s.defs():
+            if v == RESERVED_NAME:
                 diags.append(Diagnostic(f"cannot assign reserved name '{RESERVED_NAME}'", s.pos))
-            if s.dst in proc_names:
-                diags.append(Diagnostic(f"cannot assign procedure name '{s.dst}'", s.pos))
-        elif isinstance(s, If):
+            if v in proc_names:
+                diags.append(Diagnostic(f"cannot assign procedure name '{v}'", s.pos))
+        if isinstance(s, If):
             if not s.then_body or not s.else_body:
                 diags.append(Diagnostic("'if' branches must be nonempty", s.pos))
             then_defined = _validate_body(s.then_body, set(defined), arities, diags, is_tail)
@@ -568,15 +568,8 @@ def _validate_body(
                         s.pos,
                     )
                 )
-            if s.dst is not None:
-                if s.dst == RESERVED_NAME:
-                    diags.append(
-                        Diagnostic(f"cannot assign reserved name '{RESERVED_NAME}'", s.pos)
-                    )
-                if is_tail:
-                    diags.append(
-                        Diagnostic("result-binding call cannot sit in tail position", s.pos)
-                    )
+            if s.dst is not None and is_tail:
+                diags.append(Diagnostic("result-binding call cannot sit in tail position", s.pos))
         elif isinstance(s, ReturnValue):
             if not is_tail:
                 diags.append(Diagnostic("return outside tail position", s.pos))

@@ -80,16 +80,16 @@ def test_run_reports_every_traffic_count(capsys):
     code, out, _ = run_cli(capsys, *argv, "--json")
     assert code == 0
     assert out == (
-        '{"return": 16128589941724529, "writes": 6, "static_loads": 19, "static_stores": 20,'
-        ' "static_moves": 3, "dynamic_loads": 99, "dynamic_stores": 90, "dynamic_moves": 13,'
-        ' "instructions": 68, "steps": 300, "call_rounds": 6}\n'
+        '{"return": 16128589941724529, "writes": 6, "static_loads": 9, "static_stores": 10,'
+        ' "static_moves": 3, "dynamic_loads": 54, "dynamic_stores": 45, "dynamic_moves": 13,'
+        ' "instructions": 48, "steps": 210, "call_rounds": 6}\n'
     )
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out.splitlines() == [
         "return value: 16128589941724529",
-        "static:  loads=19 stores=20 moves=3 instructions=68",
-        "dynamic: loads=99 stores=90 moves=13 steps=300",
+        "static:  loads=9 stores=10 moves=3 instructions=48",
+        "dynamic: loads=54 stores=45 moves=13 steps=210",
     ]
 
 
@@ -137,6 +137,14 @@ def test_validation_diagnostics_exit_one(capsys, tmp_path):
     code, _, err = run_cli(capsys, "alloc", str(path))
     assert code == 1
     assert "y" in err
+
+
+def test_call_result_bound_to_a_procedure_name_exits_one(capsys, tmp_path):
+    path = tmp_path / "shadow.uil"
+    path.write_text("(letrec ((f (lambda () (return 7)))) (set! f (f)) (set! x (f)) (return x))")
+    code, _, err = run_cli(capsys, "run", str(path))
+    assert code == 1
+    assert "1:38: cannot assign procedure name 'f'" in err
 
 
 def test_compare_table_over_directory(capsys, tmp_path):
