@@ -21,12 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .analysis import (
-    INF,
-    AnnotatedProgram,
-    AnnotatedStatement,
-    NextUseTable,
-)
+from .analysis import INF, AnnotatedProgram, AnnotatedStatement
 from .isa import (
     BinOpInst,
     CondJump,
@@ -58,8 +53,6 @@ from .uil import Assign, BinExpr, Call, If, MemRead, MemWrite, ReturnValue, _fmt
 POLICIES = ("furthest", "lifo", "fifo")
 
 HALT_LABEL = ".halt"
-
-Ctx = str  # "tail" | "nontail"
 
 
 class AllocError(Exception):
@@ -128,20 +121,19 @@ def save(m: Model, vs) -> tuple[Model, list[Inst]]:
 def pick_victim(
     m: Model,
     protected: frozenset[str] | set[str],
-    table: NextUseTable,
-    point: int,
+    uses: dict[str, float],
     policy: str,
 ) -> str:
     """Choose the register-resident variable to evict.
 
-    furthest: maximal next-use position, ties to the lowest register.
+    furthest: maximal next-use position in `uses` (a statement's
+    ``next_uses``; absent means dead), ties to the lowest register.
     lifo/fifo: most/least recently register-bound.
     """
     candidates = [v for v, _ in m.register_residents() if v not in protected]
     if not candidates:
         raise PressureError("no evictable register: all residents are in use")
     if policy == "furthest":
-        uses = table.uses_after(point)
         # max keeps the first of equals: candidates run by register index
         return max(candidates, key=lambda v: uses.get(v, INF))
     if policy == "lifo":
@@ -152,10 +144,10 @@ def pick_victim(
 
 
 def _evict(
-    m: Model, protected, table: NextUseTable, point: int, policy: str
+    m: Model, protected, uses: dict[str, float], policy: str
 ) -> tuple[Model, list[Inst], int]:
     """Free the register of the policy's victim, saving the victim first."""
-    victim = pick_victim(m, protected, table, point, policy)
+    victim = pick_victim(m, protected, uses, policy)
     m, insts = save(m, [victim])
     r = m.reg_of(victim)
     return m.unbind_reg(victim), insts, r
@@ -173,8 +165,7 @@ def load(
     m: Model,
     vs,
     protected,
-    table: NextUseTable,
-    point: int,
+    uses: dict[str, float],
     policy: str,
     cfg: MachineConfig,
     prefs: dict[str, int] | None = None,
@@ -205,7 +196,7 @@ def load(
             raise ModelError(f"cannot load unbound variable '{v}'")
         r = _pick_free(m, v, cfg, prefs)
         if r is None:
-            m, saves, r = _evict(m, prot, table, point, policy)
+            m, saves, r = _evict(m, prot, uses, policy)
             insts.extend(saves)
         insts.append(Load(r, m.slot_of(v)))
         m = m.bind_reg(v, r)
@@ -463,7 +454,6 @@ class _BodyAllocator:
         self,
         cfg: MachineConfig,
         policy: str,
-        table: NextUseTable,
         labels: itertools.count,
         is_entry: bool,
         scope: str,
@@ -473,7 +463,6 @@ class _BodyAllocator:
             raise ValueError(f"unknown policy {policy!r}")
         self.cfg = cfg
         self.policy = policy
-        self.table = table
         self.labels = labels
         self.is_entry = is_entry
         self.scope = scope
@@ -482,9 +471,6 @@ class _BodyAllocator:
         self.need_halt = False
 
     # -- helpers -----------------------------------------------------------
-
-    def _load(self, m: Model, vs, protected, point: int) -> tuple[Model, list[Inst]]:
-        return load(m, vs, protected, self.table, point, self.policy, self.cfg, self.prefs)
 
     def _fresh_label(self) -> str:
         return f".L{next(self.labels)}"
@@ -501,10 +487,12 @@ class _BodyAllocator:
         """Load the statement's variable operands together; return their values in order."""
         ops = a.stmt.operands()
         opvars = variables(ops)
-        m1, insts = self._load(m, opvars, opvars, a.point)
+        m1, insts = load(m, opvars, opvars, a.next_uses, self.policy, self.cfg, self.prefs)
         return m1, insts, [self._operand_value(m1, o) for o in ops]
 
-    def _dest_reg(self, m: Model, var: str, point: int) -> tuple[Model, list[Inst], int]:
+    def _dest_reg(
+        self, m: Model, var: str, uses: dict[str, float]
+    ) -> tuple[Model, list[Inst], int]:
         """Bind a freshly assigned variable to a register.
 
         Under pressure any resident may be evicted, operands of the
@@ -514,7 +502,7 @@ class _BodyAllocator:
         insts: list[Inst] = []
         r = _pick_free(m, var, self.cfg, self.prefs)
         if r is None:
-            m, insts, r = _evict(m, frozenset(), self.table, point, self.policy)
+            m, insts, r = _evict(m, frozenset(), uses, self.policy)
         m = m.bind_reg(var, r)
         return m, insts, r
 
@@ -528,16 +516,14 @@ class _BodyAllocator:
 
     # -- statement dispatch --------------------------------------------------
 
-    def run(self, body, m: Model, ctx: Ctx) -> tuple[list[Inst], Model]:
+    def run(self, body, m: Model) -> tuple[list[Inst], Model]:
         insts: list[Inst] = []
-        last = len(body) - 1
-        for i, a in enumerate(body):
-            stmt_ctx = ctx if i == last else "nontail"
-            new_insts, m = self.stmt(a, m, stmt_ctx)
+        for a in body:
+            new_insts, m = self.stmt(a, m)
             insts.extend(new_insts)
         return insts, m
 
-    def stmt(self, a: AnnotatedStatement, m: Model, ctx: Ctx) -> tuple[list[Inst], Model]:
+    def stmt(self, a: AnnotatedStatement, m: Model) -> tuple[list[Inst], Model]:
         pre = m.dump() if self.trace is not None else ""
         try:
             s = a.stmt
@@ -546,9 +532,9 @@ class _BodyAllocator:
             elif isinstance(s, MemWrite):
                 insts, m2 = self._memwrite(a, m)
             elif isinstance(s, If):
-                insts, m2 = self._if(a, m, ctx)
+                insts, m2 = self._if(a, m)
             elif isinstance(s, Call):
-                insts, m2 = self._call(a, m, ctx)
+                insts, m2 = self._call(a, m)
             elif isinstance(s, ReturnValue):
                 insts, m2 = self._return(a, m)
             else:  # pragma: no cover
@@ -572,7 +558,7 @@ class _BodyAllocator:
         # operands that end here die, and so does the destination's old
         # binding (implicit renaming)
         m2 = m1.drop(a.ends | {s.dst})
-        m2, evict_insts, d = self._dest_reg(m2, s.dst, a.point)
+        m2, evict_insts, d = self._dest_reg(m2, s.dst, a.next_uses)
         insts.extend(evict_insts)
 
         if isinstance(rhs, BinExpr):
@@ -594,7 +580,7 @@ class _BodyAllocator:
         insts.append(MemStore(*vals))
         return insts, m1.drop(a.ends)
 
-    def _if(self, a: AnnotatedStatement, m: Model, ctx: Ctx) -> tuple[list[Inst], Model]:
+    def _if(self, a: AnnotatedStatement, m: Model) -> tuple[list[Inst], Model]:
         s = a.stmt
         m1, insts, (va, vb) = self._load_operands(a, m)
         m1 = m1.drop(a.ends)
@@ -607,17 +593,16 @@ class _BodyAllocator:
         m_then = m1.restrict(set(a.then_live) | {RET})
         m_else = m1.restrict(set(a.else_live) | {RET})
 
-        then_insts, m2 = self.run(a.then_body, m_then, ctx)
+        then_insts, m2 = self.run(a.then_body, m_then)
         saved_prefs = self.prefs
-        if self.cfg.use_preferences:
-            # steer the other branch toward the allocations already made
-            self.prefs = dict(m2.regmap)
+        # steer the other branch toward the allocations already made
+        self.prefs = dict(m2.regmap)
         try:
-            else_insts, m3 = self.run(a.else_body, m_else, ctx)
+            else_insts, m3 = self.run(a.else_body, m_else)
         finally:
             self.prefs = saved_prefs
 
-        if ctx == "tail":
+        if a.tail:
             # both branches leave the procedure; no join to reconcile
             insts.extend(else_insts)
             insts.append(LabelDef(then_label))
@@ -653,7 +638,7 @@ class _BodyAllocator:
         insts.append(LabelDef(end_label))
         return insts, m3l
 
-    def _call(self, a: AnnotatedStatement, m: Model, ctx: Ctx) -> tuple[list[Inst], Model]:
+    def _call(self, a: AnnotatedStatement, m: Model) -> tuple[list[Inst], Model]:
         """Move the arguments and the return address into place and jump.
 
         A non-tail call keeps every call-live value in this frame: a value
@@ -676,7 +661,7 @@ class _BodyAllocator:
         n_reg_args = min(len(cfg.arg_regs), len(s.args))
         n_stack_args = len(s.args) - n_reg_args
 
-        if ctx == "tail":
+        if a.tail:
             # the callee takes over this frame: no call-lives to keep
             moves: list[tuple[MoveSrc, MoveDst]] = []
             for i in range(n_reg_args):
@@ -760,17 +745,13 @@ class _BodyAllocator:
 
 def alloc_fragment(
     body: tuple[AnnotatedStatement, ...],
-    table: NextUseTable,
     cfg: MachineConfig,
     policy: str = "furthest",
     m: Model | None = None,
-    ctx: Ctx = "nontail",
 ) -> tuple[list[Inst], Model]:
     """Allocate a bare statement sequence starting from a given model."""
-    alloc = _BodyAllocator(
-        cfg, policy, table, itertools.count(), is_entry=True, scope="<fragment>"
-    )
-    return alloc.run(body, m if m is not None else Model(), ctx)
+    alloc = _BodyAllocator(cfg, policy, itertools.count(), is_entry=True, scope="<fragment>")
+    return alloc.run(body, m if m is not None else Model())
 
 
 def alloc_program(
@@ -786,10 +767,8 @@ def alloc_program(
     passes a halt continuation to tail calls.
     """
     labels = itertools.count()
-    entry_alloc = _BodyAllocator(
-        cfg, policy, ap.entry_table, labels, is_entry=True, scope="<entry>", trace=trace
-    )
-    entry_insts, _ = entry_alloc.run(ap.entry, Model(), "tail")
+    entry_alloc = _BodyAllocator(cfg, policy, labels, is_entry=True, scope="<entry>", trace=trace)
+    entry_insts, _ = entry_alloc.run(ap.entry, Model())
     if entry_alloc.need_halt:
         entry_insts.append(LabelDef(HALT_LABEL))
         entry_insts.append(Halt())
@@ -797,11 +776,11 @@ def alloc_program(
     procs = []
     for proc in ap.procs:
         proc_alloc = _BodyAllocator(
-            cfg, policy, proc.table, labels, is_entry=False, scope=proc.name, trace=trace
+            cfg, policy, labels, is_entry=False, scope=proc.name, trace=trace
         )
         m0 = initial_model(proc.params, cfg)
         # parameters the body never references die on arrival
         m0 = m0.restrict(set(proc.entry_live) | {RET})
-        insts, _ = proc_alloc.run(proc.body, m0, "tail")
+        insts, _ = proc_alloc.run(proc.body, m0)
         procs.append((proc.name, insts))
     return TargetProgram(entry_insts, procs)

@@ -1,23 +1,20 @@
 """Backward liveness analysis: live-range endings and next-use positions.
 
 One backward sweep per procedure body annotates every statement with the
-set of variables whose live range ends there, and records, for every
-program point, where each live variable is referenced next.  No
-interference graph is built.  UIL has no loop form, so branch joins need
-no fixpoint iteration.
+set of variables whose live range ends there and with the point where
+each variable live after it is referenced next.  A forward numbering
+pass marks the statements in tail position.  No interference graph is
+built.  UIL has no loop form, so branch joins need no fixpoint iteration.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 from .uil import Call, If, Program, Statement, _fmt_statement, variables
 
 INF = math.inf
-
-_NO_USES = MappingProxyType({})  # the uses recorded at an unknown point
 
 
 @dataclass(frozen=True)
@@ -28,6 +25,14 @@ class AnnotatedStatement:
     # Variables referenced (before redefinition) strictly after this
     # statement, on some path.  For an If this is join liveness.
     live_after: frozenset[str]
+    # The next reference of each variable live after this statement (for
+    # an If: entering either branch): the first point after `point` that
+    # reads the value on some path.  An absent variable is dead.  The
+    # annotator shares these dicts between statements: never mutate one.
+    next_uses: dict[str, float] = field(compare=False)
+    # Nothing in the frame runs after this statement: a call here is a
+    # tail call, and an If here has no join.
+    tail: bool
     then_body: tuple["AnnotatedStatement", ...] = ()
     else_body: tuple["AnnotatedStatement", ...] = ()
     # live sets on entry to each branch; a variable used in only one
@@ -36,36 +41,11 @@ class AnnotatedStatement:
     else_live: frozenset[str] = frozenset()
 
 
-class NextUseTable:
-    """Maps (program point, variable) to the next reference position.
-
-    The entry for (p, v) is the first point q > p at which the value v
-    holds at p is referenced on some path; infinity when that value is
-    dead (never referenced again, or redefined before every reference).
-    Unknown variables are reported dead.
-    """
-
-    def __init__(self) -> None:
-        self._after: dict[int, dict[str, float]] = {}
-
-    def next_use(self, point: int, var: str) -> float:
-        return self.uses_after(point).get(var, INF)
-
-    def uses_after(self, point: int):
-        """Read-only map of every variable live after `point` to its next use."""
-        return self._after.get(point, _NO_USES)
-
-    def _record(self, point: int, uses: dict[str, float]) -> None:
-        # stored as given: the annotator never mutates a map once recorded
-        self._after[point] = uses
-
-
 @dataclass(frozen=True)
 class AnnotatedProc:
     name: str
     params: tuple[str, ...]
     body: tuple[AnnotatedStatement, ...]
-    table: NextUseTable = field(compare=False)
     # parameters never referenced at all have no ending to record
     entry_live: frozenset[str] = frozenset()
 
@@ -74,7 +54,6 @@ class AnnotatedProc:
 class AnnotatedProgram:
     program: Program
     entry: tuple[AnnotatedStatement, ...]
-    entry_table: NextUseTable = field(compare=False)
     procs: tuple[AnnotatedProc, ...] = ()
 
 
@@ -85,23 +64,30 @@ def stmt_refs(s: Statement) -> list[str]:
     return [s.callee, *refs] if isinstance(s, Call) else refs
 
 
-def _number(stmts: tuple[Statement, ...], counter: list[int]) -> list:
-    """Pre-order numbering skeleton: (stmt, point, then_skel, else_skel)."""
+def _number(stmts: tuple[Statement, ...], counter: list[int], tail: bool) -> list:
+    """Pre-order numbering skeleton: (stmt, point, tail, then_skel, else_skel).
+
+    `tail` holds when nothing in the frame runs after `stmts`; then the
+    last statement is in tail position, and so is the last of each branch
+    of a tail If.
+    """
     skeleton = []
-    for s in stmts:
+    last = len(stmts) - 1
+    for i, s in enumerate(stmts):
         point = counter[0]
         counter[0] += 1
+        is_tail = tail and i == last
         if isinstance(s, If):
-            then_skel = _number(s.then_body, counter)
-            else_skel = _number(s.else_body, counter)
-            skeleton.append((s, point, then_skel, else_skel))
+            then_skel = _number(s.then_body, counter, is_tail)
+            else_skel = _number(s.else_body, counter, is_tail)
+            skeleton.append((s, point, is_tail, then_skel, else_skel))
         else:
-            skeleton.append((s, point, None, None))
+            skeleton.append((s, point, is_tail, None, None))
     return skeleton
 
 
 def _annotate_body(
-    skeleton: list, cont: dict[str, float], table: NextUseTable
+    skeleton: list, cont: dict[str, float]
 ) -> tuple[tuple[AnnotatedStatement, ...], dict[str, float]]:
     """Backward walk; `cont` maps live variables to their next reference.
 
@@ -111,12 +97,11 @@ def _annotate_body(
     """
     annotated: list[AnnotatedStatement] = []
     uses = cont  # never mutated: each statement builds its own `before`
-    for s, point, then_skel, else_skel in reversed(skeleton):
+    for s, point, tail, then_skel, else_skel in reversed(skeleton):
         if isinstance(s, If):
-            then_body, then_uses = _annotate_body(then_skel, uses, table)
-            else_body, else_uses = _annotate_body(else_skel, uses, table)
+            then_body, then_uses = _annotate_body(then_skel, uses)
+            else_body, else_uses = _annotate_body(else_skel, uses)
             after = _merge_min(then_uses, else_uses)
-            table._record(point, after)
             live_after = frozenset(uses)  # join liveness
             refs = stmt_refs(s)
             before = dict(after)
@@ -129,6 +114,8 @@ def _annotate_body(
                     point,
                     ends,
                     live_after,
+                    after,
+                    tail,
                     tuple(then_body),
                     tuple(else_body),
                     frozenset(then_uses),
@@ -137,7 +124,6 @@ def _annotate_body(
             )
             uses = before
         else:
-            table._record(point, uses)
             live_after = frozenset(uses)
             before = dict(uses)
             defs = s.defs()
@@ -150,7 +136,7 @@ def _annotate_body(
             # live after it, which is (refs | defs) - live_after.  A dead
             # definition ends immediately.
             ends = frozenset(refs).union(defs) - live_after
-            annotated.append(AnnotatedStatement(s, point, ends, live_after))
+            annotated.append(AnnotatedStatement(s, point, ends, live_after, uses, tail))
             uses = before
     annotated.reverse()
     return tuple(annotated), uses
@@ -164,37 +150,30 @@ def _merge_min(a: dict[str, float], b: dict[str, float]) -> dict[str, float]:
 
 
 def annotate(p: Program) -> AnnotatedProgram:
-    """Annotate a validated program with ending sets and next-use tables.
+    """Annotate a validated program with ending sets, next uses and tails.
 
     Each procedure body (and the entry body) is numbered independently in
-    pre-order, branches then-before-else.
+    pre-order, branches then-before-else, and ends its frame.
     """
     procs = []
     for d in p.definitions:
-        body, table, entry_uses = _annotate_sequence(d.body)
-        procs.append(
-            AnnotatedProc(d.name, d.params, body, table, frozenset(entry_uses))
-        )
-    entry, entry_table, _ = _annotate_sequence(p.body)
-    return AnnotatedProgram(p, entry, entry_table, tuple(procs))
+        body, entry_uses = _annotate_sequence(d.body, tail=True)
+        procs.append(AnnotatedProc(d.name, d.params, body, frozenset(entry_uses)))
+    entry, _ = _annotate_sequence(p.body, tail=True)
+    return AnnotatedProgram(p, entry, tuple(procs))
 
 
-def annotate_statements(stmts: tuple[Statement, ...]) -> tuple[
-    tuple[AnnotatedStatement, ...], NextUseTable
-]:
-    """Annotate a bare statement sequence (a body fragment)."""
-    body, table, _ = _annotate_sequence(stmts)
-    return body, table
+def annotate_statements(stmts: tuple[Statement, ...]) -> tuple[AnnotatedStatement, ...]:
+    """Annotate a bare statement sequence (a body fragment); none is tail."""
+    return _annotate_sequence(stmts, tail=False)[0]
 
 
-def _annotate_sequence(stmts: tuple[Statement, ...]):
-    """Number a body from point 0 and annotate it into a table of its own.
+def _annotate_sequence(stmts: tuple[Statement, ...], tail: bool):
+    """Number a body from point 0 and annotate it.
 
-    Returns the annotated body, its table and the map live on entry.
+    Returns the annotated body and the map live on entry.
     """
-    table = NextUseTable()
-    body, entry_uses = _annotate_body(_number(stmts, [0]), {}, table)
-    return body, table, entry_uses
+    return _annotate_body(_number(stmts, [0], tail), {})
 
 
 def _fmt_ends(ends: frozenset[str]) -> str:

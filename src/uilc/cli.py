@@ -4,8 +4,8 @@ Subcommands: ``alloc`` prints target assembly, ``run`` allocates and
 simulates, ``compare`` tabulates traffic across register counts and
 replacement policies, ``fuzz`` differential-tests random programs.
 
-Exit codes: 0 success, 1 diagnostics (bad input, pressure, runtime
-faults, fuel, inequivalence), 2 internal fault.
+Exit codes: 0 success, 1 diagnostics (usage errors, bad input, pressure,
+runtime faults, fuel, inequivalence), 2 internal fault.
 """
 
 from __future__ import annotations
@@ -38,11 +38,10 @@ class CliError(Exception):
     """User-facing diagnostic; maps to exit code 1."""
 
 
-def _config(args, registers: int | None = None) -> MachineConfig:
-    r = registers if registers is not None else args.registers
-    if r < 1:
+def _config(registers: int) -> MachineConfig:
+    if registers < 1:
         raise CliError("--registers must be at least 1")
-    return make_config(r, use_preferences=not args.no_preference)
+    return make_config(registers)
 
 
 def _load(path: str) -> tuple[Program, AnnotatedProgram]:
@@ -68,7 +67,7 @@ def _print_trace(trace: list[TraceEntry]) -> None:
 
 def cmd_alloc(args) -> int:
     _, annotated = _load(args.file)
-    cfg = _config(args)
+    cfg = _config(args.registers)
     trace: list[TraceEntry] | None = [] if args.trace else None
     tp = alloc_program(annotated, cfg, args.policy, trace=trace)
     if trace is not None:
@@ -79,7 +78,7 @@ def cmd_alloc(args) -> int:
 
 def cmd_run(args) -> int:
     program, annotated = _load(args.file)
-    cfg = _config(args)
+    cfg = _config(args.registers)
     tp = alloc_program(annotated, cfg, args.policy)
     heap = heap_from_seed(args.seed) if args.seed is not None else default_heap()
     try:
@@ -112,7 +111,11 @@ def _compare_inputs(path: str) -> list[Path]:
 
 
 def cmd_compare(args) -> int:
-    registers = [int(r) for r in args.registers.split(",")]
+    try:
+        registers = [int(r) for r in args.registers.split(",")]
+    except ValueError:
+        raise CliError(f"--registers must be comma-separated integers, not {args.registers!r}")
+    configs = [_config(r) for r in registers]
     policies = args.policies.split(",")
     for policy in policies:
         if policy not in POLICIES:
@@ -125,14 +128,12 @@ def cmd_compare(args) -> int:
         except (CliError, ParseError) as e:  # keep going over a corpus
             errors.append(f"{path}: {e}")
             continue
-        for r in registers:
-            cfg = make_config(r, use_preferences=not args.no_preference)
-            oracle_loads = None
-            if r <= 3:
-                try:
-                    oracle_loads = belady_oracle(annotated, r)
-                except ValueError:
-                    oracle_loads = None
+        for cfg in configs:
+            r = cfg.registers
+            try:
+                oracle_loads = belady_oracle(annotated, r)
+            except ValueError:  # beyond the oracle's size, shape or register caps
+                oracle_loads = None
             for policy in policies:
                 try:
                     tp = alloc_program(annotated, cfg, policy)
@@ -203,7 +204,7 @@ def cmd_fuzz(args) -> int:
         annotated = annotate(program)
         heaps = [default_heap(), heap_from_seed(seed)]
         for r in FUZZ_REGISTER_COUNTS:
-            cfg = make_config(r, use_preferences=not args.no_preference)
+            cfg = make_config(r)
             for policy in POLICIES:
                 checked += 1
                 try:
@@ -233,45 +234,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, registers_default="8"):
-        p.add_argument("--policy", default="furthest", choices=POLICIES)
-        p.add_argument("--no-preference", action="store_true", help="disable branch allocation hints")
-        p.add_argument("--fuel", type=int, default=10**6)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--json", action="store_true")
-
     p_alloc = sub.add_parser("alloc", help="allocate registers and print assembly")
     p_alloc.add_argument("file")
     p_alloc.add_argument("--registers", type=int, default=8)
+    p_alloc.add_argument("--policy", default="furthest", choices=POLICIES)
     p_alloc.add_argument("--trace", action="store_true", help="print model transitions")
-    common(p_alloc)
     p_alloc.set_defaults(func=cmd_alloc)
 
     p_run = sub.add_parser("run", help="allocate, simulate, and report traffic")
     p_run.add_argument("file")
     p_run.add_argument("--registers", type=int, default=8)
-    common(p_run)
+    p_run.add_argument("--policy", default="furthest", choices=POLICIES)
+    p_run.add_argument("--fuel", type=int, default=10**6)
+    p_run.add_argument("--seed", type=int, default=None, help="heap seed (default: the fixed heap)")
+    p_run.add_argument("--json", action="store_true")
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="traffic table across configurations")
     p_cmp.add_argument("file", help=".uil file or a directory of them")
     p_cmp.add_argument("--registers", default="3,4,8", help="comma-separated register counts")
     p_cmp.add_argument("--policies", default=",".join(POLICIES))
-    common(p_cmp)
+    p_cmp.add_argument("--fuel", type=int, default=10**6)
+    p_cmp.add_argument("--json", action="store_true")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_fuzz = sub.add_parser("fuzz", help="differential-test random programs")
     p_fuzz.add_argument("--count", type=int, default=100)
-    common(p_fuzz)
+    p_fuzz.add_argument("--seed", type=int, default=0, help="first generator seed")
+    p_fuzz.add_argument("--fuel", type=int, default=10**6)
     p_fuzz.set_defaults(func=cmd_fuzz)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and args.command == "fuzz":
-        args.seed = 0
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse exits 0 after --help, 2 on a usage error
+        return 0 if e.code == 0 else 1
     try:
         return args.func(args)
     except CliError as e:

@@ -625,30 +625,19 @@ def spill_free_shape(ap: AnnotatedProgram, cfg: MachineConfig) -> bool:
     def body_ok(body: tuple[AnnotatedStatement, ...], in_proc: bool) -> bool:
         budget = cfg.registers - (1 if in_proc else 0)
         for a in walk_statements(body):
-            live = set(a.live_after).union(stmt_refs(a.stmt), a.stmt.defs())
+            s = a.stmt
+            live = set(a.live_after).union(stmt_refs(s), s.defs())
             live -= proc_names
             if len(live) > budget:
                 return False
-            if isinstance(a.stmt, Call):
-                if len(a.stmt.args) > len(cfg.arg_regs):
+            if isinstance(s, Call):
+                if len(s.args) > len(cfg.arg_regs):
                     return False
-        return _calls_ok(body, in_proc, tail=True)
-
-    def _calls_ok(body, in_proc: bool, tail: bool) -> bool:
-        for i, a in enumerate(body):
-            last = i == len(body) - 1
-            if isinstance(a.stmt, If):
-                if not _calls_ok(a.then_body, in_proc, tail and last):
-                    return False
-                if not _calls_ok(a.else_body, in_proc, tail and last):
-                    return False
-            elif isinstance(a.stmt, Call):
-                is_tail_call = tail and last and a.stmt.dst is None
-                if is_tail_call:
+                if a.tail and s.dst is None:
                     continue
                 if in_proc:
                     return False  # the return address is live across the call
-                across = (set(a.live_after) - set(a.stmt.defs())) - proc_names
+                across = (set(a.live_after) - set(s.defs())) - proc_names
                 if across:
                     return False
         return True

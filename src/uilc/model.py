@@ -44,7 +44,6 @@ class MachineConfig:
     arg_regs: tuple[int, ...]
     ret_addr_reg: int = 0
     ret_val_reg: int = 1
-    use_preferences: bool = True
 
     def __post_init__(self) -> None:
         if self.registers < 1:
@@ -56,12 +55,7 @@ class MachineConfig:
                 raise ValueError(f"register r{r} out of range")
 
 
-def make_config(
-    registers: int,
-    *,
-    max_arg_regs: int = 3,
-    use_preferences: bool = True,
-) -> MachineConfig:
+def make_config(registers: int, *, max_arg_regs: int = 3) -> MachineConfig:
     """Default convention: r0 return address, r1 result, r1.. arguments."""
     n_args = max(0, min(max_arg_regs, registers - 1))
     ret_val = 1 if registers > 1 else 0
@@ -70,7 +64,6 @@ def make_config(
         arg_regs=tuple(range(1, 1 + n_args)),
         ret_addr_reg=0,
         ret_val_reg=ret_val,
-        use_preferences=use_preferences,
     )
 
 

@@ -39,8 +39,8 @@ def corpus():
 def test_c1_two_register_split_matches_golden_code():
     started = time.perf_counter()
     program, _ = load_program(SPLIT_SRC)
-    body, table = annotate_statements(program.body[:4])
-    insts, _ = alloc_fragment(body, table, make_config(2), "furthest")
+    body = annotate_statements(program.body[:4])
+    insts, _ = alloc_fragment(body, make_config(2), "furthest")
     # lowest-index first-fit pins the spill slot to fv0 and the two
     # registers to r0/r1; the opcode shape is what is being checked
     assert [opcode_name(i) for i in insts] == [
@@ -219,9 +219,6 @@ def test_c7_spill_free_programs_emit_no_stack_traffic(corpus):
 
 def test_c8_save_idempotent_and_load_noop_properties():
     started = time.perf_counter()
-    from uilc.analysis import NextUseTable
-
-    table = NextUseTable()
     rng = random.Random(808)
     cfg = make_config(4)
     cases = 0
@@ -240,7 +237,7 @@ def test_c8_save_idempotent_and_load_noop_properties():
         m2, insts2 = save(m1, names)
         assert insts2 == [] and m2 == m1
         resident = [v for v in names if m.reg_of(v) is not None]
-        m3, insts3 = load(m, resident, frozenset(), table, 0, "furthest", cfg)
+        m3, insts3 = load(m, resident, frozenset(), {}, "furthest", cfg)
         assert insts3 == [] and m3 == m
         cases += 1
     elapsed = time.perf_counter() - started

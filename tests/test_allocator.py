@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from uilc.allocator import (
     save,
     shuffle,
 )
-from uilc.analysis import NextUseTable, annotate, annotate_statements
+from uilc.analysis import annotate, annotate_statements
 from uilc.gen import generate_program
 from uilc.isa import (
     BinOpInst,
@@ -40,17 +41,6 @@ from uilc.model import RET, Model, ModelError, Reg, Slot, make_config
 from uilc.uil import parse, validate
 
 from conftest import SPLIT_SRC, load_program
-
-
-def table_with(entries):
-    """NextUseTable stub: entries maps point -> {var: next use point}."""
-    t = NextUseTable()
-    for point, uses in entries.items():
-        t._record(point, uses)
-    return t
-
-
-EMPTY_TABLE = table_with({})
 
 
 # ---------------------------------------------------------------------------
@@ -114,14 +104,14 @@ def test_save_idempotent():
 
 def test_load_resident_variable_is_free():
     m = Model({"x": 1}, {})
-    m2, insts = load(m, ["x"], frozenset(), EMPTY_TABLE, 0, "furthest", make_config(2))
+    m2, insts = load(m, ["x"], frozenset(), {}, "furthest", make_config(2))
     assert insts == []
     assert m2 == m
 
 
 def test_load_empty_list():
     m = Model({"x": 1}, {})
-    assert load(m, [], frozenset(), EMPTY_TABLE, 0, "furthest", make_config(2)) == (m, [])
+    assert load(m, [], frozenset(), {}, "furthest", make_config(2)) == (m, [])
 
 
 def test_load_evicts_furthest_and_reuses_its_register():
@@ -129,8 +119,8 @@ def test_load_evicts_furthest_and_reuses_its_register():
     # the incoming variable takes x's register
     cfg = make_config(2)
     m = Model({"x": 0, "y": 1}, {"z": 0})
-    t = table_with({5: {"x": 40, "y": 12, "z": 6}})
-    m2, insts = load(m, ["z"], frozenset(), t, 5, "furthest", cfg)
+    uses = {"x": 40, "y": 12, "z": 6}
+    m2, insts = load(m, ["z"], frozenset(), uses, "furthest", cfg)
     assert insts == [Store(1, 0), Load(0, 0)]
     assert m2.reg_of("z") == 0 and m2.slot_of("z") == 0
     assert m2.reg_of("x") is None and m2.slot_of("x") == 1
@@ -140,7 +130,7 @@ def test_load_evicts_furthest_and_reuses_its_register():
 def test_load_into_free_register_keeps_slot_binding():
     cfg = make_config(3)
     m = Model({"x": 0}, {"z": 4})
-    m2, insts = load(m, ["z"], frozenset(), EMPTY_TABLE, 0, "furthest", cfg)
+    m2, insts = load(m, ["z"], frozenset(), {}, "furthest", cfg)
     assert insts == [Load(1, 4)]
     assert m2.slot_of("z") == 4 and m2.reg_of("z") == 1
 
@@ -148,7 +138,7 @@ def test_load_into_free_register_keeps_slot_binding():
 def test_load_list_members_do_not_evict_each_other():
     cfg = make_config(2)
     m = Model({}, {"a": 0, "b": 1})
-    m2, insts = load(m, ["a", "b"], frozenset(), EMPTY_TABLE, 0, "furthest", cfg)
+    m2, insts = load(m, ["a", "b"], frozenset(), {}, "furthest", cfg)
     assert [type(i) for i in insts] == [Load, Load]
     assert m2.reg_of("a") is not None and m2.reg_of("b") is not None
 
@@ -157,7 +147,7 @@ def test_load_pressure_fault():
     cfg = make_config(2)
     m = Model({}, {"a": 0, "b": 1, "c": 2})
     with pytest.raises(PressureError):
-        load(m, ["a", "b", "c"], frozenset(), EMPTY_TABLE, 0, "furthest", cfg)
+        load(m, ["a", "b", "c"], frozenset(), {}, "furthest", cfg)
 
 
 def test_load_at_most_two_instructions_per_variable():
@@ -177,11 +167,10 @@ def test_load_at_most_two_instructions_per_variable():
                     continue
             m = m.bind_slot(v, m.free_slot())
             t_entries[v] = rng.randint(1, 50)
-        t = table_with({0: t_entries})
         to_load = rng.sample(names, rng.randint(1, 3))
         to_load = [v for v in to_load if m.is_bound(v)]
         try:
-            m2, insts = load(m, to_load, frozenset(), t, 0, "furthest", cfg)
+            m2, insts = load(m, to_load, frozenset(), t_entries, "furthest", cfg)
         except PressureError:
             continue
         loaded = [v for v in dict.fromkeys(to_load)]
@@ -196,11 +185,11 @@ def test_eviction_never_touches_protected_registers():
     cfg = make_config(3)
     for _ in range(300):
         m = Model({"p": 0, "q": 1}, {"a": 0, "b": 1})
-        t = table_with({0: {"p": rng.randint(1, 9), "q": rng.randint(1, 9)}})
+        uses = {"p": rng.randint(1, 9), "q": rng.randint(1, 9)}
         wanted = rng.choice([["a"], ["b"], ["a", "b"]])
         protected = frozenset({"p", "q"})
         try:
-            m2, insts = load(m, wanted, protected, t, 0, "furthest", cfg)
+            m2, insts = load(m, wanted, protected, uses, "furthest", cfg)
         except PressureError:
             assert len(wanted) + 2 > 3
             continue
@@ -214,49 +203,48 @@ def test_eviction_never_touches_protected_registers():
 
 def test_pick_victim_furthest():
     m = Model({"x": 0, "y": 1}, {})
-    t = table_with({3: {"x": 40, "y": 12}})
-    assert pick_victim(m, frozenset(), t, 3, "furthest") == "x"
+    uses = {"x": 40, "y": 12}
+    assert pick_victim(m, frozenset(), uses, "furthest") == "x"
 
 
 def test_pick_victim_tie_breaks_to_lowest_register():
     m = Model({"a": 2, "b": 1}, {})
-    t = table_with({0: {"a": 7, "b": 7}})
-    assert pick_victim(m, frozenset(), t, 0, "furthest") == "b"
+    uses = {"a": 7, "b": 7}
+    assert pick_victim(m, frozenset(), uses, "furthest") == "b"
 
 
 def test_pick_victim_respects_protection():
     m = Model({"x": 0, "y": 1}, {})
-    t = table_with({0: {"x": 99, "y": 1}})
-    assert pick_victim(m, frozenset({"x"}), t, 0, "furthest") == "y"
+    uses = {"x": 99, "y": 1}
+    assert pick_victim(m, frozenset({"x"}), uses, "furthest") == "y"
 
 
 def test_pick_victim_no_candidates_faults():
     m = Model({"x": 0}, {})
     with pytest.raises(PressureError):
-        pick_victim(m, frozenset({"x"}), EMPTY_TABLE, 0, "furthest")
+        pick_victim(m, frozenset({"x"}), {}, "furthest")
 
 
 def test_pick_victim_lifo_and_fifo():
     m = Model().bind_reg("a", 0).bind_reg("b", 1).bind_reg("c", 2)
-    assert pick_victim(m, frozenset(), EMPTY_TABLE, 0, "lifo") == "c"
-    assert pick_victim(m, frozenset(), EMPTY_TABLE, 0, "fifo") == "a"
+    assert pick_victim(m, frozenset(), {}, "lifo") == "c"
+    assert pick_victim(m, frozenset(), {}, "fifo") == "a"
 
 
 def test_pick_victim_invariant_under_monotone_renumbering():
     m = Model({"x": 0, "y": 1, "z": 2}, {})
     base = {"x": 10, "y": 25, "z": 17}
-    t1 = table_with({0: base})
-    t2 = table_with({0: {v: 3 * q + 100 for v, q in base.items()}})
+    t2 = {v: 3 * q + 100 for v, q in base.items()}
     for protected in [frozenset(), frozenset({"y"})]:
-        assert pick_victim(m, protected, t1, 0, "furthest") == pick_victim(
-            m, protected, t2, 0, "furthest"
+        assert pick_victim(m, protected, base, "furthest") == pick_victim(
+            m, protected, t2, "furthest"
         )
 
 
 def test_dead_candidate_is_preferred():
     m = Model({"x": 0, "y": 1}, {})
-    t = table_with({0: {"y": 5}})  # x has no next use: infinitely far
-    assert pick_victim(m, frozenset(), t, 0, "furthest") == "x"
+    uses = {"y": 5}  # x has no next use: infinitely far
+    assert pick_victim(m, frozenset(), uses, "furthest") == "x"
 
 
 # ---------------------------------------------------------------------------
@@ -472,57 +460,55 @@ def test_sequence_handles_label_sources():
 
 
 def stmt_of(src, index=0):
-    """Annotated statement plus table from a parsed single-body program."""
-    p = parse(src)
-    body, table = annotate_statements(p.body)
-    return body[index], table
+    """Annotated statement from a parsed single-body program."""
+    return annotate_statements(parse(src).body)[index]
 
 
 def test_assign_move_between_registers():
-    a, t = stmt_of("(letrec () (set! x y) (return x))")  # y free in fragment
+    a = stmt_of("(letrec () (set! x y) (return x))")  # y free in fragment
     m = Model({"y": 2}, {})
-    insts, m2 = alloc_fragment((a,), t, make_config(4), m=m)
+    insts, m2 = alloc_fragment((a,), make_config(4), m=m)
     assert insts == [Move(0, 2)]
     assert m2.reg_of("x") == 0
 
 
 def test_assign_immediate():
-    a, t = stmt_of("(letrec () (set! x 5) (return x))")
-    insts, m2 = alloc_fragment((a,), t, make_config(2))
+    a = stmt_of("(letrec () (set! x 5) (return x))")
+    insts, m2 = alloc_fragment((a,), make_config(2))
     assert insts == [LoadImm(0, 5)]
 
 
 def test_assign_binop_with_immediate_operand():
-    a, t = stmt_of("(letrec () (set! z (+ y 1)) (return z))")
+    a = stmt_of("(letrec () (set! z (+ y 1)) (return z))")
     m = Model({"y": 1}, {})
-    insts, m2 = alloc_fragment((a,), t, make_config(4), m=m)
+    insts, m2 = alloc_fragment((a,), make_config(4), m=m)
     assert insts == [BinOpInst("+", 0, Reg(1), 1)]
 
 
 def test_assign_dest_reuses_dying_operand_register():
     # y dies feeding x: no move is needed once x inherits the register
-    a, t = stmt_of("(letrec () (set! x y) (return x))")
-    a = type(a)(a.stmt, a.point, frozenset({"y"}), a.live_after)
+    a = stmt_of("(letrec () (set! x y) (return x))")
+    a = replace(a, ends=frozenset({"y"}))
     m = Model({"y": 0}, {})
-    insts, m2 = alloc_fragment((a,), t, make_config(2), m=m)
+    insts, m2 = alloc_fragment((a,), make_config(2), m=m)
     assert insts == []
     assert m2.reg_of("x") == 0 and m2.reg_of("y") is None
 
 
 def test_memwrite_loads_all_three_operands():
     p = parse("(letrec () (set! x 1) (set! i 2) (set! v 3) (mset! x i v) (return v))")
-    body, t = annotate_statements(p.body)
+    body = annotate_statements(p.body)
     m = Model({}, {"x": 0, "i": 1, "v": 2})
-    insts, m2 = alloc_fragment((body[3],), t, make_config(4), m=m)
+    insts, m2 = alloc_fragment((body[3],), make_config(4), m=m)
     assert [type(i) for i in insts] == [Load, Load, Load, MemStore]
 
 
 def test_memwrite_three_distinct_variables_fault_at_two_registers():
     p = parse("(letrec () (set! x 1) (set! i 2) (set! v 3) (mset! x i v) (return v))")
-    body, t = annotate_statements(p.body)
+    body = annotate_statements(p.body)
     m = Model({}, {"x": 0, "i": 1, "v": 2})
     with pytest.raises(PressureError) as exc:
-        alloc_fragment((body[3],), t, make_config(2), m=m)
+        alloc_fragment((body[3],), make_config(2), m=m)
     assert "mset!" in str(exc.value)
 
 
@@ -572,9 +558,20 @@ OPPOSITE_ORDER_SRC = (
 )
 
 
+# The else side binds b first, into the register that y holds on the then
+# side; b is still live when y is assigned, so y's preference cannot be met.
+PREFERENCE_BLOCKED_SRC = (
+    "(letrec () (set! x 1)"
+    " (if (> x 0)"
+    "   (begin (set! y 1))"
+    "   (begin (set! b 3) (set! y (+ b 1)) (mset! 0 0 b)))"
+    " (mset! 0 1 y) (return y))"
+)
+
+
 def test_if_opposite_orders_shuffles_then_branch():
-    program, ap = load_program(OPPOSITE_ORDER_SRC)
-    cfg = make_config(8, use_preferences=False)
+    program, ap = load_program(PREFERENCE_BLOCKED_SRC)
+    cfg = make_config(8)
     tp = alloc_program(ap, cfg)
     # reconciliation code lands at the end of the then branch
     segment = _then_segment(tp.entry)
@@ -585,7 +582,7 @@ def test_if_opposite_orders_shuffles_then_branch():
 
 def test_if_preferences_remove_the_shuffle():
     program, ap = load_program(OPPOSITE_ORDER_SRC)
-    cfg = make_config(8, use_preferences=True)
+    cfg = make_config(8)
     tp = alloc_program(ap, cfg)
     assert _then_segment(tp.entry) == [LoadImm(0, 1), LoadImm(1, 2)]
     obs, _ = run_target(tp, cfg)
@@ -681,8 +678,8 @@ CALL_SITE_SRC = (
     ],
 )
 def test_nontail_call_keeps_slotted_call_lives_in_place(before, stores, delta, homes):
-    a, t = stmt_of(CALL_SITE_SRC)
-    insts, after = alloc_fragment((a,), t, make_config(4), m=before)
+    a = stmt_of(CALL_SITE_SRC)
+    insts, after = alloc_fragment((a,), make_config(4), m=before)
     assert not any(isinstance(i, Load) for i in insts)  # no slot-to-slot copy
     assert [i for i in insts if isinstance(i, Store)] == stores
     assert [i.delta for i in insts if isinstance(i, FrameAdjust)] == [delta, -delta]
@@ -751,8 +748,8 @@ def test_alloc_program_trivial_entry_is_two_instructions():
 
 def test_split_fragment_matches_golden_shape(split_prog):
     program, _ = split_prog
-    body, table = annotate_statements(program.body[:4])
-    insts, _ = alloc_fragment(body, table, make_config(2))
+    body = annotate_statements(program.body[:4])
+    insts, _ = alloc_fragment(body, make_config(2))
     assert [opcode_name(i) for i in insts] == [
         "loadimm",
         "loadimm",

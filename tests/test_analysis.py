@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +13,7 @@ from uilc.analysis import (
     walk_statements,
 )
 from uilc.gen import generate_program
-from uilc.uil import If, parse, validate
+from uilc.uil import If, format_program, parse, validate
 
 from conftest import CHAIN_SRC, load_program
 
@@ -74,7 +76,11 @@ def _all_points(body):
     return [a.point for a in walk_statements(body)]
 
 
-def _check_against_oracle(body, table):
+def next_use_at(a, v):
+    return a.next_uses.get(v, INF)
+
+
+def _check_against_oracle(body):
     live_in, live_out, next_use = _oracle_facts(list(body))
     variables = set()
     for a in walk_statements(body):
@@ -85,7 +91,7 @@ def _check_against_oracle(body, table):
         assert a.ends == expected_ends, (p, a.ends, expected_ends)
         for v in variables:
             want = next_use.get((p, v), math.inf)
-            assert table.next_use(p, v) == want, (p, v)
+            assert next_use_at(a, v) == want, (p, v)
 
 
 # ---------------------------------------------------------------------------
@@ -117,18 +123,17 @@ def test_next_use_of_x_is_the_call(chain_call):
     _, ap = chain_call
     points = [a.point for a in ap.entry]
     # after y <- x + 1, the next reference to x is the call
-    assert ap.entry_table.next_use(points[1], "x") == points[3]
+    assert next_use_at(ap.entry[1], "x") == points[3]
 
 
 def test_next_use_after_last_statement_is_infinite(chain_call):
     _, ap = chain_call
-    last = ap.entry[-1].point
-    assert ap.entry_table.next_use(last, "z") == INF
+    assert next_use_at(ap.entry[-1], "z") == INF
 
 
 def test_unknown_variable_is_dead(chain_call):
     _, ap = chain_call
-    assert ap.entry_table.next_use(0, "nosuch") == INF
+    assert next_use_at(ap.entry[0], "nosuch") == INF
 
 
 def test_single_return_of_parameter():
@@ -147,12 +152,11 @@ def test_branch_next_use_takes_minimum():
     )
     assert validate(p) == []
     ap = annotate(p)
-    table = ap.entry_table
     body = ap.entry
     if_stmt = body[2]
     then_use = if_stmt.then_body[0].point
-    assert table.next_use(body[1].point, "v") == then_use
-    _check_against_oracle(body, table)
+    assert next_use_at(body[1], "v") == then_use
+    _check_against_oracle(body)
 
 
 def test_variable_ending_in_both_branches():
@@ -167,7 +171,7 @@ def test_variable_ending_in_both_branches():
     assert "v" in if_stmt.then_body[0].ends
     assert "v" in if_stmt.else_body[0].ends
     assert "v" not in ap.entry[3].ends
-    _check_against_oracle(ap.entry, ap.entry_table)
+    _check_against_oracle(ap.entry)
 
 
 def test_redefinition_kills_next_use():
@@ -176,10 +180,10 @@ def test_redefinition_kills_next_use():
         "(letrec () (set! x 1) (set! y (+ x 1)) (set! x 2) (set! z (+ x y)) (return z))"
     )
     ap = annotate(p)
-    body, table = ap.entry, ap.entry_table
+    body = ap.entry
     assert "x" in body[1].ends
-    assert table.next_use(body[1].point, "x") == INF
-    _check_against_oracle(body, table)
+    assert next_use_at(body[1], "x") == INF
+    _check_against_oracle(body)
 
 
 def test_dead_definition_ends_immediately():
@@ -193,13 +197,11 @@ def test_consistency_ends_iff_dead_and_live_in():
     for seed in range(30):
         p = generate_program(seed, max_stmts=12)
         ap = annotate(p)
-        for body, table in [(ap.entry, ap.entry_table)] + [
-            (proc.body, proc.table) for proc in ap.procs
-        ]:
+        for body in [ap.entry] + [proc.body for proc in ap.procs]:
             live_in, live_out, _ = _oracle_facts(list(body))
             for a in walk_statements(body):
                 for v in live_in[a.point] | a.ends:
-                    dead = table.next_use(a.point, v) == INF
+                    dead = next_use_at(a, v) == INF
                     in_ends = v in a.ends
                     live_entering = v in (live_in[a.point] | set(a.stmt.defs()))
                     assert in_ends == (dead and live_entering), (a.point, v)
@@ -209,9 +211,9 @@ def test_consistency_ends_iff_dead_and_live_in():
 def test_annotation_matches_path_oracle(seed):
     p = generate_program(seed, max_stmts=12)
     ap = annotate(p)
-    _check_against_oracle(ap.entry, ap.entry_table)
+    _check_against_oracle(ap.entry)
     for proc in ap.procs:
-        _check_against_oracle(proc.body, proc.table)
+        _check_against_oracle(proc.body)
 
 
 def test_points_are_preorder_unique():
@@ -231,9 +233,9 @@ def test_stmt_refs_puts_the_callee_first():
 
 def test_fragment_annotation():
     p = parse(CHAIN_SRC)
-    body, table = annotate_statements(p.body)
+    body = annotate_statements(p.body)
     assert body[2].ends == frozenset({"y"})
-    assert table.next_use(0, "x") == 1
+    assert next_use_at(body[0], "x") == 1
 
 
 def test_branch_entry_live_sets():
@@ -251,14 +253,76 @@ def test_branch_entry_live_sets():
 def test_straight_line_forward_reconstruction_matches_backward_pass():
     # in straight-line code a range can only end where its variable is
     # referenced or defined, so ending sets are recoverable forward from
-    # the next-use table alone
+    # the next-use maps alone
     from uilc.gen import generate_straight_line
 
     for seed in range(40):
         p = generate_straight_line(seed)
         ap = annotate(p)
-        body, table = ap.entry, ap.entry_table
-        for a in body:
+        for a in ap.entry:
             candidates = set(stmt_refs(a.stmt)) | set(a.stmt.defs())
-            forward_ends = {v for v in candidates if table.next_use(a.point, v) == INF}
+            forward_ends = {v for v in candidates if next_use_at(a, v) == INF}
             assert forward_ends == set(a.ends), (seed, a.point)
+
+
+# ---------------------------------------------------------------------------
+# tail positions
+
+TAIL_SRC = (
+    "(letrec ((f (lambda (n) (return n))))"
+    " (f 0)"
+    " (set! x (f 1))"
+    " (if (> x 1) (begin (f x)) (begin (f 2)))"
+    " (if (> x 0)"
+    "   (begin (f x))"
+    "   (begin (set! y (+ x 1)) (f y))))"
+)
+
+
+def test_tail_if_passes_tail_position_to_its_branch_calls():
+    _, ap = load_program(TAIL_SRC)
+    early, bound, inner_if, tail_if = ap.entry
+    assert not early.tail  # a call with more of the body after it
+    assert not bound.tail  # a result-binding call
+    assert not inner_if.tail
+    assert not inner_if.then_body[-1].tail and not inner_if.else_body[-1].tail
+    assert tail_if.tail
+    assert tail_if.then_body[-1].tail and tail_if.else_body[-1].tail
+    assert not tail_if.else_body[0].tail
+    assert ap.procs[0].body[-1].tail
+
+
+def _raw_tail_flags(stmts, tail):
+    """Pre-order tail flags of raw statements: the last statement of a
+    frame-ending body is tail, and so is the last of each branch of a tail If."""
+    flags = []
+    for i, s in enumerate(stmts):
+        here = tail and i == len(stmts) - 1
+        flags.append(here)
+        if isinstance(s, If):
+            flags += _raw_tail_flags(s.then_body, here)
+            flags += _raw_tail_flags(s.else_body, here)
+    return flags
+
+
+def test_tail_flags_match_raw_program_recomputation():
+    root = Path(__file__).parents[1]
+    files = sorted((root / "tests" / "data").glob("*.uil")) + sorted((root / "samples").glob("*.uil"))
+    programs = [generate_program(seed) for seed in range(100)]
+    programs += [parse(TAIL_SRC)] + [parse(f.read_text()) for f in files]
+    tail_kinds = Counter()
+    for p in programs:
+        ap = annotate(p)
+        bodies = [(ap.entry, p.body)] + [
+            (proc.body, d.body) for proc, d in zip(ap.procs, p.definitions)
+        ]
+        for body, raw in bodies:
+            flags = [a.tail for a in walk_statements(body)]
+            assert flags == _raw_tail_flags(raw, True), format_program(p)
+            tail_kinds.update(type(a.stmt).__name__ for a in walk_statements(body) if a.tail)
+    assert tail_kinds["If"] and tail_kinds["Call"] and tail_kinds["ReturnValue"], tail_kinds
+
+
+def test_fragment_annotation_marks_nothing_tail():
+    body = annotate_statements(parse(TAIL_SRC).body)
+    assert not any(a.tail for a in walk_statements(body))

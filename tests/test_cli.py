@@ -274,3 +274,53 @@ def test_compare_straight_line_totals_and_oracle_column(capsys, tmp_path):
     furthest = totals["furthest"]["loads"] + totals["furthest"]["stores"]
     lifo = totals["lifo"]["loads"] + totals["lifo"]["stores"]
     assert furthest <= lifo
+
+
+@pytest.mark.parametrize("registers", ["0", "2,0", "2,x", ""])
+def test_compare_bad_register_list_exits_one(capsys, split_file, registers):
+    code, out, err = run_cli(capsys, "compare", split_file, "--registers", registers)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --registers")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run",),  # missing file
+        ("run", "x.uil", "--registers", "abc"),
+        ("alloc", "x.uil", "--policy", "nosuch"),
+        ("frobnicate",),
+    ],
+)
+def test_usage_errors_exit_one(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert "usage: uilc" in err
+
+
+# each subcommand declares only the flags it reads
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("alloc", "x.uil", "--json"),
+        ("alloc", "x.uil", "--fuel", "5"),
+        ("alloc", "x.uil", "--seed", "1"),
+        ("compare", "x.uil", "--policy", "lifo"),
+        ("compare", "x.uil", "--seed", "1"),
+        ("fuzz", "--policy", "lifo"),
+        ("fuzz", "--json"),
+        ("run", "x.uil", "--no-preference"),
+    ],
+)
+def test_removed_flags_are_rejected(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("run", "--help")])
+def test_help_exits_zero(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.startswith("usage: uilc")

@@ -185,7 +185,7 @@ def test_equivalent_runs_every_seed_heap():
 
 def test_belady_split_core_needs_one_load(split_prog):
     program, _ = split_prog
-    body, table = annotate_statements(program.body[:4])
+    body = annotate_statements(program.body[:4])
     assert belady_oracle(body, 2) == 1
 
 
