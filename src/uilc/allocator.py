@@ -14,6 +14,12 @@ register, migrate to the stack under pressure, and come back into a
 different register later.  Victim choice is a static analogue of cache
 replacement; the default policy evicts the candidate whose next use is
 furthest away.
+
+A value that may take any free register takes the one its next use
+reads, when that one is free: a returned value the return-value
+register, a call argument its argument register.  The move the return or
+call would otherwise need then disappears; the next-use maps already
+name that use, so no interference graph is needed.
 """
 
 from __future__ import annotations
@@ -153,10 +159,30 @@ def _evict(
     return m.unbind_reg(victim), insts, r
 
 
-def _pick_free(m: Model, var: str, cfg: MachineConfig, prefs: dict[str, int] | None) -> int | None:
+def _pick_free(
+    m: Model,
+    var: str,
+    cfg: MachineConfig,
+    prefs: dict[str, int] | None,
+    uses: dict[str, float],
+    targets: dict[int, dict[str, int]] | None,
+) -> int | None:
+    """A free register for `var`, or None when every register is taken.
+
+    First the branch preference (the register `var` holds at the end of
+    the other branch), then the use-site target (the register `var`'s next
+    use needs: the return-value register for a return, the argument
+    register for a call argument), then the lowest free register.  A
+    preference or target that is occupied is passed over, never evicted.
+    """
     if prefs:
         r = prefs.get(var)
         if r is not None and r < cfg.registers and r not in m.reg_owner:
+            return r
+    target = targets.get(uses.get(var)) if targets else None
+    if target:
+        r = target.get(var)
+        if r is not None and r not in m.reg_owner:
             return r
     return m.free_register(cfg)
 
@@ -169,13 +195,15 @@ def load(
     policy: str,
     cfg: MachineConfig,
     prefs: dict[str, int] | None = None,
+    targets: dict[int, dict[str, int]] | None = None,
 ) -> tuple[Model, list[Inst]]:
     """Bring each variable into a register, in order.
 
     Register-resident variables cost nothing.  Others are loaded from
-    their slot into a free register, or into an evicted victim's
-    register; the victim is saved first (for free when multi-homed).
-    Neither the listed variables nor the protected set may be evicted.
+    their slot into a free register (chosen by `_pick_free`), or into an
+    evicted victim's register; the victim is saved first (for free when
+    multi-homed).  Neither the listed variables nor the protected set may
+    be evicted.
     """
     regmap = m.regmap
     if len(m.reg_owner) <= cfg.registers and all(v in regmap for v in vs):
@@ -194,7 +222,7 @@ def load(
             continue
         if not m.is_bound(v):
             raise ModelError(f"cannot load unbound variable '{v}'")
-        r = _pick_free(m, v, cfg, prefs)
+        r = _pick_free(m, v, cfg, prefs, uses, targets)
         if r is None:
             m, saves, r = _evict(m, prot, uses, policy)
             insts.extend(saves)
@@ -218,6 +246,16 @@ def _leg_rank(src: MoveSrc, dst: MoveDst, has_temp: bool) -> int:
     if isinstance(dst, Reg):
         return 3
     return 2 if has_temp else 4  # needs a temporary: wait for one
+
+
+def _value_into_reg(r: int, src: MoveSrc) -> Inst:
+    if isinstance(src, Reg):
+        return Move(r, src.i)
+    if isinstance(src, Slot):
+        return Load(r, src.i)
+    if isinstance(src, LabelArg):
+        return LoadLabel(r, src.label)
+    return LoadImm(r, src)
 
 
 def _sequence_moves(
@@ -244,7 +282,10 @@ def _sequence_moves(
     finds no temporary waits while any other leg is ready.  When nothing
     else is ready it first moves a parked loop value out to a scratch
     slot, which frees that register; only when no register holds a parked
-    value does it borrow one, spilling it around the leg.
+    value does it borrow one.  The borrowed register is the lowest one
+    that no pending leg reads: it is stored to a scratch slot once, serves
+    as the temporary for every later leg, and is reloaded once, last.
+    When every register is still read, r0 is spilled around the one leg.
 
     ``pinned_regs`` hold values that must survive the whole sequence;
     pinning a destination register changes nothing, as its old value dies
@@ -265,6 +306,14 @@ def _sequence_moves(
                 identity_slots.add(dst.i)
             continue
         pending[dst] = src
+    if len(pending) <= 1:  # most shuffles: no leg, or one that needs no temporary
+        if not pending:
+            return []
+        ((dst, src),) = pending.items()
+        if isinstance(dst, Reg):
+            return [_value_into_reg(dst.i, src)]
+        if isinstance(src, Reg):
+            return [Store(dst.i, src.i)]
 
     src_count: dict[MoveSrc, int] = {}
     for src in pending.values():
@@ -281,6 +330,7 @@ def _sequence_moves(
             used_slots.add(loc.i)
 
     insts: list[Inst] = []
+    restore: list[Inst] = []  # reload of a borrowed register, emitted last
 
     def fresh_slot() -> int:
         s = 0
@@ -297,15 +347,6 @@ def _sequence_moves(
                 return r
         return None
 
-    def value_into_reg(r: int, src: MoveSrc) -> Inst:
-        if isinstance(src, Reg):
-            return Move(r, src.i)
-        if isinstance(src, Slot):
-            return Load(r, src.i)
-        if isinstance(src, LabelArg):
-            return LoadLabel(r, src.label)
-        return LoadImm(r, src)
-
     def redirect(old: MoveSrc, new: MoveSrc) -> None:
         """Make every pending reader of `old` read `new` instead."""
         for dst, src in pending.items():
@@ -316,7 +357,7 @@ def _sequence_moves(
 
     def emit_leg(dst: MoveDst, src: MoveSrc) -> None:
         if isinstance(dst, Reg):
-            insts.append(value_into_reg(dst.i, src))
+            insts.append(_value_into_reg(dst.i, src))
             return
         if isinstance(src, Reg):
             insts.append(Store(dst.i, src.i))
@@ -329,17 +370,36 @@ def _sequence_moves(
             keep = fresh_slot()
             insts.append(Store(keep, t))
             redirect(Reg(t), Slot(keep))
+        if t is None:
+            t = borrow()
         if t is not None:
-            insts.append(value_into_reg(t, src))
+            insts.append(_value_into_reg(t, src))
             insts.append(Store(dst.i, t))
             return
-        # borrow: every register is needed; spill one around the leg
-        b = 0
+        # every register is read by a pending leg: spill r0 around this one
         keep = fresh_slot()
-        insts.append(Store(keep, b))
-        insts.append(value_into_reg(b, src))
-        insts.append(Store(dst.i, b))
-        insts.append(Load(b, keep))
+        insts.append(Store(keep, 0))
+        insts.append(_value_into_reg(0, src))
+        insts.append(Store(dst.i, 0))
+        insts.append(Load(0, keep))
+
+    def borrow() -> int | None:
+        """Lend the lowest register no pending leg reads out as the
+        temporary until the sequence ends.
+
+        Such a register is pinned or already written (else it would be a
+        free temporary), so it is reloaded once, last.
+        """
+        for b in range(cfg.registers):
+            if Reg(b) not in src_count:
+                keep = fresh_slot()
+                insts.append(Store(keep, b))
+                restore.append(Load(b, keep))
+                pinned_regs.discard(b)
+                written.discard(b)
+                live_regs.discard(b)
+                return b
+        return None
 
     def consume(src: MoveSrc) -> None:
         if not isinstance(src, (Reg, Slot)):
@@ -379,7 +439,7 @@ def _sequence_moves(
             parked.add(t)
         redirect(d0, temp)
 
-    return insts
+    return insts + restore
 
 
 def shuffle(
@@ -447,11 +507,40 @@ def _stmt_text(stmt) -> str:
     return buf[0]
 
 
+def _use_site_targets(body, cfg: MachineConfig) -> dict[int, dict[str, int]]:
+    """Point -> variable -> the register that statement reads it from.
+
+    A returned variable is read from the return-value register, and a call
+    argument from its argument register (the first use wins when a
+    variable is passed twice).  Stack arguments and immediates get none.
+    """
+    targets: dict[int, dict[str, int]] = {}
+    todo = [body]
+    while todo:
+        for a in todo.pop():
+            s = a.stmt
+            kind = type(s)  # exact type tests: cheaper than isinstance here
+            if kind is ReturnValue:
+                if type(s.value) is str:
+                    targets[a.point] = {s.value: cfg.ret_val_reg}
+            elif kind is Call:
+                regs: dict[str, int] = {}
+                for arg, r in zip(s.args, cfg.arg_regs):
+                    if type(arg) is str and arg not in regs:
+                        regs[arg] = r
+                if regs:
+                    targets[a.point] = regs
+            elif kind is If:
+                todo += (a.then_body, a.else_body)
+    return targets
+
+
 class _BodyAllocator:
     """Allocates one procedure body (or the entry body), model threaded."""
 
     def __init__(
         self,
+        body: tuple[AnnotatedStatement, ...],
         cfg: MachineConfig,
         policy: str,
         labels: itertools.count,
@@ -468,6 +557,7 @@ class _BodyAllocator:
         self.scope = scope
         self.trace = trace
         self.prefs: dict[str, int] = {}
+        self.targets = _use_site_targets(body, cfg)
         self.need_halt = False
 
     # -- helpers -----------------------------------------------------------
@@ -487,7 +577,9 @@ class _BodyAllocator:
         """Load the statement's variable operands together; return their values in order."""
         ops = a.stmt.operands()
         opvars = variables(ops)
-        m1, insts = load(m, opvars, opvars, a.next_uses, self.policy, self.cfg, self.prefs)
+        m1, insts = load(
+            m, opvars, opvars, a.next_uses, self.policy, self.cfg, self.prefs, self.targets
+        )
         return m1, insts, [self._operand_value(m1, o) for o in ops]
 
     def _dest_reg(
@@ -500,7 +592,7 @@ class _BodyAllocator:
         destination is written, and the save keeps their value reachable.
         """
         insts: list[Inst] = []
-        r = _pick_free(m, var, self.cfg, self.prefs)
+        r = _pick_free(m, var, self.cfg, self.prefs, uses, self.targets)
         if r is None:
             m, insts, r = _evict(m, frozenset(), uses, self.policy)
         m = m.bind_reg(var, r)
@@ -750,7 +842,7 @@ def alloc_fragment(
     m: Model | None = None,
 ) -> tuple[list[Inst], Model]:
     """Allocate a bare statement sequence starting from a given model."""
-    alloc = _BodyAllocator(cfg, policy, itertools.count(), is_entry=True, scope="<fragment>")
+    alloc = _BodyAllocator(body, cfg, policy, itertools.count(), is_entry=True, scope="<fragment>")
     return alloc.run(body, m if m is not None else Model())
 
 
@@ -767,7 +859,9 @@ def alloc_program(
     passes a halt continuation to tail calls.
     """
     labels = itertools.count()
-    entry_alloc = _BodyAllocator(cfg, policy, labels, is_entry=True, scope="<entry>", trace=trace)
+    entry_alloc = _BodyAllocator(
+        ap.entry, cfg, policy, labels, is_entry=True, scope="<entry>", trace=trace
+    )
     entry_insts, _ = entry_alloc.run(ap.entry, Model())
     if entry_alloc.need_halt:
         entry_insts.append(LabelDef(HALT_LABEL))
@@ -776,7 +870,7 @@ def alloc_program(
     procs = []
     for proc in ap.procs:
         proc_alloc = _BodyAllocator(
-            cfg, policy, labels, is_entry=False, scope=proc.name, trace=trace
+            proc.body, cfg, policy, labels, is_entry=False, scope=proc.name, trace=trace
         )
         m0 = initial_model(proc.params, cfg)
         # parameters the body never references die on arrival

@@ -32,7 +32,7 @@ def test_alloc_prints_golden_shape(capsys, split_file):
         "store fv0, r0",
         "add r0, r1, 1",
         "load r0, fv0",
-        "add r0, r0, r1",
+        "add r1, r0, r1",
     ]
 
 
@@ -81,15 +81,15 @@ def test_run_reports_every_traffic_count(capsys):
     assert code == 0
     assert out == (
         '{"return": 16128589941724529, "writes": 6, "static_loads": 9, "static_stores": 10,'
-        ' "static_moves": 3, "dynamic_loads": 54, "dynamic_stores": 45, "dynamic_moves": 13,'
-        ' "instructions": 48, "steps": 210, "call_rounds": 6}\n'
+        ' "static_moves": 2, "dynamic_loads": 54, "dynamic_stores": 45, "dynamic_moves": 7,'
+        ' "instructions": 47, "steps": 204, "call_rounds": 6}\n'
     )
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out.splitlines() == [
         "return value: 16128589941724529",
-        "static:  loads=9 stores=10 moves=3 instructions=48",
-        "dynamic: loads=54 stores=45 moves=13 steps=210",
+        "static:  loads=9 stores=10 moves=2 instructions=47",
+        "dynamic: loads=54 stores=45 moves=7 steps=204",
     ]
 
 
