@@ -19,7 +19,16 @@ A value that may take any free register takes the one its next use
 reads, when that one is free: a returned value the return-value
 register, a call argument its argument register.  The move the return or
 call would otherwise need then disappears; the next-use maps already
-name that use, so no interference graph is needed.
+name that use, so no interference graph is needed.  When a value is
+computed just before a non-tail call that reads it from a register held
+by a value living across the call, the holder steps aside: it is stored
+now, to the slot the call would have stored it in, and the argument is
+born in its register.
+
+At a join both branches must leave each value in the same places.  The
+else branch therefore prefers what the then branch ended with: the
+then branch's register for a value it places, and the then branch's
+slot for a value it saves, each when free.
 """
 
 from __future__ import annotations
@@ -105,12 +114,14 @@ class TraceEntry:
 # Primitive transformers
 
 
-def save(m: Model, vs) -> tuple[Model, list[Inst]]:
+def save(m: Model, vs, slot_prefs: dict[str, int] | None = None) -> tuple[Model, list[Inst]]:
     """Give each variable a stack home, in order.
 
     Variables that already have one are skipped with no instructions, so
     repeated saves are free.  Register bindings are kept: after a save
-    the variable lives in both places.
+    the variable lives in both places.  A variable takes its slot
+    preference (the slot it has at the end of the other branch of an
+    `if`) when that slot is free, else the lowest free slot.
     """
     insts: list[Inst] = []
     for v in vs:
@@ -118,7 +129,9 @@ def save(m: Model, vs) -> tuple[Model, list[Inst]]:
             raise ModelError(f"cannot save unbound variable '{v}'")
         if m.slot_of(v) is not None:
             continue
-        s = m.free_slot()
+        s = slot_prefs.get(v) if slot_prefs else None
+        if s is None or s in m.slot_owner:
+            s = m.free_slot()
         insts.append(Store(s, m.reg_of(v)))
         m = m.bind_slot(v, s)
     return m, insts
@@ -150,11 +163,11 @@ def pick_victim(
 
 
 def _evict(
-    m: Model, protected, uses: dict[str, float], policy: str
+    m: Model, protected, uses: dict[str, float], policy: str, slot_prefs=None
 ) -> tuple[Model, list[Inst], int]:
     """Free the register of the policy's victim, saving the victim first."""
     victim = pick_victim(m, protected, uses, policy)
-    m, insts = save(m, [victim])
+    m, insts = save(m, [victim], slot_prefs)
     r = m.reg_of(victim)
     return m.unbind_reg(victim), insts, r
 
@@ -196,6 +209,7 @@ def load(
     cfg: MachineConfig,
     prefs: dict[str, int] | None = None,
     targets: dict[int, dict[str, int]] | None = None,
+    slot_prefs: dict[str, int] | None = None,
 ) -> tuple[Model, list[Inst]]:
     """Bring each variable into a register, in order.
 
@@ -224,7 +238,7 @@ def load(
             raise ModelError(f"cannot load unbound variable '{v}'")
         r = _pick_free(m, v, cfg, prefs, uses, targets)
         if r is None:
-            m, saves, r = _evict(m, prot, uses, policy)
+            m, saves, r = _evict(m, prot, uses, policy, slot_prefs)
             insts.extend(saves)
         insts.append(Load(r, m.slot_of(v)))
         m = m.bind_reg(v, r)
@@ -237,15 +251,6 @@ def load(
 
 def _loc_key(loc) -> tuple[int, int]:
     return (0, loc.i) if isinstance(loc, Reg) else (1, loc.i)
-
-
-def _leg_rank(src: MoveSrc, dst: MoveDst, has_temp: bool) -> int:
-    """Order of a ready leg: the legs that keep a temporary free go first."""
-    if isinstance(src, Reg):
-        return 0 if isinstance(dst, Reg) else 1
-    if isinstance(dst, Reg):
-        return 3
-    return 2 if has_temp else 4  # needs a temporary: wait for one
 
 
 def _value_into_reg(r: int, src: MoveSrc) -> Inst:
@@ -298,9 +303,9 @@ def _sequence_moves(
     for src, dst in moves:
         if dst in pending:
             raise AllocError(f"overlapping shuffle destinations at {dst}")
-        if src == dst:
+        if src is dst:
             # already holds its final value; the location must survive
-            if isinstance(dst, Reg):
+            if type(dst) is Reg:
                 written.add(dst.i)
             else:
                 identity_slots.add(dst.i)
@@ -310,136 +315,186 @@ def _sequence_moves(
         if not pending:
             return []
         ((dst, src),) = pending.items()
-        if isinstance(dst, Reg):
+        if type(dst) is Reg:
             return [_value_into_reg(dst.i, src)]
-        if isinstance(src, Reg):
+        if type(src) is Reg:
             return [Store(dst.i, src.i)]
+    return _Shuffle(pending, written, identity_slots, cfg.registers, pinned_regs, busy_slots).run()
 
-    src_count: dict[MoveSrc, int] = {}
-    for src in pending.values():
-        if isinstance(src, (Reg, Slot)):
-            src_count[src] = src_count.get(src, 0) + 1
 
-    pending_dst_regs = {d.i for d in pending if isinstance(d, Reg)}
-    pinned_regs = set(pinned_regs) - pending_dst_regs
-    live_regs = pinned_regs | {s.i for s in src_count if isinstance(s, Reg)}
-    parked: set[int] = set()  # registers holding a loop's entry value
-    used_slots = set(busy_slots) | identity_slots
-    for loc in list(pending) + list(src_count):
-        if isinstance(loc, Slot):
-            used_slots.add(loc.i)
+class _Shuffle:
+    """The state of one `_sequence_moves` call that needs more than one leg.
 
-    insts: list[Inst] = []
-    restore: list[Inst] = []  # reload of a borrowed register, emitted last
+    ``src_count`` counts the pending readers of each register or slot, and
+    ``ready`` lists the pending destinations that no pending leg reads;
+    both are kept up to date leg by leg.  A register is a free temporary
+    when it is neither ``live`` (pinned, a pending source, or written by a
+    leg) nor ``written`` (written by a leg, or already holding its final
+    value).
+    """
 
-    def fresh_slot() -> int:
-        s = 0
-        while s in used_slots:
-            s += 1
-        used_slots.add(s)
-        return s
+    __slots__ = (
+        "pending", "src_count", "ready", "registers", "pinned", "live",
+        "written", "parked", "used_slots", "insts", "restore",
+    )
 
-    def temp_reg(dead_dsts: bool = True) -> int | None:
-        for r in range(cfg.registers):
-            if r not in live_regs and r not in written and (
-                dead_dsts or r not in pending_dst_regs
-            ):
+    def __init__(self, pending, written, identity_slots, registers, pinned_regs, busy_slots):
+        src_count: dict[MoveSrc, int] = {}
+        for src in pending.values():
+            if type(src) is Reg or type(src) is Slot:
+                src_count[src] = src_count.get(src, 0) + 1
+        self.pending = pending
+        self.src_count = src_count
+        self.ready = [d for d in pending if d not in src_count]
+        self.registers = registers
+        self.pinned = set(pinned_regs).difference(d.i for d in pending if type(d) is Reg)
+        self.live = self.pinned | {s.i for s in src_count if type(s) is Reg}
+        self.written = written
+        self.parked: set[int] = set()  # registers holding a loop's entry value
+        used = set(busy_slots) | identity_slots
+        used.update(loc.i for loc in pending if type(loc) is Slot)
+        used.update(loc.i for loc in src_count if type(loc) is Slot)
+        self.used_slots = used
+        self.insts: list[Inst] = []
+        self.restore: list[Inst] = []  # reload of a borrowed register, emitted last
+
+    def run(self) -> list[Inst]:
+        pending, ready, src_count = self.pending, self.ready, self.src_count
+        live, written, insts = self.live, self.written, self.insts
+        while pending:
+            if not ready:
+                self._break_loop()
+                continue
+            # the ready leg of least (rank, index); ranks 0..3 as documented,
+            # 4 for a slot leg that finds no temporary
+            best = None
+            temp = -1  # the free temporary, looked up at most once a step
+            for d in ready:
+                s = pending[d]
+                if type(s) is Reg:
+                    key = (0 if type(d) is Reg else 1, d.i)
+                elif type(d) is Reg:
+                    key = (3, d.i)
+                else:
+                    if temp == -1:
+                        temp = self._temp()
+                    key = (2 if temp is not None else 4, d.i)
+                if best is None or key < best_key:
+                    best, best_key = d, key
+            d = best
+            s = pending.pop(d)
+            ready.remove(d)
+            if type(d) is Reg:
+                insts.append(_value_into_reg(d.i, s))
+                written.add(d.i)
+                live.add(d.i)
+            elif type(s) is Reg:
+                insts.append(Store(d.i, s.i))
+            else:
+                self._through_temp(d.i, s, temp)
+            if type(s) is Reg or type(s) is Slot:
+                n = src_count[s] - 1
+                if n:
+                    src_count[s] = n
+                else:
+                    self._release(s)
+        return insts + self.restore
+
+    def _temp(self, avoid=()) -> int | None:
+        """The lowest free temporary that is not in `avoid`."""
+        live, written = self.live, self.written
+        for r in range(self.registers):
+            if r not in live and r not in written and r not in avoid:
                 return r
         return None
 
-    def redirect(old: MoveSrc, new: MoveSrc) -> None:
+    def _fresh_slot(self) -> int:
+        used = self.used_slots
+        s = 0
+        while s in used:
+            s += 1
+        used.add(s)
+        return s
+
+    def _release(self, loc: MoveSrc) -> None:
+        """`loc` has no pending reader left."""
+        del self.src_count[loc]
+        if loc in self.pending:
+            self.ready.append(loc)
+        if type(loc) is Reg and loc.i not in self.pinned:
+            self.live.discard(loc.i)
+            self.parked.discard(loc.i)
+
+    def _redirect(self, old: MoveSrc, new: MoveSrc) -> None:
         """Make every pending reader of `old` read `new` instead."""
+        pending, src_count = self.pending, self.src_count
         for dst, src in pending.items():
-            if src == old:
+            if src is old:
                 pending[dst] = new
                 src_count[new] = src_count.get(new, 0) + 1
-                consume(old)
+        self._release(old)
 
-    def emit_leg(dst: MoveDst, src: MoveSrc) -> None:
-        if isinstance(dst, Reg):
-            insts.append(_value_into_reg(dst.i, src))
-            return
-        if isinstance(src, Reg):
-            insts.append(Store(dst.i, src.i))
-            return
-        # value must pass through a register on its way to the slot
-        t = temp_reg()
-        if t is None and parked:
+    def _through_temp(self, dst: int, src: MoveSrc, t: int | None) -> None:
+        """Emit slot `dst` <- `src` through the temporary `t`, or through a
+        parked, borrowed or spilled register when `t` is None."""
+        insts = self.insts
+        if t is None and self.parked:
             # move a parked loop value out to the stack to free its register
-            t = min(parked)
-            keep = fresh_slot()
+            t = min(self.parked)
+            keep = self._fresh_slot()
             insts.append(Store(keep, t))
-            redirect(Reg(t), Slot(keep))
+            self._redirect(Reg(t), Slot(keep))
         if t is None:
-            t = borrow()
+            t = self._borrow()
         if t is not None:
             insts.append(_value_into_reg(t, src))
-            insts.append(Store(dst.i, t))
+            insts.append(Store(dst, t))
             return
         # every register is read by a pending leg: spill r0 around this one
-        keep = fresh_slot()
+        keep = self._fresh_slot()
         insts.append(Store(keep, 0))
         insts.append(_value_into_reg(0, src))
-        insts.append(Store(dst.i, 0))
+        insts.append(Store(dst, 0))
         insts.append(Load(0, keep))
 
-    def borrow() -> int | None:
+    def _borrow(self) -> int | None:
         """Lend the lowest register no pending leg reads out as the
         temporary until the sequence ends.
 
         Such a register is pinned or already written (else it would be a
         free temporary), so it is reloaded once, last.
         """
-        for b in range(cfg.registers):
-            if Reg(b) not in src_count:
-                keep = fresh_slot()
-                insts.append(Store(keep, b))
-                restore.append(Load(b, keep))
-                pinned_regs.discard(b)
-                written.discard(b)
-                live_regs.discard(b)
+        for b in range(self.registers):
+            if Reg(b) not in self.src_count:
+                keep = self._fresh_slot()
+                self.insts.append(Store(keep, b))
+                self.restore.append(Load(b, keep))
+                self.pinned.discard(b)
+                self.written.discard(b)
+                self.live.discard(b)
                 return b
         return None
 
-    def consume(src: MoveSrc) -> None:
-        if not isinstance(src, (Reg, Slot)):
-            return
-        src_count[src] -= 1
-        if src_count[src] == 0:
-            del src_count[src]
-            if isinstance(src, Reg) and src.i not in pinned_regs:
-                live_regs.discard(src.i)
-                parked.discard(src.i)
-
-    while pending:
-        ready = [d for d in pending if src_count.get(d, 0) == 0]
-        if ready:
-            d = ready[0]
-            if len(ready) > 1:
-                has_temp = temp_reg() is not None
-                d = min(ready, key=lambda d: (_leg_rank(pending[d], d, has_temp), _loc_key(d)))
-            s = pending.pop(d)
-            emit_leg(d, s)
-            consume(s)
-            if isinstance(d, Reg):
-                pending_dst_regs.discard(d.i)
-                written.add(d.i)
-                live_regs.add(d.i)
-            continue
-        # Every pending destination is still someone's source: a loop.
-        # Park the entry value in a temporary and redirect its readers.
-        # A destination register is no temporary here: parked, it would
-        # become a source and hold up its own leg.
+    def _break_loop(self) -> None:
+        """Every pending destination is still someone's source: a loop.
+        Park the entry value in a temporary and redirect its readers.  A
+        destination register is no temporary here: parked, it would become
+        a source and hold up its own leg."""
+        pending = self.pending
         d0 = min(pending, key=_loc_key)
-        t = temp_reg(dead_dsts=False)
-        temp: MoveDst = Reg(t) if t is not None else Slot(fresh_slot())
-        emit_leg(temp, d0)
+        t = self._temp({d.i for d in pending if type(d) is Reg})
         if t is not None:
-            live_regs.add(t)
-            parked.add(t)
-        redirect(d0, temp)
-
-    return insts + restore
+            self.insts.append(_value_into_reg(t, d0))
+            self.live.add(t)
+            self.parked.add(t)
+            self._redirect(d0, Reg(t))
+            return
+        keep = self._fresh_slot()
+        if type(d0) is Reg:
+            self.insts.append(Store(keep, d0.i))
+        else:
+            self._through_temp(keep, d0, self._temp())
+        self._redirect(d0, Slot(keep))
 
 
 def shuffle(
@@ -507,16 +562,22 @@ def _stmt_text(stmt) -> str:
     return buf[0]
 
 
-def _use_site_targets(body, cfg: MachineConfig) -> dict[int, dict[str, int]]:
-    """Point -> variable -> the register that statement reads it from.
+def _use_site_targets(
+    body, cfg: MachineConfig
+) -> tuple[dict[int, dict[str, int]], dict[int, AnnotatedStatement]]:
+    """Point -> variable -> the register that statement reads it from, and
+    point -> the non-tail call right after that statement in its sequence.
 
     A returned variable is read from the return-value register, and a call
     argument from its argument register (the first use wins when a
-    variable is passed twice).  Stack arguments and immediates get none.
+    variable is passed twice).  Stack arguments and immediates get none,
+    and so does a call with no register argument in the second map.
     """
     targets: dict[int, dict[str, int]] = {}
+    next_calls: dict[int, AnnotatedStatement] = {}
     todo = [body]
     while todo:
+        prev = None
         for a in todo.pop():
             s = a.stmt
             kind = type(s)  # exact type tests: cheaper than isinstance here
@@ -530,9 +591,37 @@ def _use_site_targets(body, cfg: MachineConfig) -> dict[int, dict[str, int]]:
                         regs[arg] = r
                 if regs:
                     targets[a.point] = regs
+                    if prev is not None and not a.tail:
+                        next_calls[prev] = a
             elif kind is If:
                 todo += (a.then_body, a.else_body)
-    return targets
+            prev = a.point
+    return targets, next_calls
+
+
+def _call_homes(m: Model, slot_prefs: dict[str, int], gone=()) -> dict[str, int]:
+    """The slot a non-tail call stores each slotless register resident in.
+
+    Residents in `gone` die at the call and get none.  A free slot
+    preference comes first; the others take the lowest free slots in
+    register order.
+    """
+    slotless = [v for v, _ in m.register_residents() if v not in m.stackmap and v not in gone]
+    taken = set(m.slot_owner)
+    homes: dict[str, int] = {}
+    for v in slotless:
+        i = slot_prefs.get(v)
+        if i is not None and i not in taken:
+            homes[v] = i
+            taken.add(i)
+    i = 0
+    for v in slotless:
+        if v not in homes:
+            while i in taken:
+                i += 1
+            homes[v] = i
+            taken.add(i)
+    return homes
 
 
 class _BodyAllocator:
@@ -556,8 +645,13 @@ class _BodyAllocator:
         self.is_entry = is_entry
         self.scope = scope
         self.trace = trace
+        # the other branch's final registers and slots, while allocating
+        # the else branch of an `if` (slots only when the `if` has a join)
         self.prefs: dict[str, int] = {}
-        self.targets = _use_site_targets(body, cfg)
+        self.slot_prefs: dict[str, int] = {}
+        # inside a branch of an `if` that has a join
+        self.in_joined_branch = False
+        self.targets, self.next_calls = _use_site_targets(body, cfg)
         self.need_halt = False
 
     # -- helpers -----------------------------------------------------------
@@ -578,25 +672,67 @@ class _BodyAllocator:
         ops = a.stmt.operands()
         opvars = variables(ops)
         m1, insts = load(
-            m, opvars, opvars, a.next_uses, self.policy, self.cfg, self.prefs, self.targets
+            m, opvars, opvars, a.next_uses, self.policy, self.cfg,
+            self.prefs, self.targets, self.slot_prefs,
         )
         return m1, insts, [self._operand_value(m1, o) for o in ops]
 
     def _dest_reg(
-        self, m: Model, var: str, uses: dict[str, float]
+        self, m: Model, var: str, a: AnnotatedStatement
     ) -> tuple[Model, list[Inst], int]:
         """Bind a freshly assigned variable to a register.
 
-        Under pressure any resident may be evicted, operands of the
-        current statement included: their registers are read before the
-        destination is written, and the save keeps their value reachable.
+        When the next statement is a non-tail call that reads `var` from a
+        register another value holds, and that value lives across the
+        call, the holder steps aside: it is saved now, as the call would
+        save it anyway, and `var` is computed straight into the register
+        (see `_claim`).  Otherwise `_pick_free` chooses.  Under pressure any
+        resident may be evicted, operands of the current statement
+        included: their registers are read before the destination is
+        written, and the save keeps their value reachable.
         """
+        uses = a.next_uses
+        call = self.next_calls.get(a.point)
+        if call is not None:
+            claimed = self._claim(m, var, uses, call)
+            if claimed is not None:
+                return claimed
         insts: list[Inst] = []
         r = _pick_free(m, var, self.cfg, self.prefs, uses, self.targets)
         if r is None:
-            m, insts, r = _evict(m, frozenset(), uses, self.policy)
+            m, insts, r = _evict(m, frozenset(), uses, self.policy, self.slot_prefs)
         m = m.bind_reg(var, r)
         return m, insts, r
+
+    def _claim(
+        self, m: Model, var: str, uses: dict[str, float], call: AnnotatedStatement
+    ) -> tuple[Model, list[Inst], int] | None:
+        """Take `var`'s argument register at `call` from its holder `w`.
+
+        Only when `w` is next read after the call, so the call would store
+        it anyway (RET, which no statement reads, never steps aside), and
+        only when `var`'s branch preference is not free (the preference
+        wins).  A slotless `w` is stored to the slot the call would give
+        it, which keeps the frame layout.  Inside a branch of an `if` with
+        a join only a `w` that has a slot steps aside: a new slot there
+        also steers the other branch's slot preferences, and on generated
+        programs that raised loads plus stores.
+        """
+        r = self.targets[call.point].get(var)
+        w = m.reg_owner.get(r)
+        if w is None or uses.get(w, -1) <= call.point:
+            return None
+        p = self.prefs.get(var)
+        if p is not None and p < self.cfg.registers and p not in m.reg_owner:
+            return None
+        insts: list[Inst] = []
+        if m.slot_of(w) is None:
+            if self.in_joined_branch:
+                return None
+            s = _call_homes(m, self.slot_prefs, call.ends | {call.stmt.dst})[w]
+            insts.append(Store(s, r))
+            m = m.bind_slot(w, s)
+        return m.unbind_reg(w).bind_reg(var, r), insts, r
 
     def _seq(self, moves, m: Model, pinned_regs=()) -> list[Inst]:
         return _sequence_moves(
@@ -650,7 +786,7 @@ class _BodyAllocator:
         # operands that end here die, and so does the destination's old
         # binding (implicit renaming)
         m2 = m1.drop(a.ends | {s.dst})
-        m2, evict_insts, d = self._dest_reg(m2, s.dst, a.next_uses)
+        m2, evict_insts, d = self._dest_reg(m2, s.dst, a)
         insts.extend(evict_insts)
 
         if isinstance(rhs, BinExpr):
@@ -685,14 +821,17 @@ class _BodyAllocator:
         m_then = m1.restrict(set(a.then_live) | {RET})
         m_else = m1.restrict(set(a.else_live) | {RET})
 
-        then_insts, m2 = self.run(a.then_body, m_then)
-        saved_prefs = self.prefs
-        # steer the other branch toward the allocations already made
-        self.prefs = dict(m2.regmap)
+        saved = self.prefs, self.slot_prefs, self.in_joined_branch
+        self.in_joined_branch = saved[2] or not a.tail
         try:
+            then_insts, m2 = self.run(a.then_body, m_then)
+            # steer the other branch toward the allocations already made
+            self.prefs = m2.regmap
+            if not a.tail:
+                self.slot_prefs = m2.stackmap
             else_insts, m3 = self.run(a.else_body, m_else)
         finally:
-            self.prefs = saved_prefs
+            self.prefs, self.slot_prefs, self.in_joined_branch = saved
 
         if a.tail:
             # both branches leave the procedure; no join to reconcile
@@ -735,7 +874,8 @@ class _BodyAllocator:
 
         A non-tail call keeps every call-live value in this frame: a value
         that already has a slot keeps it, and a register-only one is
-        stored to the lowest free slot, in register order.  The frame
+        stored to its free slot preference or else the lowest free slot,
+        in register order (`_call_homes`).  The frame
         pointer advances by the highest home slot + 1 (not at all when
         nothing lives across the call), so the outgoing stack arguments,
         placed just above it, become the callee's fv0, fv1, ...
@@ -770,13 +910,9 @@ class _BodyAllocator:
             insts.append(Jump(s.callee))
             return insts, m1
 
-        moves = []
-        home = dict(m1.stackmap)
-        free_slots = (i for i in itertools.count() if i not in m1.slot_owner)
-        for v, r in m1.register_residents():
-            if v not in home:
-                home[v] = next(free_slots)
-                moves.append((Reg(r), Slot(home[v])))
+        homes = _call_homes(m1, self.slot_prefs)
+        moves = [(Reg(m1.regmap[v]), Slot(i)) for v, i in homes.items()]
+        home = {**m1.stackmap, **homes}
         k = max(home.values(), default=-1) + 1
         for i in range(n_reg_args):
             moves.append((arg_srcs[i], Reg(cfg.arg_regs[i])))

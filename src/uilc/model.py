@@ -10,7 +10,7 @@ maps at all times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 RET = "RET"  # reserved model entry for the return address
 
@@ -19,20 +19,52 @@ class ModelError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Reg:
-    i: int
+class _Location:
+    """An immutable location, interned: one instance per index and kind.
+
+    ``Reg(1) is Reg(1)``, so equality is identity and hashing is the
+    built-in identity hash; a register never equals the slot of the same
+    index.
+    """
+
+    __slots__ = ("i",)
+    _interned: dict[int, "_Location"]
+    _prefix: str
+
+    def __new__(cls, i: int):
+        try:
+            return cls._interned[i]
+        except KeyError:
+            self = object.__new__(cls)
+            object.__setattr__(self, "i", i)
+            return cls._interned.setdefault(i, self)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.i,)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(i={self.i!r})"
 
     def __str__(self) -> str:
-        return f"r{self.i}"
+        return f"{self._prefix}{self.i}"
 
 
-@dataclass(frozen=True)
-class Slot:
-    i: int
+class Reg(_Location):
+    __slots__ = ()
+    _interned = {}
+    _prefix = "r"
 
-    def __str__(self) -> str:
-        return f"fv{self.i}"
+
+class Slot(_Location):
+    __slots__ = ()
+    _interned = {}
+    _prefix = "fv"
 
 
 Location = Reg | Slot

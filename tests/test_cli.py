@@ -80,16 +80,16 @@ def test_run_reports_every_traffic_count(capsys):
     code, out, _ = run_cli(capsys, *argv, "--json")
     assert code == 0
     assert out == (
-        '{"return": 16128589941724529, "writes": 6, "static_loads": 9, "static_stores": 10,'
-        ' "static_moves": 2, "dynamic_loads": 54, "dynamic_stores": 45, "dynamic_moves": 7,'
-        ' "instructions": 47, "steps": 204, "call_rounds": 6}\n'
+        '{"return": 16128589941724529, "writes": 6, "static_loads": 8, "static_stores": 9,'
+        ' "static_moves": 1, "dynamic_loads": 48, "dynamic_stores": 39, "dynamic_moves": 1,'
+        ' "instructions": 44, "steps": 186, "call_rounds": 6}\n'
     )
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out.splitlines() == [
         "return value: 16128589941724529",
-        "static:  loads=9 stores=10 moves=2 instructions=47",
-        "dynamic: loads=54 stores=45 moves=7 steps=204",
+        "static:  loads=8 stores=9 moves=1 instructions=44",
+        "dynamic: loads=48 stores=39 moves=1 steps=186",
     ]
 
 

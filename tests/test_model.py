@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -12,6 +14,21 @@ from uilc.model import (
     initial_model,
     make_config,
 )
+
+
+def test_locations_are_interned_values():
+    assert Reg(1) is Reg(i=1) and Slot(2) is Slot(2)
+    assert Reg(1) != Slot(1) and Reg(1) == Reg(1) and hash(Reg(3)) == hash(Reg(3))
+    assert repr(Reg(1)) == "Reg(i=1)" and repr(Slot(0)) == "Slot(i=0)"
+    assert (str(Reg(2)), str(Slot(2))) == ("r2", "fv2")
+    for loc in (Reg(4), Slot(4)):
+        assert pickle.loads(pickle.dumps(loc)) is loc
+        assert copy.deepcopy(loc) is loc
+        with pytest.raises(AttributeError):
+            loc.i = 5
+        with pytest.raises(AttributeError):
+            del loc.i
+    assert Reg(4).i == 4
 
 
 def cfg_two_arg_regs():
