@@ -1,13 +1,14 @@
 """Register allocation by forward abstract interpretation over models.
 
 The allocator walks each annotated procedure body once, threading a
-model through three primitive transformers:
+model through three primitives:
 
-* ``save``    - give variables a stack home (elided when already homed)
-* ``load``    - bring variables into registers, evicting a victim chosen
-                by the configured replacement policy when none are free
-* ``shuffle`` - realize a set of simultaneous location-to-location moves,
-                decomposed into paths and loops
+* ``save`` - give variables a stack home (elided when already homed)
+* ``load`` - bring variables into registers, evicting a victim chosen by
+             the configured replacement policy when none are free
+* ``_sequence_moves`` - emit a set of simultaneous location-to-location
+  moves, decomposed into paths and loops; it only emits code, and the
+  join, call or return that needs one builds its own post-model
 
 Live-range splitting falls out of save/load: a variable may live in a
 register, migrate to the stack under pressure, and come back into a
@@ -147,19 +148,21 @@ def pick_victim(
 
     furthest: maximal next-use position in `uses` (a statement's
     ``next_uses``; absent means dead), ties to the lowest register.
-    lifo/fifo: most/least recently register-bound.
+    lifo/fifo: most/least recently register-bound, read off the order of
+    ``m.regmap``.
     """
-    candidates = [v for v, _ in m.register_residents() if v not in protected]
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}")
+    if policy == "furthest":
+        candidates = [v for v, _ in m.register_residents() if v not in protected]
+    else:
+        candidates = [v for v in m.regmap if v not in protected]
     if not candidates:
         raise PressureError("no evictable register: all residents are in use")
     if policy == "furthest":
         # max keeps the first of equals: candidates run by register index
         return max(candidates, key=lambda v: uses.get(v, INF))
-    if policy == "lifo":
-        return max(candidates, key=m.bind_seq)
-    if policy == "fifo":
-        return min(candidates, key=m.bind_seq)
-    raise ValueError(f"unknown policy {policy!r}")
+    return candidates[-1] if policy == "lifo" else candidates[0]
 
 
 def _evict(
@@ -495,61 +498,6 @@ class _Shuffle:
         else:
             self._through_temp(keep, d0, self._temp())
         self._redirect(d0, Slot(keep))
-
-
-def shuffle(
-    m: Model, moves: list[tuple[MoveSrc, MoveDst]], cfg: MachineConfig
-) -> tuple[Model, list[Inst]]:
-    """Realize simultaneous moves and rebind affected variables.
-
-    Destinations must be pairwise distinct (sources may repeat).  The
-    result model binds each moved variable to its destination(s);
-    variables whose location was overwritten without a move lose that
-    binding.
-    """
-    dsts = [d for _, d in moves]
-    if len(set(dsts)) != len(dsts):
-        raise AllocError("overlapping shuffle destinations")
-
-    def owner(loc: MoveSrc) -> str | None:
-        if isinstance(loc, Reg):
-            return m.reg_owner.get(loc.i)
-        if isinstance(loc, Slot):
-            return m.slot_owner.get(loc.i)
-        return None
-
-    moved: dict[str, list[MoveDst]] = {}
-    for src, dst in moves:
-        if src == dst:
-            continue
-        v = owner(src)
-        if v is not None:
-            moved.setdefault(v, []).append(dst)
-
-    result = m
-    # moved variables land exactly at their destinations; anything else
-    # sitting at an overwritten location loses that binding
-    result = result.drop(moved)
-    for src, dst in moves:
-        if src == dst:
-            continue
-        v = owner(dst)
-        if v is not None and v not in moved:
-            result = result.unbind_reg(v) if isinstance(dst, Reg) else result.unbind_slot(v)
-    for v, dsts in moved.items():
-        for dst in dsts:
-            if isinstance(dst, Reg):
-                result = result.bind_reg(v, dst.i)
-            else:
-                result = result.bind_slot(v, dst.i)
-
-    insts = _sequence_moves(
-        moves,
-        cfg,
-        pinned_regs=result.reg_owner.keys(),
-        busy_slots=m.slot_owner.keys() | result.slot_owner.keys(),
-    )
-    return result, insts
 
 
 # ---------------------------------------------------------------------------

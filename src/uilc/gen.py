@@ -27,6 +27,10 @@ from .uil import (
 
 HEAP_BASE_MAX = 47
 HEAP_INDEX_MAX = 15
+MAX_VARS = 10  # variable budget of a program without pressure_vars: 4..MAX_VARS
+# generate_straight_line stays within machine.ORACLE_MAX_STMTS and ORACLE_MAX_VARS
+STRAIGHT_LINE_STMTS = 10
+STRAIGHT_LINE_VARS = 6
 
 
 def _stmt_count(body) -> int:
@@ -137,12 +141,11 @@ def generate_program(
     seed: int,
     max_procs: int = 3,
     max_stmts: int = 30,
-    max_vars: int = 10,
     pressure_vars: int | None = None,
 ) -> Program:
     """Generate one valid program; identical seeds give identical programs."""
     rng = random.Random(seed)
-    var_budget = pressure_vars if pressure_vars is not None else rng.randint(4, max_vars)
+    var_budget = pressure_vars if pressure_vars is not None else rng.randint(4, MAX_VARS)
     n_procs = rng.randint(0, max_procs)
     callables: list[tuple[str, int]] = []
     definitions: list[Definition] = []
@@ -169,22 +172,20 @@ def generate_program(
     return Program(tuple(definitions), tuple(body))
 
 
-def generate_straight_line(
-    seed: int, max_stmts: int = 10, max_vars: int = 6
-) -> Program:
+def generate_straight_line(seed: int) -> Program:
     """Straight-line, entry-only program within the eviction-oracle bounds.
 
     Statements reference at most two distinct variables, so allocation
     succeeds down to two registers.
     """
     rng = random.Random(seed)
-    n_stmts = rng.randint(3, max_stmts - 1)
+    n_stmts = rng.randint(3, STRAIGHT_LINE_STMTS - 1)
     names: list[str] = []
     defined: list[str] = []
     body: list[Statement] = []
 
     def dest() -> str:
-        if len(names) < max_vars and (not names or rng.random() < 0.55):
+        if len(names) < STRAIGHT_LINE_VARS and (not names or rng.random() < 0.55):
             name = f"v{len(names)}"
             names.append(name)
             return name

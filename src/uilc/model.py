@@ -100,19 +100,20 @@ def make_config(registers: int, *, max_arg_regs: int = 3) -> MachineConfig:
 
 
 class Model:
-    """Immutable variable-to-location binding with binding-order tags.
+    """Immutable variable-to-location binding.
 
     ``reg_owner`` and ``slot_owner`` index the maps the other way round
     (register or slot to variable).  Updates keep them in step, so each
     bind checks for a collision with one lookup and injectivity holds by
     construction; ``check()`` verifies it in full.
 
-    The order tag (a monotone counter on register binds) exists only so
-    recency-based eviction policies are deterministic; it never affects
-    equality.
+    ``regmap`` lists the register residents in the order they were last
+    bound (a constructor-built model in the order of the map it is
+    given), which is all the recency-based eviction policies read; the
+    order never affects equality.
     """
 
-    __slots__ = ("regmap", "stackmap", "reg_owner", "slot_owner", "_seq", "_counter")
+    __slots__ = ("regmap", "stackmap", "reg_owner", "slot_owner")
 
     def __init__(
         self,
@@ -123,15 +124,12 @@ class Model:
     ):
         if _state is not None:
             # an update hands over fresh maps and indexes it keeps in step
-            (self.regmap, self.stackmap, self.reg_owner, self.slot_owner,
-             self._seq, self._counter) = _state
+            self.regmap, self.stackmap, self.reg_owner, self.slot_owner = _state
             return
         self.regmap = dict(regmap or {})
         self.stackmap = dict(stackmap or {})
         self.reg_owner = {r: v for v, r in self.regmap.items()}
         self.slot_owner = {s: v for v, s in self.stackmap.items()}
-        self._seq: dict[str, int] = {}
-        self._counter = 0
         self.check()
 
     def check(self) -> None:
@@ -171,11 +169,6 @@ class Model:
         """(variable, register) pairs ordered by register index."""
         return [(v, r) for r, v in sorted(self.reg_owner.items())]
 
-    def bind_seq(self, v: str) -> int:
-        """Order tag of v's latest register bind (-1 if none); read only
-        for register residents."""
-        return self._seq.get(v, -1)
-
     def free_register(self, cfg: MachineConfig) -> int | None:
         for r in range(cfg.registers):
             if r not in self.reg_owner:
@@ -194,16 +187,13 @@ class Model:
         other = self.reg_owner.get(r)
         if other is not None and other != v:
             raise ModelError(f"register r{r} already holds '{other}'")
-        regmap, reg_owner, seq = dict(self.regmap), dict(self.reg_owner), dict(self._seq)
-        old = regmap.get(v)
+        regmap, reg_owner = dict(self.regmap), dict(self.reg_owner)
+        old = regmap.pop(v, None)  # re-inserted last: regmap is in bind order
         if old is not None:
             del reg_owner[old]
         regmap[v] = r
         reg_owner[r] = v
-        seq[v] = self._counter
-        return Model(_state=(
-            regmap, self.stackmap, reg_owner, self.slot_owner, seq, self._counter + 1
-        ))
+        return Model(_state=(regmap, self.stackmap, reg_owner, self.slot_owner))
 
     def bind_slot(self, v: str, s: int) -> "Model":
         other = self.slot_owner.get(s)
@@ -215,25 +205,19 @@ class Model:
             del slot_owner[old]
         stackmap[v] = s
         slot_owner[s] = v
-        return Model(_state=(
-            self.regmap, stackmap, self.reg_owner, slot_owner, self._seq, self._counter
-        ))
+        return Model(_state=(self.regmap, stackmap, self.reg_owner, slot_owner))
 
     def unbind_reg(self, v: str) -> "Model":
         if v not in self.regmap:
             return self
         regmap, reg_owner = _without(self.regmap, self.reg_owner, (v,))
-        return Model(_state=(
-            regmap, self.stackmap, reg_owner, self.slot_owner, self._seq, self._counter
-        ))
+        return Model(_state=(regmap, self.stackmap, reg_owner, self.slot_owner))
 
     def unbind_slot(self, v: str) -> "Model":
         if v not in self.stackmap:
             return self
         stackmap, slot_owner = _without(self.stackmap, self.slot_owner, (v,))
-        return Model(_state=(
-            self.regmap, stackmap, self.reg_owner, slot_owner, self._seq, self._counter
-        ))
+        return Model(_state=(self.regmap, stackmap, self.reg_owner, slot_owner))
 
     def drop(self, vs) -> "Model":
         """Remove all bindings of the given names; unknown names are fine."""
@@ -242,7 +226,7 @@ class Model:
             return self
         regmap, reg_owner = _without(self.regmap, self.reg_owner, names)
         stackmap, slot_owner = _without(self.stackmap, self.slot_owner, names)
-        return Model(_state=(regmap, stackmap, reg_owner, slot_owner, self._seq, self._counter))
+        return Model(_state=(regmap, stackmap, reg_owner, slot_owner))
 
     def restrict(self, keep) -> "Model":
         return self.drop(self.variables() - set(keep))

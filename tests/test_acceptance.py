@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from uilc.allocator import POLICIES, alloc_fragment, alloc_program, load, save, shuffle
+from uilc.allocator import POLICIES, _sequence_moves, alloc_fragment, alloc_program, load, save
 from uilc.analysis import annotate, annotate_statements
 from uilc.gen import generate_program, generate_straight_line
 from uilc.isa import Load, LoadImm, Store, opcode_name, static_traffic
@@ -116,7 +116,7 @@ def test_c4_shuffle_realizes_simultaneous_assignment():
                     moves.append((Reg(r), Reg(cycle[(i + 1) % len(cycle)])))
             if not moves:
                 continue
-            _, insts = shuffle(Model(), moves, cfg)
+            insts = _sequence_moves(moves, cfg)
             n = sum(len(c) for c in cycles)
             assert len(insts) == n + len(cycles), (case, moves)
             checked_loops += 1
@@ -127,7 +127,7 @@ def test_c4_shuffle_realizes_simultaneous_assignment():
             dsts = locations[:k]
             srcs = [rng.choice(locations + [rng.randint(-99, 99)]) for _ in range(k)]
             moves = list(zip(srcs, dsts))
-            _, insts = shuffle(Model(), moves, cfg)
+            insts = _sequence_moves(moves, cfg)
             if all(s == d for s, d in moves):
                 assert insts == []
             regs = [100 + i for i in range(8)]
@@ -141,7 +141,7 @@ def test_c4_shuffle_realizes_simultaneous_assignment():
                     assert machine.stack[dst.i] == want_stack[dst.i], (case, moves)
     # identity mappings emit nothing
     for loc in (Reg(0), Reg(5), Slot(0), Slot(3)):
-        _, insts = shuffle(Model(), [(loc, loc)], cfg)
+        insts = _sequence_moves([(loc, loc)], cfg)
         assert insts == []
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0

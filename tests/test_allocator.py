@@ -8,6 +8,7 @@ import pytest
 
 from uilc.allocator import (
     POLICIES,
+    AllocError,
     LabelArg,
     PressureError,
     _sequence_moves,
@@ -16,7 +17,6 @@ from uilc.allocator import (
     load,
     pick_victim,
     save,
-    shuffle,
 )
 from uilc.analysis import annotate, annotate_statements
 from uilc.gen import generate_program
@@ -145,6 +145,11 @@ def test_load_list_members_do_not_evict_each_other():
     assert m2.reg_of("a") is not None and m2.reg_of("b") is not None
 
 
+def test_load_unbound_faults():
+    with pytest.raises(ModelError, match="cannot load unbound variable 'q'"):
+        load(Model(), ["q"], frozenset(), {}, "furthest", make_config(2))
+
+
 def test_load_pressure_fault():
     cfg = make_config(2)
     m = Model({}, {"a": 0, "b": 1, "c": 2})
@@ -233,6 +238,14 @@ def test_pick_victim_lifo_and_fifo():
     assert pick_victim(m, frozenset(), {}, "fifo") == "a"
 
 
+def test_unknown_policy_is_rejected():
+    with pytest.raises(ValueError, match="unknown policy 'lru'"):
+        pick_victim(Model({"x": 0}, {}), frozenset(), {}, "lru")
+    ap = annotate(parse("(letrec () (return 1))"))
+    with pytest.raises(ValueError, match="unknown policy 'lru'"):
+        alloc_program(ap, make_config(2), "lru")
+
+
 def test_pick_victim_invariant_under_monotone_renumbering():
     m = Model({"x": 0, "y": 1, "z": 2}, {})
     base = {"x": 10, "y": 25, "z": 17}
@@ -250,7 +263,7 @@ def test_dead_candidate_is_preferred():
 
 
 # ---------------------------------------------------------------------------
-# shuffle
+# parallel moves
 
 
 def _simultaneous(moves, regs, stack, labels=None):
@@ -284,7 +297,7 @@ def test_shuffle_loop_plus_path_instruction_count():
         (Reg(3), Reg(4)),
         (Reg(4), Reg(5)),
     ]
-    m2, insts = shuffle(Model(), moves, cfg)
+    insts = _sequence_moves(moves, cfg)
     assert len(insts) == 6  # loop of three: 3+1; path of three: 2
     regs = [10, 11, 12, 13, 14, 15, 0, 0]
     machine = run_insts(insts, cfg, regs=regs)
@@ -294,29 +307,17 @@ def test_shuffle_loop_plus_path_instruction_count():
 
 
 def test_shuffle_identity_emits_nothing():
-    m2, insts = shuffle(Model({"x": 1}, {}), [(Reg(1), Reg(1))], make_config(2))
-    assert insts == []
-    assert m2.regmap == {"x": 1}
+    assert _sequence_moves([(Reg(1), Reg(1))], make_config(2), pinned_regs={1}) == []
 
 
 def test_shuffle_rejects_overlapping_destinations():
-    from uilc.allocator import AllocError
-
-    with pytest.raises(AllocError):
-        shuffle(Model(), [(Reg(0), Reg(2)), (Reg(1), Reg(2))], make_config(4))
-
-
-def test_shuffle_rebinds_variables_to_destinations():
-    m = Model({"x": 0, "y": 1}, {})
-    m2, insts = shuffle(m, [(Reg(0), Reg(2)), (Reg(1), Slot(0))], make_config(4))
-    assert m2.reg_of("x") == 2
-    assert m2.slot_of("y") == 0 and m2.reg_of("y") is None
+    with pytest.raises(AllocError, match="overlapping"):
+        _sequence_moves([(Reg(0), Reg(2)), (Reg(1), Reg(2))], make_config(4))
 
 
 def test_shuffle_swap_needs_temporary():
     cfg = make_config(8)
-    m = Model({"x": 0, "y": 1}, {})
-    m2, insts = shuffle(m, [(Reg(0), Reg(1)), (Reg(1), Reg(0))], cfg)
+    insts = _sequence_moves([(Reg(0), Reg(1)), (Reg(1), Reg(0))], cfg, pinned_regs={0, 1})
     assert len(insts) == 3  # n + l = 2 + 1
     machine = run_insts(insts, cfg, regs=[5, 6, 0, 0, 0, 0, 0, 0])
     assert machine.regs[0] == 6 and machine.regs[1] == 5
@@ -325,9 +326,8 @@ def test_shuffle_swap_needs_temporary():
 def test_shuffle_register_starved_swap_borrows_through_stack():
     # every register is pinned: a slot swap must spill one around the legs
     cfg = make_config(2)
-    m = Model({"a": 0, "b": 1}, {"x": 0, "y": 1})
     moves = [(Slot(0), Slot(1)), (Slot(1), Slot(0))]
-    m2, insts = shuffle(m, moves, cfg)
+    insts = _sequence_moves(moves, cfg, pinned_regs={0, 1}, busy_slots={0, 1})
     machine = run_insts(insts, cfg, regs=[70, 71], stack=[1, 2])
     assert machine.stack[0] == 2 and machine.stack[1] == 1
     assert machine.regs == [70, 71]  # pinned values restored
@@ -430,7 +430,7 @@ def test_shuffle_realizes_simultaneous_assignment(seed):
     dsts = locations[:k]
     srcs = [rng.choice(locations + [rng.randint(-9, 9)]) for _ in range(k)]
     moves = list(zip(srcs, dsts))
-    _, insts = shuffle(Model(), moves, cfg)
+    insts = _sequence_moves(moves, cfg)
     regs = [100 + i for i in range(8)]
     stack = [200 + i for i in range(6)]
     machine = run_insts(insts, cfg, regs=regs, stack=stack)

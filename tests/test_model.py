@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from uilc.allocator import pick_victim
 from uilc.model import (
     RET,
     MachineConfig,
@@ -156,7 +157,7 @@ def test_public_constructor_copies_its_maps():
 
 
 def _hand_built(regmap, stackmap, reg_owner, slot_owner):
-    return Model(_state=(regmap, stackmap, reg_owner, slot_owner, {}, 0))
+    return Model(_state=(regmap, stackmap, reg_owner, slot_owner))
 
 
 def test_check_rejects_hand_built_collisions():
@@ -182,20 +183,28 @@ def test_injectivity_under_random_operation_sequences():
     rng = random.Random(1)
     names = [f"v{i}" for i in range(6)]
     cfg = make_config(4)
+    moved = 0  # register residents rebound to another register
     for _ in range(300):
         m = Model()
+        order: list[str] = []  # reference: register residents in bind order
         for _ in range(25):
             v = rng.choice(names)
             op = rng.randrange(6)
             try:
                 if op == 0:
-                    m = m.bind_reg(v, rng.randrange(4))
+                    r, old = rng.randrange(4), m.reg_of(v)
+                    m = m.bind_reg(v, r)
+                    if old is not None and old != r:
+                        moved += 1
+                    if v in order:
+                        order.remove(v)
+                    order.append(v)
                 elif op == 1:
                     m = m.bind_slot(v, rng.randrange(4))
-                elif op == 2:
-                    m = m.drop({v})
-                elif op == 3:
-                    m = m.unbind_reg(v)
+                elif op in (2, 3):
+                    m = m.drop({v}) if op == 2 else m.unbind_reg(v)
+                    if v in order:
+                        order.remove(v)
                 elif op == 4:
                     m = m.unbind_slot(v)
                 else:
@@ -213,6 +222,16 @@ def test_injectivity_under_random_operation_sequences():
             )
             assert m.free_slot() == min(i for i in range(len(slots) + 1) if i not in slots)
             assert m.register_residents() == sorted(m.regmap.items(), key=lambda kv: kv[1])
+            # recency law: lifo evicts the latest bind and fifo the earliest;
+            # with that one protected, the next in line
+            assert set(order) == set(m.regmap)
+            if order:
+                assert pick_victim(m, frozenset(), {}, "lifo") == order[-1]
+                assert pick_victim(m, frozenset(), {}, "fifo") == order[0]
+            if len(order) > 1:
+                assert pick_victim(m, frozenset({order[-1]}), {}, "lifo") == order[-2]
+                assert pick_victim(m, frozenset({order[0]}), {}, "fifo") == order[1]
+    assert moved > 50
 
 
 def test_free_register_never_bound():
