@@ -30,6 +30,18 @@ At a join both branches must leave each value in the same places.  The
 else branch therefore prefers what the then branch ended with: the
 then branch's register for a value it places, and the then branch's
 slot for a value it saves, each when free.
+
+A procedure owes its caller the callee-saved registers
+(``MachineConfig.callee_saved``) as they were on entry.  Each debt is a
+pseudo-variable ``%c<r>``, bound to register r on entry and kept to the
+end like the return address ``RET``.  No statement reads one, so it is
+evicted like any value under pressure (furthest sees no next use): the
+save is lazy, and a procedure that never needs the register pays
+nothing.  The return and tail-call shuffles move each debt back into its
+register.  A non-tail call therefore leaves every value in a
+callee-saved register where it is, and a value that takes a free
+register while it lives across a later non-tail call takes a free
+callee-saved one.
 """
 
 from __future__ import annotations
@@ -182,14 +194,17 @@ def _pick_free(
     prefs: dict[str, int] | None,
     uses: dict[str, float],
     targets: dict[int, dict[str, int]] | None,
+    across,
 ) -> int | None:
     """A free register for `var`, or None when every register is taken.
 
     First the branch preference (the register `var` holds at the end of
     the other branch), then the use-site target (the register `var`'s next
     use needs: the return-value register for a return, the argument
-    register for a call argument), then the lowest free register.  A
-    preference or target that is occupied is passed over, never evicted.
+    register for a call argument), then, for a variable in `across` (one
+    that lives across a later non-tail call), a callee-saved register,
+    and last the lowest free register.  A preference or target that is
+    occupied is passed over, never evicted.
     """
     if prefs:
         r = prefs.get(var)
@@ -200,6 +215,10 @@ def _pick_free(
         r = target.get(var)
         if r is not None and r not in m.reg_owner:
             return r
+    if var in across:
+        for r in cfg.callee_saved:
+            if r not in m.reg_owner:
+                return r
     return m.free_register(cfg)
 
 
@@ -213,14 +232,15 @@ def load(
     prefs: dict[str, int] | None = None,
     targets: dict[int, dict[str, int]] | None = None,
     slot_prefs: dict[str, int] | None = None,
+    across=(),
 ) -> tuple[Model, list[Inst]]:
     """Bring each variable into a register, in order.
 
     Register-resident variables cost nothing.  Others are loaded from
-    their slot into a free register (chosen by `_pick_free`), or into an
-    evicted victim's register; the victim is saved first (for free when
-    multi-homed).  Neither the listed variables nor the protected set may
-    be evicted.
+    their slot into a free register (chosen by `_pick_free`, which also
+    reads `across`), or into an evicted victim's register; the victim is
+    saved first (for free when multi-homed).  Neither the listed variables
+    nor the protected set may be evicted.
     """
     regmap = m.regmap
     if len(m.reg_owner) <= cfg.registers and all(v in regmap for v in vs):
@@ -239,7 +259,7 @@ def load(
             continue
         if not m.is_bound(v):
             raise ModelError(f"cannot load unbound variable '{v}'")
-        r = _pick_free(m, v, cfg, prefs, uses, targets)
+        r = _pick_free(m, v, cfg, prefs, uses, targets, across)
         if r is None:
             m, saves, r = _evict(m, prot, uses, policy, slot_prefs)
             insts.extend(saves)
@@ -547,14 +567,44 @@ def _use_site_targets(
     return targets, next_calls
 
 
-def _call_homes(m: Model, slot_prefs: dict[str, int], gone=()) -> dict[str, int]:
+def _calls_ahead(
+    body, ahead: frozenset[str], out: dict[int, frozenset[str]]
+) -> frozenset[str]:
+    """Fill `out` with point -> the variables that live across a non-tail
+    call after that statement (for an `if`, after its test) before they
+    are assigned again, for the points where there are any; `ahead` holds
+    after the body.  Returns the set on entry to the body.
+    """
+    for a in reversed(body):
+        s = a.stmt
+        kind = type(s)
+        if kind is If:
+            ahead = _calls_ahead(a.then_body, ahead, out) | _calls_ahead(a.else_body, ahead, out)
+        if ahead:
+            out[a.point] = ahead
+        if kind is Call and not a.tail:
+            ahead = ahead | a.live_after
+        if (kind is Call or kind is Assign) and s.dst in ahead:
+            ahead = ahead - {s.dst}
+    return ahead
+
+
+def _call_homes(
+    m: Model, cfg: MachineConfig, slot_prefs: dict[str, int], gone=(), avoid=()
+) -> dict[str, int]:
     """The slot a non-tail call stores each slotless register resident in.
 
-    Residents in `gone` die at the call and get none.  A free slot
-    preference comes first; the others take the lowest free slots in
-    register order.
+    Residents of callee-saved registers stay there and get none, and so do
+    residents in `gone`, which die at the call.  A free slot preference
+    comes first; the others take the lowest free slots not in `avoid` (the
+    slots the call's arguments are read from) in register order.
     """
-    slotless = [v for v, _ in m.register_residents() if v not in m.stackmap and v not in gone]
+    saved = cfg.callee_saved
+    slotless = [
+        v
+        for v, r in m.register_residents()
+        if v not in m.stackmap and v not in gone and r not in saved
+    ]
     taken = set(m.slot_owner)
     homes: dict[str, int] = {}
     for v in slotless:
@@ -565,7 +615,7 @@ def _call_homes(m: Model, slot_prefs: dict[str, int], gone=()) -> dict[str, int]
     i = 0
     for v in slotless:
         if v not in homes:
-            while i in taken:
+            while i in taken or i in avoid:
                 i += 1
             homes[v] = i
             taken.add(i)
@@ -600,6 +650,15 @@ class _BodyAllocator:
         # inside a branch of an `if` that has a join
         self.in_joined_branch = False
         self.targets, self.next_calls = _use_site_targets(body, cfg)
+        # call-lives ahead of each point, which only a callee-saved
+        # register can keep across the call
+        self.across: dict[int, frozenset[str]] = {}
+        if cfg.callee_saved:
+            _calls_ahead(body, frozenset(), self.across)
+        # what a procedure owes its caller: one model entry per
+        # callee-saved register, kept to the end like RET
+        self.owed = () if is_entry else tuple((f"%c{r}", r) for r in cfg.callee_saved)
+        self.kept = {RET, *(v for v, _ in self.owed)}
         self.need_halt = False
 
     # -- helpers -----------------------------------------------------------
@@ -621,7 +680,7 @@ class _BodyAllocator:
         opvars = variables(ops)
         m1, insts = load(
             m, opvars, opvars, a.next_uses, self.policy, self.cfg,
-            self.prefs, self.targets, self.slot_prefs,
+            self.prefs, self.targets, self.slot_prefs, self.across.get(a.point, ()),
         )
         return m1, insts, [self._operand_value(m1, o) for o in ops]
 
@@ -646,7 +705,9 @@ class _BodyAllocator:
             if claimed is not None:
                 return claimed
         insts: list[Inst] = []
-        r = _pick_free(m, var, self.cfg, self.prefs, uses, self.targets)
+        r = _pick_free(
+            m, var, self.cfg, self.prefs, uses, self.targets, self.across.get(a.point, ())
+        )
         if r is None:
             m, insts, r = _evict(m, frozenset(), uses, self.policy, self.slot_prefs)
         m = m.bind_reg(var, r)
@@ -677,7 +738,7 @@ class _BodyAllocator:
         if m.slot_of(w) is None:
             if self.in_joined_branch:
                 return None
-            s = _call_homes(m, self.slot_prefs, call.ends | {call.stmt.dst})[w]
+            s = _call_homes(m, self.cfg, self.slot_prefs, call.ends | {call.stmt.dst})[w]
             insts.append(Store(s, r))
             m = m.bind_slot(w, s)
         return m.unbind_reg(w).bind_reg(var, r), insts, r
@@ -766,8 +827,8 @@ class _BodyAllocator:
 
         # a variable referenced on only one side dies entering the other;
         # no statement there carries its ending, so drop it here
-        m_then = m1.restrict(set(a.then_live) | {RET})
-        m_else = m1.restrict(set(a.else_live) | {RET})
+        m_then = m1.restrict(a.then_live | self.kept)
+        m_else = m1.restrict(a.else_live | self.kept)
 
         saved = self.prefs, self.slot_prefs, self.in_joined_branch
         self.in_joined_branch = saved[2] or not a.tail
@@ -788,9 +849,7 @@ class _BodyAllocator:
             insts.extend(then_insts)
             return insts, m3
 
-        join_live = set(a.live_after)
-        if m3.is_bound(RET):
-            join_live.add(RET)
+        join_live = a.live_after | self.kept
         m2l = m2.restrict(join_live)
         m3l = m3.restrict(join_live)
 
@@ -821,12 +880,14 @@ class _BodyAllocator:
         """Move the arguments and the return address into place and jump.
 
         A non-tail call keeps every call-live value in this frame: a value
-        that already has a slot keeps it, and a register-only one is
-        stored to its free slot preference or else the lowest free slot,
-        in register order (`_call_homes`).  The frame
-        pointer advances by the highest home slot + 1 (not at all when
-        nothing lives across the call), so the outgoing stack arguments,
-        placed just above it, become the callee's fv0, fv1, ...
+        in a callee-saved register stays there, one that already has a
+        slot keeps it, and any other is stored to its free slot preference
+        or else the lowest free slot the arguments are not read from, in
+        register order (`_call_homes`).  The frame pointer advances by the
+        highest home slot + 1 (not at all when nothing lives across the
+        call), so the outgoing stack arguments, placed just above it,
+        become the callee's fv0, fv1, ...  A tail call also restores what
+        this procedure owes its caller.
         """
         s = a.stmt
         cfg = self.cfg
@@ -854,11 +915,14 @@ class _BodyAllocator:
                 self.need_halt = True  # entry frame returns to the halt stub
                 ret_src = LabelArg(HALT_LABEL)
             moves.append((ret_src, Reg(cfg.ret_addr_reg)))
+            for v, r in self.owed:
+                moves.append((m1.whereis(v), Reg(r)))
             insts = self._seq(moves, m1)
             insts.append(Jump(s.callee))
             return insts, m1
 
-        homes = _call_homes(m1, self.slot_prefs)
+        avoid = {src.i for src in arg_srcs if type(src) is Slot}
+        homes = _call_homes(m1, cfg, self.slot_prefs, avoid=avoid)
         moves = [(Reg(m1.regmap[v]), Slot(i)) for v, i in homes.items()]
         home = {**m1.stackmap, **homes}
         k = max(home.values(), default=-1) + 1
@@ -870,7 +934,10 @@ class _BodyAllocator:
         lab1 = self._fresh_label()
         moves.append((LabelArg(lab1), Reg(cfg.ret_addr_reg)))
 
-        insts = self._seq(moves, m1)
+        # the callee hands the callee-saved registers back as they are
+        saved = cfg.callee_saved
+        stay = {v: r for v, r in m1.regmap.items() if r in saved} if saved else {}
+        insts = self._seq(moves, m1, pinned_regs=stay.values())
         if k:
             insts.append(FrameAdjust(k))
         insts.append(Jump(s.callee))
@@ -878,8 +945,8 @@ class _BodyAllocator:
         if k:
             insts.append(FrameAdjust(-k))
 
-        # registers do not survive the call; the result arrives in ret_val
-        m2 = Model({}, home)
+        # no other register survives the call; the result arrives in ret_val
+        m2 = Model(stay, home)
         if s.dst is not None and s.dst not in a.ends:
             m2 = m2.bind_reg(s.dst, cfg.ret_val_reg)
         return insts, m2
@@ -896,20 +963,21 @@ class _BodyAllocator:
             return insts, m1
 
         ret_src = m.whereis(RET)
-        keep = {RET} | ({s.value} if isinstance(s.value, str) else set())
+        keep = self.kept | ({s.value} if isinstance(s.value, str) else set())
         m1 = m.restrict(keep)
 
-        if isinstance(ret_src, Reg) and ret_src.i != cfg.ret_val_reg:
+        # the jump register must not be one the return restores
+        busy = {cfg.ret_val_reg, *cfg.callee_saved}
+        if isinstance(ret_src, Reg) and ret_src.i not in busy:
             target = ret_src.i
         else:
-            target = next(
-                (r for r in range(cfg.registers) if r != cfg.ret_val_reg), None
-            )
+            target = next((r for r in range(cfg.registers) if r not in busy), None)
             if target is None:
                 raise PressureError(
                     "cannot hold both the return value and the return address"
                 )
         moves = [(val_src, Reg(cfg.ret_val_reg)), (ret_src, Reg(target))]
+        moves += [(m1.whereis(v), Reg(r)) for v, r in self.owed]
         insts = self._seq(moves, m1)
         insts.append(Jump(Reg(target)))
         return insts, m1
@@ -959,6 +1027,8 @@ def alloc_program(
         m0 = initial_model(proc.params, cfg)
         # parameters the body never references die on arrival
         m0 = m0.restrict(set(proc.entry_live) | {RET})
+        for v, r in proc_alloc.owed:
+            m0 = m0.bind_reg(v, r)
         insts, _ = proc_alloc.run(proc.body, m0)
         procs.append((proc.name, insts))
     return TargetProgram(entry_insts, procs)

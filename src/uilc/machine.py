@@ -612,10 +612,11 @@ def belady_oracle(body, R: int) -> int:
 def spill_free_shape(ap: AnnotatedProgram, cfg: MachineConfig) -> bool:
     """True when no statement can force register-memory traffic.
 
-    Requires peak liveness (plus the return address inside procedures)
-    within the register count, all parameters and arguments within the
-    argument registers, and no values live across a non-tail call: every
-    call-live, the caller's return address included, must be saved.
+    Requires peak liveness (plus, inside procedures, the return address
+    and what each callee-saved register held on entry) within the register
+    count, all parameters and arguments within the argument registers,
+    and no values live across a non-tail call: every call-live, the
+    caller's return address included, must be saved.
     """
     proc_names = {d.name for d in ap.program.definitions}
     for d in ap.program.definitions:
@@ -623,7 +624,7 @@ def spill_free_shape(ap: AnnotatedProgram, cfg: MachineConfig) -> bool:
             return False
 
     def body_ok(body: tuple[AnnotatedStatement, ...], in_proc: bool) -> bool:
-        budget = cfg.registers - (1 if in_proc else 0)
+        budget = cfg.registers - (1 + len(cfg.callee_saved) if in_proc else 0)
         for a in walk_statements(body):
             s = a.stmt
             live = set(a.live_after).union(stmt_refs(s), s.defs())

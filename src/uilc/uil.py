@@ -542,6 +542,8 @@ def _validate_body(
     """Walk a statement sequence checking defined-before-use on all paths.
 
     Returns the set of variables definitely assigned after the sequence.
+    `defined` (assigned on entry) must be the caller's own fresh set: the
+    walk adds to it in place.
     """
     proc_names = set(arities)
     for idx, s in enumerate(body):
@@ -573,7 +575,7 @@ def _validate_body(
         elif isinstance(s, ReturnValue):
             if not is_tail:
                 diags.append(Diagnostic("return outside tail position", s.pos))
-        defined = defined.union(s.defs())
+        defined.update(s.defs())
     return defined
 
 

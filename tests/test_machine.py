@@ -332,6 +332,22 @@ def test_spill_free_shape_accepts_result_chaining():
     assert spill_free_shape(ap, make_config(8))
 
 
+def test_spill_free_shape_leaves_room_for_owed_registers():
+    # f needs R-1 = 7 registers besides the return address's, but three
+    # of them hold what f owes its caller: it must evict one and store it
+    src = (
+        "(letrec ((f (lambda (a b c)"
+        "   (set! d (+ a 1)) (set! e (+ b 2)) (set! k (+ c 3)) (set! h (+ d e))"
+        "   (set! a (+ a b)) (set! a (+ a c)) (set! a (+ a d)) (set! a (+ a e))"
+        "   (set! a (+ a k)) (set! a (+ a h)) (return a))))"
+        " (f 1 2 3))"
+    )
+    _, ap = load_program(src)
+    cfg = make_config(8)
+    assert not spill_free_shape(ap, cfg)
+    assert static_traffic(alloc_program(ap, cfg).flatten())[1] > 0
+
+
 # ---------------------------------------------------------------------------
 # Fault pinning: every MachineFault message, and the step that raises it
 

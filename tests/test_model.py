@@ -277,3 +277,21 @@ def test_config_validation():
         MachineConfig(registers=2, arg_regs=(5,))
     cfg = make_config(1)
     assert cfg.arg_regs == ()
+    with pytest.raises(ValueError):
+        MachineConfig(registers=8, arg_regs=(1, 2), callee_saved=(2,))  # an argument register
+    with pytest.raises(ValueError):
+        MachineConfig(registers=8, arg_regs=(1, 2), callee_saved=(8,))
+
+
+@pytest.mark.parametrize("registers", range(1, 13))
+def test_callee_saved_registers_carry_nothing_of_the_call(registers):
+    cfg = make_config(registers)
+    carried = {cfg.ret_addr_reg, cfg.ret_val_reg, *cfg.arg_regs}
+    assert not carried & set(cfg.callee_saved)
+    assert all(0 <= r < registers for r in cfg.callee_saved)
+    if registers <= 4:
+        assert cfg.callee_saved == ()
+    else:
+        # the highest registers the call leaves alone
+        assert cfg.callee_saved == tuple(range(registers - len(cfg.callee_saved), registers))
+        assert cfg.callee_saved[0] > max(carried)
