@@ -38,16 +38,19 @@ end like the return address ``RET``.  No statement reads one, so it is
 evicted like any value under pressure (furthest sees no next use): the
 save is lazy, and a procedure that never needs the register pays
 nothing.  The return and tail-call shuffles move each debt back into its
-register.  A non-tail call therefore leaves every value in a
-callee-saved register where it is, and a value that takes a free
-register while it lives across a later non-tail call takes a free
+register.  A procedure whose values and return address always fit below
+the callee-saved registers could never evict a debt, so it is allocated
+as if they did not exist and carries none.  A non-tail call leaves every
+value in a callee-saved register where it is, and a value that takes a
+free register while it lives across a later non-tail call takes a free
 callee-saved one.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .analysis import INF, AnnotatedProgram, AnnotatedStatement
 from .isa import (
@@ -589,6 +592,32 @@ def _calls_ahead(
     return ahead
 
 
+def _pressure(body) -> int:
+    """A bound on the values in play at any statement of `body`: those
+    live after it plus its endings (for an `if`, what enters its
+    branches), branches included."""
+    peak = 0
+    for a in body:
+        if type(a.stmt) is If:
+            n = len(a.then_live) + len(a.else_live) + len(a.ends)
+            n = max(n, _pressure(a.then_body), _pressure(a.else_body))
+        else:
+            n = len(a.live_after) + len(a.ends)
+        if n > peak:
+            peak = n
+    return peak
+
+
+@functools.lru_cache(maxsize=16)
+def _without_callee_saved(cfg: MachineConfig) -> MachineConfig | None:
+    """`cfg` cut below its callee-saved registers, when they are the
+    highest ones."""
+    k = len(cfg.callee_saved)
+    if not k or cfg.callee_saved != tuple(range(cfg.registers - k, cfg.registers)):
+        return None
+    return replace(cfg, registers=cfg.registers - k, callee_saved=())
+
+
 def _call_homes(
     m: Model, cfg: MachineConfig, slot_prefs: dict[str, int], gone=(), avoid=()
 ) -> dict[str, int]:
@@ -1019,12 +1048,19 @@ def alloc_program(
         entry_insts.append(LabelDef(HALT_LABEL))
         entry_insts.append(Halt())
 
+    # a procedure whose values and return address always fit below the
+    # callee-saved registers would never evict what it owes: it is
+    # allocated without those registers, and owes nothing
+    lean = _without_callee_saved(cfg)
     procs = []
     for proc in ap.procs:
+        pcfg = cfg
+        if lean is not None and _pressure(proc.body) < lean.registers:
+            pcfg = lean
         proc_alloc = _BodyAllocator(
-            proc.body, cfg, policy, labels, is_entry=False, scope=proc.name, trace=trace
+            proc.body, pcfg, policy, labels, is_entry=False, scope=proc.name, trace=trace
         )
-        m0 = initial_model(proc.params, cfg)
+        m0 = initial_model(proc.params, pcfg)
         # parameters the body never references die on arrival
         m0 = m0.restrict(set(proc.entry_live) | {RET})
         for v, r in proc_alloc.owed:

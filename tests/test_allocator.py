@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import random
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -913,21 +914,36 @@ def test_nontail_call_keeps_slotted_call_lives_in_place(before, stores, delta, h
 # callee-saved registers: a procedure owes each one back to its caller
 
 
+LEAF_CALL_SRC = (
+    "(letrec ((f (lambda (n) (set! m (* n n)) (return m))))"
+    " (set! a 3) (set! b 4) (set! c 5)"
+    " (set! d (f 6))"
+    " (set! s (+ a b)) (set! s (+ s c)) (set! s (+ s d))"
+    " (return s))"
+)
+
+
 def test_entry_call_lives_stay_in_callee_saved_registers_across_a_leaf_call():
-    src = (
-        "(letrec ((f (lambda (n) (set! m (* n n)) (return m))))"
-        " (set! a 3) (set! b 4) (set! c 5)"
-        " (set! d (f 6))"
-        " (set! s (+ a b)) (set! s (+ s c)) (set! s (+ s d))"
-        " (return s))"
-    )
-    program, ap = load_program(src)
+    program, ap = load_program(LEAF_CALL_SRC)
     cfg = make_config(8)
     tp = alloc_program(ap, cfg)
     assert not any(isinstance(i, (Store, Load, FrameAdjust)) for i in tp.entry)
     obs, stats = run_target(tp, cfg)
     assert obs == run_uil(program) and obs.value == 3 + 4 + 5 + 36
     assert stats.dynamic_loads == stats.dynamic_stores == 0
+
+
+def test_procedure_that_fits_below_the_callee_saved_registers_never_names_one():
+    # f holds at most two values and its return address, which r0-r4 hold
+    # at R=8, so it could never evict what it owes and carries no debts
+    program, ap = load_program(LEAF_CALL_SRC)
+    cfg = make_config(8)
+    trace: list = []
+    tp = alloc_program(ap, cfg, trace=trace)
+    f_text = format_insts(dict(tp.procs)["f"])
+    assert not re.search(r"\br[5-7]\b", f_text), f_text
+    assert not any("%c" in e.pre + e.post for e in trace if e.scope == "f")
+    assert run_target(tp, cfg)[0] == run_uil(program)
 
 
 # `f` needs seven registers at once, so at R=8 it evicts what it owes;
@@ -972,7 +988,7 @@ def test_procedure_restores_evicted_callee_saved_registers(end, jump):
     assert run_target(mutant, cfg)[0] != run_uil(program)
 
 
-@pytest.mark.parametrize("registers", [5, 6, 7])
+@pytest.mark.parametrize("registers", [5, 6, 7, 10, 16])
 def test_generated_programs_are_equivalent_with_callee_saved_registers(registers):
     cfg = make_config(registers)
     assert cfg.callee_saved

@@ -277,13 +277,15 @@ def test_config_validation():
         MachineConfig(registers=2, arg_regs=(5,))
     cfg = make_config(1)
     assert cfg.arg_regs == ()
+    # a register left over beside fewer arguments is still not callee-saved at R<=4
+    assert make_config(4, max_arg_regs=2).callee_saved == ()
     with pytest.raises(ValueError):
         MachineConfig(registers=8, arg_regs=(1, 2), callee_saved=(2,))  # an argument register
     with pytest.raises(ValueError):
         MachineConfig(registers=8, arg_regs=(1, 2), callee_saved=(8,))
 
 
-@pytest.mark.parametrize("registers", range(1, 13))
+@pytest.mark.parametrize("registers", range(1, 18))
 def test_callee_saved_registers_carry_nothing_of_the_call(registers):
     cfg = make_config(registers)
     carried = {cfg.ret_addr_reg, cfg.ret_val_reg, *cfg.arg_regs}
@@ -295,3 +297,6 @@ def test_callee_saved_registers_carry_nothing_of_the_call(registers):
         # the highest registers the call leaves alone
         assert cfg.callee_saved == tuple(range(registers - len(cfg.callee_saved), registers))
         assert cfg.callee_saved[0] > max(carried)
+        assert len(cfg.callee_saved) <= 5
+        # from R=7 on r4 stays caller-saved as a scratch register
+        assert (4 in cfg.callee_saved) == (registers in (5, 6))
