@@ -26,6 +26,14 @@ by a value living across the call, the holder steps aside: it is stored
 now, to the slot the call would have stored it in, and the argument is
 born in its register.
 
+A copy ``(set! x y)`` is a change of model, not of machine state, when
+it can be: a copy whose destination is dead emits nothing, and one whose
+source dies there (or that copies a variable onto itself) emits nothing
+either and binds ``x`` to ``y``'s register and slot.  This is the
+coalescing that graph colouring adds as a separate pass; here it is one
+rule of the assignment's transformer.  Only a copy whose source lives
+on needs a register of its own and a move.
+
 At a join both branches must leave each value in the same places.  The
 else branch therefore prefers what the then branch ended with: the
 then branch's register for a value it places, and the then branch's
@@ -41,8 +49,10 @@ nothing.  The return and tail-call shuffles move each debt back into its
 register.  A procedure whose values and return address always fit below
 the callee-saved registers could never evict a debt, so it is allocated
 as if they did not exist and carries none.  A non-tail call leaves every
-value in a callee-saved register where it is, and a value that takes a
-free register while it lives across a later non-tail call takes a free
+value in a callee-saved register where it is, and moves a value that
+lives across it from a caller-saved register into a free callee-saved
+one, storing it only when none is free.  A value that takes a free
+register while it lives across a later non-tail call takes a free
 callee-saved one.
 """
 
@@ -618,15 +628,39 @@ def _without_callee_saved(cfg: MachineConfig) -> MachineConfig | None:
     return replace(cfg, registers=cfg.registers - k, callee_saved=())
 
 
+def _rebind_copy(a: AnnotatedStatement, m: Model) -> Model | None:
+    """The model after the copy `(set! x y)` at `a`, when it needs no code.
+
+    A dead `x` is never read: the copy only ends what ends at `a`.  When
+    `y` dies here, or `x` is `y`, `x` takes over `y`'s register and slot.
+    Any other copy needs a move, and gets None.
+    """
+    x, y = a.stmt.dst, a.stmt.rhs
+    if not m.is_bound(y):
+        raise ModelError(f"cannot load unbound variable '{y}'")
+    if x in a.ends:
+        return m.drop(a.ends)
+    if x != y and y not in a.ends:
+        return None
+    r, i = m.reg_of(y), m.slot_of(y)
+    m = m.drop((x, y))
+    if r is not None:
+        m = m.bind_reg(x, r)
+    if i is not None:
+        m = m.bind_slot(x, i)
+    return m
+
+
 def _call_homes(
     m: Model, cfg: MachineConfig, slot_prefs: dict[str, int], gone=(), avoid=()
-) -> dict[str, int]:
-    """The slot a non-tail call stores each slotless register resident in.
+) -> dict[str, Reg | Slot]:
+    """Where a non-tail call keeps each slotless caller-saved resident.
 
     Residents of callee-saved registers stay there and get none, and so do
-    residents in `gone`, which die at the call.  A free slot preference
-    comes first; the others take the lowest free slots not in `avoid` (the
-    slots the call's arguments are read from) in register order.
+    residents in `gone`, which die at the call.  In register order, the
+    others take the free callee-saved registers first; the rest take a
+    free slot preference, else the lowest free slots not in `avoid` (the
+    slots the call's arguments are read from).
     """
     saved = cfg.callee_saved
     slotless = [
@@ -634,19 +668,21 @@ def _call_homes(
         for v, r in m.register_residents()
         if v not in m.stackmap and v not in gone and r not in saved
     ]
+    free = [r for r in saved if r not in m.reg_owner]
+    homes: dict[str, Reg | Slot] = {v: Reg(r) for v, r in zip(slotless, free)}
+    slotless = slotless[len(free):]
     taken = set(m.slot_owner)
-    homes: dict[str, int] = {}
     for v in slotless:
         i = slot_prefs.get(v)
         if i is not None and i not in taken:
-            homes[v] = i
+            homes[v] = Slot(i)
             taken.add(i)
     i = 0
     for v in slotless:
         if v not in homes:
             while i in taken or i in avoid:
                 i += 1
-            homes[v] = i
+            homes[v] = Slot(i)
             taken.add(i)
     return homes
 
@@ -751,10 +787,14 @@ class _BodyAllocator:
         it anyway (RET, which no statement reads, never steps aside), and
         only when `var`'s branch preference is not free (the preference
         wins).  A slotless `w` is stored to the slot the call would give
-        it, which keeps the frame layout.  Inside a branch of an `if` with
-        a join only a `w` that has a slot steps aside: a new slot there
-        also steers the other branch's slot preferences, and on generated
-        programs that raised loads plus stores.
+        it, which keeps the frame layout; when the call would move it into
+        a callee-saved register instead, it stays, and the call moves it.
+        (A move made here would come before the statement's own operation,
+        whose dying operands may still be in that register.)  Inside a
+        branch of an `if` with a join only a `w` that has a slot steps
+        aside: a new slot there also steers the other branch's slot
+        preferences, and on generated programs that raised loads plus
+        stores.
         """
         r = self.targets[call.point].get(var)
         w = m.reg_owner.get(r)
@@ -767,9 +807,11 @@ class _BodyAllocator:
         if m.slot_of(w) is None:
             if self.in_joined_branch:
                 return None
-            s = _call_homes(m, self.cfg, self.slot_prefs, call.ends | {call.stmt.dst})[w]
-            insts.append(Store(s, r))
-            m = m.bind_slot(w, s)
+            home = _call_homes(m, self.cfg, self.slot_prefs, call.ends | {call.stmt.dst})[w]
+            if type(home) is Reg:
+                return None
+            insts.append(Store(home.i, r))
+            m = m.bind_slot(w, home.i)
         return m.unbind_reg(w).bind_reg(var, r), insts, r
 
     def _seq(self, moves, m: Model, pinned_regs=()) -> list[Inst]:
@@ -817,8 +859,19 @@ class _BodyAllocator:
         return insts, m2
 
     def _assign(self, a: AnnotatedStatement, m: Model) -> tuple[list[Inst], Model]:
+        """Compute the right-hand side into the destination's register.
+
+        A copy that `_rebind_copy` turns into a model rebind emits nothing.
+        Any other assignment loads its operands, drops what ends here and
+        the destination's old binding, and writes a register from
+        `_dest_reg`; a dead destination is dropped again afterwards.
+        """
         s = a.stmt
         rhs = s.rhs
+        if type(rhs) is str:
+            rebound = _rebind_copy(a, m)
+            if rebound is not None:
+                return [], rebound
         m1, insts, vals = self._load_operands(a, m)
 
         # operands that end here die, and so does the destination's old
@@ -910,13 +963,13 @@ class _BodyAllocator:
 
         A non-tail call keeps every call-live value in this frame: a value
         in a callee-saved register stays there, one that already has a
-        slot keeps it, and any other is stored to its free slot preference
-        or else the lowest free slot the arguments are not read from, in
-        register order (`_call_homes`).  The frame pointer advances by the
-        highest home slot + 1 (not at all when nothing lives across the
-        call), so the outgoing stack arguments, placed just above it,
-        become the callee's fv0, fv1, ...  A tail call also restores what
-        this procedure owes its caller.
+        slot keeps it, and any other goes to the home `_call_homes` gives
+        it: a free callee-saved register, moved there in the same shuffle
+        as the arguments and kept in the post-call model, or else a slot.
+        The frame pointer advances by the highest home slot + 1 (not at
+        all when nothing lives across the call), so the outgoing stack
+        arguments, placed just above it, become the callee's fv0, fv1, ...
+        A tail call also restores what this procedure owes its caller.
         """
         s = a.stmt
         cfg = self.cfg
@@ -952,8 +1005,8 @@ class _BodyAllocator:
 
         avoid = {src.i for src in arg_srcs if type(src) is Slot}
         homes = _call_homes(m1, cfg, self.slot_prefs, avoid=avoid)
-        moves = [(Reg(m1.regmap[v]), Slot(i)) for v, i in homes.items()]
-        home = {**m1.stackmap, **homes}
+        moves = [(Reg(m1.regmap[v]), h) for v, h in homes.items()]
+        home = {**m1.stackmap, **{v: h.i for v, h in homes.items() if type(h) is Slot}}
         k = max(home.values(), default=-1) + 1
         for i in range(n_reg_args):
             moves.append((arg_srcs[i], Reg(cfg.arg_regs[i])))
@@ -965,7 +1018,8 @@ class _BodyAllocator:
 
         # the callee hands the callee-saved registers back as they are
         saved = cfg.callee_saved
-        stay = {v: r for v, r in m1.regmap.items() if r in saved} if saved else {}
+        moved = {v: h.i for v, h in homes.items() if type(h) is Reg}
+        stay = {v: moved.get(v, r) for v, r in m1.regmap.items() if v in moved or r in saved}
         insts = self._seq(moves, m1, pinned_regs=stay.values())
         if k:
             insts.append(FrameAdjust(k))

@@ -313,7 +313,12 @@ def run_target(
     heap: list[int] | None = None,
     fuel: int = 10**6,
 ) -> tuple[Observation, TrafficStats]:
-    """Execute until halt; the observation reads the return-value register."""
+    """Execute until halt; the observation reads the return-value register.
+
+    The program runs on `heap` itself (a fresh default heap when None), so
+    its writes land in that list: pass a copy to run again on the same
+    contents.
+    """
     insts = prog.flatten() if isinstance(prog, TargetProgram) else list(prog)
     machine = _Machine(insts, cfg, heap if heap is not None else default_heap())
     obs = machine.run(fuel)

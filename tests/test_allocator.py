@@ -488,7 +488,8 @@ def stmt_of(src, index=0):
 
 
 def test_assign_move_between_registers():
-    a = stmt_of("(letrec () (set! x y) (return x))")  # y free in fragment
+    # y free in fragment; it stays live after the copy, so x needs a move
+    a = stmt_of("(letrec () (set! x y) (mset! 0 0 y) (return x))")
     m = Model({"y": 2}, {})
     insts, m2 = alloc_fragment((a,), make_config(4), m=m)
     assert insts == [Move(0, 2)]
@@ -516,6 +517,49 @@ def test_assign_dest_reuses_dying_operand_register():
     insts, m2 = alloc_fragment((a,), make_config(2), m=m)
     assert insts == []
     assert m2.reg_of("x") == 0 and m2.reg_of("y") is None
+
+
+@pytest.mark.parametrize(
+    "before, after",
+    [
+        (Model({}, {"y": 3}), Model({}, {"x": 3})),
+        (Model({"y": 2}, {"y": 3}), Model({"x": 2}, {"x": 3})),
+    ],
+    ids=["spilled", "multi-homed"],
+)
+def test_copy_of_dying_source_renames_it(before, after):
+    # y dies at the copy: x takes its register and slot, and nothing loads
+    a = stmt_of("(letrec () (set! x y) (return x))")
+    insts, m2 = alloc_fragment((a,), make_config(4), m=before)
+    assert insts == [] and m2 == after
+
+
+@pytest.mark.parametrize(
+    "src, after",
+    [
+        ("(set! x y) (return y)", Model({"y": 2}, {"y": 3})),
+        ("(set! x y) (return 0)", Model()),
+    ],
+    ids=["source-lives", "source-dies"],
+)
+def test_copy_to_dead_destination_emits_nothing(src, after):
+    a = stmt_of(f"(letrec () {src})")
+    insts, m2 = alloc_fragment((a,), make_config(4), m=Model({"y": 2, "x": 1}, {"y": 3}))
+    assert insts == [] and m2 == after
+
+
+def test_self_copy_emits_nothing():
+    a = stmt_of("(letrec () (set! x x) (return x))")
+    before = Model({"x": 2}, {"x": 1})
+    insts, m2 = alloc_fragment((a,), make_config(4), m=before)
+    assert insts == [] and m2 == before
+
+
+@pytest.mark.parametrize("src", ["(set! x y) (return x)", "(set! x y) (return 0)"])
+def test_copy_of_unbound_source_faults(src):
+    a = stmt_of(f"(letrec () {src})")
+    with pytest.raises(ModelError, match="unbound variable 'y'"):
+        alloc_fragment((a,), make_config(4), m=Model())
 
 
 def test_memwrite_loads_all_three_operands():
@@ -933,6 +977,35 @@ def test_entry_call_lives_stay_in_callee_saved_registers_across_a_leaf_call():
     assert stats.dynamic_loads == stats.dynamic_stores == 0
 
 
+def test_call_live_moves_into_a_free_callee_saved_register():
+    # a is born in r1, f's argument register, and lives across the call:
+    # it moves to a free callee-saved register instead of the stack
+    src = (
+        "(letrec ((f (lambda (n) (set! m (* n n)) (return m))))"
+        " (set! a 3) (set! d (f a)) (set! s (+ a d)) (return s))"
+    )
+    program, ap = load_program(src)
+    cfg = make_config(8)
+    tp = alloc_program(ap, cfg)
+    assert tp.entry[:2] == [LoadImm(1, 3), Move(cfg.callee_saved[0], 1)]
+    assert not any(isinstance(i, (Store, Load, FrameAdjust)) for i in tp.entry)
+    obs, stats = run_target(tp, cfg)
+    assert obs == run_uil(program) and obs.value == 12
+    assert stats.dynamic_loads == stats.dynamic_stores == 0
+
+
+@pytest.mark.parametrize("registers", [6, 7])
+def test_claim_never_moves_its_holder_into_a_callee_saved_register(registers):
+    # here a holder that stepped aside into a callee-saved register would
+    # clobber a register that the same statement's dying operand still reads
+    p = generate_program(830)
+    ap = annotate(p)
+    cfg = make_config(registers)
+    for policy in POLICIES:
+        report = equivalent(p, alloc_program(ap, cfg, policy), cfg, [heap_from_seed(830)])
+        assert report.ok, (policy, report.detail)
+
+
 def test_procedure_that_fits_below_the_callee_saved_registers_never_names_one():
     # f holds at most two values and its return address, which r0-r4 hold
     # at R=8, so it could never evict what it owes and carries no debts
@@ -1109,7 +1182,7 @@ def test_deterministic_allocation():
 # sha256 of the assembly for generator seeds 0..99 at R{2,3,4,8} under every
 # policy.  A change that alters the emitted code must update this constant
 # and report the traffic change it brings.
-GENERATED_ASM_SHA256 = "4bd99c05a898a340613017f0369307248f18b07bb8ed457af5203cc7f56124c8"
+GENERATED_ASM_SHA256 = "b2751f4bb094b9fea0d328e179c1205228d5b53966ca7ca316279deda873413f"
 
 
 def test_generated_assembly_is_byte_identical():
@@ -1130,8 +1203,8 @@ def test_generated_assembly_is_byte_identical():
 # Dynamic loads plus stores, and dynamic moves, of the furthest policy over
 # generator seeds 0..99 at R{3,4,8}, each program on heap_from_seed(seed).
 # A change that raises either must raise its bound and say why.
-DYNAMIC_TRAFFIC_BOUND = 2433
-DYNAMIC_MOVES_BOUND = 1153
+DYNAMIC_TRAFFIC_BOUND = 2208
+DYNAMIC_MOVES_BOUND = 975
 
 
 @functools.cache
@@ -1143,7 +1216,7 @@ def _generated_dynamic_counts() -> tuple[int, int]:
         heap = heap_from_seed(seed)
         for r in (3, 4, 8):
             cfg = make_config(r)
-            _, stats = run_target(alloc_program(ap, cfg, "furthest"), cfg, heap)
+            _, stats = run_target(alloc_program(ap, cfg, "furthest"), cfg, list(heap))
             traffic += stats.dynamic_loads + stats.dynamic_stores
             moves += stats.dynamic_moves
     return traffic, moves
