@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -367,14 +368,14 @@ def test_nesting_past_max_depth_is_a_parse_error():
 _EDIT_CHARS = "()  \t\n\r;x9-+RETbegin"
 
 
-def test_parse_roundtrip_and_random_edits_property():
+def _generated_and_edited_texts():
+    """The canonical text of generator programs 0..299 with each program,
+    then 2,000 seeded random edits of them (one to three characters
+    inserted, deleted or replaced from `_EDIT_CHARS`)."""
     rng = random.Random(4)
-    texts = []
-    for seed in range(300):
-        p = generate_program(seed)
-        text = format_program(p)
-        assert parse(text) == p
-        texts.append(text)
+    programs = [generate_program(seed) for seed in range(300)]
+    texts = [format_program(p) for p in programs]
+    edited = []
     for _ in range(2000):
         chars = list(rng.choice(texts))
         for _ in range(rng.randint(1, 3)):
@@ -387,7 +388,40 @@ def test_parse_roundtrip_and_random_edits_property():
                     del chars[i]
                 else:
                     chars[i] = rng.choice(_EDIT_CHARS)
+        edited.append("".join(chars))
+    return programs, texts, edited
+
+
+def test_parse_roundtrip_and_random_edits_property():
+    programs, texts, edited = _generated_and_edited_texts()
+    for p, text in zip(programs, texts):
+        assert parse(text) == p
+    for text in edited:
         try:
-            parse("".join(chars))
+            parse(text)
         except ParseError:
             pass
+
+
+# Digest of every outcome of `_generated_and_edited_texts`: the
+# (message, line, column) of each ParseError, or the repr of each parsed
+# program, which shows every statement's and definition's `pos`.  A
+# change to the reader or parser must leave it as it is.
+PARSE_OUTCOMES_SHA256 = "2da516f67da56e0ffd112d62871982a541aadcce181e25ae19efb793afe2f99b"
+
+
+def _parse_outcome(text):
+    try:
+        p = parse(text)
+    except ParseError as e:
+        return repr((e.message, e.line, e.col))
+    return repr(p)
+
+
+def test_parse_outcomes_are_pinned():
+    _, texts, edited = _generated_and_edited_texts()
+    digest = hashlib.sha256()
+    for text in texts + edited:
+        digest.update(_parse_outcome(text).encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == PARSE_OUTCOMES_SHA256
