@@ -255,9 +255,13 @@ def load(
     saved first (for free when multi-homed).  Neither the listed variables
     nor the protected set may be evicted.
     """
-    regmap = m.regmap
-    if len(m.reg_owner) <= cfg.registers and all(v in regmap for v in vs):
-        return m, []
+    if len(m.reg_owner) <= cfg.registers:
+        regmap = m.regmap
+        for v in vs:
+            if v not in regmap:
+                break
+        else:
+            return m, []
     vs = list(dict.fromkeys(vs))
     prot = frozenset(protected) | set(vs)
     needed = set(vs) | {v for v in prot if m.reg_of(v) is not None}
@@ -731,14 +735,6 @@ class _BodyAllocator:
     def _fresh_label(self) -> str:
         return f".L{next(self.labels)}"
 
-    def _operand_value(self, m: Model, op) -> Reg | int:
-        if isinstance(op, str):
-            r = m.reg_of(op)
-            if r is None:
-                raise AllocError(f"operand '{op}' not register-resident")
-            return Reg(r)
-        return op
-
     def _load_operands(self, a: AnnotatedStatement, m: Model) -> tuple[Model, list[Inst], list]:
         """Load the statement's variable operands together; return their values in order."""
         ops = a.stmt.operands()
@@ -747,7 +743,8 @@ class _BodyAllocator:
             m, opvars, opvars, a.next_uses, self.policy, self.cfg,
             self.prefs, self.targets, self.slot_prefs, self.across.get(a.point, ()),
         )
-        return m1, insts, [self._operand_value(m1, o) for o in ops]
+        regmap = m1.regmap  # load leaves every variable operand in a register
+        return m1, insts, [Reg(regmap[o]) if type(o) is str else o for o in ops]
 
     def _dest_reg(
         self, m: Model, var: str, a: AnnotatedStatement
@@ -834,19 +831,19 @@ class _BodyAllocator:
     def stmt(self, a: AnnotatedStatement, m: Model) -> tuple[list[Inst], Model]:
         pre = m.dump() if self.trace is not None else ""
         try:
-            s = a.stmt
-            if isinstance(s, Assign):
+            kind = type(a.stmt)
+            if kind is Assign:
                 insts, m2 = self._assign(a, m)
-            elif isinstance(s, MemWrite):
-                insts, m2 = self._memwrite(a, m)
-            elif isinstance(s, If):
-                insts, m2 = self._if(a, m)
-            elif isinstance(s, Call):
+            elif kind is Call:
                 insts, m2 = self._call(a, m)
-            elif isinstance(s, ReturnValue):
+            elif kind is If:
+                insts, m2 = self._if(a, m)
+            elif kind is MemWrite:
+                insts, m2 = self._memwrite(a, m)
+            elif kind is ReturnValue:
                 insts, m2 = self._return(a, m)
             else:  # pragma: no cover
-                raise AllocError(f"unknown statement {s!r}")
+                raise AllocError(f"unknown statement {a.stmt!r}")
         except PressureError as e:
             if e.stmt is None:
                 e.stmt = _stmt_text(a.stmt)
@@ -880,11 +877,12 @@ class _BodyAllocator:
         m2, evict_insts, d = self._dest_reg(m2, s.dst, a)
         insts.extend(evict_insts)
 
-        if isinstance(rhs, BinExpr):
+        kind = type(rhs)
+        if kind is BinExpr:
             insts.append(BinOpInst(rhs.op, d, *vals))
-        elif isinstance(rhs, MemRead):
+        elif kind is MemRead:
             insts.append(MemLoad(d, *vals))
-        elif isinstance(rhs, str):
+        elif kind is str:
             if vals[0].i != d:
                 insts.append(Move(d, vals[0].i))
         else:

@@ -61,7 +61,7 @@ def stmt_refs(s: Statement) -> list[str]:
     """Variables (and callee names) referenced by a statement itself."""
     refs = variables(s.operands())
     # The callee name counts as a reference and shows up in ending sets.
-    return [s.callee, *refs] if isinstance(s, Call) else refs
+    return [s.callee, *refs] if type(s) is Call else refs
 
 
 def _number(stmts: tuple[Statement, ...], counter: list[int], tail: bool) -> list:

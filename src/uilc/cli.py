@@ -49,7 +49,10 @@ def _load(path: str) -> tuple[Program, AnnotatedProgram]:
         text = Path(path).read_text()
     except OSError as e:
         raise CliError(str(e))
-    program = parse(text)
+    try:
+        program = parse(text)
+    except ParseError as e:
+        raise CliError(f"{path}:{e}")
     diags = validate(program)
     if diags:
         raise CliError("\n".join(f"{path}:{d}" for d in diags))
@@ -125,8 +128,8 @@ def cmd_compare(args) -> int:
     for path in _compare_inputs(args.file):
         try:
             program, annotated = _load(str(path))
-        except (CliError, ParseError) as e:  # keep going over a corpus
-            errors.append(f"{path}: {e}")
+        except CliError as e:  # keep going over a corpus; the message names the file
+            errors.append(str(e))
             continue
         for cfg in configs:
             r = cfg.registers
@@ -279,8 +282,8 @@ def main(argv: list[str] | None = None) -> int:
     except (PressureError,) as e:
         print(f"error: register pressure: {e}", file=sys.stderr)
         return 1
-    except Exception as e:  # parse errors are diagnostics; the rest are bugs
-        if isinstance(e, (ParseError, MachineFault, OutOfFuel)):
+    except Exception as e:  # runtime faults are diagnostics; the rest are bugs
+        if isinstance(e, (MachineFault, OutOfFuel)):
             print(f"error: {e}", file=sys.stderr)
             return 1
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)

@@ -136,50 +136,58 @@ _MNEMONIC_REL = {v: k for k, v in _REL_MNEMONIC.items()}
 
 
 def _fmt_src(s: Src) -> str:
-    return f"r{s.i}" if isinstance(s, Reg) else str(s)
+    return f"r{s.i}" if type(s) is Reg else str(s)
 
 
-def format_inst(inst: Inst) -> str:
-    if isinstance(inst, Move):
-        return f"move r{inst.dst}, r{inst.src}"
-    if isinstance(inst, LoadImm):
-        return f"loadimm r{inst.dst}, {inst.imm}"
-    if isinstance(inst, Load):
-        return f"load r{inst.dst}, fv{inst.slot}"
-    if isinstance(inst, Store):
-        return f"store fv{inst.slot}, r{inst.src}"
-    if isinstance(inst, BinOpInst):
-        op = _BINOP_MNEMONIC[inst.op]
-        return f"{op} r{inst.dst}, {_fmt_src(inst.a)}, {_fmt_src(inst.b)}"
-    if isinstance(inst, MemLoad):
-        return f"mload r{inst.dst}, {_fmt_src(inst.base)}, {_fmt_src(inst.index)}"
-    if isinstance(inst, MemStore):
-        return f"mstore {_fmt_src(inst.base)}, {_fmt_src(inst.index)}, {_fmt_src(inst.src)}"
-    if isinstance(inst, CondJump):
-        op = _REL_MNEMONIC[inst.rel]
-        return f"{op} {_fmt_src(inst.a)}, {_fmt_src(inst.b)}, {inst.target}"
-    if isinstance(inst, Jump):
-        if isinstance(inst.target, Reg):
-            return f"jmp r{inst.target.i}"
-        return f"jmp {inst.target}"
-    if isinstance(inst, LoadLabel):
-        return f"loadlabel r{inst.dst}, {inst.label}"
-    if isinstance(inst, LabelDef):
-        return f"{inst.label}:"
-    if isinstance(inst, FrameAdjust):
-        return f"fp+= {inst.delta}"
-    if isinstance(inst, Halt):
-        return "halt"
+def _fmt_binop(inst: BinOpInst) -> str:
+    op = _BINOP_MNEMONIC[inst.op]
+    return f"  {op} r{inst.dst}, {_fmt_src(inst.a)}, {_fmt_src(inst.b)}"
+
+
+def _fmt_condjump(inst: CondJump) -> str:
+    op = _REL_MNEMONIC[inst.rel]
+    return f"  {op} {_fmt_src(inst.a)}, {_fmt_src(inst.b)}, {inst.target}"
+
+
+def _fmt_jump(inst: Jump) -> str:
+    target = inst.target
+    return f"  jmp r{target.i}" if type(target) is Reg else f"  jmp {target}"
+
+
+# The assembly line of each instruction, by its exact type: a label alone,
+# anything else indented two spaces.
+_LINES = {
+    Move: lambda inst: f"  move r{inst.dst}, r{inst.src}",
+    LoadImm: lambda inst: f"  loadimm r{inst.dst}, {inst.imm}",
+    Load: lambda inst: f"  load r{inst.dst}, fv{inst.slot}",
+    Store: lambda inst: f"  store fv{inst.slot}, r{inst.src}",
+    BinOpInst: _fmt_binop,
+    MemLoad: lambda inst: f"  mload r{inst.dst}, {_fmt_src(inst.base)}, {_fmt_src(inst.index)}",
+    MemStore: lambda inst: (
+        f"  mstore {_fmt_src(inst.base)}, {_fmt_src(inst.index)}, {_fmt_src(inst.src)}"
+    ),
+    CondJump: _fmt_condjump,
+    Jump: _fmt_jump,
+    LoadLabel: lambda inst: f"  loadlabel r{inst.dst}, {inst.label}",
+    LabelDef: lambda inst: f"{inst.label}:",
+    FrameAdjust: lambda inst: f"  fp+= {inst.delta}",
+    Halt: lambda inst: "  halt",
+}
+
+
+def _unknown(inst) -> str:
     raise TypeError(f"unknown instruction {inst!r}")
 
 
+def format_inst(inst: Inst) -> str:
+    kind = type(inst)
+    line = _LINES.get(kind, _unknown)(inst)
+    return line if kind is LabelDef else line[2:]
+
+
 def format_insts(insts: list[Inst]) -> str:
-    lines = []
-    for inst in insts:
-        text = format_inst(inst)
-        if not isinstance(inst, LabelDef):
-            text = "  " + text
-        lines.append(text)
+    formatters = _LINES
+    lines = [formatters.get(type(inst), _unknown)(inst) for inst in insts]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -149,7 +149,7 @@ Statement = Assign | MemWrite | If | Call | ReturnValue
 
 def variables(operands) -> list[str]:
     """The variables among operands, in order; immediates are dropped."""
-    return [v for v in operands if isinstance(v, str)]
+    return [v for v in operands if type(v) is str]
 
 
 @dataclass(frozen=True)
@@ -181,19 +181,10 @@ class Diagnostic:
 # S-expression reader
 
 
-class _Token:
-    """Atom of the reader."""
-
-    __slots__ = ("text", "line", "col")
-
-    def __init__(self, text: str, line: int, col: int):
-        self.text = text
-        self.line = line
-        self.col = col
-
-
 class _Sexpr:
-    """List node of the reader; atoms are _Token."""
+    """List node of the reader.  Its items are `_Sexpr` nodes and atoms;
+    an atom is the `_TOKEN_RE` match itself, whose position is worked out
+    from the text only when a diagnostic names it (see `_pos`)."""
 
     __slots__ = ("items", "line", "col")
 
@@ -205,8 +196,9 @@ class _Sexpr:
 
 # One match per newline, parenthesis, comment or atom; spaces, tabs and
 # carriage returns match nothing and are skipped.  Every character but a
-# newline advances the column by one.
-_TOKEN_RE = re.compile(r"[\n()]|;[^\n]*|[^ \t\r\n();]+")
+# newline advances the column by one.  The group that matched tells the
+# kind: 1 a newline, 2 "(", 3 ")", 4 an atom; a comment has none.
+_TOKEN_RE = re.compile(r"(\n)|(\()|(\))|;[^\n]*|([^ \t\r\n();]+)")
 
 
 def _read_all(text: str) -> list:
@@ -217,25 +209,24 @@ def _read_all(text: str) -> list:
     too_deep: _Sexpr | None = None  # the first list opened past MAX_DEPTH
     line, line_start = 1, 0
     for m in _TOKEN_RE.finditer(text):
-        tok = m.group()
-        c = tok[0]
-        if c == "\n":
-            line += 1
-            line_start = m.end()
-        elif c == "(":
+        kind = m.lastindex
+        if kind == 4:
+            items.append(m)
+        elif kind == 2:
             node = _Sexpr([], line, m.start() - line_start + 1)
             items.append(node)
             open_lists.append(node)
             items = node.items
             if too_deep is None and len(open_lists) > MAX_DEPTH:
                 too_deep = node
-        elif c == ")":
+        elif kind == 3:
             if not open_lists:
                 raise ParseError("unexpected ')'", line, m.start() - line_start + 1)
             open_lists.pop()
             items = open_lists[-1].items if open_lists else forms
-        elif c != ";":
-            items.append(_Token(tok, line, m.start() - line_start + 1))
+        elif kind == 1:
+            line += 1
+            line_start = m.end()
     if open_lists:
         innermost = open_lists[-1]
         raise ParseError("unclosed parenthesis", innermost.line, innermost.col)
@@ -244,153 +235,173 @@ def _read_all(text: str) -> list:
     return forms
 
 
+def _pos(node) -> Pos:
+    """The (line, column) of a list node or an atom."""
+    if type(node) is _Sexpr:
+        return node.line, node.col
+    text, start = node.string, node.start()
+    return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
+
+
 # ---------------------------------------------------------------------------
 # Parser
 
 
 def _err(node, message: str) -> ParseError:
-    return ParseError(message, node.line, node.col)
+    return ParseError(message, *_pos(node))
 
 
 def _is_list(node, head: str | None = None) -> bool:
-    if not isinstance(node, _Sexpr):
+    if type(node) is not _Sexpr:
         return False
     if head is None:
         return True
-    return (
-        len(node.items) > 0
-        and isinstance(node.items[0], _Token)
-        and node.items[0].text == head
-    )
+    items = node.items
+    return len(items) > 0 and type(items[0]) is not _Sexpr and items[0][0] == head
 
 
-def _parse_operand(node) -> Operand:
-    if isinstance(node, _Sexpr):
-        raise _err(node, "expected an identifier or integer")
-    text = node.text
-    if _INT_RE.match(text):
-        value = int(text)
-        if not (WORD_MIN <= value <= WORD_MAX):
-            raise _err(node, f"immediate {text} does not fit a 64-bit word")
+class _Parser:
+    """One call of `parse`.
+
+    ``operands`` maps each atom text met as an operand or identifier to its
+    value: the integer of an integer, the text of an identifier.  Each
+    distinct text is classified once; one that is neither ends the parse.
+    """
+
+    __slots__ = ("operands",)
+
+    def __init__(self) -> None:
+        self.operands: dict[str, Operand] = {}
+
+    def operand(self, node) -> Operand:
+        if type(node) is _Sexpr:
+            raise _err(node, "expected an identifier or integer")
+        text = node[0]
+        value = self.operands.get(text)
+        if value is None:
+            if _INT_RE.match(text):
+                value = int(text)
+                if not (WORD_MIN <= value <= WORD_MAX):
+                    raise _err(node, f"immediate {text} does not fit a 64-bit word")
+            elif _IDENT_RE.match(text) and text not in KEYWORDS:
+                value = text
+            else:
+                raise _err(node, f"bad operand {text!r}")
+            self.operands[text] = value
         return value
-    if _IDENT_RE.match(text) and text not in KEYWORDS:
-        return text
-    raise _err(node, f"bad operand {text!r}")
 
+    def ident(self, node, what: str) -> str:
+        if type(node) is _Sexpr:
+            raise _err(node, f"expected {what}")
+        text = node[0]
+        value = self.operands.get(text)
+        if value is None:
+            if not _IDENT_RE.match(text) or text in KEYWORDS:
+                raise _err(node, f"bad {what} {text!r}")
+            value = self.operands[text] = text
+        elif type(value) is not str:
+            raise _err(node, f"bad {what} {text!r}")
+        return value
 
-def _parse_ident(node, what: str) -> str:
-    if isinstance(node, _Sexpr):
-        raise _err(node, f"expected {what}")
-    text = node.text
-    if _IDENT_RE.match(text) and text not in KEYWORDS:
-        return text
-    raise _err(node, f"bad {what} {text!r}")
+    def call_args(self, items) -> tuple[Operand, ...]:
+        operand = self.operand
+        return tuple([operand(a) for a in items[1:]])
 
-
-def _parse_rhs(node) -> Rhs | Call:
-    if not isinstance(node, _Sexpr):
-        return _parse_operand(node)
-    if not node.items:
-        raise _err(node, "empty expression")
-    head = node.items[0]
-    if isinstance(head, _Sexpr):
-        raise _err(node, "malformed expression")
-    if head.text in BINOPS:
-        if len(node.items) != 3:
-            raise _err(node, f"'{head.text}' takes two operands")
-        return BinExpr(head.text, _parse_operand(node.items[1]), _parse_operand(node.items[2]))
-    if head.text == "mref":
-        if len(node.items) != 3:
-            raise _err(node, "'mref' takes base and index")
-        return MemRead(_parse_operand(node.items[1]), _parse_operand(node.items[2]))
-    # call-with-result sugar
-    callee = _parse_ident(head, "procedure name")
-    args = tuple(_parse_operand(a) for a in node.items[1:])
-    return Call(callee, args, pos=(node.line, node.col))
-
-
-def _parse_body(nodes, where) -> tuple[Statement, ...]:
-    if not nodes:
-        raise _err(where, "empty statement body")
-    return tuple(_parse_statement(n) for n in nodes)
-
-
-def _parse_statement(node) -> Statement:
-    if not isinstance(node, _Sexpr) or not node.items:
-        raise _err(node if isinstance(node, _Sexpr) else node, "expected a statement")
-    pos = (node.line, node.col)
-    head = node.items[0]
-    if isinstance(head, _Sexpr):
-        raise _err(node, "malformed statement")
-    kind = head.text
-
-    if kind == "set!":
-        if len(node.items) != 3:
+    def assignment(self, node: _Sexpr, pos: Pos) -> Assign | Call:
+        """`(set! dst rhs)`; a call right-hand side binds the call's result."""
+        items = node.items
+        if len(items) != 3:
             raise _err(node, "'set!' takes a destination and a value")
-        dst = _parse_ident(node.items[1], "variable")
-        rhs = _parse_rhs(node.items[2])
-        if isinstance(rhs, Call):
-            return Call(rhs.callee, rhs.args, dst=dst, pos=pos)
-        return Assign(dst, rhs, pos=pos)
+        dst = self.ident(items[1], "variable")
+        rhs = items[2]
+        if type(rhs) is not _Sexpr:
+            return Assign(dst, self.operand(rhs), pos)
+        ritems = rhs.items
+        if not ritems:
+            raise _err(rhs, "empty expression")
+        head = ritems[0]
+        if type(head) is _Sexpr:
+            raise _err(rhs, "malformed expression")
+        op = head[0]
+        if op in BINOPS:
+            if len(ritems) != 3:
+                raise _err(rhs, f"'{op}' takes two operands")
+            return Assign(dst, BinExpr(op, self.operand(ritems[1]), self.operand(ritems[2])), pos)
+        if op == "mref":
+            if len(ritems) != 3:
+                raise _err(rhs, "'mref' takes base and index")
+            return Assign(dst, MemRead(self.operand(ritems[1]), self.operand(ritems[2])), pos)
+        callee = self.ident(head, "procedure name")
+        return Call(callee, self.call_args(ritems), dst, pos)
 
-    if kind == "mset!":
-        if len(node.items) != 4:
-            raise _err(node, "'mset!' takes base, index, and source")
-        return MemWrite(
-            _parse_operand(node.items[1]),
-            _parse_operand(node.items[2]),
-            _parse_operand(node.items[3]),
-            pos=pos,
-        )
+    def body(self, nodes, where) -> tuple[Statement, ...]:
+        if not nodes:
+            raise _err(where, "empty statement body")
+        statement = self.statement
+        return tuple([statement(n) for n in nodes])
 
-    if kind == "if":
-        if len(node.items) != 4:
-            raise _err(node, "'if' takes a test and two begin blocks")
-        test_node = node.items[1]
-        if not _is_list(test_node) or len(test_node.items) != 3:
-            raise _err(node, "'if' test must be (rel a b)")
-        rel = test_node.items[0]
-        if isinstance(rel, _Sexpr) or rel.text not in RELATIONS:
-            raise _err(test_node, "unknown relation in test")
-        test = Cmp(
-            rel.text,
-            _parse_operand(test_node.items[1]),
-            _parse_operand(test_node.items[2]),
-        )
-        branches = []
-        for branch in node.items[2:4]:
-            if not _is_list(branch, "begin"):
-                raise _err(node, "'if' branches must be (begin ...) blocks")
-            branches.append(tuple(_parse_statement(s) for s in branch.items[1:]))
-        return If(test, branches[0], branches[1], pos=pos)
+    def statement(self, node) -> Statement:
+        if type(node) is not _Sexpr or not node.items:
+            raise _err(node, "expected a statement")
+        pos = (node.line, node.col)
+        items = node.items
+        head = items[0]
+        if type(head) is _Sexpr:
+            raise _err(node, "malformed statement")
+        kind = head[0]
 
-    if kind == "return":
-        if len(node.items) != 2:
-            raise _err(node, "'return' takes one value")
-        return ReturnValue(_parse_operand(node.items[1]), pos=pos)
+        if kind == "set!":
+            return self.assignment(node, pos)
 
-    if kind in KEYWORDS or kind in BINOPS or kind in RELATIONS:
-        raise _err(node, f"'{kind}' is not a statement here")
+        if kind == "if":
+            if len(items) != 4:
+                raise _err(node, "'if' takes a test and two begin blocks")
+            test_node = items[1]
+            if type(test_node) is not _Sexpr or len(test_node.items) != 3:
+                raise _err(node, "'if' test must be (rel a b)")
+            rel, a, b = test_node.items
+            if type(rel) is _Sexpr or rel[0] not in RELATIONS:
+                raise _err(test_node, "unknown relation in test")
+            test = Cmp(rel[0], self.operand(a), self.operand(b))
+            branches = []
+            statement = self.statement
+            for branch in items[2:4]:
+                if not _is_list(branch, "begin"):
+                    raise _err(node, "'if' branches must be (begin ...) blocks")
+                branches.append(tuple([statement(s) for s in branch.items[1:]]))
+            return If(test, branches[0], branches[1], pos)
 
-    callee = _parse_ident(head, "procedure name")
-    args = tuple(_parse_operand(a) for a in node.items[1:])
-    return Call(callee, args, pos=pos)
+        if kind == "return":
+            if len(items) != 2:
+                raise _err(node, "'return' takes one value")
+            return ReturnValue(self.operand(items[1]), pos)
 
+        if kind == "mset!":
+            if len(items) != 4:
+                raise _err(node, "'mset!' takes base, index, and source")
+            operand = self.operand
+            return MemWrite(operand(items[1]), operand(items[2]), operand(items[3]), pos)
 
-def _parse_definition(node) -> Definition:
-    # ((name (lambda (params...) stmt...)))
-    if not _is_list(node) or len(node.items) != 2:
-        raise _err(node, "definition must be (name (lambda (params...) stmt...))")
-    name = _parse_ident(node.items[0], "procedure name")
-    lam = node.items[1]
-    if not _is_list(lam, "lambda") or len(lam.items) < 3:
-        raise _err(node, "definition body must be a lambda with statements")
-    params_node = lam.items[1]
-    if not _is_list(params_node):
-        raise _err(lam, "lambda parameter list must be parenthesized")
-    params = tuple(_parse_ident(p, "parameter") for p in params_node.items)
-    body = _parse_body(lam.items[2:], lam)
-    return Definition(name, params, body, pos=(node.line, node.col))
+        if kind in KEYWORDS or kind in BINOPS or kind in RELATIONS:
+            raise _err(node, f"'{kind}' is not a statement here")
+
+        callee = self.ident(head, "procedure name")
+        return Call(callee, self.call_args(items), None, pos)
+
+    def definition(self, node) -> Definition:
+        # ((name (lambda (params...) stmt...)))
+        if not _is_list(node) or len(node.items) != 2:
+            raise _err(node, "definition must be (name (lambda (params...) stmt...))")
+        name = self.ident(node.items[0], "procedure name")
+        lam = node.items[1]
+        if not _is_list(lam, "lambda") or len(lam.items) < 3:
+            raise _err(node, "definition body must be a lambda with statements")
+        params_node = lam.items[1]
+        if not _is_list(params_node):
+            raise _err(lam, "lambda parameter list must be parenthesized")
+        params = tuple([self.ident(p, "parameter") for p in params_node.items])
+        body = self.body(lam.items[2:], lam)
+        return Definition(name, params, body, (node.line, node.col))
 
 
 def parse(text: str) -> Program:
@@ -402,26 +413,22 @@ def parse(text: str) -> Program:
     if len(forms) != 1:
         if not forms:
             raise ParseError("empty input", 1, 1)
-        extra = forms[1]
-        raise ParseError(
-            "expected a single (letrec ...) form",
-            getattr(extra, "line", 1),
-            getattr(extra, "col", 1),
-        )
+        raise _err(forms[1], "expected a single (letrec ...) form")
     top = forms[0]
     if not _is_list(top, "letrec") or len(top.items) < 2:
-        node = top if isinstance(top, _Sexpr) else _Sexpr([], 1, 1)
+        node = top if type(top) is _Sexpr else _Sexpr([], 1, 1)
         raise _err(node, "program must be (letrec (definitions...) stmt...)")
     defs_node = top.items[1]
     if not _is_list(defs_node):
         raise _err(top, "letrec definitions must be parenthesized")
-    definitions = tuple(_parse_definition(d) for d in defs_node.items)
+    parser = _Parser()
+    definitions = tuple([parser.definition(d) for d in defs_node.items])
     seen = set()
     for d in definitions:
         if d.name in seen:
             raise ParseError(f"duplicate definition of '{d.name}'", d.pos[0], d.pos[1])
         seen.add(d.name)
-    body = _parse_body(top.items[2:], top)
+    body = parser.body(top.items[2:], top)
     return Program(definitions, body)
 
 

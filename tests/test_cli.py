@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -113,6 +116,38 @@ def test_parse_error_exits_one(capsys, tmp_path):
     code, _, err = run_cli(capsys, "alloc", str(path))
     assert code == 1
     assert "error" in err
+    assert err == f"error: {path}:1:12: 'set!' takes a destination and a value\n"
+
+
+# a parse error and a validation diagnostic both read <path>:<line>:<col>
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("(letrec () (set! x))", "1:12: 'set!' takes a destination and a value"),
+        ("(letrec ()\n  (set! x y) (return x))", "2:3: variable 'y' may be used before assignment"),
+    ],
+)
+@pytest.mark.parametrize("command", ["alloc", "run"])
+def test_diagnostics_name_the_file(capsys, tmp_path, command, text, where):
+    path = tmp_path / "bad.uil"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}:{where}\n"
+
+
+def test_python_dash_m_runs_the_command_line(capsys):
+    root = Path(__file__).resolve().parents[1]
+    argv = ["alloc", str(root / "samples" / "split.uil"), "--registers", "2"]
+    path = [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run(
+        [sys.executable, "-m", "uilc", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    code, out, _ = run_cli(capsys, *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, "")
+    assert code == 0 and out
 
 
 def test_deeply_nested_parse_error_exits_one(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from uilc.isa import (
     MemStore,
     Move,
     Store,
+    format_inst,
     format_insts,
     parse_asm,
     static_traffic,
@@ -309,6 +311,18 @@ def test_asm_round_trip_covers_every_instruction_form():
     ]
     insts += [MemLoad(1, Reg(0), 0), CondJump("<=", Reg(0), 5, ".L1")]
     assert parse_asm(format_insts(insts)) == insts
+    # format_inst is each line without its indent
+    lines = format_insts(insts).splitlines()
+    assert [format_inst(i) for i in insts] == [line.strip() for line in lines]
+
+
+@pytest.mark.parametrize("obj", [Reg(1), "move r1, r2", None, [Halt()]])
+def test_formatting_a_non_instruction_raises_type_error(obj):
+    message = "unknown instruction " + re.escape(repr(obj))
+    with pytest.raises(TypeError, match=message):
+        format_inst(obj)
+    with pytest.raises(TypeError, match=message):
+        format_insts([Halt(), obj])
 
 
 def test_spill_free_shape_accepts_low_pressure(split_prog):
