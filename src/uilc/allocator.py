@@ -62,6 +62,7 @@ import functools
 import itertools
 from dataclasses import dataclass, replace
 
+from ._gc import gc_paused
 from .analysis import INF, AnnotatedProgram, AnnotatedStatement
 from .isa import (
     BinOpInst,
@@ -1079,6 +1080,7 @@ def alloc_fragment(
     return alloc.run(body, m if m is not None else Model())
 
 
+@gc_paused
 def alloc_program(
     ap: AnnotatedProgram,
     cfg: MachineConfig,
@@ -1089,7 +1091,8 @@ def alloc_program(
 
     Procedures start from the calling convention's initial model.  The
     entry body starts from an empty model, returns by halting, and
-    passes a halt continuation to tail calls.
+    passes a halt continuation to tail calls.  Pauses the cyclic garbage
+    collector while it runs (`_gc.gc_paused`).
     """
     labels = itertools.count()
     entry_alloc = _BodyAllocator(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from ._gc import gc_paused
 from .uil import Call, If, Program, Statement, _fmt_statement, variables
 
 INF = math.inf
@@ -149,11 +150,13 @@ def _merge_min(a: dict[str, float], b: dict[str, float]) -> dict[str, float]:
     return merged
 
 
+@gc_paused
 def annotate(p: Program) -> AnnotatedProgram:
     """Annotate a validated program with ending sets, next uses and tails.
 
     Each procedure body (and the entry body) is numbered independently in
-    pre-order, branches then-before-else, and ends its frame.
+    pre-order, branches then-before-else, and ends its frame.  Pauses the
+    cyclic garbage collector while it runs (`_gc.gc_paused`).
     """
     procs = []
     for d in p.definitions:

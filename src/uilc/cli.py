@@ -38,10 +38,14 @@ class CliError(Exception):
     """User-facing diagnostic; maps to exit code 1."""
 
 
+def _at_least(flag: str, value: int, low: int) -> int:
+    if value < low:
+        raise CliError(f"{flag} must be at least {low}")
+    return value
+
+
 def _config(registers: int) -> MachineConfig:
-    if registers < 1:
-        raise CliError("--registers must be at least 1")
-    return make_config(registers)
+    return make_config(_at_least("--registers", registers, 1))
 
 
 def _load(path: str) -> tuple[Program, AnnotatedProgram]:
@@ -80,14 +84,15 @@ def cmd_alloc(args) -> int:
 
 
 def cmd_run(args) -> int:
+    fuel = _at_least("--fuel", args.fuel, 1)
     program, annotated = _load(args.file)
     cfg = _config(args.registers)
     tp = alloc_program(annotated, cfg, args.policy)
     heap = heap_from_seed(args.seed) if args.seed is not None else default_heap()
     try:
-        obs, stats = run_target(tp, cfg, heap, fuel=args.fuel)
+        obs, stats = run_target(tp, cfg, heap, fuel=fuel)
     except OutOfFuel:
-        print(f"error: fuel exhausted after {args.fuel} instructions", file=sys.stderr)
+        print(f"error: fuel exhausted after {fuel} instructions", file=sys.stderr)
         return 1
     loads, stores, moves = static_traffic(tp.flatten())
     if args.json:
@@ -114,6 +119,7 @@ def _compare_inputs(path: str) -> list[Path]:
 
 
 def cmd_compare(args) -> int:
+    fuel = _at_least("--fuel", args.fuel, 1)
     try:
         registers = [int(r) for r in args.registers.split(",")]
     except ValueError:
@@ -140,7 +146,7 @@ def cmd_compare(args) -> int:
             for policy in policies:
                 try:
                     tp = alloc_program(annotated, cfg, policy)
-                    _, stats = run_target(tp, cfg, default_heap(), fuel=args.fuel)
+                    _, stats = run_target(tp, cfg, default_heap(), fuel=fuel)
                 except (PressureError, MachineFault, OutOfFuel) as e:
                     errors.append(f"{path} R={r} {policy}: {e}")
                     continue
@@ -195,9 +201,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    count = _at_least("--count", args.count, 0)
+    fuel = _at_least("--fuel", args.fuel, 1)
     failures = []
     checked = 0
-    for i in range(args.count):
+    for i in range(count):
         seed = args.seed + i
         program = generate_program(seed)
         diags = validate(program)
@@ -212,7 +220,7 @@ def cmd_fuzz(args) -> int:
                 checked += 1
                 try:
                     tp = alloc_program(annotated, cfg, policy)
-                    report = equivalent(program, tp, cfg, heaps, fuel=args.fuel)
+                    report = equivalent(program, tp, cfg, heaps, fuel=fuel)
                 except Exception as e:  # any blow-up is a reportable failure
                     failures.append((seed, f"R={r} {policy}: {type(e).__name__}: {e}"))
                     continue
@@ -227,7 +235,7 @@ def cmd_fuzz(args) -> int:
         print(f"FAIL seed={seed}: {detail}", file=sys.stderr)
         print(f"reproducer written to {repro}", file=sys.stderr)
         return 1
-    print(f"fuzz: {args.count} program(s), {checked} allocation(s) checked, all equivalent")
+    print(f"fuzz: {count} program(s), {checked} allocation(s) checked, all equivalent")
     return 0
 
 

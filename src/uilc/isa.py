@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from ._gc import gc_paused
 from .model import Reg
 
 Src = Reg | int  # register operand or immediate
@@ -191,7 +192,12 @@ def format_insts(insts: list[Inst]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+@gc_paused
 def format_target(tp: TargetProgram) -> str:
+    """Assembly text of the whole program, one instruction or label per line.
+
+    Pauses the cyclic garbage collector while it runs (`_gc.gc_paused`).
+    """
     return format_insts(tp.flatten())
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from ._gc import gc_paused
+
 Operand = str | int  # identifier or signed 64-bit immediate
 
 WORD_MIN = -(1 << 63)
@@ -404,10 +406,12 @@ class _Parser:
         return Definition(name, params, body, (node.line, node.col))
 
 
+@gc_paused
 def parse(text: str) -> Program:
     """Parse concrete UIL text into a Program.
 
-    Raises ParseError with line/column on malformed input.
+    Raises ParseError with line/column on malformed input.  Pauses the
+    cyclic garbage collector while it runs (`_gc.gc_paused`).
     """
     forms = _read_all(text)
     if len(forms) != 1:
@@ -586,8 +590,12 @@ def _validate_body(
     return defined
 
 
+@gc_paused
 def validate(p: Program) -> list[Diagnostic]:
-    """Check program invariants; an empty list means the program is valid."""
+    """Check program invariants; an empty list means the program is valid.
+
+    Pauses the cyclic garbage collector while it runs (`_gc.gc_paused`).
+    """
     diags: list[Diagnostic] = []
     arities: dict[str, int] = {}
     for d in p.definitions:

@@ -320,6 +320,23 @@ def test_compare_bad_register_list_exits_one(capsys, split_file, registers):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("run", "{file}", "--fuel", "-5"), "--fuel must be at least 1"),
+        (("run", "{file}", "--fuel", "0"), "--fuel must be at least 1"),
+        (("compare", "{file}", "--fuel", "0"), "--fuel must be at least 1"),
+        (("fuzz", "--count", "1", "--fuel", "0"), "--fuel must be at least 1"),
+        (("fuzz", "--count", "-3"), "--count must be at least 0"),
+    ],
+)
+def test_out_of_range_values_exit_one(capsys, split_file, argv, message):
+    code, out, err = run_cli(capsys, *(a.format(file=split_file) for a in argv))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("run",),  # missing file
