@@ -1,7 +1,7 @@
 """Register allocation by forward abstract interpretation over models.
 
-The allocator walks each annotated procedure body once, threading a
-model through three primitives:
+The allocator walks each annotated procedure body once, threading one
+working model through three primitives:
 
 * ``save`` - give variables a stack home (elided when already homed)
 * ``load`` - bring variables into registers, evicting a victim chosen by
@@ -9,6 +9,12 @@ model through three primitives:
 * ``_sequence_moves`` - emit a set of simultaneous location-to-location
   moves, decomposed into paths and loops; it only emits code, and the
   join, call or return that needs one builds its own post-model
+
+The statement transformers update the working model in place (through
+the private ``_save`` and ``_load``), and copy it only where an `if`
+forks it into its two branches; a non-tail call builds the model after
+it afresh.  The public ``save``, ``load`` and ``alloc_fragment`` work on
+a copy of the model they are given, which they leave as it is.
 
 Live-range splitting falls out of save/load: a variable may live in a
 register, migrate to the stack under pressure, and come back into a
@@ -148,8 +154,14 @@ def save(m: Model, vs, slot_prefs: dict[str, int] | None = None) -> tuple[Model,
     repeated saves are free.  Register bindings are kept: after a save
     the variable lives in both places.  A variable takes its slot
     preference (the slot it has at the end of the other branch of an
-    `if`) when that slot is free, else the lowest free slot.
+    `if`) when that slot is free, else the lowest free slot.  Returns the
+    updated copy of `m`; `m` itself is left as it is.
     """
+    return _save(m.copy(), vs, slot_prefs)
+
+
+def _save(m: Model, vs, slot_prefs: dict[str, int] | None = None) -> tuple[Model, list[Inst]]:
+    """`save`, updating `m` in place."""
     insts: list[Inst] = []
     for v in vs:
         if not m.is_bound(v):
@@ -160,7 +172,7 @@ def save(m: Model, vs, slot_prefs: dict[str, int] | None = None) -> tuple[Model,
         if s is None or s in m.slot_owner:
             s = m.free_slot()
         insts.append(Store(s, m.reg_of(v)))
-        m = m.bind_slot(v, s)
+        m.bind_slot(v, s)
     return m, insts
 
 
@@ -193,12 +205,14 @@ def pick_victim(
 
 def _evict(
     m: Model, protected, uses: dict[str, float], policy: str, slot_prefs=None
-) -> tuple[Model, list[Inst], int]:
-    """Free the register of the policy's victim, saving the victim first."""
+) -> tuple[list[Inst], int]:
+    """Free the register of the policy's victim in `m`, saving the victim
+    first; return the save and the register."""
     victim = pick_victim(m, protected, uses, policy)
-    m, insts = save(m, [victim], slot_prefs)
+    _, insts = _save(m, [victim], slot_prefs)
     r = m.reg_of(victim)
-    return m.unbind_reg(victim), insts, r
+    m.unbind_reg(victim)
+    return insts, r
 
 
 def _pick_free(
@@ -254,7 +268,29 @@ def load(
     their slot into a free register (chosen by `_pick_free`, which also
     reads `across`), or into an evicted victim's register; the victim is
     saved first (for free when multi-homed).  Neither the listed variables
-    nor the protected set may be evicted.
+    nor the protected set may be evicted.  Returns the updated copy of
+    `m`; `m` itself is left as it is.
+    """
+    return _load(m.copy(), vs, protected, uses, policy, cfg, prefs, targets, slot_prefs, across)
+
+
+def _load(
+    m: Model,
+    vs,
+    protected,
+    uses: dict[str, float],
+    policy: str,
+    cfg: MachineConfig,
+    prefs: dict[str, int] | None = None,
+    targets: dict[int, dict[str, int]] | None = None,
+    slot_prefs: dict[str, int] | None = None,
+    across=(),
+) -> tuple[Model, list[Inst]]:
+    """`load`, updating `m` in place.
+
+    A PressureError or ModelError raised part-way leaves `m` half
+    updated.  The allocator lets either abort the whole allocation, so no
+    one reads that model again.
     """
     if len(m.reg_owner) <= cfg.registers:
         regmap = m.regmap
@@ -279,10 +315,10 @@ def load(
             raise ModelError(f"cannot load unbound variable '{v}'")
         r = _pick_free(m, v, cfg, prefs, uses, targets, across)
         if r is None:
-            m, saves, r = _evict(m, prot, uses, policy, slot_prefs)
+            saves, r = _evict(m, prot, uses, policy, slot_prefs)
             insts.extend(saves)
         insts.append(Load(r, m.slot_of(v)))
-        m = m.bind_reg(v, r)
+        m.bind_reg(v, r)
     return m, insts
 
 
@@ -634,11 +670,12 @@ def _without_callee_saved(cfg: MachineConfig) -> MachineConfig | None:
 
 
 def _rebind_copy(a: AnnotatedStatement, m: Model) -> Model | None:
-    """The model after the copy `(set! x y)` at `a`, when it needs no code.
+    """Update `m` for the copy `(set! x y)` at `a` when it needs no code,
+    and return it.
 
     A dead `x` is never read: the copy only ends what ends at `a`.  When
     `y` dies here, or `x` is `y`, `x` takes over `y`'s register and slot.
-    Any other copy needs a move, and gets None.
+    Any other copy needs a move, and gets None with `m` untouched.
     """
     x, y = a.stmt.dst, a.stmt.rhs
     if not m.is_bound(y):
@@ -648,11 +685,11 @@ def _rebind_copy(a: AnnotatedStatement, m: Model) -> Model | None:
     if x != y and y not in a.ends:
         return None
     r, i = m.reg_of(y), m.slot_of(y)
-    m = m.drop((x, y))
+    m.drop((x, y))
     if r is not None:
-        m = m.bind_reg(x, r)
+        m.bind_reg(x, r)
     if i is not None:
-        m = m.bind_slot(x, i)
+        m.bind_slot(x, i)
     return m
 
 
@@ -693,7 +730,12 @@ def _call_homes(
 
 
 class _BodyAllocator:
-    """Allocates one procedure body (or the entry body), model threaded."""
+    """Allocates one procedure body (or the entry body).
+
+    One working model is threaded through the body and updated in place
+    by each statement; it is copied only where an `if` forks it into its
+    two branches.
+    """
 
     def __init__(
         self,
@@ -736,21 +778,21 @@ class _BodyAllocator:
     def _fresh_label(self) -> str:
         return f".L{next(self.labels)}"
 
-    def _load_operands(self, a: AnnotatedStatement, m: Model) -> tuple[Model, list[Inst], list]:
-        """Load the statement's variable operands together; return their values in order."""
+    def _load_operands(self, a: AnnotatedStatement, m: Model) -> tuple[list[Inst], list]:
+        """Load the statement's variable operands together into `m`; return
+        the loads and the operand values in order."""
         ops = a.stmt.operands()
         opvars = variables(ops)
-        m1, insts = load(
+        _, insts = _load(
             m, opvars, opvars, a.next_uses, self.policy, self.cfg,
             self.prefs, self.targets, self.slot_prefs, self.across.get(a.point, ()),
         )
-        regmap = m1.regmap  # load leaves every variable operand in a register
-        return m1, insts, [Reg(regmap[o]) if type(o) is str else o for o in ops]
+        regmap = m.regmap  # load leaves every variable operand in a register
+        return insts, [Reg(regmap[o]) if type(o) is str else o for o in ops]
 
-    def _dest_reg(
-        self, m: Model, var: str, a: AnnotatedStatement
-    ) -> tuple[Model, list[Inst], int]:
-        """Bind a freshly assigned variable to a register.
+    def _dest_reg(self, m: Model, var: str, a: AnnotatedStatement) -> tuple[list[Inst], int]:
+        """Bind a freshly assigned variable to a register in `m`; return the
+        instructions that free it and the register.
 
         When the next statement is a non-tail call that reads `var` from a
         register another value holds, and that value lives across the
@@ -772,13 +814,13 @@ class _BodyAllocator:
             m, var, self.cfg, self.prefs, uses, self.targets, self.across.get(a.point, ())
         )
         if r is None:
-            m, insts, r = _evict(m, frozenset(), uses, self.policy, self.slot_prefs)
-        m = m.bind_reg(var, r)
-        return m, insts, r
+            insts, r = _evict(m, frozenset(), uses, self.policy, self.slot_prefs)
+        m.bind_reg(var, r)
+        return insts, r
 
     def _claim(
         self, m: Model, var: str, uses: dict[str, float], call: AnnotatedStatement
-    ) -> tuple[Model, list[Inst], int] | None:
+    ) -> tuple[list[Inst], int] | None:
         """Take `var`'s argument register at `call` from its holder `w`.
 
         Only when `w` is next read after the call, so the call would store
@@ -792,7 +834,7 @@ class _BodyAllocator:
         branch of an `if` with a join only a `w` that has a slot steps
         aside: a new slot there also steers the other branch's slot
         preferences, and on generated programs that raised loads plus
-        stores.
+        stores.  Every None is returned before `m` is updated.
         """
         r = self.targets[call.point].get(var)
         w = m.reg_owner.get(r)
@@ -809,8 +851,9 @@ class _BodyAllocator:
             if type(home) is Reg:
                 return None
             insts.append(Store(home.i, r))
-            m = m.bind_slot(w, home.i)
-        return m.unbind_reg(w).bind_reg(var, r), insts, r
+            m.bind_slot(w, home.i)
+        m.unbind_reg(w).bind_reg(var, r)
+        return insts, r
 
     def _seq(self, moves, m: Model, pinned_regs=()) -> list[Inst]:
         return _sequence_moves(
@@ -870,12 +913,12 @@ class _BodyAllocator:
             rebound = _rebind_copy(a, m)
             if rebound is not None:
                 return [], rebound
-        m1, insts, vals = self._load_operands(a, m)
+        insts, vals = self._load_operands(a, m)
 
         # operands that end here die, and so does the destination's old
         # binding (implicit renaming)
-        m2 = m1.drop(a.ends | {s.dst})
-        m2, evict_insts, d = self._dest_reg(m2, s.dst, a)
+        m.drop(a.ends | {s.dst})
+        evict_insts, d = self._dest_reg(m, s.dst, a)
         insts.extend(evict_insts)
 
         kind = type(rhs)
@@ -890,32 +933,35 @@ class _BodyAllocator:
             insts.append(LoadImm(d, rhs))
 
         if s.dst in a.ends:  # dead destination: never occupy a register
-            m2 = m2.drop({s.dst})
-        return insts, m2
+            m.drop({s.dst})
+        return insts, m
 
     def _memwrite(self, a: AnnotatedStatement, m: Model) -> tuple[list[Inst], Model]:
-        m1, insts, vals = self._load_operands(a, m)
+        insts, vals = self._load_operands(a, m)
         insts.append(MemStore(*vals))
-        return insts, m1.drop(a.ends)
+        return insts, m.drop(a.ends)
 
     def _if(self, a: AnnotatedStatement, m: Model) -> tuple[list[Inst], Model]:
         s = a.stmt
-        m1, insts, (va, vb) = self._load_operands(a, m)
-        m1 = m1.drop(a.ends)
+        insts, (va, vb) = self._load_operands(a, m)
+        m.drop(a.ends)
 
         then_label = self._fresh_label()
         insts.append(CondJump(s.test.rel, va, vb, then_label))
 
-        # a variable referenced on only one side dies entering the other;
-        # no statement there carries its ending, so drop it here
-        m_then = m1.restrict(a.then_live | self.kept)
-        m_else = m1.restrict(a.else_live | self.kept)
+        # the one fork of the working model; a variable referenced on only
+        # one side dies entering the other, and no statement there carries
+        # its ending, so it is dropped here
+        m_else = m.copy().restrict(a.else_live | self.kept)
+        m_then = m.restrict(a.then_live | self.kept)
 
         saved = self.prefs, self.slot_prefs, self.in_joined_branch
         self.in_joined_branch = saved[2] or not a.tail
         try:
             then_insts, m2 = self.run(a.then_body, m_then)
-            # steer the other branch toward the allocations already made
+            # steer the other branch toward the allocations already made;
+            # these alias m2's maps, which stay as they are until the
+            # restrict below, after they are restored
             self.prefs = m2.regmap
             if not a.tail:
                 self.slot_prefs = m2.stackmap
@@ -934,9 +980,13 @@ class _BodyAllocator:
         m2l = m2.restrict(join_live)
         m3l = m3.restrict(join_live)
 
-        # make the then side conform to the else side's final model
+        # make the then side conform to the else side's final model: only
+        # a variable whose register or slot differs between the two needs
+        # a move (a variable unbound in the then branch differs)
+        differ = {v for v, _ in m3l.regmap.items() - m2l.regmap.items()}
+        differ.update(v for v, _ in m3l.stackmap.items() - m2l.stackmap.items())
         moves: list[tuple[MoveSrc, MoveDst]] = []
-        for v in sorted(m3l.variables()):
+        for v in sorted(differ):
             if not m2l.is_bound(v):
                 raise AllocError(f"'{v}' live at join but unbound in the then branch")
             src = m2l.whereis(v)
@@ -976,10 +1026,11 @@ class _BodyAllocator:
         for arg in s.args:
             arg_srcs.append(m.whereis(arg) if isinstance(arg, str) else arg)
 
-        m1 = m.drop(a.ends)  # dropping the callee label is a no-op
+        # the argument sources are read above, before anything is dropped
+        m.drop(a.ends)  # dropping the callee label is a no-op
         if s.dst is not None:
             # the result rebinds the destination; its old value dies here
-            m1 = m1.drop({s.dst})
+            m.drop({s.dst})
         n_reg_args = min(len(cfg.arg_regs), len(s.args))
         n_stack_args = len(s.args) - n_reg_args
 
@@ -990,22 +1041,22 @@ class _BodyAllocator:
                 moves.append((arg_srcs[i], Reg(cfg.arg_regs[i])))
             for j in range(n_stack_args):
                 moves.append((arg_srcs[n_reg_args + j], Slot(j)))
-            if m1.is_bound(RET):
-                ret_src: MoveSrc = m1.whereis(RET)
+            if m.is_bound(RET):
+                ret_src: MoveSrc = m.whereis(RET)
             else:
                 self.need_halt = True  # entry frame returns to the halt stub
                 ret_src = LabelArg(HALT_LABEL)
             moves.append((ret_src, Reg(cfg.ret_addr_reg)))
             for v, r in self.owed:
-                moves.append((m1.whereis(v), Reg(r)))
-            insts = self._seq(moves, m1)
+                moves.append((m.whereis(v), Reg(r)))
+            insts = self._seq(moves, m)
             insts.append(Jump(s.callee))
-            return insts, m1
+            return insts, m
 
         avoid = {src.i for src in arg_srcs if type(src) is Slot}
-        homes = _call_homes(m1, cfg, self.slot_prefs, avoid=avoid)
-        moves = [(Reg(m1.regmap[v]), h) for v, h in homes.items()]
-        home = {**m1.stackmap, **{v: h.i for v, h in homes.items() if type(h) is Slot}}
+        homes = _call_homes(m, cfg, self.slot_prefs, avoid=avoid)
+        moves = [(Reg(m.regmap[v]), h) for v, h in homes.items()]
+        home = {**m.stackmap, **{v: h.i for v, h in homes.items() if type(h) is Slot}}
         k = max(home.values(), default=-1) + 1
         for i in range(n_reg_args):
             moves.append((arg_srcs[i], Reg(cfg.arg_regs[i])))
@@ -1018,8 +1069,8 @@ class _BodyAllocator:
         # the callee hands the callee-saved registers back as they are
         saved = cfg.callee_saved
         moved = {v: h.i for v, h in homes.items() if type(h) is Reg}
-        stay = {v: moved.get(v, r) for v, r in m1.regmap.items() if v in moved or r in saved}
-        insts = self._seq(moves, m1, pinned_regs=stay.values())
+        stay = {v: moved.get(v, r) for v, r in m.regmap.items() if v in moved or r in saved}
+        insts = self._seq(moves, m, pinned_regs=stay.values())
         if k:
             insts.append(FrameAdjust(k))
         insts.append(Jump(s.callee))
@@ -1030,7 +1081,7 @@ class _BodyAllocator:
         # no other register survives the call; the result arrives in ret_val
         m2 = Model(stay, home)
         if s.dst is not None and s.dst not in a.ends:
-            m2 = m2.bind_reg(s.dst, cfg.ret_val_reg)
+            m2.bind_reg(s.dst, cfg.ret_val_reg)
         return insts, m2
 
     def _return(self, a: AnnotatedStatement, m: Model) -> tuple[list[Inst], Model]:
@@ -1039,14 +1090,14 @@ class _BodyAllocator:
         val_src: MoveSrc = m.whereis(s.value) if isinstance(s.value, str) else s.value
 
         if self.is_entry:
-            m1 = m.drop(a.ends)
-            insts = self._seq([(val_src, Reg(cfg.ret_val_reg))], m1)
+            m.drop(a.ends)
+            insts = self._seq([(val_src, Reg(cfg.ret_val_reg))], m)
             insts.append(Halt())
-            return insts, m1
+            return insts, m
 
         ret_src = m.whereis(RET)
         keep = self.kept | ({s.value} if isinstance(s.value, str) else set())
-        m1 = m.restrict(keep)
+        m.restrict(keep)
 
         # the jump register must not be one the return restores
         busy = {cfg.ret_val_reg, *cfg.callee_saved}
@@ -1059,10 +1110,10 @@ class _BodyAllocator:
                     "cannot hold both the return value and the return address"
                 )
         moves = [(val_src, Reg(cfg.ret_val_reg)), (ret_src, Reg(target))]
-        moves += [(m1.whereis(v), Reg(r)) for v, r in self.owed]
-        insts = self._seq(moves, m1)
+        moves += [(m.whereis(v), Reg(r)) for v, r in self.owed]
+        insts = self._seq(moves, m)
         insts.append(Jump(Reg(target)))
-        return insts, m1
+        return insts, m
 
 
 # ---------------------------------------------------------------------------
@@ -1075,9 +1126,10 @@ def alloc_fragment(
     policy: str = "furthest",
     m: Model | None = None,
 ) -> tuple[list[Inst], Model]:
-    """Allocate a bare statement sequence starting from a given model."""
+    """Allocate a bare statement sequence starting from a given model,
+    which is left as it is (the allocation works on a copy)."""
     alloc = _BodyAllocator(body, cfg, policy, itertools.count(), is_entry=True, scope="<fragment>")
-    return alloc.run(body, m if m is not None else Model())
+    return alloc.run(body, m.copy() if m is not None else Model())
 
 
 @gc_paused
@@ -1117,9 +1169,9 @@ def alloc_program(
         )
         m0 = initial_model(proc.params, pcfg)
         # parameters the body never references die on arrival
-        m0 = m0.restrict(set(proc.entry_live) | {RET})
+        m0.restrict(set(proc.entry_live) | {RET})
         for v, r in proc_alloc.owed:
-            m0 = m0.bind_reg(v, r)
+            m0.bind_reg(v, r)
         insts, _ = proc_alloc.run(proc.body, m0)
         procs.append((proc.name, insts))
     return TargetProgram(entry_insts, procs)

@@ -76,9 +76,12 @@ def cmd_alloc(args) -> int:
     _, annotated = _load(args.file)
     cfg = _config(args.registers)
     trace: list[TraceEntry] | None = [] if args.trace else None
-    tp = alloc_program(annotated, cfg, args.policy, trace=trace)
-    if trace is not None:
-        _print_trace(trace)
+    try:
+        tp = alloc_program(annotated, cfg, args.policy, trace=trace)
+    finally:
+        # on a PressureError the transitions up to it explain it
+        if trace is not None:
+            _print_trace(trace)
     sys.stdout.write(format_target(tp))
     return 0
 

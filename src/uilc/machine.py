@@ -555,59 +555,78 @@ def belady_oracle(body, R: int) -> int:
     if R > ORACLE_MAX_REGS:
         raise ValueError(f"oracle bound exceeded: R={R}")
 
-    memo: dict[tuple[int, frozenset[str]], int] = {}
+    return _Oracle(steps, R).per_stmt(0, frozenset())
 
-    def per_stmt(i: int, resident: frozenset[str]) -> int:
-        if i == len(steps):
+
+class _Oracle:
+    """The search of one `belady_oracle` call over its statements.
+
+    ``memo`` maps (statement index, residents on entry) to the fewest
+    loads from there on.  The search is plain methods on this object
+    rather than closures that call each other, so it builds no reference
+    cycle and its memo is freed as soon as the call returns.
+    """
+
+    __slots__ = ("steps", "R", "memo")
+
+    def __init__(self, steps: list[tuple[list[str], frozenset[str], str | None]], R: int):
+        self.steps = steps
+        self.R = R
+        self.memo: dict[tuple[int, frozenset[str]], int] = {}
+
+    def per_stmt(self, i: int, resident: frozenset[str]) -> int:
+        if i == len(self.steps):
             return 0
         key = (i, resident)
+        memo = self.memo
         if key in memo:
             return memo[key]
-        reads, ends, dst = steps[i]
-        if len(set(reads)) > R:
-            raise ValueError(f"statement needs {len(set(reads))} registers, R={R}")
-
-        def fill(j: int, res: frozenset[str]) -> int:
-            if j == len(reads):
-                return finish(res)
-            v = reads[j]
-            if v in res:
-                return fill(j + 1, res)
-            if len(res) < R:
-                return 1 + fill(j + 1, res | {v})
-            best = None
-            for victim in sorted(res - set(reads)):
-                cost = 1 + fill(j + 1, (res - {victim}) | {v})
-                if best is None or cost < best:
-                    best = cost
-            if best is None:
-                raise ValueError("operands alone exceed the register count")
-            return best
-
-        def finish(res: frozenset[str]) -> int:
-            res = res - (ends - ({dst} if dst else set()))
-            if dst is None:
-                return per_stmt(i + 1, res)
-            if dst in res:
-                after = res
-            elif len(res) < R:
-                after = res | {dst}
-            else:
-                best = None
-                for victim in sorted(res):
-                    cost = per_stmt(i + 1, ((res - {victim}) | {dst}) - ({dst} & ends))
-                    if best is None or cost < best:
-                        best = cost
-                return best
-            if dst in ends:
-                after = after - {dst}
-            return per_stmt(i + 1, after)
-
-        result = fill(0, resident)
+        reads = self.steps[i][0]
+        if len(set(reads)) > self.R:
+            raise ValueError(f"statement needs {len(set(reads))} registers, R={self.R}")
+        result = self.fill(i, 0, resident)
         memo[key] = result
         return result
 
-    return per_stmt(0, frozenset())
+    def fill(self, i: int, j: int, res: frozenset[str]) -> int:
+        """Fewest loads from operand `j` of statement `i` on."""
+        reads = self.steps[i][0]
+        if j == len(reads):
+            return self.finish(i, res)
+        v = reads[j]
+        if v in res:
+            return self.fill(i, j + 1, res)
+        if len(res) < self.R:
+            return 1 + self.fill(i, j + 1, res | {v})
+        best = None
+        for victim in sorted(res - set(reads)):
+            cost = 1 + self.fill(i, j + 1, (res - {victim}) | {v})
+            if best is None or cost < best:
+                best = cost
+        if best is None:
+            raise ValueError("operands alone exceed the register count")
+        return best
+
+    def finish(self, i: int, res: frozenset[str]) -> int:
+        """Fewest loads once statement `i`'s operands are resident."""
+        _, ends, dst = self.steps[i]
+        res = res - (ends - ({dst} if dst else set()))
+        if dst is None:
+            return self.per_stmt(i + 1, res)
+        if dst in res:
+            after = res
+        elif len(res) < self.R:
+            after = res | {dst}
+        else:
+            best = None
+            for victim in sorted(res):
+                cost = self.per_stmt(i + 1, ((res - {victim}) | {dst}) - ({dst} & ends))
+                if best is None or cost < best:
+                    best = cost
+            return best
+        if dst in ends:
+            after = after - {dst}
+        return self.per_stmt(i + 1, after)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 A model mirrors the runtime machine state during allocation.  Variables
 bind to registers and stack slots separately; the same variable may hold
 both at once (multi-homing), which is what lets redundant saves be
-elided.  Models are immutable values: every update returns a fresh one
-(or the same one when it changes nothing), and injectivity holds in both
-maps at all times.
+elided.  A model is the allocator's working state: an update changes it
+in place and returns it, ``copy()`` forks it, and injectivity holds in
+both maps at all times.  The public allocator primitives (``save``,
+``load``, ``alloc_fragment``) copy the model they are given, so to their
+callers models behave as values.
 """
 
 from __future__ import annotations
@@ -123,7 +125,13 @@ def make_config(registers: int, *, max_arg_regs: int = 3) -> MachineConfig:
 
 
 class Model:
-    """Immutable variable-to-location binding.
+    """Mutable variable-to-location binding.
+
+    The update methods (``bind_reg``, ``bind_slot``, ``unbind_reg``,
+    ``unbind_slot``, ``drop``, ``restrict``) change the model and return
+    it, so a caller that threads one model through a pass builds no new
+    one; ``copy()`` forks a model where two futures need their own.  A
+    binding that collides raises ModelError before anything changes.
 
     ``reg_owner`` and ``slot_owner`` index the maps the other way round
     (register or slot to variable).  Updates keep them in step, so each
@@ -146,7 +154,7 @@ class Model:
         _state: tuple | None = None,
     ):
         if _state is not None:
-            # an update hands over fresh maps and indexes it keeps in step
+            # `copy` hands over fresh maps and indexes already in step
             self.regmap, self.stackmap, self.reg_owner, self.slot_owner = _state
             return
         self.regmap = dict(regmap or {})
@@ -154,6 +162,17 @@ class Model:
         self.reg_owner = {r: v for v, r in self.regmap.items()}
         self.slot_owner = {s: v for v, s in self.stackmap.items()}
         self.check()
+
+    def copy(self) -> "Model":
+        """An independent model with the same bindings, in the same order."""
+        return Model(
+            _state=(
+                dict(self.regmap),
+                dict(self.stackmap),
+                dict(self.reg_owner),
+                dict(self.slot_owner),
+            )
+        )
 
     def check(self) -> None:
         """Raise ModelError unless both maps are injective and indexed."""
@@ -204,55 +223,59 @@ class Model:
             i += 1
         return i
 
-    # -- updates (return fresh models) -------------------------------------
+    # -- updates (in place; each returns the model) -------------------------
 
     def bind_reg(self, v: str, r: int) -> "Model":
-        other = self.reg_owner.get(r)
+        reg_owner = self.reg_owner
+        other = reg_owner.get(r)
         if other is not None and other != v:
             raise ModelError(f"register r{r} already holds '{other}'")
-        regmap, reg_owner = dict(self.regmap), dict(self.reg_owner)
-        old = regmap.pop(v, None)  # re-inserted last: regmap is in bind order
+        old = self.regmap.pop(v, None)  # re-inserted last: regmap is in bind order
         if old is not None:
             del reg_owner[old]
-        regmap[v] = r
+        self.regmap[v] = r
         reg_owner[r] = v
-        return Model(_state=(regmap, self.stackmap, reg_owner, self.slot_owner))
+        return self
 
     def bind_slot(self, v: str, s: int) -> "Model":
-        other = self.slot_owner.get(s)
+        slot_owner = self.slot_owner
+        other = slot_owner.get(s)
         if other is not None and other != v:
             raise ModelError(f"slot fv{s} already holds '{other}'")
-        stackmap, slot_owner = dict(self.stackmap), dict(self.slot_owner)
-        old = stackmap.get(v)
+        old = self.stackmap.get(v)
         if old is not None:
             del slot_owner[old]
-        stackmap[v] = s
+        self.stackmap[v] = s
         slot_owner[s] = v
-        return Model(_state=(self.regmap, stackmap, self.reg_owner, slot_owner))
+        return self
 
     def unbind_reg(self, v: str) -> "Model":
-        if v not in self.regmap:
-            return self
-        regmap, reg_owner = _without(self.regmap, self.reg_owner, (v,))
-        return Model(_state=(regmap, self.stackmap, reg_owner, self.slot_owner))
+        r = self.regmap.pop(v, None)
+        if r is not None:
+            del self.reg_owner[r]
+        return self
 
     def unbind_slot(self, v: str) -> "Model":
-        if v not in self.stackmap:
-            return self
-        stackmap, slot_owner = _without(self.stackmap, self.slot_owner, (v,))
-        return Model(_state=(self.regmap, stackmap, self.reg_owner, slot_owner))
+        s = self.stackmap.pop(v, None)
+        if s is not None:
+            del self.slot_owner[s]
+        return self
 
     def drop(self, vs) -> "Model":
         """Remove all bindings of the given names; unknown names are fine."""
-        names = {v for v in vs if v in self.regmap or v in self.stackmap}
-        if not names:
-            return self
-        regmap, reg_owner = _without(self.regmap, self.reg_owner, names)
-        stackmap, slot_owner = _without(self.stackmap, self.slot_owner, names)
-        return Model(_state=(regmap, stackmap, reg_owner, slot_owner))
+        regmap, stackmap = self.regmap, self.stackmap
+        for v in vs:
+            r = regmap.pop(v, None)
+            if r is not None:
+                del self.reg_owner[r]
+            s = stackmap.pop(v, None)
+            if s is not None:
+                del self.slot_owner[s]
+        return self
 
     def restrict(self, keep) -> "Model":
-        return self.drop(self.variables() - set(keep))
+        """Drop every variable not in `keep`."""
+        return self.drop(self.variables().difference(keep))
 
     # -- value semantics ----------------------------------------------------
 
@@ -262,6 +285,8 @@ class Model:
         return self.regmap == other.regmap and self.stackmap == other.stackmap
 
     def __hash__(self) -> int:
+        # hashes the current bindings: a model must not change while a set
+        # or dict holds it
         return hash(
             (frozenset(self.regmap.items()), frozenset(self.stackmap.items()))
         )
@@ -280,16 +305,6 @@ class Model:
         return f"Model({self.dump()})"
 
 
-def _without(mapping: dict, owner: dict, names) -> tuple[dict, dict]:
-    """The map and its owner index without the given (distinct) names."""
-    hit = [v for v in names if v in mapping]
-    if hit:
-        mapping, owner = dict(mapping), dict(owner)
-        for v in hit:
-            del owner[mapping.pop(v)]
-    return mapping, owner
-
-
 def initial_model(params: tuple[str, ...], cfg: MachineConfig) -> Model:
     """Starting model for a procedure, derived from the calling convention.
 
@@ -304,7 +319,7 @@ def initial_model(params: tuple[str, ...], cfg: MachineConfig) -> Model:
     m = Model().bind_reg(RET, cfg.ret_addr_reg)
     n_reg = len(cfg.arg_regs)
     for i, v in enumerate(params[:n_reg]):
-        m = m.bind_reg(v, cfg.arg_regs[i])
+        m.bind_reg(v, cfg.arg_regs[i])
     for j, v in enumerate(params[n_reg:]):
-        m = m.bind_slot(v, j)
+        m.bind_slot(v, j)
     return m

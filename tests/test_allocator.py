@@ -19,7 +19,7 @@ from uilc.allocator import (
     pick_victim,
     save,
 )
-from uilc.analysis import annotate, annotate_statements
+from uilc.analysis import annotate, annotate_statements, walk_statements
 from uilc.gen import generate_program
 from uilc.isa import (
     BinOpInst,
@@ -42,7 +42,7 @@ from uilc.isa import (
 )
 from uilc.machine import equivalent, heap_from_seed, run_insts, run_target, run_uil
 from uilc.model import RET, Model, ModelError, Reg, Slot, make_config
-from uilc.uil import Assign, BinExpr, Cmp, If, Program, ReturnValue, parse, validate
+from uilc.uil import Assign, BinExpr, Call, Cmp, If, Program, ReturnValue, parse, validate
 
 from conftest import SPLIT_SRC, load_program
 
@@ -1273,3 +1273,114 @@ def test_generated_programs_ending_in_tail_if_are_equivalent():
                 report = equivalent(p, tp, cfg, heaps)
                 assert report.ok, (seed, r, policy, report.detail)
     assert tail_ifs > 100
+
+
+# ---------------------------------------------------------------------------
+# the working model: updated in place inside the allocator, copied at the
+# public boundary and where an `if` forks
+
+
+def _random_model(rng, cfg, names):
+    """C8's model generator: each name takes a free register (70%, then a
+    slot as well 40% of the time) or else a slot."""
+    m = Model()
+    for v in names:
+        r = m.free_register(cfg)
+        if rng.random() < 0.7 and r is not None:
+            m.bind_reg(v, r)
+            if rng.random() < 0.4:
+                m.bind_slot(v, m.free_slot())
+        else:
+            m.bind_slot(v, m.free_slot())
+    return m
+
+
+def _snapshot(m):
+    # item lists, so the order of regmap (the recency lifo/fifo read) counts
+    return (
+        list(m.regmap.items()),
+        list(m.stackmap.items()),
+        list(m.reg_owner.items()),
+        list(m.slot_owner.items()),
+    )
+
+
+def test_public_primitives_leave_the_models_they_are_handed_unchanged():
+    rng = random.Random(1515)
+    cfg = make_config(4)
+    resident_loads = evicting_loads = 0
+    for _ in range(1_500):
+        names = [f"v{i}" for i in range(rng.randint(1, 6))]
+        m = _random_model(rng, cfg, names)
+        before = _snapshot(m)
+        uses = {v: rng.randrange(1, 9) for v in names if rng.random() < 0.8}
+
+        m1, _ = save(m, rng.sample(names, rng.randint(0, len(names))))
+        assert _snapshot(m) == before and m1 is not m
+
+        resident = [v for v in names if m.reg_of(v) is not None]
+        m2, insts = load(m, resident, frozenset(), uses, "furthest", cfg)
+        assert insts == [] and m2 == m and m2 is not m
+        resident_loads += 1
+        assert _snapshot(m) == before
+
+        stacked = [v for v in names if m.reg_of(v) is None]
+        for policy in POLICIES:
+            if resident:
+                pick_victim(m, frozenset(resident[1:2]), uses, policy)
+            if stacked:
+                load(m, stacked[:1], frozenset(), uses, policy, cfg)
+                evicting_loads += len(m.reg_owner) == cfg.registers
+            assert _snapshot(m) == before, policy
+
+        # a fragment with an `if`, so the allocation forks its model
+        first, last = names[0], names[-1]
+        body = annotate_statements(parse(
+            f"(letrec () (set! t (+ {first} {last}))"
+            f" (if (< t {first}) (begin (set! {first} (+ {first} 1)))"
+            f" (begin (mset! 0 {last} t)))"
+            f" (return {first}))"
+        ).body)
+        _, m3 = alloc_fragment(body, cfg, rng.choice(POLICIES), m=m)
+        assert _snapshot(m) == before and m3 is not m
+    assert evicting_loads > 100 and resident_loads == 1_500
+
+
+def test_alloc_program_leaves_its_input_unchanged_and_repeats_itself():
+    for seed in range(20):
+        ap = annotate(generate_program(seed))
+        before = repr(ap)
+        for r in (2, 3, 8):
+            cfg = make_config(r)
+            for policy in POLICIES:
+                first = format_target(alloc_program(ap, cfg, policy))
+                assert format_target(alloc_program(ap, cfg, policy)) == first
+        assert repr(ap) == before, seed
+
+
+def test_allocation_builds_a_model_only_per_body_fork_and_call(monkeypatch):
+    """One working model per body, updated in place: a model is built only
+    for a body's entry, an `if`'s fork and the model after a non-tail
+    call."""
+    built = 0
+    init = Model.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "__init__", counting_init)
+    for seed in range(100):
+        ap = annotate(generate_program(seed))
+        bodies = [ap.entry] + [proc.body for proc in ap.procs]
+        stmts = [a for body in bodies for a in walk_statements(body)]
+        ifs = sum(type(a.stmt) is If for a in stmts)
+        calls = sum(type(a.stmt) is Call and not a.tail for a in stmts)
+        bound = 2 * len(bodies) + ifs + calls
+        for r in (3, 4, 8):
+            cfg = make_config(r)
+            for policy in POLICIES:
+                built = 0
+                alloc_program(ap, cfg, policy)
+                assert built <= bound, (seed, r, policy, built, bound)

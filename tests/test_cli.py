@@ -59,6 +59,17 @@ def test_alloc_trace_interleaves_model_dumps(capsys, split_file):
     assert "{x:r0}{}" in out
 
 
+def test_alloc_trace_prints_transitions_before_pressure_error(capsys, split_file):
+    plain = run_cli(capsys, "alloc", split_file, "--registers", "1")
+    code, out, err = run_cli(capsys, "alloc", split_file, "--registers", "1", "--trace")
+    assert plain[:2] == (1, "")
+    # the statements allocated before the failure, then the usual error
+    assert "; <entry> #0: (set! x 1)" in out
+    assert ";   post {}{x:fv0, y:fv1}" in out
+    assert (code, err) == (plain[0], plain[2])
+    assert err.startswith("error: register pressure: ")
+
+
 def test_run_reports_value_and_traffic(capsys, split_file):
     code, out, _ = run_cli(capsys, "run", split_file, "--registers", "2")
     assert code == 0

@@ -2,7 +2,7 @@
 
 Each stage leaves the collector as it found it, on return and on raise,
 and compiling creates no reference cycles, so pausing the collector never
-keeps garbage alive.
+keeps garbage alive.  The eviction oracle creates none either.
 """
 
 import gc
@@ -12,8 +12,9 @@ import pytest
 
 from uilc.allocator import POLICIES, PressureError, alloc_program
 from uilc.analysis import annotate
-from uilc.gen import generate_program
+from uilc.gen import generate_program, generate_straight_line
 from uilc.isa import TargetProgram, format_target
+from uilc.machine import belady_oracle
 from uilc.model import make_config
 from uilc.uil import ParseError, format_program, parse, validate
 
@@ -105,6 +106,20 @@ def test_compiling_creates_no_cyclic_garbage():
                     except PressureError:
                         pressure += 1
         assert pressure == 50 * len(POLICIES)
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
+
+
+def test_belady_oracle_creates_no_cyclic_garbage():
+    programs = [annotate(generate_straight_line(seed)) for seed in range(50)]
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        total = sum(belady_oracle(ap, r) for ap in programs for r in (2, 3))
+        assert total > 0
         assert gc.collect() == 0
     finally:
         if was:
