@@ -11,7 +11,7 @@ working model through three primitives:
   join, call or return that needs one builds its own post-model
 
 The statement transformers update the working model in place (through
-the private ``_save`` and ``_load``), and copy it only where an `if`
+the private ``_load`` and ``_store``), and copy it only where an `if`
 forks it into its two branches; a non-tail call builds the model after
 it afresh.  The public ``save``, ``load`` and ``alloc_fragment`` work on
 a copy of the model they are given, which they leave as it is.
@@ -157,23 +157,24 @@ def save(m: Model, vs, slot_prefs: dict[str, int] | None = None) -> tuple[Model,
     `if`) when that slot is free, else the lowest free slot.  Returns the
     updated copy of `m`; `m` itself is left as it is.
     """
-    return _save(m.copy(), vs, slot_prefs)
-
-
-def _save(m: Model, vs, slot_prefs: dict[str, int] | None = None) -> tuple[Model, list[Inst]]:
-    """`save`, updating `m` in place."""
+    m = m.copy()
     insts: list[Inst] = []
     for v in vs:
         if not m.is_bound(v):
             raise ModelError(f"cannot save unbound variable '{v}'")
-        if m.slot_of(v) is not None:
-            continue
-        s = slot_prefs.get(v) if slot_prefs else None
-        if s is None or s in m.slot_owner:
-            s = m.free_slot()
-        insts.append(Store(s, m.reg_of(v)))
-        m.bind_slot(v, s)
+        if m.slot_of(v) is None:
+            insts.append(_store(m, v, slot_prefs))
     return m, insts
+
+
+def _store(m: Model, v: str, slot_prefs: dict[str, int] | None) -> Store:
+    """Give the slotless register resident `v` a slot in `m`: its slot
+    preference when free, else the lowest free slot; return the store."""
+    s = slot_prefs.get(v) if slot_prefs else None
+    if s is None or s in m.slot_owner:
+        s = m.free_slot()
+    m.bind_slot(v, s)
+    return Store(s, m.regmap[v])
 
 
 def pick_victim(
@@ -192,27 +193,37 @@ def pick_victim(
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     if policy == "furthest":
-        candidates = [v for v, _ in m.register_residents() if v not in protected]
+        # one pass over the residents in bind order; a tie goes to the
+        # lower register
+        victim = None
+        for r, v in m.reg_owner.items():
+            if v not in protected:
+                u = uses.get(v, INF)
+                if victim is None or u > far or (u == far and r < low):
+                    victim, far, low = v, u, r
+        if victim is not None:
+            return victim
     else:
-        candidates = [v for v in m.regmap if v not in protected]
-    if not candidates:
-        raise PressureError("no evictable register: all residents are in use")
-    if policy == "furthest":
-        # max keeps the first of equals: candidates run by register index
-        return max(candidates, key=lambda v: uses.get(v, INF))
-    return candidates[-1] if policy == "lifo" else candidates[0]
+        for v in reversed(m.regmap) if policy == "lifo" else m.regmap:
+            if v not in protected:
+                return v
+    raise PressureError("no evictable register: all residents are in use")
 
 
 def _evict(
-    m: Model, protected, uses: dict[str, float], policy: str, slot_prefs=None
-) -> tuple[list[Inst], int]:
-    """Free the register of the policy's victim in `m`, saving the victim
-    first; return the save and the register."""
+    m: Model, protected, uses: dict[str, float], policy: str, slot_prefs, insts: list[Inst]
+) -> int:
+    """Free the register of the policy's victim in `m` and return it.
+
+    A victim without a slot is stored first (`_store`), and the store is
+    appended to `insts`; a multi-homed victim only loses its register.
+    """
     victim = pick_victim(m, protected, uses, policy)
-    _, insts = _save(m, [victim], slot_prefs)
-    r = m.reg_of(victim)
+    r = m.regmap[victim]
+    if victim not in m.stackmap:
+        insts.append(_store(m, victim, slot_prefs))
     m.unbind_reg(victim)
-    return insts, r
+    return r
 
 
 def _pick_free(
@@ -288,36 +299,47 @@ def _load(
 ) -> tuple[Model, list[Inst]]:
     """`load`, updating `m` in place.
 
+    When every variable is already resident this returns at once.
+    Otherwise one set, `needed`, holds the listed variables and the
+    protected residents: its size is checked against the register count
+    before anything changes (so a PressureError comes before any
+    ModelError), and it is the set the victims are chosen outside.  A
+    protected variable that is not resident never becomes one here, so it
+    needs no place in the set.  A name listed twice is resident by its
+    second turn and costs nothing more.
+
     A PressureError or ModelError raised part-way leaves `m` half
     updated.  The allocator lets either abort the whole allocation, so no
     one reads that model again.
     """
+    regmap = m.regmap
     if len(m.reg_owner) <= cfg.registers:
-        regmap = m.regmap
         for v in vs:
             if v not in regmap:
                 break
         else:
             return m, []
-    vs = list(dict.fromkeys(vs))
-    prot = frozenset(protected) | set(vs)
-    needed = set(vs) | {v for v in prot if m.reg_of(v) is not None}
+    needed = set(vs)
+    for v in protected:
+        if v in regmap:
+            needed.add(v)
     if len(needed) > cfg.registers:
         raise PressureError(
             f"{len(needed)} values must be register-resident at once, "
             f"but the machine has {cfg.registers} register(s)"
         )
     insts: list[Inst] = []
+    stackmap = m.stackmap
     for v in vs:
-        if m.reg_of(v) is not None:
+        if v in regmap:
             continue
-        if not m.is_bound(v):
+        s = stackmap.get(v)
+        if s is None:
             raise ModelError(f"cannot load unbound variable '{v}'")
         r = _pick_free(m, v, cfg, prefs, uses, targets, across)
         if r is None:
-            saves, r = _evict(m, prot, uses, policy, slot_prefs)
-            insts.extend(saves)
-        insts.append(Load(r, m.slot_of(v)))
+            r = _evict(m, needed, uses, policy, slot_prefs, insts)
+        insts.append(Load(r, s))
         m.bind_reg(v, r)
     return m, insts
 
@@ -412,7 +434,7 @@ class _Shuffle:
 
     __slots__ = (
         "pending", "src_count", "ready", "registers", "pinned", "live",
-        "written", "parked", "used_slots", "insts", "restore",
+        "written", "parked", "busy_slots", "used_slots", "insts", "restore",
     )
 
     def __init__(self, pending, written, identity_slots, registers, pinned_regs, busy_slots):
@@ -428,7 +450,9 @@ class _Shuffle:
         self.live = self.pinned | {s.i for s in src_count if type(s) is Reg}
         self.written = written
         self.parked: set[int] = set()  # registers holding a loop's entry value
-        used = set(busy_slots) | identity_slots
+        # the frame's occupied slots stay a view: only a scratch slot reads them
+        self.busy_slots = busy_slots
+        used = identity_slots  # plus the legs' slots and the scratch slots taken
         used.update(loc.i for loc in pending if type(loc) is Slot)
         used.update(loc.i for loc in src_count if type(loc) is Slot)
         self.used_slots = used
@@ -486,9 +510,9 @@ class _Shuffle:
         return None
 
     def _fresh_slot(self) -> int:
-        used = self.used_slots
+        used, busy = self.used_slots, self.busy_slots
         s = 0
-        while s in used:
+        while s in used or s in busy:
             s += 1
         used.add(s)
         return s
@@ -782,17 +806,20 @@ class _BodyAllocator:
         """Load the statement's variable operands together into `m`; return
         the loads and the operand values in order."""
         ops = a.stmt.operands()
-        opvars = variables(ops)
+        # the operands protect each other; nothing else is protected
         _, insts = _load(
-            m, opvars, opvars, a.next_uses, self.policy, self.cfg,
+            m, variables(ops), (), a.next_uses, self.policy, self.cfg,
             self.prefs, self.targets, self.slot_prefs, self.across.get(a.point, ()),
         )
         regmap = m.regmap  # load leaves every variable operand in a register
-        return insts, [Reg(regmap[o]) if type(o) is str else o for o in ops]
+        vals = []
+        for o in ops:
+            vals.append(Reg(regmap[o]) if type(o) is str else o)
+        return insts, vals
 
-    def _dest_reg(self, m: Model, var: str, a: AnnotatedStatement) -> tuple[list[Inst], int]:
-        """Bind a freshly assigned variable to a register in `m`; return the
-        instructions that free it and the register.
+    def _dest_reg(self, m: Model, var: str, a: AnnotatedStatement, insts: list[Inst]) -> int:
+        """Bind a freshly assigned variable to a register in `m`, append
+        the instructions that free it to `insts`, and return the register.
 
         When the next statement is a non-tail call that reads `var` from a
         register another value holds, and that value lives across the
@@ -806,22 +833,27 @@ class _BodyAllocator:
         uses = a.next_uses
         call = self.next_calls.get(a.point)
         if call is not None:
-            claimed = self._claim(m, var, uses, call)
-            if claimed is not None:
-                return claimed
-        insts: list[Inst] = []
+            r = self._claim(m, var, uses, call, insts)
+            if r is not None:
+                return r
         r = _pick_free(
             m, var, self.cfg, self.prefs, uses, self.targets, self.across.get(a.point, ())
         )
         if r is None:
-            insts, r = _evict(m, frozenset(), uses, self.policy, self.slot_prefs)
+            r = _evict(m, (), uses, self.policy, self.slot_prefs, insts)
         m.bind_reg(var, r)
-        return insts, r
+        return r
 
     def _claim(
-        self, m: Model, var: str, uses: dict[str, float], call: AnnotatedStatement
-    ) -> tuple[list[Inst], int] | None:
-        """Take `var`'s argument register at `call` from its holder `w`.
+        self,
+        m: Model,
+        var: str,
+        uses: dict[str, float],
+        call: AnnotatedStatement,
+        insts: list[Inst],
+    ) -> int | None:
+        """Take `var`'s argument register at `call` from its holder `w`;
+        return the register, with the holder's store appended to `insts`.
 
         Only when `w` is next read after the call, so the call would store
         it anyway (RET, which no statement reads, never steps aside), and
@@ -843,7 +875,6 @@ class _BodyAllocator:
         p = self.prefs.get(var)
         if p is not None and p < self.cfg.registers and p not in m.reg_owner:
             return None
-        insts: list[Inst] = []
         if m.slot_of(w) is None:
             if self.in_joined_branch:
                 return None
@@ -853,7 +884,7 @@ class _BodyAllocator:
             insts.append(Store(home.i, r))
             m.bind_slot(w, home.i)
         m.unbind_reg(w).bind_reg(var, r)
-        return insts, r
+        return r
 
     def _seq(self, moves, m: Model, pinned_regs=()) -> list[Inst]:
         return _sequence_moves(
@@ -866,38 +897,37 @@ class _BodyAllocator:
     # -- statement dispatch --------------------------------------------------
 
     def run(self, body, m: Model) -> tuple[list[Inst], Model]:
+        """Allocate `body` statement by statement from `m`; return its code
+        and the model after it."""
         insts: list[Inst] = []
+        trace = self.trace
         for a in body:
-            new_insts, m = self.stmt(a, m)
+            pre = m.dump() if trace is not None else ""
+            try:
+                kind = type(a.stmt)
+                if kind is Assign:
+                    new_insts, m = self._assign(a, m)
+                elif kind is Call:
+                    new_insts, m = self._call(a, m)
+                elif kind is If:
+                    new_insts, m = self._if(a, m)
+                elif kind is MemWrite:
+                    new_insts, m = self._memwrite(a, m)
+                elif kind is ReturnValue:
+                    new_insts, m = self._return(a, m)
+                else:  # pragma: no cover
+                    raise AllocError(f"unknown statement {a.stmt!r}")
+            except PressureError as e:
+                if e.stmt is None:
+                    e.stmt = _stmt_text(a.stmt)
+                    e.point = a.point
+                raise
             insts.extend(new_insts)
+            if trace is not None:
+                trace.append(
+                    TraceEntry(self.scope, a.point, _stmt_text(a.stmt), pre, new_insts, m.dump())
+                )
         return insts, m
-
-    def stmt(self, a: AnnotatedStatement, m: Model) -> tuple[list[Inst], Model]:
-        pre = m.dump() if self.trace is not None else ""
-        try:
-            kind = type(a.stmt)
-            if kind is Assign:
-                insts, m2 = self._assign(a, m)
-            elif kind is Call:
-                insts, m2 = self._call(a, m)
-            elif kind is If:
-                insts, m2 = self._if(a, m)
-            elif kind is MemWrite:
-                insts, m2 = self._memwrite(a, m)
-            elif kind is ReturnValue:
-                insts, m2 = self._return(a, m)
-            else:  # pragma: no cover
-                raise AllocError(f"unknown statement {a.stmt!r}")
-        except PressureError as e:
-            if e.stmt is None:
-                e.stmt = _stmt_text(a.stmt)
-                e.point = a.point
-            raise
-        if self.trace is not None:
-            self.trace.append(
-                TraceEntry(self.scope, a.point, _stmt_text(a.stmt), pre, insts, m2.dump())
-            )
-        return insts, m2
 
     def _assign(self, a: AnnotatedStatement, m: Model) -> tuple[list[Inst], Model]:
         """Compute the right-hand side into the destination's register.
@@ -917,9 +947,9 @@ class _BodyAllocator:
 
         # operands that end here die, and so does the destination's old
         # binding (implicit renaming)
-        m.drop(a.ends | {s.dst})
-        evict_insts, d = self._dest_reg(m, s.dst, a)
-        insts.extend(evict_insts)
+        dst = s.dst
+        m.drop((dst, *a.ends))
+        d = self._dest_reg(m, dst, a, insts)
 
         kind = type(rhs)
         if kind is BinExpr:
@@ -932,8 +962,8 @@ class _BodyAllocator:
         else:
             insts.append(LoadImm(d, rhs))
 
-        if s.dst in a.ends:  # dead destination: never occupy a register
-            m.drop({s.dst})
+        if dst in a.ends:  # dead destination: never occupy a register
+            m.unbind_reg(dst)
         return insts, m
 
     def _memwrite(self, a: AnnotatedStatement, m: Model) -> tuple[list[Inst], Model]:
@@ -983,8 +1013,9 @@ class _BodyAllocator:
         # make the then side conform to the else side's final model: only
         # a variable whose register or slot differs between the two needs
         # a move (a variable unbound in the then branch differs)
-        differ = {v for v, _ in m3l.regmap.items() - m2l.regmap.items()}
-        differ.update(v for v, _ in m3l.stackmap.items() - m2l.stackmap.items())
+        regs2, slots2 = m2l.regmap, m2l.stackmap
+        differ = {v for v, r in m3l.regmap.items() if regs2.get(v) != r}
+        differ.update([v for v, i in m3l.stackmap.items() if slots2.get(v) != i])
         moves: list[tuple[MoveSrc, MoveDst]] = []
         for v in sorted(differ):
             if not m2l.is_bound(v):

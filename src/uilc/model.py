@@ -205,21 +205,25 @@ class Model:
         raise ModelError(f"'{v}' is not bound in the model")
 
     def variables(self) -> set[str]:
-        return set(self.regmap) | set(self.stackmap)
+        vs = set(self.regmap)
+        vs.update(self.stackmap)
+        return vs
 
     def register_residents(self) -> list[tuple[str, int]]:
         """(variable, register) pairs ordered by register index."""
         return [(v, r) for r, v in sorted(self.reg_owner.items())]
 
     def free_register(self, cfg: MachineConfig) -> int | None:
+        reg_owner = self.reg_owner
         for r in range(cfg.registers):
-            if r not in self.reg_owner:
+            if r not in reg_owner:
                 return r
         return None
 
     def free_slot(self) -> int:
+        slot_owner = self.slot_owner
         i = 0
-        while i in self.slot_owner:
+        while i in slot_owner:
             i += 1
         return i
 
@@ -264,18 +268,21 @@ class Model:
     def drop(self, vs) -> "Model":
         """Remove all bindings of the given names; unknown names are fine."""
         regmap, stackmap = self.regmap, self.stackmap
+        reg_owner, slot_owner = self.reg_owner, self.slot_owner
         for v in vs:
             r = regmap.pop(v, None)
             if r is not None:
-                del self.reg_owner[r]
+                del reg_owner[r]
             s = stackmap.pop(v, None)
             if s is not None:
-                del self.slot_owner[s]
+                del slot_owner[s]
         return self
 
     def restrict(self, keep) -> "Model":
         """Drop every variable not in `keep`."""
-        return self.drop(self.variables().difference(keep))
+        gone = self.variables()
+        gone.difference_update(keep)
+        return self.drop(gone)
 
     # -- value semantics ----------------------------------------------------
 

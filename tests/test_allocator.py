@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from uilc import allocator
 from uilc.allocator import (
     POLICIES,
     AllocError,
@@ -159,6 +160,46 @@ def test_load_pressure_fault():
         load(m, ["a", "b", "c"], frozenset(), {}, "furthest", cfg)
 
 
+def test_load_repeated_name_loads_once():
+    m = Model({}, {"a": 3})
+    m2, insts = load(m, ["a", "a"], ["a"], {}, "furthest", make_config(2))
+    assert insts == [Load(0, 3)]
+    assert m2.reg_of("a") == 0
+
+
+def test_load_counts_protected_residents_toward_pressure():
+    cfg = make_config(2)
+    m = Model({"p": 0}, {"a": 0, "b": 1})
+    with pytest.raises(PressureError) as e:
+        load(m, ["a", "b"], frozenset({"p"}), {}, "furthest", cfg)
+    assert str(e.value) == (
+        "3 values must be register-resident at once, but the machine has 2 register(s)"
+    )
+    # a protected variable that is not resident takes no register
+    m = Model({}, {"a": 0, "b": 1, "p": 2})
+    m2, insts = load(m, ["a", "b"], frozenset({"p"}), {}, "furthest", cfg)
+    assert insts == [Load(0, 0), Load(1, 1)]
+    assert m2.reg_of("p") is None
+
+
+def test_load_pressure_error_comes_before_unbound_name():
+    m = Model({}, {"a": 0, "b": 1})
+    with pytest.raises(PressureError, match="3 values must be register-resident"):
+        load(m, ["a", "b", "q"], frozenset(), {}, "furthest", make_config(2))
+
+
+def test_raising_load_leaves_its_input_model_unchanged():
+    cfg = make_config(3)
+    m = Model({"x": 0}, {"a": 0, "x": 1})
+    before = _snapshot(m)
+    with pytest.raises(ModelError, match="cannot load unbound variable 'q'"):
+        load(m, ["a", "q"], frozenset(), {}, "furthest", cfg)
+    assert _snapshot(m) == before
+    with pytest.raises(PressureError):
+        load(m, ["a"], frozenset({"x", "y"}), {}, "furthest", make_config(1))
+    assert _snapshot(m) == before
+
+
 def test_load_at_most_two_instructions_per_variable():
     rng = random.Random(9)
     cfg = make_config(3)
@@ -232,6 +273,28 @@ def test_pick_victim_no_candidates_faults():
     m = Model({"x": 0}, {})
     with pytest.raises(PressureError):
         pick_victim(m, frozenset({"x"}), {}, "furthest")
+
+
+def test_pick_victim_dead_candidate_beats_any_next_use():
+    m = Model({"x": 0, "y": 1, "z": 2}, {})
+    uses = {"x": 10**9, "z": 5}
+    assert pick_victim(m, frozenset(), uses, "furthest") == "y"
+    assert pick_victim(m, frozenset({"y"}), uses, "furthest") == "x"
+
+
+def test_pick_victim_ties_go_to_lowest_register_whatever_the_bind_order():
+    m = Model().bind_reg("d", 3).bind_reg("c", 2).bind_reg("b", 1).bind_reg("a", 0)
+    assert list(m.reg_owner) == [3, 2, 1, 0]
+    assert pick_victim(m, frozenset(), {v: 7 for v in "abcd"}, "furthest") == "a"
+    assert pick_victim(m, frozenset("a"), {v: 7 for v in "abcd"}, "furthest") == "b"
+    # dead values tie too
+    assert pick_victim(m, frozenset(), {"a": 4}, "furthest") == "b"
+    assert pick_victim(m, frozenset(), {"a": 4, "b": 9, "c": 9, "d": 2}, "furthest") == "b"
+
+
+def test_pick_victim_checks_the_policy_before_the_candidates():
+    with pytest.raises(ValueError, match="unknown policy 'lru'"):
+        pick_victim(Model({"x": 0}, {}), frozenset({"x"}), {}, "lru")
 
 
 def test_pick_victim_lifo_and_fifo():
@@ -1384,3 +1447,25 @@ def test_allocation_builds_a_model_only_per_body_fork_and_call(monkeypatch):
                 built = 0
                 alloc_program(ap, cfg, policy)
                 assert built <= bound, (seed, r, policy, built, bound)
+
+
+def test_each_eviction_picks_its_victim_through_pick_victim(monkeypatch):
+    """Victim choice goes through the module attribute `pick_victim`, once
+    per eviction, so a wrapper put there sees every eviction; the count
+    over the generated corpus is pinned."""
+    calls = 0
+    pick = allocator.pick_victim
+
+    def counting_pick(*args):
+        nonlocal calls
+        calls += 1
+        return pick(*args)
+
+    monkeypatch.setattr(allocator, "pick_victim", counting_pick)
+    for seed in range(100):
+        ap = annotate(generate_program(seed))
+        for r in (3, 4, 8):
+            cfg = make_config(r)
+            for policy in POLICIES:
+                alloc_program(ap, cfg, policy)
+    assert calls == 957
