@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 from pathlib import Path
@@ -12,7 +13,7 @@ from uilc.analysis import (
     stmt_refs,
     walk_statements,
 )
-from uilc.gen import generate_program
+from uilc.gen import generate_program, generate_straight_line
 from uilc.uil import If, format_program, parse, validate
 
 from conftest import CHAIN_SRC, load_program
@@ -254,8 +255,6 @@ def test_straight_line_forward_reconstruction_matches_backward_pass():
     # in straight-line code a range can only end where its variable is
     # referenced or defined, so ending sets are recoverable forward from
     # the next-use maps alone
-    from uilc.gen import generate_straight_line
-
     for seed in range(40):
         p = generate_straight_line(seed)
         ap = annotate(p)
@@ -326,3 +325,45 @@ def test_tail_flags_match_raw_program_recomputation():
 def test_fragment_annotation_marks_nothing_tail():
     body = annotate_statements(parse(TAIL_SRC).body)
     assert not any(a.tail for a in walk_statements(body))
+
+
+# ---------------------------------------------------------------------------
+# pinned output
+
+# Digest of every annotation fact over the corpus `_pinned_programs`
+# yields: each statement's point, sorted ending set, sorted live-after
+# set, sorted next-use items, tail flag and sorted branch entry sets, in
+# pre-order, then each procedure's entry set.  A change to `annotate` must
+# leave it as it is.
+ANNOTATION_SHA256 = "682a1cbc7ca40691f476605ca46b6fcfaefe827d4d8e25bf65f6fb33a2b154e6"
+
+
+def _pinned_programs():
+    """C5 (generator seeds 0..499), C6 (straight-line seeds 0..199) and
+    three `large-pressure` programs."""
+    yield from (generate_program(seed) for seed in range(500))
+    yield from (generate_straight_line(seed) for seed in range(200))
+    for seed in range(3):
+        yield generate_program(seed, max_procs=0, max_stmts=3000, pressure_vars=32)
+
+
+def test_annotations_are_pinned():
+    digest = hashlib.sha256()
+    for p in _pinned_programs():
+        ap = annotate(p)
+        for body in [ap.entry] + [proc.body for proc in ap.procs]:
+            for a in walk_statements(body):
+                fact = (
+                    a.point,
+                    sorted(a.ends),
+                    sorted(a.live_after),
+                    sorted(a.next_uses.items()),
+                    a.tail,
+                    sorted(a.then_live),
+                    sorted(a.else_live),
+                )
+                digest.update(repr(fact).encode())
+        for proc in ap.procs:
+            digest.update(repr((proc.name, sorted(proc.entry_live))).encode())
+    assert digest.hexdigest() == ANNOTATION_SHA256
+

@@ -227,6 +227,17 @@ _VALIDATE_CASES = [
         ],
     ),
     (
+        # a parameter or an assignment never makes RET or a procedure name
+        # a defined variable
+        "(letrec ((f (lambda (f) (return f)))) (set! RET 1) (set! x (+ RET f)) (return x))",
+        [
+            "1:25: procedure 'f' used as a value",
+            "1:39: cannot assign reserved name 'RET'",
+            "1:52: 'RET' is a reserved name",
+            "1:52: procedure 'f' used as a value",
+        ],
+    ),
+    (
         "(letrec ((f (lambda (a b) (return a)))) (f u) (g RET) (return u) (f 1 2))",
         [
             "1:41: variable 'u' may be used before assignment",
@@ -425,3 +436,25 @@ def test_parse_outcomes_are_pinned():
         digest.update(_parse_outcome(text).encode())
         digest.update(b"\n")
     assert digest.hexdigest() == PARSE_OUTCOMES_SHA256
+
+
+# Digest of the `(message, pos)` list that `validate` returns for every
+# text of `_generated_and_edited_texts` that parses (861 of them).  The
+# random edits draw undefined-variable, undefined-procedure and arity
+# diagnostics, and their order counts too; `_VALIDATE_CASES` covers the
+# other kinds.  A change to the validator must leave it as it is.
+VALIDATE_OUTCOMES_SHA256 = "7c1b581cb18ea9c085980db7ed500a1e71edfbb02734999cb0239ce99054bb99"
+
+
+def test_validate_outcomes_are_pinned():
+    _, texts, edited = _generated_and_edited_texts()
+    digest = hashlib.sha256()
+    for text in texts + edited:
+        try:
+            p = parse(text)
+        except ParseError:
+            continue
+        outcome = [(d.message, d.pos) for d in validate(p)]
+        digest.update(repr(outcome).encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == VALIDATE_OUTCOMES_SHA256
