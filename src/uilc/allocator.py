@@ -96,7 +96,7 @@ from .model import (
     Slot,
     initial_model,
 )
-from .uil import Assign, BinExpr, Call, If, MemRead, MemWrite, ReturnValue, _fmt_statement, variables
+from .uil import Assign, BinExpr, Call, If, MemRead, MemWrite, ReturnValue, _fmt_statement
 
 POLICIES = ("furthest", "lifo", "fifo")
 
@@ -661,7 +661,7 @@ def _calls_ahead(
         if ahead:
             out[a.point] = ahead
         if kind is Call and not a.tail:
-            ahead = ahead | a.live_after
+            ahead = ahead.union(a.live_after)
         if (kind is Call or kind is Assign) and s.dst in ahead:
             ahead = ahead - {s.dst}
     return ahead
@@ -803,17 +803,17 @@ class _BodyAllocator:
         return f".L{next(self.labels)}"
 
     def _load_operands(self, a: AnnotatedStatement, m: Model) -> tuple[list[Inst], list]:
-        """Load the statement's variable operands together into `m`; return
-        the loads and the operand values in order."""
-        ops = a.stmt.operands()
+        """Load the statement's variable operands (`a.refs`, which for an
+        assignment, memory write or `if` lists exactly them) together into
+        `m`; return the loads and the operand values in order."""
         # the operands protect each other; nothing else is protected
         _, insts = _load(
-            m, variables(ops), (), a.next_uses, self.policy, self.cfg,
+            m, a.refs, (), a.next_uses, self.policy, self.cfg,
             self.prefs, self.targets, self.slot_prefs, self.across.get(a.point, ()),
         )
         regmap = m.regmap  # load leaves every variable operand in a register
         vals = []
-        for o in ops:
+        for o in a.stmt.operands():
             vals.append(Reg(regmap[o]) if type(o) is str else o)
         return insts, vals
 

@@ -1,15 +1,19 @@
 """Backward liveness analysis: live-range endings and next-use positions.
 
-One backward sweep per procedure body annotates every statement with the
-set of variables whose live range ends there and with the point where
-each variable live after it is referenced next.  A forward numbering
-pass marks the statements in tail position.  No interference graph is
-built.  UIL has no loop form, so branch joins need no fixpoint iteration.
+One backward walk per procedure body annotates every statement with the
+set of variables whose live range ends there, the point where each
+variable live after it is referenced next, and whether it is in tail
+position.  Points are pre-order, branches then-before-else; the walk
+hands them out from the end of the body down.  Each statement's live set
+is a read-only view of the next-use map the walk already holds, so no
+statement copies it.  No interference graph is built.  UIL has no loop
+form, so branch joins need no fixpoint iteration.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import KeysView
 from dataclasses import dataclass, field
 
 from ._gc import gc_paused
@@ -24,8 +28,11 @@ class AnnotatedStatement:
     point: int
     ends: frozenset[str]
     # Variables referenced (before redefinition) strictly after this
-    # statement, on some path.  For an If this is join liveness.
-    live_after: frozenset[str]
+    # statement, on some path.  For an If this is join liveness.  It is
+    # the key view of the map the walk holds after the statement (for
+    # anything but an If, `next_uses`): a read-only view that compares
+    # as a set but does not hash.  Never mutate the map behind it.
+    live_after: KeysView[str] = field(hash=False)
     # The next reference of each variable live after this statement (for
     # an If: entering either branch): the first point after `point` that
     # reads the value on some path.  An absent variable is dead.  The
@@ -34,6 +41,8 @@ class AnnotatedStatement:
     # Nothing in the frame runs after this statement: a call here is a
     # tail call, and an If here has no join.
     tail: bool
+    # `stmt_refs(stmt)`, for the stages that read the statement's variables
+    refs: list[str] = field(compare=False)
     then_body: tuple["AnnotatedStatement", ...] = ()
     else_body: tuple["AnnotatedStatement", ...] = ()
     # live sets on entry to each branch; a variable used in only one
@@ -65,88 +74,79 @@ def stmt_refs(s: Statement) -> list[str]:
     return [s.callee, *refs] if type(s) is Call else refs
 
 
-def _number(stmts: tuple[Statement, ...], counter: list[int], tail: bool) -> list:
-    """Pre-order numbering skeleton: (stmt, point, tail, then_skel, else_skel).
-
-    `tail` holds when nothing in the frame runs after `stmts`; then the
-    last statement is in tail position, and so is the last of each branch
-    of a tail If.
-    """
-    skeleton = []
-    last = len(stmts) - 1
-    for i, s in enumerate(stmts):
-        point = counter[0]
-        counter[0] += 1
-        is_tail = tail and i == last
-        if isinstance(s, If):
-            then_skel = _number(s.then_body, counter, is_tail)
-            else_skel = _number(s.else_body, counter, is_tail)
-            skeleton.append((s, point, is_tail, then_skel, else_skel))
-        else:
-            skeleton.append((s, point, is_tail, None, None))
-    return skeleton
+def _size(body: tuple[Statement, ...]) -> int:
+    """The number of statements in `body`, branches included."""
+    n = len(body)
+    for s in body:
+        if type(s) is If:
+            n += _size(s.then_body) + _size(s.else_body)
+    return n
 
 
 def _annotate_body(
-    skeleton: list, cont: dict[str, float]
-) -> tuple[tuple[AnnotatedStatement, ...], dict[str, float]]:
-    """Backward walk; `cont` maps live variables to their next reference.
+    body: tuple[Statement, ...], end: int, cont: dict[str, float], tail: bool
+) -> tuple[tuple[AnnotatedStatement, ...], dict[str, float], int]:
+    """Backward walk; the points of `body` run up to `end` (exclusive) and
+    `cont` maps the variables live after it to their next reference.
 
-    Returns the annotated statements and the map holding at body entry.
-    A variable's entry is removed when a definition kills it, so the key
-    set of the map is exactly the live set.
+    Returns the annotated statements, the map holding at body entry and
+    the body's first point.  A variable's entry is removed when a
+    definition kills it, so the key set of the map is exactly the live
+    set.  `tail` holds when nothing in the frame runs after `body`; then
+    its last statement is in tail position, and so is the last of each
+    branch of a tail If.
     """
     annotated: list[AnnotatedStatement] = []
     uses = cont  # never mutated: each statement builds its own `before`
-    for s, point, tail, then_skel, else_skel in reversed(skeleton):
-        if isinstance(s, If):
-            then_body, then_uses = _annotate_body(then_skel, uses)
-            else_body, else_uses = _annotate_body(else_skel, uses)
+    for s in reversed(body):
+        refs = stmt_refs(s)
+        if type(s) is If:
+            # pre-order: the If, its then branch, its else branch
+            else_body, else_uses, end = _annotate_body(s.else_body, end, uses, tail)
+            then_body, then_uses, end = _annotate_body(s.then_body, end, uses, tail)
+            end -= 1
             after = _merge_min(then_uses, else_uses)
-            live_after = frozenset(uses)  # join liveness
-            refs = stmt_refs(s)
             before = dict(after)
-            for v in refs:
-                before[v] = min(before.get(v, INF), point)
-            ends = frozenset(refs).difference(after)
+            ends = frozenset([v for v in refs if v not in after])
             annotated.append(
                 AnnotatedStatement(
                     s,
-                    point,
+                    end,
                     ends,
-                    live_after,
+                    uses.keys(),  # join liveness
                     after,
                     tail,
-                    tuple(then_body),
-                    tuple(else_body),
+                    refs,
+                    then_body,
+                    else_body,
                     frozenset(then_uses),
                     frozenset(else_uses),
                 )
             )
-            uses = before
         else:
-            live_after = frozenset(uses)
+            end -= 1
             before = dict(uses)
             defs = s.defs()
-            refs = stmt_refs(s)
             for v in defs:
                 before.pop(v, None)
-            for v in refs:
-                before[v] = min(before.get(v, INF), point)
             # Endings: live into the statement (or defined by it) but not
-            # live after it, which is (refs | defs) - live_after.  A dead
-            # definition ends immediately.
-            ends = frozenset(refs).union(defs) - live_after
-            annotated.append(AnnotatedStatement(s, point, ends, live_after, uses, tail))
-            uses = before
+            # live after it.  A dead definition ends immediately.
+            ends = frozenset([v for v in (*refs, *defs) if v not in uses])
+            annotated.append(AnnotatedStatement(s, end, ends, uses.keys(), uses, tail, refs))
+        # every entry already in `before` is a later point: `end` is the minimum
+        for v in refs:
+            before[v] = end
+        uses = before
+        tail = False
     annotated.reverse()
-    return tuple(annotated), uses
+    return tuple(annotated), uses, end
 
 
 def _merge_min(a: dict[str, float], b: dict[str, float]) -> dict[str, float]:
     merged = dict(a)
     for v, q in b.items():
-        merged[v] = min(merged.get(v, INF), q)
+        if q < merged.get(v, INF):
+            merged[v] = q
     return merged
 
 
@@ -172,11 +172,12 @@ def annotate_statements(stmts: tuple[Statement, ...]) -> tuple[AnnotatedStatemen
 
 
 def _annotate_sequence(stmts: tuple[Statement, ...], tail: bool):
-    """Number a body from point 0 and annotate it.
+    """Annotate a body numbered from point 0.
 
     Returns the annotated body and the map live on entry.
     """
-    return _annotate_body(_number(stmts, [0], tail), {})
+    body, entry_uses, _ = _annotate_body(stmts, _size(stmts), {}, tail)
+    return body, entry_uses
 
 
 def _fmt_ends(ends: frozenset[str]) -> str:

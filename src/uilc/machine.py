@@ -24,7 +24,7 @@ import operator
 import random
 from dataclasses import dataclass
 
-from .analysis import AnnotatedProgram, AnnotatedStatement, stmt_refs, walk_statements
+from .analysis import AnnotatedProgram, AnnotatedStatement, walk_statements
 from .isa import (
     BinOpInst,
     CondJump,
@@ -543,7 +543,7 @@ def belady_oracle(body, R: int) -> int:
     for a in body:
         if isinstance(a.stmt, (If, Call)):
             raise ValueError("oracle handles straight-line code only")
-        reads = list(dict.fromkeys(stmt_refs(a.stmt)))
+        reads = list(dict.fromkeys(a.refs))
         defs = a.stmt.defs()
         variables.update(reads)
         variables.update(defs)
@@ -651,7 +651,7 @@ def spill_free_shape(ap: AnnotatedProgram, cfg: MachineConfig) -> bool:
         budget = cfg.registers - (1 + len(cfg.callee_saved) if in_proc else 0)
         for a in walk_statements(body):
             s = a.stmt
-            live = set(a.live_after).union(stmt_refs(s), s.defs())
+            live = set(a.live_after).union(a.refs, s.defs())
             live -= proc_names
             if len(live) > budget:
                 return False

@@ -513,19 +513,14 @@ def format_program(p: Program) -> str:
 
 
 def _check_defined(
-    operands: list[str],
-    defined: set[str],
-    proc_names: set[str],
-    pos: Pos | None,
-    diags: list[Diagnostic],
+    v: str, defined: set[str], arities: dict[str, int], pos: Pos | None, diags: list[Diagnostic]
 ) -> None:
-    for v in operands:
-        if v == RESERVED_NAME:
-            diags.append(Diagnostic(f"'{RESERVED_NAME}' is a reserved name", pos))
-        elif v in proc_names:
-            diags.append(Diagnostic(f"procedure '{v}' used as a value", pos))
-        elif v not in defined:
-            diags.append(Diagnostic(f"variable '{v}' may be used before assignment", pos))
+    if v == RESERVED_NAME:
+        diags.append(Diagnostic(f"'{RESERVED_NAME}' is a reserved name", pos))
+    elif v in arities:
+        diags.append(Diagnostic(f"procedure '{v}' used as a value", pos))
+    elif v not in defined:
+        diags.append(Diagnostic(f"variable '{v}' may be used before assignment", pos))
 
 
 def _is_tail_form(s: Statement) -> bool:
@@ -554,24 +549,30 @@ def _validate_body(
 
     Returns the set of variables definitely assigned after the sequence.
     `defined` (assigned on entry) must be the caller's own fresh set: the
-    walk adds to it in place.
+    walk adds to it in place.  `arities` holds every procedure name.  An
+    operand that is a defined variable, neither a procedure name nor
+    `RET`, draws no diagnostic and skips `_check_defined`.
     """
-    proc_names = set(arities)
+    last = len(body) - 1
     for idx, s in enumerate(body):
-        is_tail = tail and idx == len(body) - 1
-        _check_defined(variables(s.operands()), defined, proc_names, s.pos, diags)
-        for v in s.defs():
+        kind = type(s)
+        is_tail = tail and idx == last
+        for v in s.operands():
+            if type(v) is str and (v not in defined or v in arities or v == RESERVED_NAME):
+                _check_defined(v, defined, arities, s.pos, diags)
+        defs = s.defs()
+        for v in defs:
             if v == RESERVED_NAME:
                 diags.append(Diagnostic(f"cannot assign reserved name '{RESERVED_NAME}'", s.pos))
-            if v in proc_names:
+            if v in arities:
                 diags.append(Diagnostic(f"cannot assign procedure name '{v}'", s.pos))
-        if isinstance(s, If):
+        if kind is If:
             if not s.then_body or not s.else_body:
                 diags.append(Diagnostic("'if' branches must be nonempty", s.pos))
             then_defined = _validate_body(s.then_body, set(defined), arities, diags, is_tail)
             else_defined = _validate_body(s.else_body, set(defined), arities, diags, is_tail)
             defined = then_defined & else_defined
-        elif isinstance(s, Call):
+        elif kind is Call:
             if s.callee not in arities:
                 diags.append(Diagnostic(f"call to undefined procedure '{s.callee}'", s.pos))
             elif len(s.args) != arities[s.callee]:
@@ -583,10 +584,10 @@ def _validate_body(
                 )
             if s.dst is not None and is_tail:
                 diags.append(Diagnostic("result-binding call cannot sit in tail position", s.pos))
-        elif isinstance(s, ReturnValue):
+        elif kind is ReturnValue:
             if not is_tail:
                 diags.append(Diagnostic("return outside tail position", s.pos))
-        defined.update(s.defs())
+        defined.update(defs)
     return defined
 
 

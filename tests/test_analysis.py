@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 from collections import Counter
@@ -328,7 +329,7 @@ def test_fragment_annotation_marks_nothing_tail():
 
 
 # ---------------------------------------------------------------------------
-# pinned output
+# pinned output and the no-copy design
 
 # Digest of every annotation fact over the corpus `_pinned_programs`
 # yields: each statement's point, sorted ending set, sorted live-after
@@ -367,3 +368,33 @@ def test_annotations_are_pinned():
             digest.update(repr((proc.name, sorted(proc.entry_live))).encode())
     assert digest.hexdigest() == ANNOTATION_SHA256
 
+
+def test_live_after_is_a_view_of_the_next_use_map():
+    # `live_after` costs no copy: for a statement other than an `if` it is
+    # the key view of the statement's own next-use map.  It still acts as
+    # a set, and annotations stay hashable with value equality.
+    views = []
+    for seed in range(40):
+        p = generate_program(seed)
+        first, again = annotate(p), annotate(p)
+        bodies = [(first.entry, again.entry)] + [
+            (x.body, y.body) for x, y in zip(first.procs, again.procs)
+        ]
+        for body, twin in bodies:
+            for a, b in zip(walk_statements(body), walk_statements(twin)):
+                assert a == b and hash(a) == hash(b)
+                if isinstance(a.stmt, If):
+                    continue
+                expected = frozenset(a.next_uses)
+                live = a.live_after
+                assert live == expected and expected == live
+                assert live | {"%new"} == expected | {"%new"}
+                assert not live - expected and len(live) == len(expected)
+                assert all(v in live for v in expected) and "%new" not in live
+                views.append(a)
+    assert views
+    for a in views:
+        # `live_after.mapping` is only a read-only proxy of the map, so
+        # the identity is read from the view's one referent
+        assert type(a.live_after) is type({}.keys())
+        assert gc.get_referents(a.live_after)[0] is a.next_uses
