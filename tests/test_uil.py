@@ -227,17 +227,6 @@ _VALIDATE_CASES = [
         ],
     ),
     (
-        # a parameter or an assignment never makes RET or a procedure name
-        # a defined variable
-        "(letrec ((f (lambda (f) (return f)))) (set! RET 1) (set! x (+ RET f)) (return x))",
-        [
-            "1:25: procedure 'f' used as a value",
-            "1:39: cannot assign reserved name 'RET'",
-            "1:52: 'RET' is a reserved name",
-            "1:52: procedure 'f' used as a value",
-        ],
-    ),
-    (
         "(letrec ((f (lambda (a b) (return a)))) (f u) (g RET) (return u) (f 1 2))",
         [
             "1:41: variable 'u' may be used before assignment",
@@ -260,6 +249,17 @@ _VALIDATE_CASES = [
             "1:74: variable 'w' may be used before assignment",
             "1:74: 'RET' is a reserved name",
             "1:95: procedure 'f' used as a value",
+        ],
+    ),
+    (
+        # a parameter or an assignment never makes RET or a procedure name
+        # a defined variable
+        "(letrec ((f (lambda (f) (return f)))) (set! RET 1) (set! x (+ RET f)) (return x))",
+        [
+            "1:25: procedure 'f' used as a value",
+            "1:39: cannot assign reserved name 'RET'",
+            "1:52: 'RET' is a reserved name",
+            "1:52: procedure 'f' used as a value",
         ],
     ),
 ]
