@@ -52,21 +52,19 @@ end like the return address ``RET``.  No statement reads one, so it is
 evicted like any value under pressure (furthest sees no next use): the
 save is lazy, and a procedure that never needs the register pays
 nothing.  The return and tail-call shuffles move each debt back into its
-register.  A procedure whose values and return address always fit below
-the callee-saved registers could never evict a debt, so it is allocated
-as if they did not exist and carries none.  A non-tail call leaves every
-value in a callee-saved register where it is, and moves a value that
-lives across it from a caller-saved register into a free callee-saved
-one, storing it only when none is free.  A value that takes a free
-register while it lives across a later non-tail call takes a free
-callee-saved one.
+register; a procedure that never evicts a debt moves each onto itself,
+which emits nothing.  A non-tail call leaves every value in a
+callee-saved register where it is, and moves a value that lives across
+it from a caller-saved register into a free callee-saved one, storing it
+only when none is free.  A value that takes a free register while it
+lives across a later non-tail call (the statement's ``across`` set, from
+the annotation) takes a free callee-saved one.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ._gc import gc_paused
 from .analysis import INF, AnnotatedProgram, AnnotatedStatement
@@ -645,54 +643,6 @@ def _use_site_targets(
     return targets, next_calls
 
 
-def _calls_ahead(
-    body, ahead: frozenset[str], out: dict[int, frozenset[str]]
-) -> frozenset[str]:
-    """Fill `out` with point -> the variables that live across a non-tail
-    call after that statement (for an `if`, after its test) before they
-    are assigned again, for the points where there are any; `ahead` holds
-    after the body.  Returns the set on entry to the body.
-    """
-    for a in reversed(body):
-        s = a.stmt
-        kind = type(s)
-        if kind is If:
-            ahead = _calls_ahead(a.then_body, ahead, out) | _calls_ahead(a.else_body, ahead, out)
-        if ahead:
-            out[a.point] = ahead
-        if kind is Call and not a.tail:
-            ahead = ahead.union(a.live_after)
-        if (kind is Call or kind is Assign) and s.dst in ahead:
-            ahead = ahead - {s.dst}
-    return ahead
-
-
-def _pressure(body) -> int:
-    """A bound on the values in play at any statement of `body`: those
-    live after it plus its endings (for an `if`, what enters its
-    branches), branches included."""
-    peak = 0
-    for a in body:
-        if type(a.stmt) is If:
-            n = len(a.then_live) + len(a.else_live) + len(a.ends)
-            n = max(n, _pressure(a.then_body), _pressure(a.else_body))
-        else:
-            n = len(a.live_after) + len(a.ends)
-        if n > peak:
-            peak = n
-    return peak
-
-
-@functools.lru_cache(maxsize=16)
-def _without_callee_saved(cfg: MachineConfig) -> MachineConfig | None:
-    """`cfg` cut below its callee-saved registers, when they are the
-    highest ones."""
-    k = len(cfg.callee_saved)
-    if not k or cfg.callee_saved != tuple(range(cfg.registers - k, cfg.registers)):
-        return None
-    return replace(cfg, registers=cfg.registers - k, callee_saved=())
-
-
 def _rebind_copy(a: AnnotatedStatement, m: Model) -> Model | None:
     """Update `m` for the copy `(set! x y)` at `a` when it needs no code,
     and return it.
@@ -786,11 +736,6 @@ class _BodyAllocator:
         # inside a branch of an `if` that has a join
         self.in_joined_branch = False
         self.targets, self.next_calls = _use_site_targets(body, cfg)
-        # call-lives ahead of each point, which only a callee-saved
-        # register can keep across the call
-        self.across: dict[int, frozenset[str]] = {}
-        if cfg.callee_saved:
-            _calls_ahead(body, frozenset(), self.across)
         # what a procedure owes its caller: one model entry per
         # callee-saved register, kept to the end like RET
         self.owed = () if is_entry else tuple((f"%c{r}", r) for r in cfg.callee_saved)
@@ -809,7 +754,7 @@ class _BodyAllocator:
         # the operands protect each other; nothing else is protected
         _, insts = _load(
             m, a.refs, (), a.next_uses, self.policy, self.cfg,
-            self.prefs, self.targets, self.slot_prefs, self.across.get(a.point, ()),
+            self.prefs, self.targets, self.slot_prefs, a.across,
         )
         regmap = m.regmap  # load leaves every variable operand in a register
         vals = []
@@ -836,9 +781,7 @@ class _BodyAllocator:
             r = self._claim(m, var, uses, call, insts)
             if r is not None:
                 return r
-        r = _pick_free(
-            m, var, self.cfg, self.prefs, uses, self.targets, self.across.get(a.point, ())
-        )
+        r = _pick_free(m, var, self.cfg, self.prefs, uses, self.targets, a.across)
         if r is None:
             r = _evict(m, (), uses, self.policy, self.slot_prefs, insts)
         m.bind_reg(var, r)
@@ -1186,19 +1129,12 @@ def alloc_program(
         entry_insts.append(LabelDef(HALT_LABEL))
         entry_insts.append(Halt())
 
-    # a procedure whose values and return address always fit below the
-    # callee-saved registers would never evict what it owes: it is
-    # allocated without those registers, and owes nothing
-    lean = _without_callee_saved(cfg)
     procs = []
     for proc in ap.procs:
-        pcfg = cfg
-        if lean is not None and _pressure(proc.body) < lean.registers:
-            pcfg = lean
         proc_alloc = _BodyAllocator(
-            proc.body, pcfg, policy, labels, is_entry=False, scope=proc.name, trace=trace
+            proc.body, cfg, policy, labels, is_entry=False, scope=proc.name, trace=trace
         )
-        m0 = initial_model(proc.params, pcfg)
+        m0 = initial_model(proc.params, cfg)
         # parameters the body never references die on arrival
         m0.restrict(set(proc.entry_live) | {RET})
         for v, r in proc_alloc.owed:

@@ -2,12 +2,13 @@
 
 One backward walk per procedure body annotates every statement with the
 set of variables whose live range ends there, the point where each
-variable live after it is referenced next, and whether it is in tail
-position.  Points are pre-order, branches then-before-else; the walk
-hands them out from the end of the body down.  Each statement's live set
-is a read-only view of the next-use map the walk already holds, so no
-statement copies it.  No interference graph is built.  UIL has no loop
-form, so branch joins need no fixpoint iteration.
+variable live after it is referenced next, the variables that live
+across a later non-tail call before they are assigned again, and whether
+it is in tail position.  Points are pre-order, branches then-before-else;
+the walk hands them out from the end of the body down.  Each statement's
+live set is a read-only view of the next-use map the walk already holds,
+so no statement copies it.  No interference graph is built.  UIL has no
+loop form, so branch joins need no fixpoint iteration.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from collections.abc import KeysView
 from dataclasses import dataclass, field
 
 from ._gc import gc_paused
-from .uil import Call, If, Program, Statement, _fmt_statement, variables
+from .uil import Call, If, Program, Statement, _fmt_statement, count_statements, variables
 
 INF = math.inf
 
@@ -43,6 +44,9 @@ class AnnotatedStatement:
     tail: bool
     # `stmt_refs(stmt)`, for the stages that read the statement's variables
     refs: list[str] = field(compare=False)
+    # Variables live across a later non-tail call before they are assigned
+    # again, after this statement (for an If: on entry to either branch).
+    across: frozenset[str] = field(compare=False)
     then_body: tuple["AnnotatedStatement", ...] = ()
     else_body: tuple["AnnotatedStatement", ...] = ()
     # live sets on entry to each branch; a variable used in only one
@@ -74,27 +78,22 @@ def stmt_refs(s: Statement) -> list[str]:
     return [s.callee, *refs] if type(s) is Call else refs
 
 
-def _size(body: tuple[Statement, ...]) -> int:
-    """The number of statements in `body`, branches included."""
-    n = len(body)
-    for s in body:
-        if type(s) is If:
-            n += _size(s.then_body) + _size(s.else_body)
-    return n
-
-
 def _annotate_body(
-    body: tuple[Statement, ...], end: int, cont: dict[str, float], tail: bool
-) -> tuple[tuple[AnnotatedStatement, ...], dict[str, float], int]:
+    body: tuple[Statement, ...],
+    end: int,
+    cont: dict[str, float],
+    tail: bool,
+    across: frozenset[str],
+) -> tuple[tuple[AnnotatedStatement, ...], dict[str, float], frozenset[str], int]:
     """Backward walk; the points of `body` run up to `end` (exclusive) and
     `cont` maps the variables live after it to their next reference.
 
-    Returns the annotated statements, the map holding at body entry and
-    the body's first point.  A variable's entry is removed when a
-    definition kills it, so the key set of the map is exactly the live
-    set.  `tail` holds when nothing in the frame runs after `body`; then
-    its last statement is in tail position, and so is the last of each
-    branch of a tail If.
+    Returns the annotated statements, the map holding at body entry, the
+    call-crossing set there (`across` holds after the body) and the body's
+    first point.  A variable's entry is removed when a definition kills
+    it, so the key set of the map is exactly the live set.  `tail` holds
+    when nothing in the frame runs after `body`; then its last statement
+    is in tail position, and so is the last of each branch of a tail If.
     """
     annotated: list[AnnotatedStatement] = []
     uses = cont  # never mutated: each statement builds its own `before`
@@ -102,8 +101,13 @@ def _annotate_body(
         refs = stmt_refs(s)
         if type(s) is If:
             # pre-order: the If, its then branch, its else branch
-            else_body, else_uses, end = _annotate_body(s.else_body, end, uses, tail)
-            then_body, then_uses, end = _annotate_body(s.then_body, end, uses, tail)
+            else_body, else_uses, else_across, end = _annotate_body(
+                s.else_body, end, uses, tail, across
+            )
+            then_body, then_uses, then_across, end = _annotate_body(
+                s.then_body, end, uses, tail, across
+            )
+            across = then_across | else_across
             end -= 1
             after = _merge_min(then_uses, else_uses)
             before = dict(after)
@@ -117,6 +121,7 @@ def _annotate_body(
                     after,
                     tail,
                     refs,
+                    across,
                     then_body,
                     else_body,
                     frozenset(then_uses),
@@ -132,14 +137,23 @@ def _annotate_body(
             # Endings: live into the statement (or defined by it) but not
             # live after it.  A dead definition ends immediately.
             ends = frozenset([v for v in (*refs, *defs) if v not in uses])
-            annotated.append(AnnotatedStatement(s, end, ends, uses.keys(), uses, tail, refs))
+            annotated.append(
+                AnnotatedStatement(s, end, ends, uses.keys(), uses, tail, refs, across)
+            )
+            # what lives after a non-tail call lives across it; a
+            # definition starts a new value
+            if not tail and type(s) is Call:
+                across = across.union(uses.keys())
+            for v in defs:
+                if v in across:
+                    across = across - {v}
         # every entry already in `before` is a later point: `end` is the minimum
         for v in refs:
             before[v] = end
         uses = before
         tail = False
     annotated.reverse()
-    return tuple(annotated), uses, end
+    return tuple(annotated), uses, across, end
 
 
 def _merge_min(a: dict[str, float], b: dict[str, float]) -> dict[str, float]:
@@ -176,7 +190,7 @@ def _annotate_sequence(stmts: tuple[Statement, ...], tail: bool):
 
     Returns the annotated body and the map live on entry.
     """
-    body, entry_uses, _ = _annotate_body(stmts, _size(stmts), {}, tail)
+    body, entry_uses, _, _ = _annotate_body(stmts, count_statements(stmts), {}, tail, frozenset())
     return body, entry_uses
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from .allocator import POLICIES, PressureError, TraceEntry, alloc_program
 from .analysis import AnnotatedProgram, annotate
 from .gen import generate_program
-from .isa import format_insts, format_target, static_traffic
+from .isa import format_inst, format_target, static_traffic
 from .machine import (
     MachineFault,
     OutOfFuel,
@@ -68,7 +68,7 @@ def _print_trace(trace: list[TraceEntry]) -> None:
         print(f"; {entry.scope} #{entry.point}: {entry.stmt}")
         print(f";   pre  {entry.pre}")
         for inst in entry.insts:
-            print(f";     {format_insts([inst]).strip()}")
+            print(f";     {format_inst(inst)}")
         print(f";   post {entry.post}")
 
 

@@ -23,6 +23,7 @@ from .uil import (
     Program,
     ReturnValue,
     Statement,
+    count_statements,
 )
 
 HEAP_BASE_MAX = 47
@@ -31,15 +32,6 @@ MAX_VARS = 10  # variable budget of a program without pressure_vars: 4..MAX_VARS
 # generate_straight_line stays within machine.ORACLE_MAX_STMTS and ORACLE_MAX_VARS
 STRAIGHT_LINE_STMTS = 10
 STRAIGHT_LINE_VARS = 6
-
-
-def _stmt_count(body) -> int:
-    total = 0
-    for s in body:
-        total += 1
-        if isinstance(s, If):
-            total += _stmt_count(s.then_body) + _stmt_count(s.else_body)
-    return total
 
 
 class _BodyGen:
@@ -161,7 +153,7 @@ def generate_program(
         defined = set(params)
         body = gen.statements(defined, max(0, body_budget), depth=0)
         body.append(gen.ending(defined, tail_call_ok=True))
-        budget -= _stmt_count(body)
+        budget -= count_statements(body)
         definitions.append(Definition(name, params, tuple(body)))
         callables.append((name, arity))
 

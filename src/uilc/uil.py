@@ -154,6 +154,15 @@ def variables(operands) -> list[str]:
     return [v for v in operands if type(v) is str]
 
 
+def count_statements(body: tuple[Statement, ...]) -> int:
+    """The number of statements in `body`, branches included."""
+    n = len(body)
+    for s in body:
+        if type(s) is If:
+            n += count_statements(s.then_body) + count_statements(s.else_body)
+    return n
+
+
 @dataclass(frozen=True)
 class Definition:
     name: str

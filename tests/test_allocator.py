@@ -1071,14 +1071,19 @@ def test_claim_never_moves_its_holder_into_a_callee_saved_register(registers):
 
 def test_procedure_that_fits_below_the_callee_saved_registers_never_names_one():
     # f holds at most two values and its return address, which r0-r4 hold
-    # at R=8, so it could never evict what it owes and carries no debts
+    # at R=8, so it never evicts what it owes: each debt stays in its own
+    # register from entry to return, and the code never names one
     program, ap = load_program(LEAF_CALL_SRC)
     cfg = make_config(8)
     trace: list = []
     tp = alloc_program(ap, cfg, trace=trace)
     f_text = format_insts(dict(tp.procs)["f"])
     assert not re.search(r"\br[5-7]\b", f_text), f_text
-    assert not any("%c" in e.pre + e.post for e in trace if e.scope == "f")
+    models = [m for e in trace if e.scope == "f" for m in (e.pre, e.post)]
+    assert models
+    for m in models:
+        debts = re.findall(r"%c(\d+):(\w+)", m)
+        assert sorted(debts) == [(r, f"r{r}") for r in ("5", "6", "7")], m
     assert run_target(tp, cfg)[0] == run_uil(program)
 
 

@@ -378,8 +378,6 @@ ACROSS_SHA256 = "5b894a0e1b612a2c57262471c4baaf764f752716d49e0bcc92f0a25452985ee
 
 
 def test_call_crossing_sets_are_pinned():
-    from uilc.allocator import _calls_ahead
-
     programs = itertools.chain(
         _pinned_programs(),
         (generate_program(seed, max_procs=6, max_stmts=60) for seed in range(100)),
@@ -388,9 +386,7 @@ def test_call_crossing_sets_are_pinned():
     for p in programs:
         ap = annotate(p)
         for body in [ap.entry] + [proc.body for proc in ap.procs]:
-            across: dict[int, frozenset[str]] = {}
-            _calls_ahead(body, frozenset(), across)
-            facts = [(point, sorted(vs)) for point, vs in sorted(across.items())]
+            facts = sorted((a.point, sorted(a.across)) for a in walk_statements(body) if a.across)
             digest.update(repr(facts).encode())
     assert digest.hexdigest() == ACROSS_SHA256
 

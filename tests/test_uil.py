@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -458,3 +459,96 @@ def test_validate_outcomes_are_pinned():
         digest.update(repr(outcome).encode())
         digest.update(b"\n")
     assert digest.hexdigest() == VALIDATE_OUTCOMES_SHA256
+
+
+_ATOM_RE = re.compile(r"[^\s()]+")
+_PROC_RE = re.compile(r"\((\S+) \(lambda")
+_RETURN_RE = re.compile(r"\(return [^\s()]+\)")
+# the opening of a statement that starts a line of the canonical text
+_STMT_RE = re.compile(r"^ *(\((?!begin\b|letrec\b)[^\s()]+ (?!\(lambda))", re.M)
+
+
+def _splice_name(text, rng):
+    """`RET` or a procedure name (or, in a parameter list, a parameter of
+    the same list) put in for an atom that does not head a form: an
+    operand, a destination or a parameter."""
+    atoms = [m for m in _ATOM_RE.finditer(text) if text[m.start() - 1] != "("]
+    m = rng.choice(atoms)
+    names = ["RET", *_PROC_RE.findall(text)]
+    params = text.rfind("(lambda (", 0, m.start()) + len("(lambda (")
+    if params >= len("(lambda (") and ")" not in text[params : m.start()]:
+        names += text[params : text.index(")", m.start())].split()
+    return text[: m.start()] + rng.choice(names) + text[m.end() :]
+
+
+def _splice_branch(text, rng):
+    """`(begin)` put in for a branch of an `if`."""
+    starts = [m.start() for m in re.finditer(r"\(begin\b", text)]
+    if not starts:
+        return text
+    i = rng.choice(starts)
+    depth = 0
+    for j in range(i, len(text)):
+        depth += {"(": 1, ")": -1}.get(text[j], 0)
+        if depth == 0:
+            break
+    return text[:i] + "(begin)" + text[j + 1 :]
+
+
+def _splice_return(text, rng):
+    """A `return` moved in front of an earlier statement."""
+    returns = list(_RETURN_RE.finditer(text))
+    if not returns:
+        return text
+    r = rng.choice(returns)
+    fronts = [m.start(1) for m in _STMT_RE.finditer(text, 0, r.start())]
+    if not fronts:
+        return text
+    f = rng.choice(fronts)
+    return text[:f] + r.group() + " " + text[f : r.start()] + text[r.end() :]
+
+
+def _spliced_texts():
+    """1,500 seeded texts, each the canonical text of one of generator
+    programs 0..299 after one to three whole-token splices."""
+    rng = random.Random(19)
+    texts = [format_program(generate_program(seed)) for seed in range(300)]
+    spliced = []
+    for _ in range(1500):
+        text = rng.choice(texts)
+        for _ in range(rng.randint(1, 3)):
+            text = rng.choice((_splice_name, _splice_branch, _splice_return))(text, rng)
+        spliced.append(text)
+    return spliced
+
+
+# Digest of the `(message, pos)` list that `validate` returns for each
+# text of `_spliced_texts` (all of them parse).  A change to the validator
+# must leave it as it is.
+VALIDATE_SPLICES_SHA256 = "4fdd12e8551a828681bd2e40a5320f5aae42853b5b89538170f9de57f4e77c39"
+
+# every diagnostic kind the splices must draw, with quoted names blanked
+_SPLICED_DIAGNOSTICS = {
+    "'_' is a reserved name",
+    "procedure '_' used as a value",
+    "cannot assign reserved name '_'",
+    "cannot assign procedure name '_'",
+    "'_' branches must be nonempty",
+    "result-binding call cannot sit in tail position",
+    "return outside tail position",
+    "duplicate parameter in '_'",
+    "procedure '_' must end in a return or tail call",
+    "program body must end in a return or tail call",
+}
+
+
+def test_validate_outcomes_of_spliced_texts_are_pinned():
+    digest = hashlib.sha256()
+    kinds = set()
+    for text in _spliced_texts():
+        outcome = [(d.message, d.pos) for d in validate(parse(text))]
+        kinds.update(re.sub(r"'[^']*'", "'_'", message) for message, _ in outcome)
+        digest.update(repr(outcome).encode())
+        digest.update(b"\n")
+    assert _SPLICED_DIAGNOSTICS <= kinds, _SPLICED_DIAGNOSTICS - kinds
+    assert digest.hexdigest() == VALIDATE_SPLICES_SHA256
