@@ -463,6 +463,7 @@ def test_validate_outcomes_are_pinned():
 
 _ATOM_RE = re.compile(r"[^\s()]+")
 _PROC_RE = re.compile(r"\((\S+) \(lambda")
+_PARAMS_RE = re.compile(r"\(lambda \(([^()]*)\)")
 _RETURN_RE = re.compile(r"\(return [^\s()]+\)")
 # the opening of a statement that starts a line of the canonical text
 _STMT_RE = re.compile(r"^ *(\((?!begin\b|letrec\b)[^\s()]+ (?!\(lambda))", re.M)
@@ -475,9 +476,9 @@ def _splice_name(text, rng):
     atoms = [m for m in _ATOM_RE.finditer(text) if text[m.start() - 1] != "("]
     m = rng.choice(atoms)
     names = ["RET", *_PROC_RE.findall(text)]
-    params = text.rfind("(lambda (", 0, m.start()) + len("(lambda (")
-    if params >= len("(lambda (") and ")" not in text[params : m.start()]:
-        names += text[params : text.index(")", m.start())].split()
+    for params in _PARAMS_RE.finditer(text):
+        if params.start(1) <= m.start() < params.end(1):
+            names += params.group(1).split()
     return text[: m.start()] + rng.choice(names) + text[m.end() :]
 
 
