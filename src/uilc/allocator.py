@@ -32,6 +32,10 @@ by a value living across the call, the holder steps aside: it is stored
 now, to the slot the call would have stored it in, and the argument is
 born in its register.
 
+A statement the annotation marks dead (a pure assignment that nothing
+reads, on any path) is the identity on machine state: it emits nothing
+and leaves the model as it is.
+
 A copy ``(set! x y)`` is a change of model, not of machine state, when
 it can be: a copy whose destination is dead emits nothing, and one whose
 source dies there (or that copies a variable onto itself) emits nothing
@@ -139,6 +143,8 @@ class TraceEntry:
     pre: str
     insts: list[Inst]
     post: str
+    # the destination nothing reads, for a dead statement (no models, no code)
+    dead: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +616,8 @@ def _use_site_targets(
     body, cfg: MachineConfig
 ) -> tuple[dict[int, dict[str, int]], dict[int, AnnotatedStatement]]:
     """Point -> variable -> the register that statement reads it from, and
-    point -> the non-tail call right after that statement in its sequence.
+    point -> the non-tail call right after that statement in its sequence
+    (dead statements, which emit nothing, are passed over).
 
     A returned variable is read from the return-value register, and a call
     argument from its argument register (the first use wins when a
@@ -623,6 +630,8 @@ def _use_site_targets(
     while todo:
         prev = None
         for a in todo.pop():
+            if a.dead:
+                continue
             s = a.stmt
             kind = type(s)  # exact type tests: cheaper than isinstance here
             if kind is ReturnValue:
@@ -845,6 +854,12 @@ class _BodyAllocator:
         insts: list[Inst] = []
         trace = self.trace
         for a in body:
+            if a.dead:  # emits nothing and leaves the model as it is
+                if trace is not None:
+                    trace.append(
+                        TraceEntry(self.scope, a.point, _stmt_text(a.stmt), "", [], "", a.stmt.dst)
+                    )
+                continue
             pre = m.dump() if trace is not None else ""
             try:
                 kind = type(a.stmt)

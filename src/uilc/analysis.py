@@ -4,11 +4,15 @@ One backward walk per procedure body annotates every statement with the
 set of variables whose live range ends there, the point where each
 variable live after it is referenced next, the variables that live
 across a later non-tail call before they are assigned again, and whether
-it is in tail position.  Points are pre-order, branches then-before-else;
-the walk hands them out from the end of the body down.  Each statement's
-live set is a read-only view of the next-use map the walk already holds,
-so no statement copies it.  No interference graph is built.  UIL has no
-loop form, so branch joins need no fixpoint iteration.
+it is in tail position.  Over whole bodies the liveness is strong: a
+pure assignment whose destination is never read is marked `dead`, and
+its operands do not become live through it, so an assignment read only
+by dead ones (a faint one) is dead too.  Bodies have no loops, so the
+one walk finds every such assignment.  Points are pre-order, branches
+then-before-else; the walk hands them out from the end of the body down.
+Each statement's live set is a read-only view of the next-use map the
+walk already holds, so no statement copies it.  No interference graph is
+built.  UIL has no loop form, so branch joins need no fixpoint iteration.
 """
 
 from __future__ import annotations
@@ -18,7 +22,17 @@ from collections.abc import KeysView
 from dataclasses import dataclass, field
 
 from ._gc import gc_paused
-from .uil import Call, If, Program, Statement, _fmt_statement, count_statements, variables
+from .uil import (
+    Assign,
+    Call,
+    If,
+    MemRead,
+    Program,
+    Statement,
+    _fmt_statement,
+    count_statements,
+    variables,
+)
 
 INF = math.inf
 
@@ -53,6 +67,9 @@ class AnnotatedStatement:
     # branch has no statement to carry its ending on the other path
     then_live: frozenset[str] = frozenset()
     else_live: frozenset[str] = frozenset()
+    # a pure assignment nothing reads: it emits nothing, and its operands
+    # are not live through it (`ends` is its destination alone)
+    dead: bool = False
 
 
 @dataclass(frozen=True)
@@ -84,6 +101,8 @@ def _annotate_body(
     cont: dict[str, float],
     tail: bool,
     across: frozenset[str],
+    *,
+    strong: bool,
 ) -> tuple[tuple[AnnotatedStatement, ...], dict[str, float], frozenset[str], int]:
     """Backward walk; the points of `body` run up to `end` (exclusive) and
     `cont` maps the variables live after it to their next reference.
@@ -94,6 +113,9 @@ def _annotate_body(
     it, so the key set of the map is exactly the live set.  `tail` holds
     when nothing in the frame runs after `body`; then its last statement
     is in tail position, and so is the last of each branch of a tail If.
+    With `strong`, an assignment whose destination is not live after it,
+    and whose right-hand side cannot fault (anything but `mref`), is dead
+    and leaves the map as it found it.
     """
     annotated: list[AnnotatedStatement] = []
     uses = cont  # never mutated: each statement builds its own `before`
@@ -102,10 +124,10 @@ def _annotate_body(
         if type(s) is If:
             # pre-order: the If, its then branch, its else branch
             else_body, else_uses, else_across, end = _annotate_body(
-                s.else_body, end, uses, tail, across
+                s.else_body, end, uses, tail, across, strong=strong
             )
             then_body, then_uses, then_across, end = _annotate_body(
-                s.then_body, end, uses, tail, across
+                s.then_body, end, uses, tail, across, strong=strong
             )
             across = then_across | else_across
             end -= 1
@@ -128,6 +150,15 @@ def _annotate_body(
                     frozenset(else_uses),
                 )
             )
+        elif strong and type(s) is Assign and s.dst not in uses and type(s.rhs) is not MemRead:
+            end -= 1
+            annotated.append(
+                AnnotatedStatement(
+                    s, end, frozenset((s.dst,)), uses.keys(), uses, tail, refs, across, dead=True
+                )
+            )
+            tail = False
+            continue
         else:
             end -= 1
             before = dict(uses)
@@ -166,7 +197,8 @@ def _merge_min(a: dict[str, float], b: dict[str, float]) -> dict[str, float]:
 
 @gc_paused
 def annotate(p: Program) -> AnnotatedProgram:
-    """Annotate a validated program with ending sets, next uses and tails.
+    """Annotate a validated program with ending sets, next uses, tails
+    and dead assignments.
 
     Each procedure body (and the entry body) is numbered independently in
     pre-order, branches then-before-else, and ends its frame.  Pauses the
@@ -174,23 +206,27 @@ def annotate(p: Program) -> AnnotatedProgram:
     """
     procs = []
     for d in p.definitions:
-        body, entry_uses = _annotate_sequence(d.body, tail=True)
+        body, entry_uses = _annotate_sequence(d.body, whole=True)
         procs.append(AnnotatedProc(d.name, d.params, body, frozenset(entry_uses)))
-    entry, _ = _annotate_sequence(p.body, tail=True)
+    entry, _ = _annotate_sequence(p.body, whole=True)
     return AnnotatedProgram(p, entry, tuple(procs))
 
 
 def annotate_statements(stmts: tuple[Statement, ...]) -> tuple[AnnotatedStatement, ...]:
-    """Annotate a bare statement sequence (a body fragment); none is tail."""
-    return _annotate_sequence(stmts, tail=False)[0]
+    """Annotate a bare statement sequence (a body fragment); none is tail,
+    and none is dead: what runs after a fragment is unknown."""
+    return _annotate_sequence(stmts, whole=False)[0]
 
 
-def _annotate_sequence(stmts: tuple[Statement, ...], tail: bool):
-    """Annotate a body numbered from point 0.
+def _annotate_sequence(stmts: tuple[Statement, ...], whole: bool):
+    """Annotate a body numbered from point 0; a `whole` body ends its
+    frame, so its last statement is tail and its liveness strong.
 
     Returns the annotated body and the map live on entry.
     """
-    body, entry_uses, _, _ = _annotate_body(stmts, count_statements(stmts), {}, tail, frozenset())
+    body, entry_uses, _, _ = _annotate_body(
+        stmts, count_statements(stmts), {}, whole, frozenset(), strong=whole
+    )
     return body, entry_uses
 
 

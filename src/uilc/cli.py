@@ -66,6 +66,9 @@ def _load(path: str) -> tuple[Program, AnnotatedProgram]:
 def _print_trace(trace: list[TraceEntry]) -> None:
     for entry in trace:
         print(f"; {entry.scope} #{entry.point}: {entry.stmt}")
+        if entry.dead is not None:
+            print(f";   dead: {entry.dead} is never read")
+            continue
         print(f";   pre  {entry.pre}")
         for inst in entry.insts:
             print(f";     {format_inst(inst)}")

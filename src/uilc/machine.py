@@ -532,7 +532,9 @@ def belady_oracle(body, R: int) -> int:
 
     Searches every victim decision at every pressure point of a single
     straight-line body, counting one load per register fill from the
-    stack.  Guarded to small instances; raises ValueError beyond them.
+    stack.  Dead statements emit nothing and are left out, as the
+    allocator leaves them out.  Guarded to small instances (counting
+    the statements that are not dead); raises ValueError beyond them.
     """
     if isinstance(body, AnnotatedProgram):
         if body.procs:
@@ -541,6 +543,8 @@ def belady_oracle(body, R: int) -> int:
     steps: list[tuple[list[str], frozenset[str], str | None]] = []
     variables: set[str] = set()
     for a in body:
+        if a.dead:  # emits nothing, as in the allocator
+            continue
         if isinstance(a.stmt, (If, Call)):
             raise ValueError("oracle handles straight-line code only")
         reads = list(dict.fromkeys(a.refs))
@@ -650,6 +654,8 @@ def spill_free_shape(ap: AnnotatedProgram, cfg: MachineConfig) -> bool:
     def body_ok(body: tuple[AnnotatedStatement, ...], in_proc: bool) -> bool:
         budget = cfg.registers - (1 + len(cfg.callee_saved) if in_proc else 0)
         for a in walk_statements(body):
+            if a.dead:
+                continue
             s = a.stmt
             live = set(a.live_after).union(a.refs, s.defs())
             live -= proc_names

@@ -13,6 +13,19 @@ SPLIT_SRC = """
   (return w))
 """
 
+# The same split with z observed, as in samples/split.uil.  In SPLIT_SRC
+# nothing reads z, so a whole-program allocation computes no z and parks
+# nothing; the fragment C1 allocates still computes it.
+SPLIT_OBSERVED_SRC = """
+(letrec ()
+  (set! x 1)
+  (set! y 2)
+  (set! z (+ y 1))
+  (mset! 0 0 z)
+  (set! w (+ x y))
+  (return w))
+"""
+
 # Four-statement body ending in a tail call, with its callee defined.
 CHAIN_SRC = """
 (letrec ((f (lambda (a b)

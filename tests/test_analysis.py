@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from uilc.analysis import (
     walk_statements,
 )
 from uilc.gen import generate_program, generate_straight_line
-from uilc.uil import If, format_program, parse, validate
+from uilc.uil import Assign, If, MemRead, Program, format_program, parse, validate
 
 from conftest import CHAIN_SRC, load_program
 
@@ -32,34 +33,32 @@ def _paths(body):
     s, rest = body[0], body[1:]
     tails = _paths(rest)
     if isinstance(s.stmt, If):
-        head = (s.point, stmt_refs(s.stmt), [])
+        head = (s.point, stmt_refs(s.stmt), [], False)
         result = []
         for branch in (s.then_body, s.else_body):
             for inner in _paths(branch):
                 for tail in tails:
                     result.append([head] + inner + tail)
         return result
-    entry = (s.point, stmt_refs(s.stmt), s.stmt.defs())
+    pure = isinstance(s.stmt, Assign) and not isinstance(s.stmt.rhs, MemRead)
+    entry = (s.point, stmt_refs(s.stmt), s.stmt.defs(), pure)
     return [[entry] + tail for tail in tails]
 
 
-def _oracle_facts(body):
-    """(live_in, live_out, next_use) per point, unioned over all paths.
-
-    A reference at j counts toward position i only when the variable is
-    not redefined in between; definitions at i itself kill live_in for
-    later references but not the next use of the value defined there.
-    """
-    paths = _paths(list(body))
+def _path_facts(paths, dead):
+    """(live_in, live_out, next_use) per point, unioned over `paths`,
+    with the references of the points in `dead` left out."""
     live_in, live_out, next_use = {}, {}, {}
     for path in paths:
-        for i, (point, _, _) in enumerate(path):
+        for i, (point, _, _, _) in enumerate(path):
             live_in.setdefault(point, set())
             live_out.setdefault(point, set())
             killed_in = set()
             killed_after = set()
             for j in range(i, len(path)):
-                q, refs, defs = path[j]
+                q, refs, defs, _ = path[j]
+                if q in dead:
+                    refs = []
                 for v in refs:
                     if v not in killed_in:
                         live_in[point].add(v)
@@ -75,6 +74,31 @@ def _oracle_facts(body):
     return live_in, live_out, next_use
 
 
+def _oracle_facts(body):
+    """(live_in, live_out, next_use, dead) per point, unioned over all paths.
+
+    A reference at j counts toward position i only when the variable is
+    not redefined in between; definitions at i itself kill live_in for
+    later references but not the next use of the value defined there.
+    A pure assignment (any right-hand side but `mref`) whose destination
+    is not live after it is dead, and its references count for nothing;
+    rounds of the path facts mark dead points until none is added.
+    """
+    paths = _paths(list(body))
+    dead = set()
+    while True:
+        live_in, live_out, next_use = _path_facts(paths, dead)
+        more = {
+            point
+            for path in paths
+            for point, _, defs, pure in path
+            if pure and point not in dead and defs[0] not in live_out[point]
+        }
+        if not more:
+            return live_in, live_out, next_use, dead
+        dead |= more
+
+
 def _all_points(body):
     return [a.point for a in walk_statements(body)]
 
@@ -84,12 +108,13 @@ def next_use_at(a, v):
 
 
 def _check_against_oracle(body):
-    live_in, live_out, next_use = _oracle_facts(list(body))
+    live_in, live_out, next_use, dead = _oracle_facts(list(body))
     variables = set()
     for a in walk_statements(body):
         variables |= set(stmt_refs(a.stmt)) | set(a.stmt.defs())
     for a in walk_statements(body):
         p = a.point
+        assert a.dead == (p in dead), p
         expected_ends = (live_in[p] | set(a.stmt.defs())) - live_out[p]
         assert a.ends == expected_ends, (p, a.ends, expected_ends)
         for v in variables:
@@ -201,7 +226,7 @@ def test_consistency_ends_iff_dead_and_live_in():
         p = generate_program(seed, max_stmts=12)
         ap = annotate(p)
         for body in [ap.entry] + [proc.body for proc in ap.procs]:
-            live_in, live_out, _ = _oracle_facts(list(body))
+            live_in, live_out, _, _ = _oracle_facts(list(body))
             for a in walk_statements(body):
                 for v in live_in[a.point] | a.ends:
                     dead = next_use_at(a, v) == INF
@@ -256,12 +281,21 @@ def test_branch_entry_live_sets():
 def test_straight_line_forward_reconstruction_matches_backward_pass():
     # in straight-line code a range can only end where its variable is
     # referenced or defined, so ending sets are recoverable forward from
-    # the next-use maps alone
+    # the next-use maps alone; a pure assignment whose destination has no
+    # next use is dead, and references nothing, so only its destination
+    # ends there
     for seed in range(40):
         p = generate_straight_line(seed)
         ap = annotate(p)
         for a in ap.entry:
-            candidates = set(stmt_refs(a.stmt)) | set(a.stmt.defs())
+            s = a.stmt
+            dead = (
+                isinstance(s, Assign)
+                and not isinstance(s.rhs, MemRead)
+                and next_use_at(a, s.dst) == INF
+            )
+            assert a.dead == dead, (seed, a.point)
+            candidates = set(s.defs()) if dead else set(stmt_refs(s)) | set(s.defs())
             forward_ends = {v for v in candidates if next_use_at(a, v) == INF}
             assert forward_ends == set(a.ends), (seed, a.point)
 
@@ -334,10 +368,10 @@ def test_fragment_annotation_marks_nothing_tail():
 
 # Digest of every annotation fact over the corpus `_pinned_programs`
 # yields: each statement's point, sorted ending set, sorted live-after
-# set, sorted next-use items, tail flag and sorted branch entry sets, in
-# pre-order, then each procedure's entry set.  A change to `annotate` must
+# set, sorted next-use items, tail flag, sorted branch entry sets and dead
+# flag, in pre-order, then each procedure's entry set.  A change to `annotate` must
 # leave it as it is.
-ANNOTATION_SHA256 = "682a1cbc7ca40691f476605ca46b6fcfaefe827d4d8e25bf65f6fb33a2b154e6"
+ANNOTATION_SHA256 = "0609a91c2944b879934d10e2ba30d676a9184f7ab397a387c5be82177e79cb5c"
 
 
 def _pinned_programs():
@@ -363,6 +397,7 @@ def test_annotations_are_pinned():
                     a.tail,
                     sorted(a.then_live),
                     sorted(a.else_live),
+                    a.dead,
                 )
                 digest.update(repr(fact).encode())
         for proc in ap.procs:
@@ -374,7 +409,7 @@ def test_annotations_are_pinned():
 # seeds 0..99 with up to six procedures of up to 60 statements: for each
 # body, every point whose set of variables living across a later non-tail
 # call is not empty, with that set sorted, in point order.
-ACROSS_SHA256 = "5b894a0e1b612a2c57262471c4baaf764f752716d49e0bcc92f0a25452985ee6"
+ACROSS_SHA256 = "16e1f494cd40fa6767208bb356033aaa999bc3a1de80000c6a2073bc6e49e5e2"
 
 
 def test_call_crossing_sets_are_pinned():
@@ -389,6 +424,75 @@ def test_call_crossing_sets_are_pinned():
             facts = sorted((a.point, sorted(a.across)) for a in walk_statements(body) if a.across)
             digest.update(repr(facts).encode())
     assert digest.hexdigest() == ACROSS_SHA256
+
+
+def _without_dead(stmts, annotated):
+    """The raw statements with every statement annotated dead left out."""
+    kept = []
+    for s, a in zip(stmts, annotated):
+        if a.dead:
+            continue
+        if isinstance(s, If):
+            s = replace(
+                s,
+                then_body=_without_dead(s.then_body, a.then_body),
+                else_body=_without_dead(s.else_body, a.else_body),
+            )
+        kept.append(s)
+    return tuple(kept)
+
+
+def test_one_walk_finds_every_dead_assignment():
+    # deleting what one walk marks dead leaves a program in which a second
+    # walk marks nothing dead and finds the same facts: the walk reaches
+    # the fixpoint of deleting dead assignments
+    programs = itertools.chain(
+        (generate_program(seed) for seed in range(500)),
+        (
+            generate_program(seed, max_procs=0, max_stmts=3000, pressure_vars=32)
+            for seed in range(3)
+        ),
+    )
+    dead_total = 0
+    for p in programs:
+        ap = annotate(p)
+        pruned = Program(
+            tuple(
+                replace(d, body=_without_dead(d.body, proc.body))
+                for d, proc in zip(p.definitions, ap.procs)
+            ),
+            _without_dead(p.body, ap.entry),
+        )
+        again = annotate(pruned)
+        bodies = [(ap.entry, again.entry)] + [
+            (x.body, y.body) for x, y in zip(ap.procs, again.procs)
+        ]
+        for body, twin in bodies:
+            survivors = []
+            for a in walk_statements(body):
+                if a.dead:
+                    s = a.stmt
+                    assert isinstance(s, Assign) and not isinstance(s.rhs, MemRead), s
+                    assert a.ends == {s.dst} and s.dst not in a.next_uses
+                    dead_total += 1
+                else:
+                    survivors.append(a)
+            renumbered = list(walk_statements(twin))
+            assert not any(b.dead for b in renumbered)
+            assert len(renumbered) == len(survivors)
+            point = {a.point: b.point for a, b in zip(survivors, renumbered)}
+            for a, b in zip(survivors, renumbered):
+                # an `if` keeps its test; its branches lost their dead statements
+                assert (b.stmt.test if isinstance(b.stmt, If) else b.stmt) == (
+                    a.stmt.test if isinstance(a.stmt, If) else a.stmt
+                )
+                assert b.ends == a.ends
+                assert b.next_uses == {v: point[q] for v, q in a.next_uses.items()}
+                assert b.across == a.across and b.tail == a.tail
+                assert (b.then_live, b.else_live) == (a.then_live, a.else_live)
+        for x, y in zip(ap.procs, again.procs):
+            assert x.entry_live == y.entry_live
+    assert dead_total > 5000
 
 
 def test_live_after_is_a_view_of_the_next_use_map():

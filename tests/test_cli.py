@@ -9,14 +9,22 @@ import pytest
 from uilc.cli import main
 from uilc.machine import EquivReport
 
-from conftest import SPLIT_SRC, CHAIN_SRC, nested_ifs
+from uilc.uil import parse
+
+from conftest import SPLIT_OBSERVED_SRC, SPLIT_SRC, CHAIN_SRC, nested_ifs
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
 def split_file(tmp_path):
     path = tmp_path / "split.uil"
-    path.write_text(SPLIT_SRC)
+    path.write_text(SPLIT_OBSERVED_SRC)
     return str(path)
+
+
+def test_split_sample_is_the_observed_split():
+    assert parse((ROOT / "samples" / "split.uil").read_text()) == parse(SPLIT_OBSERVED_SRC)
 
 
 def run_cli(capsys, *argv):
@@ -29,14 +37,47 @@ def test_alloc_prints_golden_shape(capsys, split_file):
     code, out, _ = run_cli(capsys, "alloc", split_file, "--registers", "2")
     assert code == 0
     lines = [line.strip() for line in out.strip().splitlines()]
-    assert lines[:6] == [
+    assert lines[:7] == [
         "loadimm r0, 1",
         "loadimm r1, 2",
         "store fv0, r0",
         "add r0, r1, 1",
+        "mstore 0, 0, r0",
         "load r0, fv0",
         "add r1, r0, r1",
     ]
+
+
+def test_alloc_of_the_unobserved_split_computes_no_z(capsys, tmp_path):
+    # nothing reads z: its assignment emits nothing, and x is never parked
+    path = tmp_path / "split.uil"
+    path.write_text(SPLIT_SRC)
+    code, out, _ = run_cli(capsys, "alloc", str(path), "--registers", "2")
+    assert code == 0
+    assert [line.strip() for line in out.strip().splitlines()] == [
+        "loadimm r0, 1",
+        "loadimm r1, 2",
+        "add r1, r0, r1",
+        "halt",
+    ]
+    code, out, _ = run_cli(capsys, "run", str(path), "--registers", "2")
+    assert code == 0
+    assert "return value: 3" in out
+    assert "dynamic: loads=0 stores=0" in out
+
+
+def test_alloc_trace_lists_each_dead_statement(capsys, tmp_path):
+    path = tmp_path / "split.uil"
+    path.write_text(SPLIT_SRC)
+    code, out, _ = run_cli(capsys, "alloc", str(path), "--registers", "2", "--trace")
+    assert code == 0
+    lines = out.splitlines()
+    at = lines.index("; <entry> #2: (set! z (+ y 1))")
+    assert lines[at + 1 : at + 3] == [
+        ";   dead: z is never read",
+        "; <entry> #3: (set! w (+ x y))",
+    ]
+    assert sum(line.startswith(";   dead:") for line in lines) == 1
 
 
 def test_alloc_is_byte_identical_across_runs(capsys, split_file):
@@ -149,9 +190,8 @@ def test_diagnostics_name_the_file(capsys, tmp_path, command, text, where):
 
 
 def test_python_dash_m_runs_the_command_line(capsys):
-    root = Path(__file__).resolve().parents[1]
-    argv = ["alloc", str(root / "samples" / "split.uil"), "--registers", "2"]
-    path = [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    argv = ["alloc", str(ROOT / "samples" / "split.uil"), "--registers", "2"]
+    path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     done = subprocess.run(
         [sys.executable, "-m", "uilc", *argv], capture_output=True, text=True, env=env, timeout=60

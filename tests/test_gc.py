@@ -97,7 +97,8 @@ def test_compiling_creates_no_cyclic_garbage():
             assert validate(program) == []
             annotated = annotate(program)
             # no generator program raises PressureError at R >= 2; R=1 runs
-            # the error path
+            # the error path, except on seeds 1 and 42, whose live values
+            # fit one register once their dead assignments emit nothing
             for r in (1, 2, 3, 8):
                 cfg = make_config(r)
                 for policy in POLICIES:
@@ -105,7 +106,7 @@ def test_compiling_creates_no_cyclic_garbage():
                         format_target(alloc_program(annotated, cfg, policy))
                     except PressureError:
                         pressure += 1
-        assert pressure == 50 * len(POLICIES)
+        assert pressure == 48 * len(POLICIES)
         assert gc.collect() == 0
     finally:
         if was:

@@ -42,7 +42,7 @@ from uilc.machine import (
 from uilc.model import Reg, make_config
 from uilc.uil import parse, validate
 
-from conftest import SPLIT_SRC, load_program
+from conftest import SPLIT_OBSERVED_SRC, load_program
 
 DATA = Path(__file__).parent / "data"
 
@@ -114,6 +114,18 @@ def test_run_uil_heap_out_of_range_faults():
     )
 
 
+def test_dead_out_of_range_mref_still_faults():
+    # nothing reads x, but a memory read can fault, so it is never dead
+    src = "(letrec () (set! y 1) (set! x (mref 9999 y)) (set! x 2) (return 0))"
+    program, ap = load_program(src)
+    assert [a.dead for a in ap.entry] == [False, False, True, False]
+    message = "heap access out of range: 9999+1"
+    assert uil_fault(src) == message
+    cfg = make_config(2)
+    with pytest.raises(MachineFault, match=re.escape(message)):
+        run_target(alloc_program(ap, cfg), cfg)
+
+
 def test_run_uil_diverging_recursion_exhausts_fuel():
     src = "(letrec ((loop (lambda () (loop)))) (loop))"
     program = parse(src)
@@ -161,8 +173,9 @@ def test_equivalent_no_spills_at_eight_registers(split_prog):
     assert loads == 0 and stores == 0
 
 
-def test_equivalent_detects_dropped_store(split_prog):
-    program, ap = split_prog
+def test_equivalent_detects_dropped_store():
+    # z is observed, so x is parked on the stack while z is computed
+    program, ap = load_program(SPLIT_OBSERVED_SRC)
     cfg = make_config(2)
     tp = alloc_program(ap, cfg)
     mutated = [i for i in tp.flatten() if not isinstance(i, Store)]
@@ -199,7 +212,8 @@ def test_belady_no_pressure_needs_no_loads():
 
 def test_belady_oracle_strictly_below_lifo():
     # v0 stays live to the end while fresh bindings are reused right away,
-    # so evicting the most recent resident cascades into extra reloads
+    # so evicting the most recent resident cascades into extra reloads;
+    # the second v1 is written to the heap, so it is computed
     src = (
         "(letrec ()"
         " (set! v0 95)"
@@ -207,6 +221,7 @@ def test_belady_oracle_strictly_below_lifo():
         " (set! v2 (+ v0 v1))"
         " (mset! 1 15 v1)"
         " (set! v1 (+ v2 v2))"
+        " (mset! 2 0 v1)"
         " (set! v3 (mref 28 0))"
         " (set! v2 (- v2 v0))"
         " (return v2))"
@@ -224,11 +239,17 @@ def test_belady_oracle_strictly_below_lifo():
 
 
 def test_belady_guards_reject_large_instances():
-    stmts = " ".join(f"(set! v{i} {i})" for i in range(12))
+    stmts = " ".join(f"(set! v{i} {i}) (mset! 0 {i} v{i})" for i in range(12))
     p = parse(f"(letrec () {stmts} (return v0))")
     ap = annotate(p)
     with pytest.raises(ValueError):
         belady_oracle(ap, 2)
+    # the guard counts the statements that are not dead: eleven dead
+    # assignments leave two steps
+    stmts = " ".join(f"(set! v{i} {i})" for i in range(12))
+    ap = annotate(parse(f"(letrec () {stmts} (return v0))"))
+    assert sum(a.dead for a in ap.entry) == 11
+    assert belady_oracle(ap, 2) == 0
     with pytest.raises(ValueError):
         belady_oracle(annotate(generate_straight_line(0)), 4)
     branchy = parse(

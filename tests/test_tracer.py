@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 from uilc.model import make_config
 
-from conftest import SPLIT_SRC
+from conftest import SPLIT_OBSERVED_SRC
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 LAYERS = ("uil", "analysis", "model", "allocator", "isa", "machine", "gen")
@@ -33,7 +33,7 @@ def test_tracer_wraps_existing_names_and_restores_them():
         patched = list(tracer._patched)
         for owner, attr, original in patched:
             assert owner.__dict__[attr] is not original, attr
-        ap = lib.analysis.annotate(lib.uil.parse(SPLIT_SRC))
+        ap = lib.analysis.annotate(lib.uil.parse(SPLIT_OBSERVED_SRC))
         lib.allocator.alloc_program(ap, make_config(2), "lifo")
     finally:
         tracer.close()
