@@ -33,8 +33,15 @@ now, to the slot the call would have stored it in, and the argument is
 born in its register.
 
 A statement the annotation marks dead (a pure assignment that nothing
-reads, on any path) is the identity on machine state: it emits nothing
-and leaves the model as it is.
+reads, on any path, or an `if` whose branches hold only such) is the
+identity on machine state: it emits nothing and leaves the model as it
+is.
+
+A procedure's convention covers its read parameters only (the
+annotation's ``read_params``): they take the argument registers in order
+and then the outgoing stack slots, and a call moves only the operands the
+annotation says it passes.  An argument bound for an unread parameter is
+never loaded, moved or stored.
 
 A copy ``(set! x y)`` is a change of model, not of machine state, when
 it can be: a copy whose destination is dead emits nothing, and one whose
@@ -143,7 +150,7 @@ class TraceEntry:
     pre: str
     insts: list[Inst]
     post: str
-    # the destination nothing reads, for a dead statement (no models, no code)
+    # why a dead statement is dead (it has no models and no code)
     dead: str | None = None
 
 
@@ -639,7 +646,7 @@ def _use_site_targets(
                     targets[a.point] = {s.value: cfg.ret_val_reg}
             elif kind is Call:
                 regs: dict[str, int] = {}
-                for arg, r in zip(s.args, cfg.arg_regs):
+                for arg, r in zip(a.passed, cfg.arg_regs):
                     if type(arg) is str and arg not in regs:
                         regs[arg] = r
                 if regs:
@@ -856,9 +863,10 @@ class _BodyAllocator:
         for a in body:
             if a.dead:  # emits nothing and leaves the model as it is
                 if trace is not None:
-                    trace.append(
-                        TraceEntry(self.scope, a.point, _stmt_text(a.stmt), "", [], "", a.stmt.dst)
+                    why = "every branch statement is dead" if type(a.stmt) is If else (
+                        f"{a.stmt.dst} is never read"
                     )
+                    trace.append(TraceEntry(self.scope, a.point, _stmt_text(a.stmt), "", [], "", why))
                 continue
             pre = m.dump() if trace is not None else ""
             try:
@@ -1012,7 +1020,7 @@ class _BodyAllocator:
         s = a.stmt
         cfg = self.cfg
         arg_srcs: list[MoveSrc] = []
-        for arg in s.args:
+        for arg in a.passed:
             arg_srcs.append(m.whereis(arg) if isinstance(arg, str) else arg)
 
         # the argument sources are read above, before anything is dropped
@@ -1020,8 +1028,8 @@ class _BodyAllocator:
         if s.dst is not None:
             # the result rebinds the destination; its old value dies here
             m.drop({s.dst})
-        n_reg_args = min(len(cfg.arg_regs), len(s.args))
-        n_stack_args = len(s.args) - n_reg_args
+        n_reg_args = min(len(cfg.arg_regs), len(arg_srcs))
+        n_stack_args = len(arg_srcs) - n_reg_args
 
         if a.tail:
             # the callee takes over this frame: no call-lives to keep
@@ -1130,7 +1138,8 @@ def alloc_program(
 ) -> TargetProgram:
     """Allocate every procedure independently, entry body first.
 
-    Procedures start from the calling convention's initial model.  The
+    Procedures start from the calling convention's initial model of their
+    read parameters, in source order after the entry body.  The
     entry body starts from an empty model, returns by halting, and
     passes a halt continuation to tail calls.  Pauses the cyclic garbage
     collector while it runs (`_gc.gc_paused`).
@@ -1149,8 +1158,8 @@ def alloc_program(
         proc_alloc = _BodyAllocator(
             proc.body, cfg, policy, labels, is_entry=False, scope=proc.name, trace=trace
         )
-        m0 = initial_model(proc.params, cfg)
-        # parameters the body never references die on arrival
+        m0 = initial_model(proc.read_params, cfg)
+        # a recursive group's parameters the body never references die on arrival
         m0.restrict(set(proc.entry_live) | {RET})
         for v, r in proc_alloc.owed:
             m0.bind_reg(v, r)

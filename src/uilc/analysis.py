@@ -7,12 +7,25 @@ across a later non-tail call before they are assigned again, and whether
 it is in tail position.  Over whole bodies the liveness is strong: a
 pure assignment whose destination is never read is marked `dead`, and
 its operands do not become live through it, so an assignment read only
-by dead ones (a faint one) is dead too.  Bodies have no loops, so the
-one walk finds every such assignment.  Points are pre-order, branches
-then-before-else; the walk hands them out from the end of the body down.
-Each statement's live set is a read-only view of the next-use map the
-walk already holds, so no statement copies it.  No interference graph is
-built.  UIL has no loop form, so branch joins need no fixpoint iteration.
+by dead ones (a faint one) is dead too.  An `if` whose branches hold
+only dead statements is dead as well, and its test reads nothing.
+Bodies have no loops, so the one walk finds every such statement.
+
+The strong liveness crosses calls.  Procedures are annotated callees
+first, in reverse topological order of the call graph, and a procedure's
+read parameters are those live on entry to its body.  A call to an
+annotated callee passes only the arguments of its read parameters (the
+call's `passed` operands); any other argument is no reference of the
+call, so an assignment that only feeds it is dead in the same walk.  In
+a recursive group (a cycle of calls, self-calls included) every
+parameter counts as read and a call passes every argument, so no
+fixpoint is needed.
+
+Points are pre-order, branches then-before-else; the walk hands them out
+from the end of the body down.  Each statement's live set is a read-only
+view of the next-use map the walk already holds, so no statement copies
+it.  No interference graph is built.  UIL has no loop form, so branch
+joins need no fixpoint iteration.
 """
 
 from __future__ import annotations
@@ -25,8 +38,10 @@ from ._gc import gc_paused
 from .uil import (
     Assign,
     Call,
+    Definition,
     If,
     MemRead,
+    Operand,
     Program,
     Statement,
     _fmt_statement,
@@ -56,7 +71,8 @@ class AnnotatedStatement:
     # Nothing in the frame runs after this statement: a call here is a
     # tail call, and an If here has no join.
     tail: bool
-    # `stmt_refs(stmt)`, for the stages that read the statement's variables
+    # `stmt_refs(stmt)`, for the stages that read the statement's variables;
+    # a call's lists only the variables it passes
     refs: list[str] = field(compare=False)
     # Variables live across a later non-tail call before they are assigned
     # again, after this statement (for an If: on entry to either branch).
@@ -67,9 +83,13 @@ class AnnotatedStatement:
     # branch has no statement to carry its ending on the other path
     then_live: frozenset[str] = frozenset()
     else_live: frozenset[str] = frozenset()
-    # a pure assignment nothing reads: it emits nothing, and its operands
-    # are not live through it (`ends` is its destination alone)
+    # a pure assignment nothing reads (`ends` is its destination alone), or
+    # an `if` whose branches hold only dead statements (`ends` is empty):
+    # it emits nothing, and its operands are not live through it
     dead: bool = False
+    # for a call: the arguments it passes, in order, those bound for the
+    # parameters the callee reads; `refs` lists the callee and their variables
+    passed: tuple[Operand, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -79,6 +99,9 @@ class AnnotatedProc:
     body: tuple[AnnotatedStatement, ...]
     # parameters never referenced at all have no ending to record
     entry_live: frozenset[str] = frozenset()
+    # the parameters a caller passes, in order: those in `entry_live`, or
+    # every one in a recursive group
+    read_params: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -89,7 +112,8 @@ class AnnotatedProgram:
 
 
 def stmt_refs(s: Statement) -> list[str]:
-    """Variables (and callee names) referenced by a statement itself."""
+    """Variables (and callee names) referenced by a statement itself, every
+    argument of a call included."""
     refs = variables(s.operands())
     # The callee name counts as a reference and shows up in ending sets.
     return [s.callee, *refs] if type(s) is Call else refs
@@ -103,6 +127,7 @@ def _annotate_body(
     across: frozenset[str],
     *,
     strong: bool,
+    passes: dict[str, tuple[int, ...]],
 ) -> tuple[tuple[AnnotatedStatement, ...], dict[str, float], frozenset[str], int]:
     """Backward walk; the points of `body` run up to `end` (exclusive) and
     `cont` maps the variables live after it to their next reference.
@@ -115,22 +140,45 @@ def _annotate_body(
     is in tail position, and so is the last of each branch of a tail If.
     With `strong`, an assignment whose destination is not live after it,
     and whose right-hand side cannot fault (anything but `mref`), is dead
-    and leaves the map as it found it.
+    and leaves the map as it found it, and so is an If whose branches
+    hold only dead statements.  `passes` maps a callee to the positions
+    of the arguments its callers pass; a call to any other passes all.
     """
     annotated: list[AnnotatedStatement] = []
     uses = cont  # never mutated: each statement builds its own `before`
     for s in reversed(body):
-        refs = stmt_refs(s)
-        if type(s) is If:
+        kind = type(s)
+        if kind is Call:
+            keep = passes.get(s.callee)
+            passed = s.args if keep is None else tuple([s.args[i] for i in keep])
+            refs = [s.callee, *variables(passed)]
+        else:
+            refs = variables(s.operands())
+        if kind is If:
             # pre-order: the If, its then branch, its else branch
             else_body, else_uses, else_across, end = _annotate_body(
-                s.else_body, end, uses, tail, across, strong=strong
+                s.else_body, end, uses, tail, across, strong=strong, passes=passes
             )
             then_body, then_uses, then_across, end = _annotate_body(
-                s.then_body, end, uses, tail, across, strong=strong
+                s.then_body, end, uses, tail, across, strong=strong, passes=passes
             )
-            across = then_across | else_across
             end -= 1
+            # a dead statement leaves the map as it found it, and any other
+            # builds a new one: a branch that hands back `uses` itself holds
+            # only dead statements
+            if strong and then_uses is uses and else_uses is uses:
+                # the identity on machine state: the branches left `across`
+                # as they found it too, and the test reads nothing
+                live = frozenset(uses)
+                annotated.append(
+                    AnnotatedStatement(
+                        s, end, frozenset(), uses.keys(), uses, tail, refs, across,
+                        then_body, else_body, live, live, dead=True,
+                    )
+                )
+                tail = False
+                continue
+            across = then_across | else_across
             after = _merge_min(then_uses, else_uses)
             before = dict(after)
             ends = frozenset([v for v in refs if v not in after])
@@ -150,7 +198,7 @@ def _annotate_body(
                     frozenset(else_uses),
                 )
             )
-        elif strong and type(s) is Assign and s.dst not in uses and type(s.rhs) is not MemRead:
+        elif strong and kind is Assign and s.dst not in uses and type(s.rhs) is not MemRead:
             end -= 1
             annotated.append(
                 AnnotatedStatement(
@@ -168,13 +216,17 @@ def _annotate_body(
             # Endings: live into the statement (or defined by it) but not
             # live after it.  A dead definition ends immediately.
             ends = frozenset([v for v in (*refs, *defs) if v not in uses])
-            annotated.append(
-                AnnotatedStatement(s, end, ends, uses.keys(), uses, tail, refs, across)
-            )
-            # what lives after a non-tail call lives across it; a
-            # definition starts a new value
-            if not tail and type(s) is Call:
-                across = across.union(uses.keys())
+            if kind is Call:
+                a = AnnotatedStatement(
+                    s, end, ends, uses.keys(), uses, tail, refs, across, passed=passed
+                )
+                # what lives after a non-tail call lives across it
+                if not tail:
+                    across = across.union(uses.keys())
+            else:
+                a = AnnotatedStatement(s, end, ends, uses.keys(), uses, tail, refs, across)
+            annotated.append(a)
+            # a definition starts a new value
             for v in defs:
                 if v in across:
                     across = across - {v}
@@ -197,35 +249,117 @@ def _merge_min(a: dict[str, float], b: dict[str, float]) -> dict[str, float]:
 
 @gc_paused
 def annotate(p: Program) -> AnnotatedProgram:
-    """Annotate a validated program with ending sets, next uses, tails
-    and dead assignments.
+    """Annotate a validated program with ending sets, next uses, tails,
+    dead statements, read parameters and passed arguments.
 
-    Each procedure body (and the entry body) is numbered independently in
-    pre-order, branches then-before-else, and ends its frame.  Pauses the
-    cyclic garbage collector while it runs (`_gc.gc_paused`).
+    Procedures are annotated callees first (`_call_groups`), so that each
+    call knows which arguments its callee reads; `procs` keeps source
+    order.  Each procedure body (and the entry body) is numbered
+    independently in pre-order, branches then-before-else, and ends its
+    frame.  Pauses the cyclic garbage collector while it runs
+    (`_gc.gc_paused`).
     """
-    procs = []
-    for d in p.definitions:
-        body, entry_uses = _annotate_sequence(d.body, whole=True)
-        procs.append(AnnotatedProc(d.name, d.params, body, frozenset(entry_uses)))
-    entry, _ = _annotate_sequence(p.body, whole=True)
-    return AnnotatedProgram(p, entry, tuple(procs))
+    # callee -> positions of the arguments a call passes; a callee that is
+    # absent (not yet annotated, or recursive) is passed every argument
+    passes: dict[str, tuple[int, ...]] = {}
+    procs: dict[str, AnnotatedProc] = {}
+    for group, recursive in _call_groups(p.definitions):
+        for d, size in group:
+            body, entry_uses = _annotate_sequence(d.body, size, True, passes)
+            read = d.params if recursive else tuple([v for v in d.params if v in entry_uses])
+            procs[d.name] = AnnotatedProc(d.name, d.params, body, frozenset(entry_uses), read)
+        if not recursive:  # a group of one
+            passes[d.name] = tuple([i for i, v in enumerate(d.params) if v in entry_uses])
+    entry, _ = _annotate_sequence(p.body, count_statements(p.body), True, passes)
+    return AnnotatedProgram(p, entry, tuple([procs[d.name] for d in p.definitions]))
+
+
+def _scan(body: tuple[Statement, ...], callees: dict[str, None]) -> int:
+    """`count_statements(body)`, collecting the procedures `body` calls
+    into `callees` on the way, in order of first call."""
+    n = len(body)
+    for s in body:
+        if type(s) is Call:
+            callees[s.callee] = None
+        elif type(s) is If:
+            n += _scan(s.then_body, callees) + _scan(s.else_body, callees)
+    return n
+
+
+def _call_groups(definitions) -> list[tuple[list[tuple[Definition, int]], bool]]:
+    """The strongly connected components of the call graph, callees first:
+    each is a list of (definition, statement count), with whether it is
+    recursive (a cycle, self-calls included).
+
+    Tarjan's algorithm, with an explicit stack: it closes a component only
+    after every component it reaches, so the list is in reverse
+    topological order.  Roots go in source order.  The members of a
+    recursive component pass each other every argument, so their own
+    order does not matter.  A closed procedure's index is raised past
+    every other, so it never lowers a low-link.
+    """
+    calls: dict[str, tuple[Definition, int, dict[str, None]]] = {}
+    for d in definitions:
+        callees: dict[str, None] = {}
+        calls[d.name] = (d, _scan(d.body, callees), callees)
+    closed = len(calls)
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    groups = []
+    for root in calls:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(calls[root][2]))]
+        while work:
+            v, callees = work[-1]
+            for w in callees:
+                if w not in index:
+                    if w not in calls:  # undefined: `validate` reports it
+                        continue
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(calls[w][2])))
+                    break
+                if index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    group = []
+                    while True:
+                        w = stack.pop()
+                        index[w] = closed
+                        d, size, _ = calls[w]
+                        group.append((d, size))
+                        if w == v:
+                            break
+                    groups.append((group, len(group) > 1 or v in calls[v][2]))
+    return groups
 
 
 def annotate_statements(stmts: tuple[Statement, ...]) -> tuple[AnnotatedStatement, ...]:
     """Annotate a bare statement sequence (a body fragment); none is tail,
-    and none is dead: what runs after a fragment is unknown."""
-    return _annotate_sequence(stmts, whole=False)[0]
+    and none is dead: what runs after a fragment is unknown.  Its calls
+    pass every argument."""
+    return _annotate_sequence(stmts, count_statements(stmts), False, {})[0]
 
 
-def _annotate_sequence(stmts: tuple[Statement, ...], whole: bool):
-    """Annotate a body numbered from point 0; a `whole` body ends its
-    frame, so its last statement is tail and its liveness strong.
+def _annotate_sequence(stmts: tuple[Statement, ...], size: int, whole: bool, passes):
+    """Annotate a body of `size` statements numbered from point 0; a
+    `whole` body ends its frame, so its last statement is tail and its
+    liveness strong.
 
     Returns the annotated body and the map live on entry.
     """
     body, entry_uses, _, _ = _annotate_body(
-        stmts, count_statements(stmts), {}, whole, frozenset(), strong=whole
+        stmts, size, {}, whole, frozenset(), strong=whole, passes=passes
     )
     return body, entry_uses
 

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .allocator import POLICIES, PressureError, TraceEntry, alloc_program
-from .analysis import AnnotatedProgram, annotate
+from .analysis import AnnotatedProgram, annotate, walk_statements
 from .gen import generate_program
 from .isa import format_inst, format_target, static_traffic
 from .machine import (
@@ -29,9 +29,7 @@ from .machine import (
     run_target,
 )
 from .model import MachineConfig, make_config
-from .uil import ParseError, Program, format_program, parse, validate
-
-FUZZ_REGISTER_COUNTS = (3, 4, 8)
+from .uil import Call, ParseError, Program, format_program, parse, validate
 
 
 class CliError(Exception):
@@ -46,6 +44,15 @@ def _at_least(flag: str, value: int, low: int) -> int:
 
 def _config(registers: int) -> MachineConfig:
     return make_config(_at_least("--registers", registers, 1))
+
+
+def _configs(registers: str) -> list[MachineConfig]:
+    """One configuration per register count of a comma-separated list."""
+    try:
+        counts = [int(r) for r in registers.split(",")]
+    except ValueError:
+        raise CliError(f"--registers must be comma-separated integers, not {registers!r}")
+    return [_config(r) for r in counts]
 
 
 def _load(path: str) -> tuple[Program, AnnotatedProgram]:
@@ -63,12 +70,38 @@ def _load(path: str) -> tuple[Program, AnnotatedProgram]:
     return program, annotate(program)
 
 
-def _print_trace(trace: list[TraceEntry]) -> None:
+def _print_trace(trace: list[TraceEntry], ap: AnnotatedProgram) -> None:
+    """Print each statement's transition; before a procedure's first one,
+    its unread parameters, and after a call, the arguments it leaves out."""
+    procs = {proc.name: proc for proc in ap.procs}
+    calls = {
+        (scope, a.point): a.stmt
+        for scope, body in [("<entry>", ap.entry), *((p.name, p.body) for p in ap.procs)]
+        for a in walk_statements(body)
+        if type(a.stmt) is Call
+    }
+    scope = None
     for entry in trace:
+        if entry.scope != scope:
+            scope = entry.scope
+            if scope in procs:
+                proc = procs[scope]
+                unread = [v for v in proc.params if v not in proc.read_params]
+                print(f"; {scope}: unread parameters: {', '.join(unread) or 'none'}")
         print(f"; {entry.scope} #{entry.point}: {entry.stmt}")
         if entry.dead is not None:
-            print(f";   dead: {entry.dead} is never read")
+            print(f";   dead: {entry.dead}")
             continue
+        call = calls.get((entry.scope, entry.point))
+        if call is not None:
+            callee = procs[call.callee]
+            left = [
+                f"{arg} for {v}"
+                for v, arg in zip(callee.params, call.args)
+                if v not in callee.read_params
+            ]
+            if left:
+                print(f";   left out: {', '.join(left)}")
         print(f";   pre  {entry.pre}")
         for inst in entry.insts:
             print(f";     {format_inst(inst)}")
@@ -84,7 +117,7 @@ def cmd_alloc(args) -> int:
     finally:
         # on a PressureError the transitions up to it explain it
         if trace is not None:
-            _print_trace(trace)
+            _print_trace(trace, annotated)
     sys.stdout.write(format_target(tp))
     return 0
 
@@ -126,11 +159,7 @@ def _compare_inputs(path: str) -> list[Path]:
 
 def cmd_compare(args) -> int:
     fuel = _at_least("--fuel", args.fuel, 1)
-    try:
-        registers = [int(r) for r in args.registers.split(",")]
-    except ValueError:
-        raise CliError(f"--registers must be comma-separated integers, not {args.registers!r}")
-    configs = [_config(r) for r in registers]
+    configs = _configs(args.registers)
     policies = args.policies.split(",")
     for policy in policies:
         if policy not in POLICIES:
@@ -209,6 +238,7 @@ def cmd_compare(args) -> int:
 def cmd_fuzz(args) -> int:
     count = _at_least("--count", args.count, 0)
     fuel = _at_least("--fuel", args.fuel, 1)
+    configs = _configs(args.registers)
     failures = []
     checked = 0
     for i in range(count):
@@ -220,8 +250,8 @@ def cmd_fuzz(args) -> int:
             break
         annotated = annotate(program)
         heaps = [default_heap(), heap_from_seed(seed)]
-        for r in FUZZ_REGISTER_COUNTS:
-            cfg = make_config(r)
+        for cfg in configs:
+            r = cfg.registers
             for policy in POLICIES:
                 checked += 1
                 try:
@@ -279,6 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--count", type=int, default=100)
     p_fuzz.add_argument("--seed", type=int, default=0, help="first generator seed")
     p_fuzz.add_argument("--fuel", type=int, default=10**6)
+    p_fuzz.add_argument("--registers", default="3,4,8", help="comma-separated register counts")
     p_fuzz.set_defaults(func=cmd_fuzz)
     return parser
 

@@ -532,9 +532,10 @@ def belady_oracle(body, R: int) -> int:
 
     Searches every victim decision at every pressure point of a single
     straight-line body, counting one load per register fill from the
-    stack.  Dead statements emit nothing and are left out, as the
-    allocator leaves them out.  Guarded to small instances (counting
-    the statements that are not dead); raises ValueError beyond them.
+    stack.  Dead statements (a dead `if` with its branches) emit nothing
+    and are left out, as the allocator leaves them out.  Guarded to small
+    instances (counting the statements that are not dead); raises
+    ValueError beyond them.
     """
     if isinstance(body, AnnotatedProgram):
         if body.procs:
@@ -642,13 +643,14 @@ def spill_free_shape(ap: AnnotatedProgram, cfg: MachineConfig) -> bool:
 
     Requires peak liveness (plus, inside procedures, the return address
     and what each callee-saved register held on entry) within the register
-    count, all parameters and arguments within the argument registers,
-    and no values live across a non-tail call: every call-live, the
-    caller's return address included, must be saved.
+    count, the read parameters of every procedure and the passed arguments
+    of every call within the argument registers, and no values live across
+    a non-tail call: every call-live, the caller's return address
+    included, must be saved.
     """
-    proc_names = {d.name for d in ap.program.definitions}
-    for d in ap.program.definitions:
-        if len(d.params) > len(cfg.arg_regs):
+    proc_names = {proc.name for proc in ap.procs}
+    for proc in ap.procs:
+        if len(proc.read_params) > len(cfg.arg_regs):
             return False
 
     def body_ok(body: tuple[AnnotatedStatement, ...], in_proc: bool) -> bool:
@@ -662,7 +664,7 @@ def spill_free_shape(ap: AnnotatedProgram, cfg: MachineConfig) -> bool:
             if len(live) > budget:
                 return False
             if isinstance(s, Call):
-                if len(s.args) > len(cfg.arg_regs):
+                if len(a.passed) > len(cfg.arg_regs):
                     return False
                 if a.tail and s.dst is None:
                     continue

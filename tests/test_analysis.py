@@ -17,7 +17,7 @@ from uilc.analysis import (
     walk_statements,
 )
 from uilc.gen import generate_program, generate_straight_line
-from uilc.uil import Assign, If, MemRead, Program, format_program, parse, validate
+from uilc.uil import Assign, Call, If, MemRead, Program, format_program, parse, validate
 
 from conftest import CHAIN_SRC, load_program
 
@@ -27,21 +27,41 @@ from conftest import CHAIN_SRC, load_program
 # paths and read liveness facts straight off them.
 
 
-def _paths(body):
-    if not body:
+def _refs(s, reads):
+    """`stmt_refs` under the unread-parameter rule: a call to a callee in
+    `reads` references the callee and the variables it passes at the
+    positions `reads` marks; a call to any other passes every argument."""
+    if isinstance(s, Call) and s.callee in reads:
+        passed = [a for a, r in zip(s.args, reads[s.callee]) if r]
+        return [s.callee] + [a for a in passed if isinstance(a, str)]
+    return stmt_refs(s)
+
+
+def _raw_statements(stmts):
+    for s in stmts:
+        yield s
+        if isinstance(s, If):
+            yield from _raw_statements(s.then_body)
+            yield from _raw_statements(s.else_body)
+
+
+def _paths(stmts, reads, point=0):
+    """Every path through the raw statements `stmts`, the first of which
+    has pre-order point `point`: lists of (point, refs, defs, kind), where
+    kind is True for a pure assignment, the set of its branches' points
+    for an `if`, and False otherwise."""
+    if not stmts:
         return [[]]
-    s, rest = body[0], body[1:]
-    tails = _paths(rest)
-    if isinstance(s.stmt, If):
-        head = (s.point, stmt_refs(s.stmt), [], False)
-        result = []
-        for branch in (s.then_body, s.else_body):
-            for inner in _paths(branch):
-                for tail in tails:
-                    result.append([head] + inner + tail)
-        return result
-    pure = isinstance(s.stmt, Assign) and not isinstance(s.stmt.rhs, MemRead)
-    entry = (s.point, stmt_refs(s.stmt), s.stmt.defs(), pure)
+    s, rest = stmts[0], stmts[1:]
+    size = len(list(_raw_statements((s,))))
+    tails = _paths(rest, reads, point + size)
+    if isinstance(s, If):
+        head = (point, _refs(s, reads), (), frozenset(range(point + 1, point + size)))
+        else_point = point + 1 + len(list(_raw_statements(s.then_body)))
+        inner = _paths(s.then_body, reads, point + 1) + _paths(s.else_body, reads, else_point)
+        return [[head] + path + tail for path in inner for tail in tails]
+    pure = isinstance(s, Assign) and not isinstance(s.rhs, MemRead)
+    entry = (point, _refs(s, reads), s.defs(), pure)
     return [[entry] + tail for tail in tails]
 
 
@@ -74,29 +94,68 @@ def _path_facts(paths, dead):
     return live_in, live_out, next_use
 
 
-def _oracle_facts(body):
-    """(live_in, live_out, next_use, dead) per point, unioned over all paths.
+def _oracle_facts(stmts, reads):
+    """(live_in, live_out, next_use, dead) per point of the raw statements
+    `stmts`, unioned over all paths, with calls referencing what `reads`
+    says they pass.
 
     A reference at j counts toward position i only when the variable is
     not redefined in between; definitions at i itself kill live_in for
     later references but not the next use of the value defined there.
     A pure assignment (any right-hand side but `mref`) whose destination
-    is not live after it is dead, and its references count for nothing;
-    rounds of the path facts mark dead points until none is added.
+    is not live after it is dead, and so is an `if` whose branch points
+    are all dead; the references of a dead point count for nothing.
+    Rounds of the path facts mark dead points until none is added.
     """
-    paths = _paths(list(body))
+    paths = _paths(list(stmts), reads)
     dead = set()
     while True:
         live_in, live_out, next_use = _path_facts(paths, dead)
-        more = {
-            point
-            for path in paths
-            for point, _, defs, pure in path
-            if pure and point not in dead and defs[0] not in live_out[point]
-        }
+        more = set()
+        for path in paths:
+            for point, _, defs, kind in path:
+                if point in dead:
+                    continue
+                if kind is True and defs[0] not in live_out[point]:
+                    more.add(point)
+                elif kind and kind is not True and kind <= dead:
+                    more.add(point)
         if not more:
             return live_in, live_out, next_use, dead
         dead |= more
+
+
+def _read_positions(p):
+    """Procedure -> for each parameter, whether a call passes it; found
+    without `annotate`.  A procedure that reaches itself through calls
+    passes every argument.  Any other is taken once every procedure it
+    calls is known, and passes the parameters the path oracle finds live
+    at its first point."""
+    calls = {
+        d.name: {s.callee for s in _raw_statements(d.body) if isinstance(s, Call)}
+        for d in p.definitions
+    }
+    reach = {name: set(callees) for name, callees in calls.items()}
+    grown = True
+    while grown:
+        grown = False
+        for name, reached in reach.items():
+            more = set().union(*(reach[g] for g in reached)) - reached
+            if more:
+                reached |= more
+                grown = True
+    reads = {}
+    todo = list(p.definitions)
+    while todo:
+        # its callees are known, or reach it again
+        d = next(d for d in todo if all(g in reads or d.name in reach[g] for g in calls[d.name]))
+        todo.remove(d)
+        if d.name in reach[d.name]:
+            reads[d.name] = (True,) * len(d.params)
+        else:
+            entry = _oracle_facts(d.body, reads)[0][0]
+            reads[d.name] = tuple(v in entry for v in d.params)
+    return reads
 
 
 def _all_points(body):
@@ -107,8 +166,8 @@ def next_use_at(a, v):
     return a.next_uses.get(v, INF)
 
 
-def _check_against_oracle(body):
-    live_in, live_out, next_use, dead = _oracle_facts(list(body))
+def _check_against_oracle(body, reads):
+    live_in, live_out, next_use, dead = _oracle_facts([a.stmt for a in body], reads)
     variables = set()
     for a in walk_statements(body):
         variables |= set(stmt_refs(a.stmt)) | set(a.stmt.defs())
@@ -120,6 +179,23 @@ def _check_against_oracle(body):
         for v in variables:
             want = next_use.get((p, v), math.inf)
             assert next_use_at(a, v) == want, (p, v)
+        if isinstance(a.stmt, Call):
+            keep = reads.get(a.stmt.callee, [True] * len(a.stmt.args))
+            assert a.passed == tuple(x for x, r in zip(a.stmt.args, keep) if r), p
+        else:
+            assert a.passed == (), p
+
+
+def _check_program_against_oracle(p):
+    """Every body of `p` and every procedure's read parameters."""
+    ap = annotate(p)
+    reads = _read_positions(p)
+    _check_against_oracle(ap.entry, reads)
+    for proc in ap.procs:
+        want = tuple(v for v, r in zip(proc.params, reads[proc.name]) if r)
+        assert proc.read_params == want, proc.name
+        _check_against_oracle(proc.body, reads)
+    return ap
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +260,7 @@ def test_branch_next_use_takes_minimum():
     if_stmt = body[2]
     then_use = if_stmt.then_body[0].point
     assert next_use_at(body[1], "v") == then_use
-    _check_against_oracle(body)
+    _check_against_oracle(body, {})
 
 
 def test_variable_ending_in_both_branches():
@@ -199,7 +275,7 @@ def test_variable_ending_in_both_branches():
     assert "v" in if_stmt.then_body[0].ends
     assert "v" in if_stmt.else_body[0].ends
     assert "v" not in ap.entry[3].ends
-    _check_against_oracle(ap.entry)
+    _check_against_oracle(ap.entry, {})
 
 
 def test_redefinition_kills_next_use():
@@ -211,7 +287,7 @@ def test_redefinition_kills_next_use():
     body = ap.entry
     assert "x" in body[1].ends
     assert next_use_at(body[1], "x") == INF
-    _check_against_oracle(body)
+    _check_against_oracle(body, {})
 
 
 def test_dead_definition_ends_immediately():
@@ -225,8 +301,9 @@ def test_consistency_ends_iff_dead_and_live_in():
     for seed in range(30):
         p = generate_program(seed, max_stmts=12)
         ap = annotate(p)
+        reads = _read_positions(p)
         for body in [ap.entry] + [proc.body for proc in ap.procs]:
-            live_in, live_out, _, _ = _oracle_facts(list(body))
+            live_in, live_out, _, _ = _oracle_facts([a.stmt for a in body], reads)
             for a in walk_statements(body):
                 for v in live_in[a.point] | a.ends:
                     dead = next_use_at(a, v) == INF
@@ -237,11 +314,7 @@ def test_consistency_ends_iff_dead_and_live_in():
 
 @pytest.mark.parametrize("seed", range(25))
 def test_annotation_matches_path_oracle(seed):
-    p = generate_program(seed, max_stmts=12)
-    ap = annotate(p)
-    _check_against_oracle(ap.entry)
-    for proc in ap.procs:
-        _check_against_oracle(proc.body)
+    _check_program_against_oracle(generate_program(seed, max_stmts=12))
 
 
 def test_points_are_preorder_unique():
@@ -283,21 +356,30 @@ def test_straight_line_forward_reconstruction_matches_backward_pass():
     # referenced or defined, so ending sets are recoverable forward from
     # the next-use maps alone; a pure assignment whose destination has no
     # next use is dead, and references nothing, so only its destination
-    # ends there
-    for seed in range(40):
-        p = generate_straight_line(seed)
+    # ends there.  A call references only the arguments it passes
+    # (`_read_positions`), so the others are no candidates.
+    programs = [generate_straight_line(seed) for seed in range(40)]
+    programs += [generate_program(seed) for seed in range(100)]
+    calls = 0
+    for p in programs:
         ap = annotate(p)
-        for a in ap.entry:
-            s = a.stmt
-            dead = (
-                isinstance(s, Assign)
-                and not isinstance(s.rhs, MemRead)
-                and next_use_at(a, s.dst) == INF
-            )
-            assert a.dead == dead, (seed, a.point)
-            candidates = set(s.defs()) if dead else set(stmt_refs(s)) | set(s.defs())
-            forward_ends = {v for v in candidates if next_use_at(a, v) == INF}
-            assert forward_ends == set(a.ends), (seed, a.point)
+        reads = _read_positions(p)
+        for body in [ap.entry] + [proc.body for proc in ap.procs]:
+            if any(isinstance(a.stmt, If) for a in body):
+                continue
+            for a in body:
+                s = a.stmt
+                dead = (
+                    isinstance(s, Assign)
+                    and not isinstance(s.rhs, MemRead)
+                    and next_use_at(a, s.dst) == INF
+                )
+                assert a.dead == dead, a.point
+                candidates = set(s.defs()) if dead else set(_refs(s, reads)) | set(s.defs())
+                forward_ends = {v for v in candidates if next_use_at(a, v) == INF}
+                assert forward_ends == set(a.ends), a.point
+                calls += isinstance(s, Call) and len(a.passed) < len(s.args)
+    assert calls > 40  # calls that leave an argument out
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +450,10 @@ def test_fragment_annotation_marks_nothing_tail():
 
 # Digest of every annotation fact over the corpus `_pinned_programs`
 # yields: each statement's point, sorted ending set, sorted live-after
-# set, sorted next-use items, tail flag, sorted branch entry sets and dead
-# flag, in pre-order, then each procedure's entry set.  A change to `annotate` must
-# leave it as it is.
-ANNOTATION_SHA256 = "0609a91c2944b879934d10e2ba30d676a9184f7ab397a387c5be82177e79cb5c"
+# set, sorted next-use items, tail flag, sorted branch entry sets, dead
+# flag and passed arguments, in pre-order, then each procedure's entry set
+# and read parameters.  A change to `annotate` must leave it as it is.
+ANNOTATION_SHA256 = "40a65dca0059e2515d0bda7df5c54634d6695206dcb1c332ccad774d3287f237"
 
 
 def _pinned_programs():
@@ -398,10 +480,11 @@ def test_annotations_are_pinned():
                     sorted(a.then_live),
                     sorted(a.else_live),
                     a.dead,
+                    a.passed,
                 )
                 digest.update(repr(fact).encode())
         for proc in ap.procs:
-            digest.update(repr((proc.name, sorted(proc.entry_live))).encode())
+            digest.update(repr((proc.name, sorted(proc.entry_live), proc.read_params)).encode())
     assert digest.hexdigest() == ANNOTATION_SHA256
 
 
@@ -409,7 +492,7 @@ def test_annotations_are_pinned():
 # seeds 0..99 with up to six procedures of up to 60 statements: for each
 # body, every point whose set of variables living across a later non-tail
 # call is not empty, with that set sorted, in point order.
-ACROSS_SHA256 = "16e1f494cd40fa6767208bb356033aaa999bc3a1de80000c6a2073bc6e49e5e2"
+ACROSS_SHA256 = "dcca1c9d1f7b56d4525ce30a05c8f4536e5c526d7d706d022f1206ec91855c7a"
 
 
 def test_call_crossing_sets_are_pinned():
@@ -445,7 +528,7 @@ def _without_dead(stmts, annotated):
 def test_one_walk_finds_every_dead_assignment():
     # deleting what one walk marks dead leaves a program in which a second
     # walk marks nothing dead and finds the same facts: the walk reaches
-    # the fixpoint of deleting dead assignments
+    # the fixpoint of deleting dead assignments and dead `if`s
     programs = itertools.chain(
         (generate_program(seed) for seed in range(500)),
         (
@@ -453,7 +536,7 @@ def test_one_walk_finds_every_dead_assignment():
             for seed in range(3)
         ),
     )
-    dead_total = 0
+    dead_total = dead_ifs = 0
     for p in programs:
         ap = annotate(p)
         pruned = Program(
@@ -472,8 +555,14 @@ def test_one_walk_finds_every_dead_assignment():
             for a in walk_statements(body):
                 if a.dead:
                     s = a.stmt
-                    assert isinstance(s, Assign) and not isinstance(s.rhs, MemRead), s
-                    assert a.ends == {s.dst} and s.dst not in a.next_uses
+                    if isinstance(s, If):
+                        # a non-tail `if` whose branches hold only dead statements
+                        assert not a.tail and a.ends == set()
+                        assert all(b.dead for b in (*a.then_body, *a.else_body))
+                        dead_ifs += 1
+                    else:
+                        assert isinstance(s, Assign) and not isinstance(s.rhs, MemRead), s
+                        assert a.ends == {s.dst} and s.dst not in a.next_uses
                     dead_total += 1
                 else:
                     survivors.append(a)
@@ -491,8 +580,8 @@ def test_one_walk_finds_every_dead_assignment():
                 assert b.across == a.across and b.tail == a.tail
                 assert (b.then_live, b.else_live) == (a.then_live, a.else_live)
         for x, y in zip(ap.procs, again.procs):
-            assert x.entry_live == y.entry_live
-    assert dead_total > 5000
+            assert x.entry_live == y.entry_live and x.read_params == y.read_params
+    assert dead_total > 5000 and dead_ifs > 10
 
 
 def test_live_after_is_a_view_of_the_next_use_map():
@@ -524,3 +613,101 @@ def test_live_after_is_a_view_of_the_next_use_map():
         # the identity is read from the view's one referent
         assert type(a.live_after) is type({}.keys())
         assert gc.get_referents(a.live_after)[0] is a.next_uses
+
+
+# ---------------------------------------------------------------------------
+# strong liveness across calls: callees first, unread parameters, dead `if`s
+
+# g never reads w, so f's y only feeds it and the entry's b feeds nothing
+FORWARD_CHAIN_SRC = (
+    "(letrec ((g (lambda (u w) (set! t (+ u 1)) (return t)))"
+    "         (f (lambda (x y) (g x y))))"
+    " (set! a (mref 0 0)) (set! b (+ a 7)) (set! r (f a b)) (return r))"
+)
+
+# f forwards k to itself only; k still counts as read, as the group's
+# convention passes every argument
+SELF_FORWARD_SRC = (
+    "(letrec ((f (lambda (n k)"
+    "   (if (< n 1) (begin (return 0)) (begin (set! m (- n 1)) (f m k))))))"
+    " (set! k (mref 0 0)) (f 3 k))"
+)
+
+# a two-procedure group: h never references z at all, and e only forwards
+# k; both are passed all the same
+MUTUAL_SRC = (
+    "(letrec ((e (lambda (n k) (if (< n 1) (begin (return n)) (begin (set! m (- n 1)) (h m 5 k)))))"
+    "         (h (lambda (n z k) (e n k))))"
+    " (set! k (mref 0 0)) (set! r (e 4 k)) (mset! 0 1 r) (return r))"
+)
+
+# the `if`s' branches assign only what nothing reads: the inner `if` is
+# dead, then the outer one, and c only fed their tests
+DEAD_IF_SRC = (
+    "(letrec () (set! c (mref 0 0)) (set! d (+ c 1))"
+    " (if (< d 3) (begin (set! e 1) (if (= c 0) (begin (set! e 2)) (begin (set! e d))))"
+    "   (begin (set! e 3)))"
+    " (return 0))"
+)
+
+
+def test_forwarded_parameter_of_an_acyclic_chain_is_read_nowhere():
+    ap = _check_program_against_oracle(parse(FORWARD_CHAIN_SRC))
+    g, f = ap.procs
+    assert (g.read_params, f.read_params) == (("u",), ("x",))
+    assert f.body[0].passed == ("x",) and f.body[0].refs == ["g", "x"]
+    assert "y" not in f.entry_live
+    _, b, call, _ = ap.entry
+    assert call.passed == ("a",) and call.ends == {"f", "a"}
+    assert b.dead  # it only fed y
+
+
+def test_a_recursive_group_passes_every_argument():
+    for src in (SELF_FORWARD_SRC, MUTUAL_SRC):
+        ap = _check_program_against_oracle(parse(src))
+        for proc in ap.procs:
+            assert proc.read_params == proc.params
+            for a in walk_statements(proc.body):
+                if isinstance(a.stmt, Call):
+                    assert a.passed == a.stmt.args
+        assert not any(a.dead for a in ap.entry)
+    e, h = annotate(parse(MUTUAL_SRC)).procs
+    assert "z" not in h.entry_live  # passed, and dies on arrival
+
+
+def test_procedures_are_annotated_callees_first():
+    # a later callee still tells its earlier caller what it reads
+    ap = annotate(parse(FORWARD_CHAIN_SRC))
+    assert [proc.name for proc in ap.procs] == ["g", "f"]
+    swapped = parse(
+        "(letrec ((f (lambda (x y) (g x y)))"
+        "         (g (lambda (u w) (set! t (+ u 1)) (return t))))"
+        " (set! a (mref 0 0)) (set! b (+ a 7)) (set! r (f a b)) (return r))"
+    )
+    assert validate(swapped) == []
+    f, g = _check_program_against_oracle(swapped).procs
+    assert (f.read_params, g.read_params) == (("x",), ("u",))
+
+
+def test_dead_ifs_are_found_in_the_same_walk():
+    ap = annotate(parse(DEAD_IF_SRC))
+    _check_against_oracle(ap.entry, {})
+    c, d, outer, ret = ap.entry
+    inner = outer.then_body[1]
+    assert outer.dead and inner.dead and d.dead and outer.ends == set()
+    assert not c.dead  # an `mref` can fault
+    assert "c" in c.ends and ret.ends == set()
+    # a fragment marks nothing dead
+    assert not any(a.dead for a in walk_statements(annotate_statements(parse(DEAD_IF_SRC).body)))
+
+
+def test_generated_dead_ifs_match_the_path_oracle():
+    found = 0
+    for seed in range(500):
+        p = generate_program(seed)
+        ap = annotate(p)
+        bodies = [ap.entry] + [proc.body for proc in ap.procs]
+        if any(a.dead and isinstance(a.stmt, If) for body in bodies for a in walk_statements(body)):
+            _check_program_against_oracle(p)
+            found += 1
+    assert found > 10

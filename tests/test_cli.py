@@ -80,6 +80,46 @@ def test_alloc_trace_lists_each_dead_statement(capsys, tmp_path):
     assert sum(line.startswith(";   dead:") for line in lines) == 1
 
 
+# g never reads w and f only forwards y; c only feeds y and the `if`'s
+# test, and the `if`'s branches assign what nothing reads
+UNREAD_SRC = """
+(letrec ((g (lambda (u w) (set! t (+ u 1)) (return t)))
+         (f (lambda (x y) (g x y))))
+  (set! a (mref 0 0))
+  (set! c (+ a 1))
+  (if (< c 3) (begin (set! d 1)) (begin (set! d 2)))
+  (set! r (f a c))
+  (return r))
+"""
+
+
+def test_alloc_trace_lists_unread_parameters_and_left_out_arguments(capsys, tmp_path):
+    path = tmp_path / "unread.uil"
+    path.write_text(UNREAD_SRC)
+    code, out, _ = run_cli(capsys, "alloc", str(path), "--registers", "2", "--trace")
+    assert code == 0
+    lines = out.splitlines()
+    at = lines.index("; <entry> #5: (set! r (f a c))")
+    assert lines[at + 1] == ";   left out: c for y"
+    assert lines[lines.index("; <entry> #1: (set! c (+ a 1))") + 1] == ";   dead: c is never read"
+    assert lines[lines.index("; <entry> #2: (if (< c 3)") + 1] == (
+        ";   dead: every branch statement is dead"
+    )
+    at = lines.index("; g: unread parameters: w")
+    assert lines[at + 1] == "; g #0: (set! t (+ u 1))"
+    at = lines.index("; f: unread parameters: y")
+    assert lines[at + 1 : at + 3] == ["; f #0: (g x y)", ";   left out: y for w"]
+    # nothing but the return address and the read arguments travels
+    assert not [line for line in lines if line.split()[:1] in (["move"], ["store"], ["load"])]
+
+
+def test_alloc_trace_names_no_unread_parameter_of_a_kernel(capsys):
+    code, out, _ = run_cli(capsys, "alloc", str(ROOT / "tests" / "data" / "walk.uil"), "--trace")
+    assert code == 0
+    assert "; walk: unread parameters: none" in out
+    assert ";   left out:" not in out
+
+
 def test_alloc_is_byte_identical_across_runs(capsys, split_file):
     _, out1, _ = run_cli(capsys, "alloc", split_file, "--registers", "2")
     _, out2, _ = run_cli(capsys, "alloc", split_file, "--registers", "2")
@@ -285,6 +325,31 @@ def test_fuzz_small_batch_passes(capsys):
     code, out, _ = run_cli(capsys, "fuzz", "--count", "5", "--seed", "100")
     assert code == 0
     assert "all equivalent" in out
+
+
+def test_fuzz_sweeps_the_listed_register_counts(capsys, monkeypatch):
+    seen = []
+    real = main.__globals__["alloc_program"]
+
+    def recording(ap, cfg, policy):
+        seen.append(cfg.registers)
+        return real(ap, cfg, policy)
+
+    monkeypatch.setattr("uilc.cli.alloc_program", recording)
+    code, out, _ = run_cli(capsys, "fuzz", "--count", "4", "--registers", "2")
+    assert code == 0
+    assert "4 program(s), 12 allocation(s) checked, all equivalent" in out
+    assert set(seen) == {2}
+    seen.clear()
+    code, out, _ = run_cli(capsys, "fuzz", "--count", "1")
+    assert code == 0 and sorted(set(seen)) == [3, 4, 8]
+
+
+@pytest.mark.parametrize("registers", ["0", "2,0", "2,x", ""])
+def test_fuzz_bad_register_list_exits_one(capsys, registers):
+    code, out, err = run_cli(capsys, "fuzz", "--count", "1", "--registers", registers)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --registers")
 
 
 def test_fuzz_injected_fault_writes_reproducer(capsys, tmp_path, monkeypatch):
