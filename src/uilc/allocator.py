@@ -22,15 +22,20 @@ different register later.  Victim choice is a static analogue of cache
 replacement; the default policy evicts the candidate whose next use is
 furthest away.
 
-A value that may take any free register takes the one its next use
-reads, when that one is free: a returned value the return-value
-register, a call argument its argument register.  The move the return or
-call would otherwise need then disappears; the next-use maps already
-name that use, so no interference graph is needed.  When a value is
-computed just before a non-tail call that reads it from a register held
-by a value living across the call, the holder steps aside: it is stored
-now, to the slot the call would have stored it in, and the argument is
-born in its register.
+One method, ``_BodyAllocator._free_reg``, picks every free register a
+value takes, in one order: the branch preference (below), then the
+register its next use reads (a returned value the return-value register,
+a call argument the argument register of its first passed position),
+then a callee-saved register for a value that lives across a later
+non-tail call (the statement's ``across`` set), and last the lowest free
+register; an occupied one is passed over.  The move a return or call
+would otherwise need then disappears.  A statement's next-use map names
+that use by its point, and the body's point index from the annotation
+gives the statement, so the allocator needs no interference graph and no
+walk of its own.  When a value is computed just before a non-tail call
+that reads it from a register held by a value living across the call,
+the holder steps aside: it is stored now, to the slot the call would
+have stored it in, and the argument is born in its register.
 
 A statement the annotation marks dead (a pure assignment that nothing
 reads, on any path, or an `if` whose branches hold only such) is the
@@ -67,9 +72,7 @@ register; a procedure that never evicts a debt moves each onto itself,
 which emits nothing.  A non-tail call leaves every value in a
 callee-saved register where it is, and moves a value that lives across
 it from a caller-saved register into a free callee-saved one, storing it
-only when none is free.  A value that takes a free register while it
-lives across a later non-tail call (the statement's ``across`` set, from
-the annotation) takes a free callee-saved one.
+only when none is free.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ import itertools
 from dataclasses import dataclass
 
 from ._gc import gc_paused
-from .analysis import INF, AnnotatedProgram, AnnotatedStatement
+from .analysis import INF, AnnotatedProgram, AnnotatedStatement, walk_statements
 from .isa import (
     BinOpInst,
     CondJump,
@@ -237,63 +240,18 @@ def _evict(
     return r
 
 
-def _pick_free(
-    m: Model,
-    var: str,
-    cfg: MachineConfig,
-    prefs: dict[str, int] | None,
-    uses: dict[str, float],
-    targets: dict[int, dict[str, int]] | None,
-    across,
-) -> int | None:
-    """A free register for `var`, or None when every register is taken.
-
-    First the branch preference (the register `var` holds at the end of
-    the other branch), then the use-site target (the register `var`'s next
-    use needs: the return-value register for a return, the argument
-    register for a call argument), then, for a variable in `across` (one
-    that lives across a later non-tail call), a callee-saved register,
-    and last the lowest free register.  A preference or target that is
-    occupied is passed over, never evicted.
-    """
-    if prefs:
-        r = prefs.get(var)
-        if r is not None and r < cfg.registers and r not in m.reg_owner:
-            return r
-    target = targets.get(uses.get(var)) if targets else None
-    if target:
-        r = target.get(var)
-        if r is not None and r not in m.reg_owner:
-            return r
-    if var in across:
-        for r in cfg.callee_saved:
-            if r not in m.reg_owner:
-                return r
-    return m.free_register(cfg)
-
-
 def load(
-    m: Model,
-    vs,
-    protected,
-    uses: dict[str, float],
-    policy: str,
-    cfg: MachineConfig,
-    prefs: dict[str, int] | None = None,
-    targets: dict[int, dict[str, int]] | None = None,
-    slot_prefs: dict[str, int] | None = None,
-    across=(),
+    m: Model, vs, protected, uses: dict[str, float], policy: str, cfg: MachineConfig
 ) -> tuple[Model, list[Inst]]:
     """Bring each variable into a register, in order.
 
     Register-resident variables cost nothing.  Others are loaded from
-    their slot into a free register (chosen by `_pick_free`, which also
-    reads `across`), or into an evicted victim's register; the victim is
-    saved first (for free when multi-homed).  Neither the listed variables
-    nor the protected set may be evicted.  Returns the updated copy of
-    `m`; `m` itself is left as it is.
+    their slot into the lowest free register, or into an evicted victim's
+    register; the victim is saved first (for free when multi-homed).
+    Neither the listed variables nor the protected set may be evicted.
+    Returns the updated copy of `m`; `m` itself is left as it is.
     """
-    return _load(m.copy(), vs, protected, uses, policy, cfg, prefs, targets, slot_prefs, across)
+    return _load(m.copy(), vs, protected, uses, policy, cfg)
 
 
 def _load(
@@ -303,12 +261,13 @@ def _load(
     uses: dict[str, float],
     policy: str,
     cfg: MachineConfig,
-    prefs: dict[str, int] | None = None,
-    targets: dict[int, dict[str, int]] | None = None,
     slot_prefs: dict[str, int] | None = None,
-    across=(),
+    choose=None,
+    at: AnnotatedStatement | None = None,
 ) -> tuple[Model, list[Inst]]:
-    """`load`, updating `m` in place.
+    """`load`, updating `m` in place.  ``choose(m, v, at)`` picks a free
+    register for `v` at the statement `at` (None when every register is
+    taken); without it `v` takes the lowest free register.
 
     When every variable is already resident this returns at once.
     Otherwise one set, `needed`, holds the listed variables and the
@@ -347,7 +306,7 @@ def _load(
         s = stackmap.get(v)
         if s is None:
             raise ModelError(f"cannot load unbound variable '{v}'")
-        r = _pick_free(m, v, cfg, prefs, uses, targets, across)
+        r = choose(m, v, at) if choose is not None else m.free_register(cfg)
         if r is None:
             r = _evict(m, needed, uses, policy, slot_prefs, insts)
         insts.append(Load(r, s))
@@ -619,44 +578,12 @@ def _stmt_text(stmt) -> str:
     return buf[0]
 
 
-def _use_site_targets(
-    body, cfg: MachineConfig
-) -> tuple[dict[int, dict[str, int]], dict[int, AnnotatedStatement]]:
-    """Point -> variable -> the register that statement reads it from, and
-    point -> the non-tail call right after that statement in its sequence
-    (dead statements, which emit nothing, are passed over).
-
-    A returned variable is read from the return-value register, and a call
-    argument from its argument register (the first use wins when a
-    variable is passed twice).  Stack arguments and immediates get none,
-    and so does a call with no register argument in the second map.
-    """
-    targets: dict[int, dict[str, int]] = {}
-    next_calls: dict[int, AnnotatedStatement] = {}
-    todo = [body]
-    while todo:
-        prev = None
-        for a in todo.pop():
-            if a.dead:
-                continue
-            s = a.stmt
-            kind = type(s)  # exact type tests: cheaper than isinstance here
-            if kind is ReturnValue:
-                if type(s.value) is str:
-                    targets[a.point] = {s.value: cfg.ret_val_reg}
-            elif kind is Call:
-                regs: dict[str, int] = {}
-                for arg, r in zip(a.passed, cfg.arg_regs):
-                    if type(arg) is str and arg not in regs:
-                        regs[arg] = r
-                if regs:
-                    targets[a.point] = regs
-                    if prev is not None and not a.tail:
-                        next_calls[prev] = a
-            elif kind is If:
-                todo += (a.then_body, a.else_body)
-            prev = a.point
-    return targets, next_calls
+def _next_live(body: tuple[AnnotatedStatement, ...], i: int) -> AnnotatedStatement | None:
+    """The first statement after ``body[i]`` that is not dead, or None."""
+    for j in range(i + 1, len(body)):
+        if not body[j].dead:
+            return body[j]
+    return None
 
 
 def _rebind_copy(a: AnnotatedStatement, m: Model) -> Model | None:
@@ -683,53 +610,19 @@ def _rebind_copy(a: AnnotatedStatement, m: Model) -> Model | None:
     return m
 
 
-def _call_homes(
-    m: Model, cfg: MachineConfig, slot_prefs: dict[str, int], gone=(), avoid=()
-) -> dict[str, Reg | Slot]:
-    """Where a non-tail call keeps each slotless caller-saved resident.
-
-    Residents of callee-saved registers stay there and get none, and so do
-    residents in `gone`, which die at the call.  In register order, the
-    others take the free callee-saved registers first; the rest take a
-    free slot preference, else the lowest free slots not in `avoid` (the
-    slots the call's arguments are read from).
-    """
-    saved = cfg.callee_saved
-    slotless = [
-        v
-        for v, r in m.register_residents()
-        if v not in m.stackmap and v not in gone and r not in saved
-    ]
-    free = [r for r in saved if r not in m.reg_owner]
-    homes: dict[str, Reg | Slot] = {v: Reg(r) for v, r in zip(slotless, free)}
-    slotless = slotless[len(free):]
-    taken = set(m.slot_owner)
-    for v in slotless:
-        i = slot_prefs.get(v)
-        if i is not None and i not in taken:
-            homes[v] = Slot(i)
-            taken.add(i)
-    i = 0
-    for v in slotless:
-        if v not in homes:
-            while i in taken or i in avoid:
-                i += 1
-            homes[v] = Slot(i)
-            taken.add(i)
-    return homes
-
-
 class _BodyAllocator:
     """Allocates one procedure body (or the entry body).
 
     One working model is threaded through the body and updated in place
     by each statement; it is copied only where an `if` forks it into its
-    two branches.
+    two branches.  ``by_point`` maps each point of the body to its
+    annotated statement, so a statement's next uses lead to the
+    statements that read them.
     """
 
     def __init__(
         self,
-        body: tuple[AnnotatedStatement, ...],
+        by_point: dict[int, AnnotatedStatement],
         cfg: MachineConfig,
         policy: str,
         labels: itertools.count,
@@ -739,6 +632,7 @@ class _BodyAllocator:
     ):
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}")
+        self.by_point = by_point
         self.cfg = cfg
         self.policy = policy
         self.labels = labels
@@ -751,7 +645,6 @@ class _BodyAllocator:
         self.slot_prefs: dict[str, int] = {}
         # inside a branch of an `if` that has a join
         self.in_joined_branch = False
-        self.targets, self.next_calls = _use_site_targets(body, cfg)
         # what a procedure owes its caller: one model entry per
         # callee-saved register, kept to the end like RET
         self.owed = () if is_entry else tuple((f"%c{r}", r) for r in cfg.callee_saved)
@@ -763,14 +656,54 @@ class _BodyAllocator:
     def _fresh_label(self) -> str:
         return f".L{next(self.labels)}"
 
+    def _read_reg(self, var: str, b: AnnotatedStatement) -> int | None:
+        """The register `b` reads `var` from: the return-value register for
+        a returned `var`, the argument register of `var`'s first passed
+        position at a call; None for anything else (a stack argument, or
+        a statement that reads its operands from wherever they are)."""
+        s = b.stmt
+        if type(s) is ReturnValue:
+            return self.cfg.ret_val_reg if s.value == var else None
+        for arg, r in zip(b.passed, self.cfg.arg_regs):  # only a call passes any
+            if arg == var:
+                return r
+        return None
+
+    def _free_reg(self, m: Model, var: str, a: AnnotatedStatement) -> int | None:
+        """A free register for `var` at `a`, or None when every register is
+        taken.
+
+        First the branch preference (the register `var` holds at the end
+        of the other branch), then the register `var`'s next use reads
+        (`_read_reg`), then, for a variable in `a.across` (one that lives
+        across a later non-tail call), a callee-saved register, and last
+        the lowest free register.  A preference or next-use register that
+        is occupied is passed over, never evicted.
+        """
+        owner = m.reg_owner
+        if len(owner) >= self.cfg.registers:  # all taken: no model binds r >= registers
+            return None
+        r = self.prefs.get(var)
+        if r is not None and r not in owner:
+            return r
+        b = self.by_point.get(a.next_uses.get(var))
+        if b is not None:
+            r = self._read_reg(var, b)
+            if r is not None and r not in owner:
+                return r
+        if var in a.across:
+            for r in self.cfg.callee_saved:
+                if r not in owner:
+                    return r
+        return m.free_register(self.cfg)
+
     def _load_operands(self, a: AnnotatedStatement, m: Model) -> tuple[list[Inst], list]:
         """Load the statement's variable operands (`a.refs`, which for an
         assignment, memory write or `if` lists exactly them) together into
         `m`; return the loads and the operand values in order."""
         # the operands protect each other; nothing else is protected
         _, insts = _load(
-            m, a.refs, (), a.next_uses, self.policy, self.cfg,
-            self.prefs, self.targets, self.slot_prefs, a.across,
+            m, a.refs, (), a.next_uses, self.policy, self.cfg, self.slot_prefs, self._free_reg, a
         )
         regmap = m.regmap  # load leaves every variable operand in a register
         vals = []
@@ -778,28 +711,36 @@ class _BodyAllocator:
             vals.append(Reg(regmap[o]) if type(o) is str else o)
         return insts, vals
 
-    def _dest_reg(self, m: Model, var: str, a: AnnotatedStatement, insts: list[Inst]) -> int:
-        """Bind a freshly assigned variable to a register in `m`, append
-        the instructions that free it to `insts`, and return the register.
+    def _dest_reg(self, m: Model, body, i: int, insts: list[Inst]) -> int:
+        """Bind the variable `var` that ``body[i]`` assigns to a register in
+        `m`, append the instructions that free it to `insts`, and return
+        the register.
 
-        When the next statement is a non-tail call that reads `var` from a
-        register another value holds, and that value lives across the
-        call, the holder steps aside: it is saved now, as the call would
-        save it anyway, and `var` is computed straight into the register
-        (see `_claim`).  Otherwise `_pick_free` chooses.  Under pressure any
+        When the next statement of `body` that is not dead is a non-tail
+        call that reads `var` from a register another value holds, and that
+        value lives across the call, the holder steps aside: it is saved
+        now, as the call would save it anyway, and `var` is computed
+        straight into the register (see `_claim`).  Such a call is `var`'s
+        next use.  Otherwise `_free_reg` chooses.  Under pressure any
         resident may be evicted, operands of the current statement
         included: their registers are read before the destination is
         written, and the save keeps their value reachable.
         """
-        uses = a.next_uses
-        call = self.next_calls.get(a.point)
-        if call is not None:
-            r = self._claim(m, var, uses, call, insts)
+        a = body[i]
+        var = a.stmt.dst
+        call = self.by_point.get(a.next_uses.get(var))
+        if (
+            call is not None
+            and type(call.stmt) is Call
+            and not call.tail
+            and call is _next_live(body, i)
+        ):
+            r = self._claim(m, var, a.next_uses, call, insts)
             if r is not None:
                 return r
-        r = _pick_free(m, var, self.cfg, self.prefs, uses, self.targets, a.across)
+        r = self._free_reg(m, var, a)
         if r is None:
-            r = _evict(m, (), uses, self.policy, self.slot_prefs, insts)
+            r = _evict(m, (), a.next_uses, self.policy, self.slot_prefs, insts)
         m.bind_reg(var, r)
         return r
 
@@ -827,23 +768,57 @@ class _BodyAllocator:
         preferences, and on generated programs that raised loads plus
         stores.  Every None is returned before `m` is updated.
         """
-        r = self.targets[call.point].get(var)
+        r = self._read_reg(var, call)
         w = m.reg_owner.get(r)
         if w is None or uses.get(w, -1) <= call.point:
             return None
         p = self.prefs.get(var)
-        if p is not None and p < self.cfg.registers and p not in m.reg_owner:
+        if p is not None and p not in m.reg_owner:
             return None
         if m.slot_of(w) is None:
             if self.in_joined_branch:
                 return None
-            home = _call_homes(m, self.cfg, self.slot_prefs, call.ends | {call.stmt.dst})[w]
+            home = self._call_homes(m, call.ends | {call.stmt.dst})[w]
             if type(home) is Reg:
                 return None
             insts.append(Store(home.i, r))
             m.bind_slot(w, home.i)
         m.unbind_reg(w).bind_reg(var, r)
         return r
+
+    def _call_homes(self, m: Model, gone=(), avoid=()) -> dict[str, Reg | Slot]:
+        """Where a non-tail call keeps each slotless caller-saved resident.
+
+        Residents of callee-saved registers stay there and get none, and so do
+        residents in `gone`, which die at the call.  In register order, the
+        others take the free callee-saved registers first; the rest take a
+        free slot preference, else the lowest free slots not in `avoid` (the
+        slots the call's arguments are read from).
+        """
+        saved = self.cfg.callee_saved
+        slotless = [
+            v
+            for v, r in m.register_residents()
+            if v not in m.stackmap and v not in gone and r not in saved
+        ]
+        free = [r for r in saved if r not in m.reg_owner]
+        homes: dict[str, Reg | Slot] = {v: Reg(r) for v, r in zip(slotless, free)}
+        slotless = slotless[len(free):]
+        taken = set(m.slot_owner)
+        slot_prefs = self.slot_prefs
+        for v in slotless:
+            i = slot_prefs.get(v)
+            if i is not None and i not in taken:
+                homes[v] = Slot(i)
+                taken.add(i)
+        i = 0
+        for v in slotless:
+            if v not in homes:
+                while i in taken or i in avoid:
+                    i += 1
+                homes[v] = Slot(i)
+                taken.add(i)
+        return homes
 
     def _seq(self, moves, m: Model, pinned_regs=()) -> list[Inst]:
         return _sequence_moves(
@@ -860,7 +835,7 @@ class _BodyAllocator:
         and the model after it."""
         insts: list[Inst] = []
         trace = self.trace
-        for a in body:
+        for i, a in enumerate(body):
             if a.dead:  # emits nothing and leaves the model as it is
                 if trace is not None:
                     why = "every branch statement is dead" if type(a.stmt) is If else (
@@ -872,7 +847,7 @@ class _BodyAllocator:
             try:
                 kind = type(a.stmt)
                 if kind is Assign:
-                    new_insts, m = self._assign(a, m)
+                    new_insts, m = self._assign(body, i, m)
                 elif kind is Call:
                     new_insts, m = self._call(a, m)
                 elif kind is If:
@@ -895,14 +870,16 @@ class _BodyAllocator:
                 )
         return insts, m
 
-    def _assign(self, a: AnnotatedStatement, m: Model) -> tuple[list[Inst], Model]:
-        """Compute the right-hand side into the destination's register.
+    def _assign(self, body, i: int, m: Model) -> tuple[list[Inst], Model]:
+        """Compute the right-hand side of ``body[i]`` into the destination's
+        register.
 
         A copy that `_rebind_copy` turns into a model rebind emits nothing.
         Any other assignment loads its operands, drops what ends here and
         the destination's old binding, and writes a register from
         `_dest_reg`; a dead destination is dropped again afterwards.
         """
+        a = body[i]
         s = a.stmt
         rhs = s.rhs
         if type(rhs) is str:
@@ -915,7 +892,7 @@ class _BodyAllocator:
         # binding (implicit renaming)
         dst = s.dst
         m.drop((dst, *a.ends))
-        d = self._dest_reg(m, dst, a, insts)
+        d = self._dest_reg(m, body, i, insts)
 
         kind = type(rhs)
         if kind is BinExpr:
@@ -1051,7 +1028,7 @@ class _BodyAllocator:
             return insts, m
 
         avoid = {src.i for src in arg_srcs if type(src) is Slot}
-        homes = _call_homes(m, cfg, self.slot_prefs, avoid=avoid)
+        homes = self._call_homes(m, avoid=avoid)
         moves = [(Reg(m.regmap[v]), h) for v, h in homes.items()]
         home = {**m.stackmap, **{v: h.i for v, h in homes.items() if type(h) is Slot}}
         k = max(home.values(), default=-1) + 1
@@ -1125,7 +1102,9 @@ def alloc_fragment(
 ) -> tuple[list[Inst], Model]:
     """Allocate a bare statement sequence starting from a given model,
     which is left as it is (the allocation works on a copy)."""
-    alloc = _BodyAllocator(body, cfg, policy, itertools.count(), is_entry=True, scope="<fragment>")
+    # a next use outside the fragment has no statement here to read it
+    by_point = {a.point: a for a in walk_statements(body)}
+    alloc = _BodyAllocator(by_point, cfg, policy, itertools.count(), True, "<fragment>")
     return alloc.run(body, m.copy() if m is not None else Model())
 
 
@@ -1146,7 +1125,7 @@ def alloc_program(
     """
     labels = itertools.count()
     entry_alloc = _BodyAllocator(
-        ap.entry, cfg, policy, labels, is_entry=True, scope="<entry>", trace=trace
+        ap.entry_by_point, cfg, policy, labels, is_entry=True, scope="<entry>", trace=trace
     )
     entry_insts, _ = entry_alloc.run(ap.entry, Model())
     if entry_alloc.need_halt:
@@ -1156,7 +1135,7 @@ def alloc_program(
     procs = []
     for proc in ap.procs:
         proc_alloc = _BodyAllocator(
-            proc.body, cfg, policy, labels, is_entry=False, scope=proc.name, trace=trace
+            proc.by_point, cfg, policy, labels, is_entry=False, scope=proc.name, trace=trace
         )
         m0 = initial_model(proc.read_params, cfg)
         # a recursive group's parameters the body never references die on arrival

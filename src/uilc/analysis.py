@@ -22,7 +22,10 @@ parameter counts as read and a call passes every argument, so no
 fixpoint is needed.
 
 Points are pre-order, branches then-before-else; the walk hands them out
-from the end of the body down.  Each statement's live set is a read-only
+from the end of the body down, and enters each statement in its body's
+point index (``AnnotatedProc.by_point``, ``AnnotatedProgram.entry_by_point``)
+as it builds it, so a later stage reaches the statement a next use names
+without a walk of its own.  Each statement's live set is a read-only
 view of the next-use map the walk already holds, so no statement copies
 it.  No interference graph is built.  UIL has no loop form, so branch
 joins need no fixpoint iteration.
@@ -97,18 +100,22 @@ class AnnotatedProc:
     name: str
     params: tuple[str, ...]
     body: tuple[AnnotatedStatement, ...]
+    # point -> the statement of `body` (branches included) at that point
+    by_point: dict[int, AnnotatedStatement] = field(compare=False, repr=False)
     # parameters never referenced at all have no ending to record
-    entry_live: frozenset[str] = frozenset()
+    entry_live: frozenset[str]
     # the parameters a caller passes, in order: those in `entry_live`, or
     # every one in a recursive group
-    read_params: tuple[str, ...] = ()
+    read_params: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class AnnotatedProgram:
     program: Program
     entry: tuple[AnnotatedStatement, ...]
-    procs: tuple[AnnotatedProc, ...] = ()
+    # point -> the statement of `entry` (branches included) at that point
+    entry_by_point: dict[int, AnnotatedStatement] = field(compare=False, repr=False)
+    procs: tuple[AnnotatedProc, ...]
 
 
 def stmt_refs(s: Statement) -> list[str]:
@@ -128,6 +135,7 @@ def _annotate_body(
     *,
     strong: bool,
     passes: dict[str, tuple[int, ...]],
+    by_point: dict[int, AnnotatedStatement],
 ) -> tuple[tuple[AnnotatedStatement, ...], dict[str, float], frozenset[str], int]:
     """Backward walk; the points of `body` run up to `end` (exclusive) and
     `cont` maps the variables live after it to their next reference.
@@ -143,6 +151,7 @@ def _annotate_body(
     and leaves the map as it found it, and so is an If whose branches
     hold only dead statements.  `passes` maps a callee to the positions
     of the arguments its callers pass; a call to any other passes all.
+    Each annotated statement is also entered in `by_point` under its point.
     """
     annotated: list[AnnotatedStatement] = []
     uses = cont  # never mutated: each statement builds its own `before`
@@ -157,10 +166,12 @@ def _annotate_body(
         if kind is If:
             # pre-order: the If, its then branch, its else branch
             else_body, else_uses, else_across, end = _annotate_body(
-                s.else_body, end, uses, tail, across, strong=strong, passes=passes
+                s.else_body, end, uses, tail, across, strong=strong, passes=passes,
+                by_point=by_point,
             )
             then_body, then_uses, then_across, end = _annotate_body(
-                s.then_body, end, uses, tail, across, strong=strong, passes=passes
+                s.then_body, end, uses, tail, across, strong=strong, passes=passes,
+                by_point=by_point,
             )
             end -= 1
             # a dead statement leaves the map as it found it, and any other
@@ -170,41 +181,38 @@ def _annotate_body(
                 # the identity on machine state: the branches left `across`
                 # as they found it too, and the test reads nothing
                 live = frozenset(uses)
-                annotated.append(
-                    AnnotatedStatement(
-                        s, end, frozenset(), uses.keys(), uses, tail, refs, across,
-                        then_body, else_body, live, live, dead=True,
-                    )
+                a = by_point[end] = AnnotatedStatement(
+                    s, end, frozenset(), uses.keys(), uses, tail, refs, across,
+                    then_body, else_body, live, live, dead=True,
                 )
+                annotated.append(a)
                 tail = False
                 continue
             across = then_across | else_across
             after = _merge_min(then_uses, else_uses)
             before = dict(after)
             ends = frozenset([v for v in refs if v not in after])
-            annotated.append(
-                AnnotatedStatement(
-                    s,
-                    end,
-                    ends,
-                    uses.keys(),  # join liveness
-                    after,
-                    tail,
-                    refs,
-                    across,
-                    then_body,
-                    else_body,
-                    frozenset(then_uses),
-                    frozenset(else_uses),
-                )
+            a = by_point[end] = AnnotatedStatement(
+                s,
+                end,
+                ends,
+                uses.keys(),  # join liveness
+                after,
+                tail,
+                refs,
+                across,
+                then_body,
+                else_body,
+                frozenset(then_uses),
+                frozenset(else_uses),
             )
+            annotated.append(a)
         elif strong and kind is Assign and s.dst not in uses and type(s.rhs) is not MemRead:
             end -= 1
-            annotated.append(
-                AnnotatedStatement(
-                    s, end, frozenset((s.dst,)), uses.keys(), uses, tail, refs, across, dead=True
-                )
+            a = by_point[end] = AnnotatedStatement(
+                s, end, frozenset((s.dst,)), uses.keys(), uses, tail, refs, across, dead=True
             )
+            annotated.append(a)
             tail = False
             continue
         else:
@@ -225,6 +233,7 @@ def _annotate_body(
                     across = across.union(uses.keys())
             else:
                 a = AnnotatedStatement(s, end, ends, uses.keys(), uses, tail, refs, across)
+            by_point[end] = a
             annotated.append(a)
             # a definition starts a new value
             for v in defs:
@@ -265,13 +274,15 @@ def annotate(p: Program) -> AnnotatedProgram:
     procs: dict[str, AnnotatedProc] = {}
     for group, recursive in _call_groups(p.definitions):
         for d, size in group:
-            body, entry_uses = _annotate_sequence(d.body, size, True, passes)
+            body, by_point, entry_uses = _annotate_sequence(d.body, size, True, passes)
             read = d.params if recursive else tuple([v for v in d.params if v in entry_uses])
-            procs[d.name] = AnnotatedProc(d.name, d.params, body, frozenset(entry_uses), read)
+            procs[d.name] = AnnotatedProc(
+                d.name, d.params, body, by_point, frozenset(entry_uses), read
+            )
         if not recursive:  # a group of one
             passes[d.name] = tuple([i for i, v in enumerate(d.params) if v in entry_uses])
-    entry, _ = _annotate_sequence(p.body, count_statements(p.body), True, passes)
-    return AnnotatedProgram(p, entry, tuple([procs[d.name] for d in p.definitions]))
+    entry, by_point, _ = _annotate_sequence(p.body, count_statements(p.body), True, passes)
+    return AnnotatedProgram(p, entry, by_point, tuple([procs[d.name] for d in p.definitions]))
 
 
 def _scan(body: tuple[Statement, ...], callees: dict[str, None]) -> int:
@@ -356,12 +367,14 @@ def _annotate_sequence(stmts: tuple[Statement, ...], size: int, whole: bool, pas
     `whole` body ends its frame, so its last statement is tail and its
     liveness strong.
 
-    Returns the annotated body and the map live on entry.
+    Returns the annotated body, its point -> statement index and the map
+    live on entry.
     """
+    by_point: dict[int, AnnotatedStatement] = {}
     body, entry_uses, _, _ = _annotate_body(
-        stmts, size, {}, whole, frozenset(), strong=whole, passes=passes
+        stmts, size, {}, whole, frozenset(), strong=whole, passes=passes, by_point=by_point
     )
-    return body, entry_uses
+    return body, by_point, entry_uses
 
 
 def _fmt_ends(ends: frozenset[str]) -> str:

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .allocator import POLICIES, PressureError, TraceEntry, alloc_program
-from .analysis import AnnotatedProgram, annotate, walk_statements
+from .analysis import AnnotatedProgram, annotate
 from .gen import generate_program
 from .isa import format_inst, format_target, static_traffic
 from .machine import (
@@ -46,13 +46,21 @@ def _config(registers: int) -> MachineConfig:
     return make_config(_at_least("--registers", registers, 1))
 
 
+def _distinct(flag: str, values: list) -> list:
+    """`values`, unless one of them is listed twice."""
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise CliError(f"{flag} lists {v} twice")
+    return values
+
+
 def _configs(registers: str) -> list[MachineConfig]:
     """One configuration per register count of a comma-separated list."""
     try:
         counts = [int(r) for r in registers.split(",")]
     except ValueError:
         raise CliError(f"--registers must be comma-separated integers, not {registers!r}")
-    return [_config(r) for r in counts]
+    return [_config(r) for r in _distinct("--registers", counts)]
 
 
 def _load(path: str) -> tuple[Program, AnnotatedProgram]:
@@ -74,12 +82,6 @@ def _print_trace(trace: list[TraceEntry], ap: AnnotatedProgram) -> None:
     """Print each statement's transition; before a procedure's first one,
     its unread parameters, and after a call, the arguments it leaves out."""
     procs = {proc.name: proc for proc in ap.procs}
-    calls = {
-        (scope, a.point): a.stmt
-        for scope, body in [("<entry>", ap.entry), *((p.name, p.body) for p in ap.procs)]
-        for a in walk_statements(body)
-        if type(a.stmt) is Call
-    }
     scope = None
     for entry in trace:
         if entry.scope != scope:
@@ -92,8 +94,9 @@ def _print_trace(trace: list[TraceEntry], ap: AnnotatedProgram) -> None:
         if entry.dead is not None:
             print(f";   dead: {entry.dead}")
             continue
-        call = calls.get((entry.scope, entry.point))
-        if call is not None:
+        by_point = procs[scope].by_point if scope in procs else ap.entry_by_point
+        call = by_point[entry.point].stmt
+        if type(call) is Call:
             callee = procs[call.callee]
             left = [
                 f"{arg} for {v}"
@@ -160,7 +163,7 @@ def _compare_inputs(path: str) -> list[Path]:
 def cmd_compare(args) -> int:
     fuel = _at_least("--fuel", args.fuel, 1)
     configs = _configs(args.registers)
-    policies = args.policies.split(",")
+    policies = _distinct("--policies", args.policies.split(","))
     for policy in policies:
         if policy not in POLICIES:
             raise CliError(f"unknown policy {policy!r}")

@@ -797,10 +797,13 @@ def test_occupied_target_falls_back_to_lowest_free_register():
         Halt(),
     ]
     # a reload follows the same order: r1 when free, else the lowest free
-    targets = {5: {"w": 1}}  # w's next use, at point 5, reads r1
+    body = annotate_statements(parse("(letrec () (mset! 0 0 w) (return w))").body)
     for before, want in ((Model({}, {"w": 0}), 1), (Model({"z": 1}, {"w": 0}), 0)):
-        m2, insts = load(before, ["w"], [], {"w": 5}, "furthest", make_config(4), targets=targets)
-        assert insts == [Load(want, 0)] and m2.reg_of("w") == want
+        insts, _ = alloc_fragment(body, make_config(4), m=before)
+        assert insts[:2] == [Load(want, 0), MemStore(0, 0, Reg(want))]
+        # a next use outside the fragment names no register
+        insts, after = alloc_fragment(body[:1], make_config(4), m=before)
+        assert insts[0] == Load(0, 0) and after.reg_of("w") == 0
 
 
 def test_branch_preference_beats_target():

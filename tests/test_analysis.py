@@ -488,6 +488,16 @@ def test_annotations_are_pinned():
     assert digest.hexdigest() == ANNOTATION_SHA256
 
 
+def test_each_body_is_indexed_by_point():
+    for p in _pinned_programs():
+        ap = annotate(p)
+        bodies = [(ap.entry, ap.entry_by_point)] + [(proc.body, proc.by_point) for proc in ap.procs]
+        for body, by_point in bodies:
+            walked = list(walk_statements(body))
+            assert sorted(by_point) == list(range(len(walked)))
+            assert all(by_point[a.point] is a for a in walked)
+
+
 # Digest of the call-crossing sets over `_pinned_programs` and generator
 # seeds 0..99 with up to six procedures of up to 60 statements: for each
 # body, every point whose set of variables living across a later non-tail

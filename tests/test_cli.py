@@ -352,6 +352,21 @@ def test_fuzz_bad_register_list_exits_one(capsys, registers):
     assert err.startswith("error: --registers")
 
 
+@pytest.mark.parametrize("registers", ["3,3", "3,4,3"])
+def test_fuzz_repeated_register_count_exits_one(capsys, registers):
+    code, out, err = run_cli(capsys, "fuzz", "--count", "1", "--registers", registers)
+    assert (code, out, err) == (1, "", "error: --registers lists 3 twice\n")
+
+
+@pytest.mark.parametrize(
+    "option, value, repeated",
+    [("--registers", "3,3", "3"), ("--policies", "furthest,furthest", "furthest")],
+)
+def test_compare_repeated_value_exits_one(capsys, split_file, option, value, repeated):
+    code, out, err = run_cli(capsys, "compare", split_file, option, value)
+    assert (code, out, err) == (1, "", f"error: {option} lists {repeated} twice\n")
+
+
 def test_fuzz_injected_fault_writes_reproducer(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(
