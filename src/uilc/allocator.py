@@ -57,9 +57,9 @@ rule of the assignment's transformer.  Only a copy whose source lives
 on needs a register of its own and a move.
 
 At a join both branches must leave each value in the same places.  The
-else branch therefore prefers what the then branch ended with: the
-then branch's register for a value it places, and the then branch's
-slot for a value it saves, each when free.
+else branch of every `if` therefore prefers what the then branch ended
+with: the then branch's register for a value it places, and the then
+branch's slot for a value it saves, each when free.
 
 A procedure owes its caller the callee-saved registers
 (``MachineConfig.callee_saved``) as they were on entry.  Each debt is a
@@ -640,11 +640,9 @@ class _BodyAllocator:
         self.scope = scope
         self.trace = trace
         # the other branch's final registers and slots, while allocating
-        # the else branch of an `if` (slots only when the `if` has a join)
+        # the else branch of an `if`
         self.prefs: dict[str, int] = {}
         self.slot_prefs: dict[str, int] = {}
-        # inside a branch of an `if` that has a join
-        self.in_joined_branch = False
         # what a procedure owes its caller: one model entry per
         # callee-saved register, kept to the end like RET
         self.owed = () if is_entry else tuple((f"%c{r}", r) for r in cfg.callee_saved)
@@ -716,25 +714,20 @@ class _BodyAllocator:
         `m`, append the instructions that free it to `insts`, and return
         the register.
 
-        When the next statement of `body` that is not dead is a non-tail
-        call that reads `var` from a register another value holds, and that
-        value lives across the call, the holder steps aside: it is saved
-        now, as the call would save it anyway, and `var` is computed
-        straight into the register (see `_claim`).  Such a call is `var`'s
-        next use.  Otherwise `_free_reg` chooses.  Under pressure any
-        resident may be evicted, operands of the current statement
-        included: their registers are read before the destination is
-        written, and the save keeps their value reachable.
+        When the next statement of `body` that is not dead is a call that
+        reads `var` from a register another value holds, and that value
+        lives across the call (so the call is not a tail call), the holder
+        steps aside: it is saved now, as the call would save it anyway, and
+        `var` is computed straight into the register (see `_claim`).  Such
+        a call is `var`'s next use.  Otherwise `_free_reg` chooses.  Under
+        pressure any resident may be evicted, operands of the current
+        statement included: their registers are read before the
+        destination is written, and the save keeps their value reachable.
         """
         a = body[i]
         var = a.stmt.dst
         call = self.by_point.get(a.next_uses.get(var))
-        if (
-            call is not None
-            and type(call.stmt) is Call
-            and not call.tail
-            and call is _next_live(body, i)
-        ):
+        if call is not None and type(call.stmt) is Call and call is _next_live(body, i):
             r = self._claim(m, var, a.next_uses, call, insts)
             if r is not None:
                 return r
@@ -756,28 +749,20 @@ class _BodyAllocator:
         return the register, with the holder's store appended to `insts`.
 
         Only when `w` is next read after the call, so the call would store
-        it anyway (RET, which no statement reads, never steps aside), and
-        only when `var`'s branch preference is not free (the preference
-        wins).  A slotless `w` is stored to the slot the call would give
-        it, which keeps the frame layout; when the call would move it into
-        a callee-saved register instead, it stays, and the call moves it.
-        (A move made here would come before the statement's own operation,
-        whose dying operands may still be in that register.)  Inside a
-        branch of an `if` with a join only a `w` that has a slot steps
-        aside: a new slot there also steers the other branch's slot
-        preferences, and on generated programs that raised loads plus
-        stores.  Every None is returned before `m` is updated.
+        it anyway (RET, which no statement reads, never steps aside; after
+        a tail call nothing is read, so it never claims).  A slotless `w`
+        is stored to the slot the call would give it, which keeps the
+        frame layout; when the call would move it into a callee-saved
+        register instead, it stays, and the call moves it.  (A move made
+        here would come before the statement's own operation, whose dying
+        operands may still be in that register.)  Every None is returned
+        before `m` is updated.
         """
         r = self._read_reg(var, call)
         w = m.reg_owner.get(r)
         if w is None or uses.get(w, -1) <= call.point:
             return None
-        p = self.prefs.get(var)
-        if p is not None and p not in m.reg_owner:
-            return None
         if m.slot_of(w) is None:
-            if self.in_joined_branch:
-                return None
             home = self._call_homes(m, call.ends | {call.stmt.dst})[w]
             if type(home) is Reg:
                 return None
@@ -928,19 +913,13 @@ class _BodyAllocator:
         m_else = m.copy().restrict(a.else_live | self.kept)
         m_then = m.restrict(a.then_live | self.kept)
 
-        saved = self.prefs, self.slot_prefs, self.in_joined_branch
-        self.in_joined_branch = saved[2] or not a.tail
-        try:
-            then_insts, m2 = self.run(a.then_body, m_then)
-            # steer the other branch toward the allocations already made;
-            # these alias m2's maps, which stay as they are until the
-            # restrict below, after they are restored
-            self.prefs = m2.regmap
-            if not a.tail:
-                self.slot_prefs = m2.stackmap
-            else_insts, m3 = self.run(a.else_body, m_else)
-        finally:
-            self.prefs, self.slot_prefs, self.in_joined_branch = saved
+        saved = self.prefs, self.slot_prefs
+        then_insts, m2 = self.run(a.then_body, m_then)
+        # steer the other branch toward the allocations already made; these
+        # alias m2's maps, which nothing changes after the then branch
+        self.prefs, self.slot_prefs = m2.regmap, m2.stackmap
+        else_insts, m3 = self.run(a.else_body, m_else)
+        self.prefs, self.slot_prefs = saved
 
         if a.tail:
             # both branches leave the procedure; no join to reconcile
@@ -949,28 +928,26 @@ class _BodyAllocator:
             insts.extend(then_insts)
             return insts, m3
 
-        join_live = a.live_after | self.kept
-        m2l = m2.restrict(join_live)
-        m3l = m3.restrict(join_live)
-
         # make the then side conform to the else side's final model: only
         # a variable whose register or slot differs between the two needs
-        # a move (a variable unbound in the then branch differs)
-        regs2, slots2 = m2l.regmap, m2l.stackmap
-        differ = {v for v, r in m3l.regmap.items() if regs2.get(v) != r}
-        differ.update([v for v, i in m3l.stackmap.items() if slots2.get(v) != i])
+        # a move (a variable unbound in the then branch differs).  Each
+        # branch has dropped what ends in it, so both models bind only the
+        # values live after the `if`, RET and the debts
+        regs2, slots2 = m2.regmap, m2.stackmap
+        differ = {v for v, r in m3.regmap.items() if regs2.get(v) != r}
+        differ.update([v for v, i in m3.stackmap.items() if slots2.get(v) != i])
         moves: list[tuple[MoveSrc, MoveDst]] = []
         for v in sorted(differ):
-            if not m2l.is_bound(v):
+            if not m2.is_bound(v):
                 raise AllocError(f"'{v}' live at join but unbound in the then branch")
-            src = m2l.whereis(v)
-            rdst = m3l.reg_of(v)
-            sdst = m3l.slot_of(v)
-            if rdst is not None and m2l.reg_of(v) != rdst:
+            src = m2.whereis(v)
+            rdst = m3.reg_of(v)
+            sdst = m3.slot_of(v)
+            if rdst is not None and m2.reg_of(v) != rdst:
                 moves.append((src, Reg(rdst)))
-            if sdst is not None and m2l.slot_of(v) != sdst:
+            if sdst is not None and m2.slot_of(v) != sdst:
                 moves.append((src, Slot(sdst)))
-        shuffle_insts = self._seq(moves, m2l, pinned_regs=m3l.reg_owner.keys())
+        shuffle_insts = self._seq(moves, m2, pinned_regs=m3.reg_owner.keys())
 
         end_label = self._fresh_label()
         insts.extend(else_insts)
@@ -979,7 +956,7 @@ class _BodyAllocator:
         insts.extend(then_insts)
         insts.extend(shuffle_insts)
         insts.append(LabelDef(end_label))
-        return insts, m3l
+        return insts, m3
 
     def _call(self, a: AnnotatedStatement, m: Model) -> tuple[list[Inst], Model]:
         """Move the arguments and the return address into place and jump.
@@ -1070,8 +1047,6 @@ class _BodyAllocator:
             return insts, m
 
         ret_src = m.whereis(RET)
-        keep = self.kept | ({s.value} if isinstance(s.value, str) else set())
-        m.restrict(keep)
 
         # the jump register must not be one the return restores
         busy = {cfg.ret_val_reg, *cfg.callee_saved}

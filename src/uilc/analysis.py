@@ -47,7 +47,6 @@ from .uil import (
     Operand,
     Program,
     Statement,
-    _fmt_statement,
     count_statements,
     variables,
 )
@@ -375,33 +374,6 @@ def _annotate_sequence(stmts: tuple[Statement, ...], size: int, whole: bool, pas
         stmts, size, {}, whole, frozenset(), strong=whole, passes=passes, by_point=by_point
     )
     return body, by_point, entry_uses
-
-
-def _fmt_ends(ends: frozenset[str]) -> str:
-    return "{" + ", ".join(sorted(ends)) + "}"
-
-
-def dump_annotated(body: tuple[AnnotatedStatement, ...], indent: int = 0) -> str:
-    """Debug listing: each statement suffixed with its ending set."""
-    lines: list[str] = []
-    _dump_into(body, indent, lines)
-    return "\n".join(lines)
-
-
-def _dump_into(body, indent: int, lines: list[str]) -> None:
-    pad = "  " * indent
-    for a in body:
-        if isinstance(a.stmt, If):
-            t = a.stmt.test
-            lines.append(f"{pad}(if ({t.rel} {t.a} {t.b}), {_fmt_ends(a.ends)}")
-            lines.append(f"{pad}  then:")
-            _dump_into(a.then_body, indent + 2, lines)
-            lines.append(f"{pad}  else:")
-            _dump_into(a.else_body, indent + 2, lines)
-        else:
-            buf: list[str] = []
-            _fmt_statement(a.stmt, 0, buf)
-            lines.append(f"{pad}{buf[0]}, {_fmt_ends(a.ends)}")
 
 
 def walk_statements(body: tuple[AnnotatedStatement, ...]):

@@ -327,13 +327,13 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (PressureError,) as e:
+    except PressureError as e:
         print(f"error: register pressure: {e}", file=sys.stderr)
         return 1
-    except Exception as e:  # runtime faults are diagnostics; the rest are bugs
-        if isinstance(e, (MachineFault, OutOfFuel)):
-            print(f"error: {e}", file=sys.stderr)
-            return 1
+    except (MachineFault, OutOfFuel) as e:  # runtime faults are diagnostics
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    except Exception as e:  # anything else is a bug
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 

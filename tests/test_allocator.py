@@ -907,14 +907,15 @@ TAIL_CLAIM_SRC = (
 )
 
 
-@pytest.mark.parametrize(
-    "src, moves", [(TAIL_CLAIM_SRC, 0), (JOINED_CLAIM_SRC, 1)], ids=["tail", "joined"]
-)
-def test_slotless_holder_steps_aside_only_outside_a_joined_branch(src, moves):
+@pytest.mark.parametrize("src", [TAIL_CLAIM_SRC, JOINED_CLAIM_SRC], ids=["tail", "joined"])
+def test_slotless_holder_steps_aside_in_any_branch(src):
+    # n is stored to fv0 and m is computed straight into r1, so no move
     program, ap = load_program(src)
     cfg = make_config(4)
     tp = alloc_program(ap, cfg)
-    assert sum(isinstance(i, Move) for i in tp.entry) == moves, format_insts(tp.entry)
+    text = format_insts(tp.entry)
+    assert "store fv0, r1\n  add r1, r1, 1" in text, text
+    assert not any(isinstance(i, Move) for i in tp.entry), text
     assert run_target(tp, cfg)[0] == run_uil(program)
 
 
@@ -1250,6 +1251,38 @@ def test_deterministic_allocation():
         assert a == b
 
 
+def test_model_after_each_statement_binds_only_what_lives_on():
+    # every statement drops its endings and each branch drops on entry what
+    # only the other branch reads, so neither a join nor a return needs to
+    # restrict its model: after a statement the model binds only values live
+    # after it, RET and the debts, and after a return also the returned value
+    # (a tail `if`'s model is its else branch's final one, so it and a tail
+    # call are left out)
+    for seed in range(200):
+        ap = annotate(generate_program(seed))
+        by_point = {"<entry>": ap.entry_by_point, **{p.name: p.by_point for p in ap.procs}}
+        for r in (2, 3, 4, 8):
+            cfg = make_config(r)
+            owed = {RET, *(f"%c{c}" for c in cfg.callee_saved)}
+            for policy in POLICIES:
+                trace: list = []
+                try:
+                    alloc_program(ap, cfg, policy, trace=trace)
+                except PressureError:
+                    continue
+                for e in trace:
+                    if e.dead:
+                        continue
+                    a = by_point[e.scope][e.point]
+                    allowed = owed | a.live_after
+                    if type(a.stmt) is ReturnValue:
+                        allowed |= {a.stmt.value}
+                    elif a.tail:
+                        continue
+                    bound = set(re.findall(r"([^\s{},]+):(?:r|fv)\d+", e.post))
+                    assert bound <= allowed, (seed, r, policy, e.scope, e.stmt, e.post)
+
+
 # sha256 of the assembly for generator seeds 0..99 at R{2,3,4,8} under every
 # policy.  A change that alters the emitted code must update this constant
 # and report the traffic change it brings.
@@ -1277,7 +1310,7 @@ def test_generated_assembly_is_byte_identical():
 # with callee-saved registers that `GENERATED_ASM_SHA256` leaves out.  A
 # change that alters the emitted code must update this constant and report
 # the traffic change it brings.
-CALLEE_SAVED_ASM_SHA256 = "224ac91042e578246f1d1aaabe773ed2e5248c61632b5806bb3a08f997cecf86"
+CALLEE_SAVED_ASM_SHA256 = "22e043c6e342fefe7bae2dbdf498c585716d484d651b6f86184e70fc2861fb32"
 
 
 def test_callee_saved_assembly_is_byte_identical():

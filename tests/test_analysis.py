@@ -12,7 +12,6 @@ from uilc.analysis import (
     INF,
     annotate,
     annotate_statements,
-    dump_annotated,
     stmt_refs,
     walk_statements,
 )
@@ -209,17 +208,6 @@ def test_ending_sets_of_four_statement_example(chain_call):
         frozenset(),
         frozenset({"y"}),
         frozenset({"f", "x", "z"}),
-    ]
-
-
-def test_dump_suffixes_statements_with_ending_sets(chain_call):
-    _, ap = chain_call
-    dump = dump_annotated(ap.entry)
-    assert dump.splitlines() == [
-        "(set! x 0), {}",
-        "(set! y (+ x 1)), {}",
-        "(set! z (+ y 2)), {y}",
-        "(f x z), {f, x, z}",
     ]
 
 
