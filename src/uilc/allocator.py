@@ -26,8 +26,9 @@ One method, ``_BodyAllocator._free_reg``, picks every free register a
 value takes, in one order: the branch preference (below), then the
 register its next use reads (a returned value the return-value register,
 a call argument the argument register of its first passed position),
-then a callee-saved register for a value that lives across a later
-non-tail call (the statement's ``across`` set), and last the lowest free
+then, for a value that lives across a later non-tail call (the
+statement's ``across`` set), a callee-saved register or one that no
+non-tail call of the body may change (below), and last the lowest free
 register; an occupied one is passed over.  The move a return or call
 would otherwise need then disappears.  A statement's next-use map names
 that use by its point, and the body's point index from the annotation
@@ -69,15 +70,28 @@ evicted like any value under pressure (furthest sees no next use): the
 save is lazy, and a procedure that never needs the register pays
 nothing.  The return and tail-call shuffles move each debt back into its
 register; a procedure that never evicts a debt moves each onto itself,
-which emits nothing.  A non-tail call leaves every value in a
-callee-saved register where it is, and moves a value that lives across
-it from a caller-saved register into a free callee-saved one, storing it
-only when none is free.
+which emits nothing.
+
+Procedures are allocated callees first, in the annotation's ``order``,
+and the entry body last (Steenkiste & Hennessy's bottom-up scheme).  When
+a procedure's code is done, its clobber set records the registers a call
+to it may change (``_clobber_set``): every register its code writes, the
+sets of the procedures it calls (tail calls included), the return-address
+and return-value registers and the argument registers of its read
+parameters, less the callee-saved registers it hands back.  A recursive group's set is every
+caller-saved register, and so is, through it, the set of a caller of one
+of its members.  A non-tail call leaves every value in a register outside
+its callee's set where it is (the callee-saved registers among them),
+and moves a value that lives across it from any other register into a
+free callee-saved one, storing it only when none is free.  A value that
+lives across a later non-tail call takes, after the free callee-saved
+registers, a register that no non-tail call of its body may change.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from ._gc import gc_paused
@@ -155,6 +169,9 @@ class TraceEntry:
     post: str
     # why a dead statement is dead (it has no models and no code)
     dead: str | None = None
+    # for a non-tail call: the values that stay, in register order, in
+    # registers outside the callee's clobber set that are not callee-saved
+    kept: tuple[tuple[str, int], ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -623,17 +640,26 @@ class _BodyAllocator:
     def __init__(
         self,
         by_point: dict[int, AnnotatedStatement],
+        calls: tuple[AnnotatedStatement, ...],
         cfg: MachineConfig,
         policy: str,
         labels: itertools.count,
         is_entry: bool,
         scope: str,
+        clobbers: dict[str, frozenset[int]],
         trace: list[TraceEntry] | None = None,
     ):
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}")
         self.by_point = by_point
+        self.calls = calls
         self.cfg = cfg
+        # callee -> the registers a call to it may change (`_clobber_set`),
+        # for every procedure this body calls
+        self.clobbers = clobbers
+        # where a value that lives across a later non-tail call goes first;
+        # set by `_across_regs` when the body's first such value needs it
+        self.across_regs: tuple[int, ...] | None = None
         self.policy = policy
         self.labels = labels
         self.is_entry = is_entry
@@ -653,6 +679,17 @@ class _BodyAllocator:
 
     def _fresh_label(self) -> str:
         return f".L{next(self.labels)}"
+
+    def _across_regs(self) -> tuple[int, ...]:
+        """The registers a value that lives across a later non-tail call
+        tries first: the callee-saved ones, then, lowest first, the others
+        that no non-tail call of the body may change."""
+        saved = self.cfg.callee_saved
+        changed = set(saved)
+        for call in self.calls:
+            if not call.tail:
+                changed |= self.clobbers[call.stmt.callee]
+        return saved + tuple([r for r in range(self.cfg.registers) if r not in changed])
 
     def _read_reg(self, var: str, b: AnnotatedStatement) -> int | None:
         """The register `b` reads `var` from: the return-value register for
@@ -674,7 +711,8 @@ class _BodyAllocator:
         First the branch preference (the register `var` holds at the end
         of the other branch), then the register `var`'s next use reads
         (`_read_reg`), then, for a variable in `a.across` (one that lives
-        across a later non-tail call), a callee-saved register, and last
+        across a later non-tail call), a callee-saved register or one that
+        no non-tail call of the body may change (`_across_regs`), and last
         the lowest free register.  A preference or next-use register that
         is occupied is passed over, never evicted.
         """
@@ -690,7 +728,10 @@ class _BodyAllocator:
             if r is not None and r not in owner:
                 return r
         if var in a.across:
-            for r in self.cfg.callee_saved:
+            regs = self.across_regs
+            if regs is None:
+                regs = self.across_regs = self._across_regs()
+            for r in regs:
                 if r not in owner:
                     return r
         return m.free_register(self.cfg)
@@ -763,7 +804,8 @@ class _BodyAllocator:
         if w is None or uses.get(w, -1) <= call.point:
             return None
         if m.slot_of(w) is None:
-            home = self._call_homes(m, call.ends | {call.stmt.dst})[w]
+            clobber = self.clobbers[call.stmt.callee]
+            home = self._call_homes(m, clobber, call.ends | {call.stmt.dst})[w]
             if type(home) is Reg:
                 return None
             insts.append(Store(home.i, r))
@@ -771,20 +813,22 @@ class _BodyAllocator:
         m.unbind_reg(w).bind_reg(var, r)
         return r
 
-    def _call_homes(self, m: Model, gone=(), avoid=()) -> dict[str, Reg | Slot]:
-        """Where a non-tail call keeps each slotless caller-saved resident.
+    def _call_homes(self, m: Model, clobber, gone=(), avoid=()) -> dict[str, Reg | Slot]:
+        """Where a non-tail call keeps each slotless resident of `clobber`,
+        the registers the callee may change.
 
-        Residents of callee-saved registers stay there and get none, and so do
-        residents in `gone`, which die at the call.  In register order, the
-        others take the free callee-saved registers first; the rest take a
-        free slot preference, else the lowest free slots not in `avoid` (the
-        slots the call's arguments are read from).
+        Residents of the other registers (the callee-saved ones among them)
+        stay there and get none, and so do residents in `gone`, which die at
+        the call.  In register order, the others take the free callee-saved
+        registers first; the rest take a free slot preference, else the
+        lowest free slots not in `avoid` (the slots the call's arguments are
+        read from).
         """
         saved = self.cfg.callee_saved
         slotless = [
             v
             for v, r in m.register_residents()
-            if v not in m.stackmap and v not in gone and r not in saved
+            if r in clobber and v not in m.stackmap and v not in gone
         ]
         free = [r for r in saved if r not in m.reg_owner]
         homes: dict[str, Reg | Slot] = {v: Reg(r) for v, r in zip(slotless, free)}
@@ -850,8 +894,14 @@ class _BodyAllocator:
                 raise
             insts.extend(new_insts)
             if trace is not None:
+                kept = ()
+                if kind is Call and not a.tail:
+                    changed = self.clobbers[a.stmt.callee].union(self.cfg.callee_saved)
+                    kept = tuple([(v, r) for v, r in m.register_residents() if r not in changed])
                 trace.append(
-                    TraceEntry(self.scope, a.point, _stmt_text(a.stmt), pre, new_insts, m.dump())
+                    TraceEntry(
+                        self.scope, a.point, _stmt_text(a.stmt), pre, new_insts, m.dump(), kept=kept
+                    )
                 )
         return insts, m
 
@@ -962,10 +1012,11 @@ class _BodyAllocator:
         """Move the arguments and the return address into place and jump.
 
         A non-tail call keeps every call-live value in this frame: a value
-        in a callee-saved register stays there, one that already has a
-        slot keeps it, and any other goes to the home `_call_homes` gives
-        it: a free callee-saved register, moved there in the same shuffle
-        as the arguments and kept in the post-call model, or else a slot.
+        in a register outside the callee's clobber set (a callee-saved one
+        among them) stays there, one that already has a slot keeps it, and
+        any other goes to the home `_call_homes` gives it: a free
+        callee-saved register, moved there in the same shuffle as the
+        arguments and kept in the post-call model, or else a slot.
         The frame pointer advances by the highest home slot + 1 (not at
         all when nothing lives across the call), so the outgoing stack
         arguments, placed just above it, become the callee's fv0, fv1, ...
@@ -1004,8 +1055,9 @@ class _BodyAllocator:
             insts.append(Jump(s.callee))
             return insts, m
 
+        clobber = self.clobbers[s.callee]
         avoid = {src.i for src in arg_srcs if type(src) is Slot}
-        homes = self._call_homes(m, avoid=avoid)
+        homes = self._call_homes(m, clobber, avoid=avoid)
         moves = [(Reg(m.regmap[v]), h) for v, h in homes.items()]
         home = {**m.stackmap, **{v: h.i for v, h in homes.items() if type(h) is Slot}}
         k = max(home.values(), default=-1) + 1
@@ -1017,10 +1069,9 @@ class _BodyAllocator:
         lab1 = self._fresh_label()
         moves.append((LabelArg(lab1), Reg(cfg.ret_addr_reg)))
 
-        # the callee hands the callee-saved registers back as they are
-        saved = cfg.callee_saved
+        # the callee leaves every register outside `clobber` as it is
         moved = {v: h.i for v, h in homes.items() if type(h) is Reg}
-        stay = {v: moved.get(v, r) for v, r in m.regmap.items() if v in moved or r in saved}
+        stay = {v: moved.get(v, r) for v, r in m.regmap.items() if r not in clobber or v in moved}
         insts = self._seq(moves, m, pinned_regs=stay.values())
         if k:
             insts.append(FrameAdjust(k))
@@ -1079,7 +1130,12 @@ def alloc_fragment(
     which is left as it is (the allocation works on a copy)."""
     # a next use outside the fragment has no statement here to read it
     by_point = {a.point: a for a in walk_statements(body)}
-    alloc = _BodyAllocator(by_point, cfg, policy, itertools.count(), True, "<fragment>")
+    calls = tuple([a for a in by_point.values() if type(a.stmt) is Call])
+    # what the callees may change is unknown: every caller-saved register
+    clobbers = dict.fromkeys([a.stmt.callee for a in calls], _caller_saved(cfg))
+    alloc = _BodyAllocator(
+        by_point, calls, cfg, policy, itertools.count(), True, "<fragment>", clobbers
+    )
     return alloc.run(body, m.copy() if m is not None else Model())
 
 
@@ -1090,27 +1146,29 @@ def alloc_program(
     policy: str = "furthest",
     trace: list[TraceEntry] | None = None,
 ) -> TargetProgram:
-    """Allocate every procedure independently, entry body first.
+    """Allocate every procedure, callees first, and the entry body last.
 
-    Procedures start from the calling convention's initial model of their
-    read parameters, in source order after the entry body.  The
-    entry body starts from an empty model, returns by halting, and
-    passes a halt continuation to tail calls.  Pauses the cyclic garbage
-    collector while it runs (`_gc.gc_paused`).
+    Procedures run in the annotation's callees-first `order` and start
+    from the calling convention's initial model of their read parameters.
+    Once a procedure's code is done, its clobber set (`_clobber_set`)
+    tells each later caller which registers a call to it may change.  The
+    entry body starts from an empty model, returns by halting, and passes
+    a halt continuation to tail calls.  The code is emitted in source
+    order, entry body first, and `trace` receives the statements in the
+    order they were allocated.  Pauses the cyclic garbage collector while
+    it runs (`_gc.gc_paused`).
     """
     labels = itertools.count()
-    entry_alloc = _BodyAllocator(
-        ap.entry_by_point, cfg, policy, labels, is_entry=True, scope="<entry>", trace=trace
-    )
-    entry_insts, _ = entry_alloc.run(ap.entry, Model())
-    if entry_alloc.need_halt:
-        entry_insts.append(LabelDef(HALT_LABEL))
-        entry_insts.append(Halt())
-
-    procs = []
-    for proc in ap.procs:
+    procs = {proc.name: proc for proc in ap.procs}
+    code: dict[str, list[Inst]] = {}
+    # a recursive group's members may change every caller-saved register;
+    # set up front, it serves their calls to each other too
+    caller_saved = _caller_saved(cfg)
+    clobbers = {proc.name: caller_saved for proc in ap.procs if proc.recursive}
+    for name in ap.order:
+        proc = procs[name]
         proc_alloc = _BodyAllocator(
-            proc.by_point, cfg, policy, labels, is_entry=False, scope=proc.name, trace=trace
+            proc.by_point, proc.calls, cfg, policy, labels, False, name, clobbers, trace
         )
         m0 = initial_model(proc.read_params, cfg)
         # a recursive group's parameters the body never references die on arrival
@@ -1118,5 +1176,44 @@ def alloc_program(
         for v, r in proc_alloc.owed:
             m0.bind_reg(v, r)
         insts, _ = proc_alloc.run(proc.body, m0)
-        procs.append((proc.name, insts))
-    return TargetProgram(entry_insts, procs)
+        code[name] = insts
+        if not proc.recursive:
+            clobbers[name] = _clobber_set(insts, proc, cfg, clobbers)
+
+    entry_alloc = _BodyAllocator(
+        ap.entry_by_point, ap.entry_calls, cfg, policy, labels, True, "<entry>", clobbers, trace
+    )
+    entry_insts, _ = entry_alloc.run(ap.entry, Model())
+    if entry_alloc.need_halt:
+        entry_insts.append(LabelDef(HALT_LABEL))
+        entry_insts.append(Halt())
+    return TargetProgram(entry_insts, [(name, code[name]) for name in procs], clobbers)
+
+
+# the instructions that write their `dst` register
+_WRITES = frozenset([Move, LoadImm, Load, BinOpInst, MemLoad, LoadLabel])
+_DST = operator.attrgetter("dst")
+
+
+def _clobber_set(insts: list[Inst], proc, cfg: MachineConfig, clobbers) -> frozenset[int]:
+    """The registers a call to the non-recursive `proc`, whose code is
+    `insts`, may change, as its callers see them.
+
+    Every register the code writes, the clobber set of every procedure it
+    calls (tail calls included; `clobbers` holds them all, as callees come
+    first), the return-address and return-value registers and the
+    argument registers of its read parameters, less the callee-saved
+    registers, which it hands back.  A recursive group's set is every
+    caller-saved register instead: its members' sets would depend on each
+    other.
+    """
+    # the `dst` of each instruction whose type is in _WRITES, looped in C
+    regs = set(map(_DST, itertools.compress(insts, map(_WRITES.__contains__, map(type, insts)))))
+    regs.update((cfg.ret_addr_reg, cfg.ret_val_reg), cfg.arg_regs[: len(proc.read_params)])
+    for call in proc.calls:
+        regs |= clobbers[call.stmt.callee]
+    return frozenset(regs.difference(cfg.callee_saved))
+
+
+def _caller_saved(cfg: MachineConfig) -> frozenset[int]:
+    return frozenset(range(cfg.registers)).difference(cfg.callee_saved)

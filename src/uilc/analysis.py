@@ -19,13 +19,16 @@ call's `passed` operands); any other argument is no reference of the
 call, so an assignment that only feeds it is dead in the same walk.  In
 a recursive group (a cycle of calls, self-calls included) every
 parameter counts as read and a call passes every argument, so no
-fixpoint is needed.
+fixpoint is needed.  The callees-first order (``AnnotatedProgram.order``)
+and each procedure's ``recursive`` flag are recorded for the allocator,
+which runs in the same order.
 
 Points are pre-order, branches then-before-else; the walk hands them out
 from the end of the body down, and enters each statement in its body's
 point index (``AnnotatedProc.by_point``, ``AnnotatedProgram.entry_by_point``)
-as it builds it, so a later stage reaches the statement a next use names
-without a walk of its own.  Each statement's live set is a read-only
+as it builds it, and each call in its body's call list (``calls``,
+``entry_calls``), so a later stage reaches the statement a next use names,
+or a body's calls, without a walk of its own.  Each statement's live set is a read-only
 view of the next-use map the walk already holds, so no statement copies
 it.  No interference graph is built.  UIL has no loop form, so branch
 joins need no fixpoint iteration.
@@ -101,11 +104,15 @@ class AnnotatedProc:
     body: tuple[AnnotatedStatement, ...]
     # point -> the statement of `body` (branches included) at that point
     by_point: dict[int, AnnotatedStatement] = field(compare=False, repr=False)
+    # the calls of `body` (branches included), tail calls too
+    calls: tuple[AnnotatedStatement, ...] = field(compare=False, repr=False)
     # parameters never referenced at all have no ending to record
     entry_live: frozenset[str]
     # the parameters a caller passes, in order: those in `entry_live`, or
     # every one in a recursive group
     read_params: tuple[str, ...]
+    # in a recursive group of the call graph (a cycle, self-calls included)
+    recursive: bool
 
 
 @dataclass(frozen=True)
@@ -114,7 +121,13 @@ class AnnotatedProgram:
     entry: tuple[AnnotatedStatement, ...]
     # point -> the statement of `entry` (branches included) at that point
     entry_by_point: dict[int, AnnotatedStatement] = field(compare=False, repr=False)
+    # the calls of `entry` (branches included), tail calls too
+    entry_calls: tuple[AnnotatedStatement, ...] = field(compare=False, repr=False)
     procs: tuple[AnnotatedProc, ...]
+    # the procedure names callees first (reverse topological order of the
+    # call graph, a recursive group's members together); `procs` keeps
+    # source order
+    order: tuple[str, ...]
 
 
 def stmt_refs(s: Statement) -> list[str]:
@@ -135,6 +148,7 @@ def _annotate_body(
     strong: bool,
     passes: dict[str, tuple[int, ...]],
     by_point: dict[int, AnnotatedStatement],
+    calls: list[AnnotatedStatement],
 ) -> tuple[tuple[AnnotatedStatement, ...], dict[str, float], frozenset[str], int]:
     """Backward walk; the points of `body` run up to `end` (exclusive) and
     `cont` maps the variables live after it to their next reference.
@@ -150,7 +164,8 @@ def _annotate_body(
     and leaves the map as it found it, and so is an If whose branches
     hold only dead statements.  `passes` maps a callee to the positions
     of the arguments its callers pass; a call to any other passes all.
-    Each annotated statement is also entered in `by_point` under its point.
+    Each annotated statement is also entered in `by_point` under its point,
+    and each call is added to `calls`.
     """
     annotated: list[AnnotatedStatement] = []
     uses = cont  # never mutated: each statement builds its own `before`
@@ -166,11 +181,11 @@ def _annotate_body(
             # pre-order: the If, its then branch, its else branch
             else_body, else_uses, else_across, end = _annotate_body(
                 s.else_body, end, uses, tail, across, strong=strong, passes=passes,
-                by_point=by_point,
+                by_point=by_point, calls=calls,
             )
             then_body, then_uses, then_across, end = _annotate_body(
                 s.then_body, end, uses, tail, across, strong=strong, passes=passes,
-                by_point=by_point,
+                by_point=by_point, calls=calls,
             )
             end -= 1
             # a dead statement leaves the map as it found it, and any other
@@ -227,6 +242,7 @@ def _annotate_body(
                 a = AnnotatedStatement(
                     s, end, ends, uses.keys(), uses, tail, refs, across, passed=passed
                 )
+                calls.append(a)
                 # what lives after a non-tail call lives across it
                 if not tail:
                     across = across.union(uses.keys())
@@ -261,7 +277,8 @@ def annotate(p: Program) -> AnnotatedProgram:
     dead statements, read parameters and passed arguments.
 
     Procedures are annotated callees first (`_call_groups`), so that each
-    call knows which arguments its callee reads; `procs` keeps source
+    call knows which arguments its callee reads; that order is recorded as
+    `order` (the allocator runs in it too), and `procs` keeps source
     order.  Each procedure body (and the entry body) is numbered
     independently in pre-order, branches then-before-else, and ends its
     frame.  Pauses the cyclic garbage collector while it runs
@@ -273,15 +290,17 @@ def annotate(p: Program) -> AnnotatedProgram:
     procs: dict[str, AnnotatedProc] = {}
     for group, recursive in _call_groups(p.definitions):
         for d, size in group:
-            body, by_point, entry_uses = _annotate_sequence(d.body, size, True, passes)
+            body, by_point, calls, entry_uses = _annotate_sequence(d.body, size, True, passes)
             read = d.params if recursive else tuple([v for v in d.params if v in entry_uses])
             procs[d.name] = AnnotatedProc(
-                d.name, d.params, body, by_point, frozenset(entry_uses), read
+                d.name, d.params, body, by_point, calls, frozenset(entry_uses), read, recursive
             )
         if not recursive:  # a group of one
             passes[d.name] = tuple([i for i, v in enumerate(d.params) if v in entry_uses])
-    entry, by_point, _ = _annotate_sequence(p.body, count_statements(p.body), True, passes)
-    return AnnotatedProgram(p, entry, by_point, tuple([procs[d.name] for d in p.definitions]))
+    entry, by_point, calls, _ = _annotate_sequence(p.body, count_statements(p.body), True, passes)
+    return AnnotatedProgram(
+        p, entry, by_point, calls, tuple([procs[d.name] for d in p.definitions]), tuple(procs)
+    )
 
 
 def _scan(body: tuple[Statement, ...], callees: dict[str, None]) -> int:
@@ -366,14 +385,16 @@ def _annotate_sequence(stmts: tuple[Statement, ...], size: int, whole: bool, pas
     `whole` body ends its frame, so its last statement is tail and its
     liveness strong.
 
-    Returns the annotated body, its point -> statement index and the map
-    live on entry.
+    Returns the annotated body, its point -> statement index, its calls
+    and the map live on entry.
     """
     by_point: dict[int, AnnotatedStatement] = {}
+    calls: list[AnnotatedStatement] = []
     body, entry_uses, _, _ = _annotate_body(
-        stmts, size, {}, whole, frozenset(), strong=whole, passes=passes, by_point=by_point
+        stmts, size, {}, whole, frozenset(), strong=whole, passes=passes, by_point=by_point,
+        calls=calls,
     )
-    return body, by_point, entry_uses
+    return body, by_point, tuple(calls), entry_uses
 
 
 def walk_statements(body: tuple[AnnotatedStatement, ...]):

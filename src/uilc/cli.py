@@ -78,18 +78,27 @@ def _load(path: str) -> tuple[Program, AnnotatedProgram]:
     return program, annotate(program)
 
 
-def _print_trace(trace: list[TraceEntry], ap: AnnotatedProgram) -> None:
-    """Print each statement's transition; before a procedure's first one,
-    its unread parameters, and after a call, the arguments it leaves out."""
+def _print_trace(
+    trace: list[TraceEntry], ap: AnnotatedProgram, clobbers: dict[str, frozenset[int]]
+) -> None:
+    """Print each statement's transition, in source order (the allocator
+    runs callees first).  Before a procedure's first one, print its unread
+    parameters and its clobber set (when `clobbers` has it), and under a
+    call the arguments it leaves out and the values it keeps in registers
+    the callee never writes."""
     procs = {proc.name: proc for proc in ap.procs}
+    rank = {name: i for i, name in enumerate(procs, 1)}  # the entry body is 0
     scope = None
-    for entry in trace:
+    for entry in sorted(trace, key=lambda e: rank.get(e.scope, 0)):
         if entry.scope != scope:
             scope = entry.scope
             if scope in procs:
                 proc = procs[scope]
                 unread = [v for v in proc.params if v not in proc.read_params]
                 print(f"; {scope}: unread parameters: {', '.join(unread) or 'none'}")
+                if scope in clobbers:
+                    regs = ", ".join(f"r{r}" for r in sorted(clobbers[scope]))
+                    print(f"; {scope}: clobbers {'all caller-saved' if proc.recursive else regs}")
         print(f"; {entry.scope} #{entry.point}: {entry.stmt}")
         if entry.dead is not None:
             print(f";   dead: {entry.dead}")
@@ -105,6 +114,8 @@ def _print_trace(trace: list[TraceEntry], ap: AnnotatedProgram) -> None:
             ]
             if left:
                 print(f";   left out: {', '.join(left)}")
+            if entry.kept:
+                print(f";   kept: {', '.join(f'{v} in r{r}' for v, r in entry.kept)}")
         print(f";   pre  {entry.pre}")
         for inst in entry.insts:
             print(f";     {format_inst(inst)}")
@@ -115,12 +126,14 @@ def cmd_alloc(args) -> int:
     _, annotated = _load(args.file)
     cfg = _config(args.registers)
     trace: list[TraceEntry] | None = [] if args.trace else None
+    tp = None
     try:
         tp = alloc_program(annotated, cfg, args.policy, trace=trace)
     finally:
-        # on a PressureError the transitions up to it explain it
+        # on a PressureError the transitions up to it explain it; with no
+        # program there are no clobber sets
         if trace is not None:
-            _print_trace(trace, annotated)
+            _print_trace(trace, annotated, tp.clobbers if tp is not None else {})
     sys.stdout.write(format_target(tp))
     return 0
 

@@ -117,10 +117,16 @@ Inst = (
 
 @dataclass
 class TargetProgram:
-    """Entry code followed by one labeled instruction block per procedure."""
+    """Entry code followed by one labeled instruction block per procedure.
+
+    ``clobbers`` maps each procedure to the registers a call to it may
+    change, as its callers see them (the allocator's record; the code
+    alone does not say which registers a procedure hands back).
+    """
 
     entry: list[Inst] = field(default_factory=list)
     procs: list[tuple[str, list[Inst]]] = field(default_factory=list)
+    clobbers: dict[str, frozenset[int]] = field(default_factory=dict, compare=False)
 
     def flatten(self) -> list[Inst]:
         insts = list(self.entry)

@@ -32,6 +32,7 @@ from uilc.isa import (
     Load,
     LoadImm,
     LoadLabel,
+    MemLoad,
     MemStore,
     Move,
     Store,
@@ -721,12 +722,23 @@ def test_if_preferences_remove_the_shuffle():
     assert obs == run_uil(program)
 
 
+# At R=4 each of these callees writes every register (RET in r0, `a` in
+# r1, `p` and `q` in r2 and r3), so a call to one keeps no caller's value
+# in a register; the first returns a*a
+SQUARE_CLOBBERING_ALL = (
+    "(lambda (a) (set! p (+ a 1)) (set! q (- a 1)) (set! t (* p q))"
+    " (set! u (+ t a)) (set! v (- u a)) (set! w (+ v 1)) (return w))"
+)
+CLOBBERING_ALL = SQUARE_CLOBBERING_ALL.replace("(lambda (a)", "(lambda () (set! a (mref 0 0))")
+
+
 def test_if_branch_disagreeing_on_slot_stores_in_then_branch():
     # the else branch spills x across a call; the then branch must store
     # x to the same slot so both paths agree at the join.  At R=4 there is
-    # no callee-saved register that would keep x across the call.
+    # no callee-saved register that would keep x across the call, and f
+    # writes every other register.
     src = (
-        "(letrec ((f (lambda () (return 9))))"
+        f"(letrec ((f {CLOBBERING_ALL}))"
         " (set! x 1) (set! c 0)"
         " (if (> c 0)"
         "   (begin (set! c 1))"
@@ -736,6 +748,7 @@ def test_if_branch_disagreeing_on_slot_stores_in_then_branch():
     program, ap = load_program(src)
     cfg = make_config(4)
     tp = alloc_program(ap, cfg)
+    assert tp.clobbers["f"] == frozenset(range(4))
     obs, _ = run_target(tp, cfg)
     assert obs == run_uil(program)
     # x is slot-resident on the else path, so the then path stores it
@@ -889,9 +902,10 @@ def test_no_step_aside_for_the_return_address():
 
 
 # n holds r1, m's argument register, across a call inside an `if`; the
-# first `if` has a join, the second none
+# first `if` has a join, the second none.  f writes every register, so no
+# register other than r1 would keep n across the call either.
 JOINED_CLAIM_SRC = (
-    "(letrec ((f (lambda (a) (return a))))"
+    f"(letrec ((f {SQUARE_CLOBBERING_ALL}))"
     " (set! c 0) (set! n 5)"
     " (if (> c 0)"
     "   (begin (set! m (+ n 1)) (set! r (f m)) (mset! 0 0 r))"
@@ -899,7 +913,7 @@ JOINED_CLAIM_SRC = (
     " (return n))"
 )
 TAIL_CLAIM_SRC = (
-    "(letrec ((f (lambda (a) (return a))))"
+    f"(letrec ((f {SQUARE_CLOBBERING_ALL}))"
     " (set! c 0) (set! n 5)"
     " (if (> c 0)"
     "   (begin (set! m (+ n 1)) (set! r (f m)) (set! q (+ r n)) (return q))"
@@ -913,6 +927,7 @@ def test_slotless_holder_steps_aside_in_any_branch(src):
     program, ap = load_program(src)
     cfg = make_config(4)
     tp = alloc_program(ap, cfg)
+    assert tp.clobbers["f"] == frozenset(range(4))
     text = format_insts(tp.entry)
     assert "store fv0, r1\n  add r1, r1, 1" in text, text
     assert not any(isinstance(i, Move) for i in tp.entry), text
@@ -927,9 +942,10 @@ def test_save_takes_a_free_slot_preference():
 
 def test_else_branch_saves_into_the_then_branch_slot():
     # the then branch's call saves q to fv0 and y to fv1; the else branch's
-    # call saves only y, and takes fv1 too, so the join moves no slot
+    # call saves only y, and takes fv1 too, so the join moves no slot (f
+    # writes every register, so neither call keeps y in one)
     src = (
-        "(letrec ((f (lambda () (return 9))))"
+        f"(letrec ((f {CLOBBERING_ALL}))"
         " (set! c 0) (set! y 2)"
         " (if (> c 0)"
         "   (begin (set! q 3) (set! d (f)) (mset! q 0 d))"
@@ -939,6 +955,7 @@ def test_else_branch_saves_into_the_then_branch_slot():
     program, ap = load_program(src)
     cfg = make_config(4)
     tp = alloc_program(ap, cfg)
+    assert tp.clobbers["f"] == frozenset(range(4))
     stores = [i for i in tp.entry if isinstance(i, Store) and i.src == 1]
     assert stores == [Store(1, 1), Store(1, 1)]  # y in fv1 on both paths
     # labels: .L0 then, .L1 and .L2 the calls' returns, .L3 the join
@@ -976,9 +993,10 @@ def test_nontail_call_with_two_call_lives_round_trips():
         " (set! d (+ a b))"
         " (return (+ c d)))"
     )
-    # desugar the nested return expressions by hand
+    # desugar the nested return expressions by hand; f squares n through
+    # values that take every register at R=4, so a and b must be stored
     src = (
-        "(letrec ((f (lambda (n) (set! m (* n n)) (return m))))"
+        f"(letrec ((f {SQUARE_CLOBBERING_ALL}))"
         " (set! a 3) (set! b 4)"
         " (set! c (f 5))"
         " (set! s (+ a b))"
@@ -988,6 +1006,7 @@ def test_nontail_call_with_two_call_lives_round_trips():
     program, ap = load_program(src)
     cfg = make_config(4)
     tp = alloc_program(ap, cfg)
+    assert tp.clobbers["f"] == frozenset(range(4))
     stores = [i for i in tp.entry if isinstance(i, Store)]
     assert len(stores) == 2  # a and b saved across the call
     adjusts = [i for i in tp.entry if isinstance(i, FrameAdjust)]
@@ -1019,6 +1038,114 @@ def test_nontail_call_keeps_slotted_call_lives_in_place(before, stores, delta, h
     assert [i for i in insts if isinstance(i, Store)] == stores
     assert [i.delta for i in insts if isinstance(i, FrameAdjust)] == [delta, -delta]
     assert after.stackmap == homes and after.regmap == {"r": 1}
+
+
+# ---------------------------------------------------------------------------
+# callees first: a call keeps values in registers its callee never writes
+
+
+def test_value_in_a_register_the_callee_never_writes_crosses_the_call_untouched():
+    # f writes only its result register and is entered through r0, so x
+    # lives across the call in r2 with no load, store or move
+    src = (
+        "(letrec ((f (lambda () (return 7))))"
+        " (set! x (mref 0 0)) (set! y (f)) (set! z (+ x y)) (return z))"
+    )
+    program, ap = load_program(src)
+    cfg = make_config(4)
+    tp = alloc_program(ap, cfg)
+    assert tp.clobbers == {"f": frozenset({0, 1})}
+    assert tp.entry[0] == MemLoad(2, 0, 0)
+    assert not any(isinstance(i, (Load, Store, Move, FrameAdjust)) for i in tp.flatten())
+    obs, stats = run_target(tp, cfg)
+    assert obs == run_uil(program)
+    assert stats.dynamic_loads == stats.dynamic_stores == stats.dynamic_moves == 0
+
+
+_REGISTER_WRITES = (Move, LoadImm, Load, BinOpInst, MemLoad, LoadLabel)
+
+
+def _check_clobber_sets(ap, tp, cfg):
+    """Each procedure's clobber set covers every register that its code
+    and the code of every procedure it reaches write, less the
+    callee-saved registers; a recursive group's is every caller-saved
+    register."""
+    code = dict(tp.procs)
+    assert tp.clobbers.keys() == code.keys()
+    writes, calls = {}, {}
+    for name, insts in code.items():
+        writes[name] = {i.dst for i in insts if isinstance(i, _REGISTER_WRITES)}
+        calls[name] = {i.target for i in insts if isinstance(i, Jump) and i.target in code}
+    caller_saved = frozenset(range(cfg.registers)).difference(cfg.callee_saved)
+    for proc in ap.procs:
+        if proc.recursive:
+            assert tp.clobbers[proc.name] == caller_saved
+            continue
+        reached, todo = set(), [proc.name]
+        while todo:
+            q = todo.pop()
+            if q not in reached:
+                reached.add(q)
+                todo.extend(calls[q])
+        written = set().union(*(writes[q] for q in reached)).difference(cfg.callee_saved)
+        assert written <= tp.clobbers[proc.name], (proc.name, written, tp.clobbers[proc.name])
+
+
+def test_clobber_sets_cover_what_each_procedure_reaches():
+    # C5's call graphs, and the register counts it does not sweep checked
+    # against the reference interpreter
+    for seed in range(200):
+        p = generate_program(seed)
+        ap = annotate(p)
+        heap = heap_from_seed(seed)
+        for r in (3, 4, 5, 8, 12):
+            cfg = make_config(r)
+            for policy in POLICIES:
+                tp = alloc_program(ap, cfg, policy)
+                _check_clobber_sets(ap, tp, cfg)
+                if r in (5, 12):
+                    report = equivalent(p, tp, cfg, [heap])
+                    assert report.ok, (seed, r, policy, report.detail)
+
+
+# non-recursive procedures that keep a value across a call to a recursive
+# group: w wraps the self-recursive fib, and parity the mutually recursive
+# even and odd; the entry keeps values across both
+RECURSIVE_CALLEE_SRCS = [
+    """
+(letrec ((w (lambda (k) (set! j (+ k 3)) (set! f (fib k)) (set! r (+ f j)) (return r)))
+         (fib (lambda (n)
+           (if (< n 2)
+             (begin (return n))
+             (begin (set! m (- n 1)) (set! a (fib m)) (set! k (- n 2)) (set! b (fib k))
+                    (set! r (+ a b)) (return r))))))
+  (set! x (mref 0 0)) (set! y (mref 0 1)) (set! n 9)
+  (set! v (w n)) (set! s (+ v y)) (set! t (+ s x)) (mset! 0 2 t) (return t))
+""",
+    """
+(letrec ((parity (lambda (k) (set! j (* k 2)) (set! e (even k)) (set! r (+ e j)) (return r)))
+         (even (lambda (n) (if (= n 0) (begin (return 1)) (begin (set! m (- n 1)) (odd m)))))
+         (odd (lambda (n) (if (= n 0) (begin (return 0)) (begin (set! m (- n 1)) (even m))))))
+  (set! x (mref 0 0)) (set! y (mref 0 1)) (set! n 11)
+  (set! v (parity n)) (set! s (+ v y)) (set! t (+ s x)) (mset! 0 2 t) (return t))
+""",
+]
+
+
+@pytest.mark.parametrize("src", RECURSIVE_CALLEE_SRCS, ids=["fib", "even-odd"])
+def test_a_caller_of_a_recursive_group_inherits_every_caller_saved_register(src):
+    program, ap = load_program(src)
+    wrapper = ap.procs[0].name
+    heaps = [heap_from_seed(s) for s in range(3)]
+    for r in (2, 3, 4, 5, 8, 12):
+        cfg = make_config(r)
+        caller_saved = frozenset(range(r)).difference(cfg.callee_saved)
+        for policy in POLICIES:
+            tp = alloc_program(ap, cfg, policy)
+            _check_clobber_sets(ap, tp, cfg)
+            assert tp.clobbers[wrapper] == caller_saved
+            report = equivalent(program, tp, cfg, heaps)
+            assert report.ok, (r, policy, report.detail)
 
 
 # ---------------------------------------------------------------------------
@@ -1286,7 +1413,7 @@ def test_model_after_each_statement_binds_only_what_lives_on():
 # sha256 of the assembly for generator seeds 0..99 at R{2,3,4,8} under every
 # policy.  A change that alters the emitted code must update this constant
 # and report the traffic change it brings.
-GENERATED_ASM_SHA256 = "8adb3f006734e44bcf88c5f6f923620ec1929ff864e2868188cba172d3d2d0dd"
+GENERATED_ASM_SHA256 = "411fcaaece6b4b4589889be7d4048a8abd8c19e7502f06f4bbaa03687a5f07e6"
 
 
 def test_generated_assembly_is_byte_identical():
@@ -1310,7 +1437,7 @@ def test_generated_assembly_is_byte_identical():
 # with callee-saved registers that `GENERATED_ASM_SHA256` leaves out.  A
 # change that alters the emitted code must update this constant and report
 # the traffic change it brings.
-CALLEE_SAVED_ASM_SHA256 = "22e043c6e342fefe7bae2dbdf498c585716d484d651b6f86184e70fc2861fb32"
+CALLEE_SAVED_ASM_SHA256 = "bc26259c7d729977d6bbf4188dea18a33014c668cf7c8fbd39a0cbe942ae9fbd"
 
 
 def test_callee_saved_assembly_is_byte_identical():
@@ -1332,9 +1459,12 @@ def test_callee_saved_assembly_is_byte_identical():
 
 # Dynamic loads plus stores, and dynamic moves, of the furthest policy over
 # generator seeds 0..99 at R{3,4,8}, each program on heap_from_seed(seed).
-# A change that raises either must raise its bound and say why.
-DYNAMIC_TRAFFIC_BOUND = 1021
-DYNAMIC_MOVES_BOUND = 488
+# A change that raises either must raise its bound and say why.  Moves
+# rose 488 -> 553 when calls began to keep values in registers their
+# callees never write: such a value reaches its argument or return
+# register by a move where it used to be reloaded straight into it.
+DYNAMIC_TRAFFIC_BOUND = 815
+DYNAMIC_MOVES_BOUND = 553
 
 
 @functools.cache
@@ -1367,8 +1497,9 @@ def test_dynamic_moves_do_not_rise():
         # while the unread a2 was still passed)
         (186, "p0", "(set! v0_4 (+ a2 a2))", RET, 0),
         # 10 when this dead sum evicted the debt %c5 (8 while unread
-        # parameters were still passed)
-        (436, "p1", "(set! v1_5 (+ v1_3 v1_4))", "%c5", 6),
+        # parameters were still passed, 6 while every call stored what
+        # lived across it)
+        (436, "p1", "(set! v1_5 (+ v1_3 v1_4))", "%c5", 4),
     ],
 )
 def test_dead_assignment_evicts_neither_ret_nor_a_debt(seed, scope, dead_stmt, holder, traffic):
@@ -1559,7 +1690,7 @@ def test_each_eviction_picks_its_victim_through_pick_victim(monkeypatch):
             cfg = make_config(r)
             for policy in POLICIES:
                 alloc_program(ap, cfg, policy)
-    assert calls == 217
+    assert calls == 223
 
 
 # ---------------------------------------------------------------------------

@@ -709,3 +709,31 @@ def test_generated_dead_ifs_match_the_path_oracle():
             _check_program_against_oracle(p)
             found += 1
     assert found > 10
+
+
+# callers come before their callees in the source; even and odd form a
+# recursive group, and fib calls itself
+CALL_ORDER_SRC = """
+(letrec ((w (lambda (k) (set! f (fib k)) (set! r (+ f k)) (return r)))
+         (even (lambda (n) (if (= n 0) (begin (return 1)) (begin (set! m (- n 1)) (odd m)))))
+         (odd (lambda (n) (if (= n 0) (begin (return 0)) (begin (set! m (- n 1)) (even m)))))
+         (inc (lambda (a) (set! b (+ a 1)) (return b)))
+         (fib (lambda (n)
+           (if (< n 2)
+             (begin (return n))
+             (begin (set! m (- n 1)) (set! a (fib m)) (set! k (- n 2)) (set! b (fib k))
+                    (set! r (+ a b)) (return r))))))
+  (set! x (w 5)) (set! y (even x)) (set! z (inc y)) (return z))
+"""
+
+
+def test_annotate_records_the_callees_first_order_and_recursive_groups():
+    _, ap = load_program(CALL_ORDER_SRC)
+    assert [proc.name for proc in ap.procs] == ["w", "even", "odd", "inc", "fib"]
+    assert ap.order == ("fib", "w", "odd", "even", "inc")
+    assert [proc.recursive for proc in ap.procs] == [False, True, True, False, True]
+    # generated call graphs have no cycles; a procedure calls only earlier ones
+    for seed in range(50):
+        ap = annotate(generate_program(seed))
+        assert ap.order == tuple(proc.name for proc in ap.procs)
+        assert not any(proc.recursive for proc in ap.procs)

@@ -106,11 +106,50 @@ def test_alloc_trace_lists_unread_parameters_and_left_out_arguments(capsys, tmp_
         ";   dead: every branch statement is dead"
     )
     at = lines.index("; g: unread parameters: w")
-    assert lines[at + 1] == "; g #0: (set! t (+ u 1))"
+    assert lines[at + 1 : at + 3] == ["; g: clobbers r0, r1", "; g #0: (set! t (+ u 1))"]
     at = lines.index("; f: unread parameters: y")
-    assert lines[at + 1 : at + 3] == ["; f #0: (g x y)", ";   left out: y for w"]
+    assert lines[at + 2 : at + 4] == ["; f #0: (g x y)", ";   left out: y for w"]
     # nothing but the return address and the read arguments travels
     assert not [line for line in lines if line.split()[:1] in (["move"], ["store"], ["load"])]
+
+
+# w keeps j across a call to the recursive fib, which may change every
+# caller-saved register; the entry keeps y in r2 across inc, which writes
+# only r0 and r1.  Callees come after their callers in the source, so the
+# allocator runs fib, w, inc and the entry, in that order.
+KEPT_SRC = """
+(letrec ((w (lambda (k) (set! j (+ k 3)) (set! f (fib k)) (set! r (+ f j)) (return r)))
+         (inc (lambda (a) (set! b (+ a 1)) (return b)))
+         (fib (lambda (n)
+           (if (< n 2)
+             (begin (return n))
+             (begin (set! m (- n 1)) (set! a (fib m)) (set! k (- n 2)) (set! b (fib k))
+                    (set! r (+ a b)) (return r))))))
+  (set! x (mref 0 0)) (set! y (mref 0 1))
+  (set! v (inc x))
+  (set! s (+ v y))
+  (w s))
+"""
+
+
+def test_alloc_trace_lists_clobber_sets_and_kept_values_in_source_order(capsys, tmp_path):
+    path = tmp_path / "kept.uil"
+    path.write_text(KEPT_SRC)
+    code, out, _ = run_cli(capsys, "alloc", str(path), "--registers", "4", "--trace")
+    assert code == 0
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("; ") and ": clobbers " in line] == [
+        "; w: clobbers r0, r1, r2, r3",
+        "; inc: clobbers r0, r1",
+        "; fib: clobbers all caller-saved",
+    ]
+    scopes = [line.split()[1] for line in lines if line.startswith("; ") and " #" in line]
+    assert list(dict.fromkeys(scopes)) == ["<entry>", "w", "inc", "fib"]
+    at = lines.index("; <entry> #2: (set! v (inc x))")
+    assert lines[at + 1] == ";   kept: y in r2"
+    assert sum(line.startswith(";   kept:") for line in lines) == 1
+    # with no trace, the same assembly
+    assert out.endswith(run_cli(capsys, "alloc", str(path), "--registers", "4")[1])
 
 
 def test_alloc_trace_names_no_unread_parameter_of_a_kernel(capsys):
