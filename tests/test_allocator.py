@@ -1457,6 +1457,31 @@ def test_callee_saved_assembly_is_byte_identical():
     assert digest.hexdigest() == CALLEE_SAVED_ASM_SHA256
 
 
+# sha256 of the assembly (or the PressureError text) of the hand-written
+# kernels in perfbench/kernels at R{2,3,4,5,8,12} under every policy.  They
+# reach what the generated corpora above do not: recursive groups (fib calls
+# itself, even and odd call each other) and tail `if`s.  A change that alters
+# the emitted code must update this constant and report the traffic change
+# it brings.
+KERNEL_ASM_SHA256 = "2874d8f0fda74c16ac40acf10b70434cd6028dced3bf83d4e385c39ab860fb82"
+
+
+def test_kernel_assembly_is_byte_identical():
+    kernels = Path(__file__).parents[1] / "perfbench" / "kernels"
+    digest = hashlib.sha256()
+    for name in ("fib", "walk", "evenodd"):
+        ap = annotate(parse((kernels / f"{name}.uil").read_text()))
+        for r in (2, 3, 4, 5, 8, 12):
+            cfg = make_config(r)
+            for policy in POLICIES:
+                try:
+                    text = format_target(alloc_program(ap, cfg, policy))
+                except PressureError as e:
+                    text = str(e)
+                digest.update(text.encode())
+    assert digest.hexdigest() == KERNEL_ASM_SHA256
+
+
 # Dynamic loads plus stores, and dynamic moves, of the furthest policy over
 # generator seeds 0..99 at R{3,4,8}, each program on heap_from_seed(seed).
 # A change that raises either must raise its bound and say why.  Moves
