@@ -10,11 +10,14 @@ working model through three primitives:
   moves, decomposed into paths and loops; it only emits code, and the
   join, call or return that needs one builds its own post-model
 
-The statement transformers update the working model in place (through
-the private ``_load`` and ``_store``), and copy it only where an `if`
-forks it into its two branches; a non-tail call builds the model after
-it afresh.  The public ``save``, ``load`` and ``alloc_fragment`` work on
-a copy of the model they are given, which they leave as it is.
+One ``_Allocator`` object makes one allocation (a program, a fragment,
+or one public ``load``); it holds the machine, the policy and the clobber
+sets, and its ``body`` method allocates one body after another.  The
+statement transformers update the working model in place (through the
+allocator's ``_load`` and the private ``_store``), and copy it only where
+an `if` forks it into its two branches; a non-tail call builds the model
+after it afresh.  The public ``save``, ``load`` and ``alloc_fragment``
+work on a copy of the model they are given, which they leave as it is.
 
 Live-range splitting falls out of save/load: a variable may live in a
 register, migrate to the stack under pressure, and come back into a
@@ -22,7 +25,7 @@ different register later.  Victim choice is a static analogue of cache
 replacement; the default policy evicts the candidate whose next use is
 furthest away.
 
-One method, ``_BodyAllocator._free_reg``, picks every free register a
+One method, ``_Allocator._free_reg``, picks every free register a
 value takes, in one order: the branch preference (below), then the
 register its next use reads (a returned value the return-value register,
 a call argument the argument register of its first passed position),
@@ -70,7 +73,9 @@ evicted like any value under pressure (furthest sees no next use): the
 save is lazy, and a procedure that never needs the register pays
 nothing.  The return and tail-call shuffles move each debt back into its
 register; a procedure that never evicts a debt moves each onto itself,
-which emits nothing.
+which emits nothing.  The entry body owes nothing and has no ``RET``: it
+halts where a procedure returns, and hands its tail callee a halt
+continuation.
 
 Procedures are allocated callees first, in the annotation's ``order``,
 and the entry body last (Steenkiste & Hennessy's bottom-up scheme).  When
@@ -78,14 +83,17 @@ a procedure's code is done, its clobber set records the registers a call
 to it may change (``_clobber_set``): every register its code writes, the
 sets of the procedures it calls (tail calls included), the return-address
 and return-value registers and the argument registers of its read
-parameters, less the callee-saved registers it hands back.  A recursive group's set is every
-caller-saved register, and so is, through it, the set of a caller of one
-of its members.  A non-tail call leaves every value in a register outside
-its callee's set where it is (the callee-saved registers among them),
-and moves a value that lives across it from any other register into a
-free callee-saved one, storing it only when none is free.  A value that
-lives across a later non-tail call takes, after the free callee-saved
-registers, a register that no non-tail call of its body may change.
+parameters, less the callee-saved registers it hands back.  A callee not
+yet allocated may change every caller-saved register: a member of the
+caller's own recursive group, or any callee of a fragment.  A recursive
+group's set is therefore every caller-saved register, and so is, through
+it, the set of a caller of one of its members.  A non-tail call leaves
+every value in a register outside its callee's set where it is (the
+callee-saved registers among them), and moves a value that lives across
+it from any other register into a free callee-saved one, storing it only
+when none is free.  A value that lives across a later non-tail call
+takes, after the free callee-saved registers, a register that no
+non-tail call of its body may change.
 """
 
 from __future__ import annotations
@@ -95,7 +103,7 @@ import operator
 from dataclasses import dataclass
 
 from ._gc import gc_paused
-from .analysis import INF, AnnotatedProgram, AnnotatedStatement, walk_statements
+from .analysis import INF, AnnotatedProc, AnnotatedProgram, AnnotatedStatement, walk_statements
 from .isa import (
     BinOpInst,
     CondJump,
@@ -120,6 +128,7 @@ from .model import (
     ModelError,
     Reg,
     Slot,
+    arg_homes,
     initial_model,
 )
 from .uil import Assign, BinExpr, Call, If, MemRead, MemWrite, ReturnValue, _fmt_statement
@@ -241,22 +250,6 @@ def pick_victim(
     raise PressureError("no evictable register: all residents are in use")
 
 
-def _evict(
-    m: Model, protected, uses: dict[str, float], policy: str, slot_prefs, insts: list[Inst]
-) -> int:
-    """Free the register of the policy's victim in `m` and return it.
-
-    A victim without a slot is stored first (`_store`), and the store is
-    appended to `insts`; a multi-homed victim only loses its register.
-    """
-    victim = pick_victim(m, protected, uses, policy)
-    r = m.regmap[victim]
-    if victim not in m.stackmap:
-        insts.append(_store(m, victim, slot_prefs))
-    m.unbind_reg(victim)
-    return r
-
-
 def load(
     m: Model, vs, protected, uses: dict[str, float], policy: str, cfg: MachineConfig
 ) -> tuple[Model, list[Inst]]:
@@ -268,67 +261,8 @@ def load(
     Neither the listed variables nor the protected set may be evicted.
     Returns the updated copy of `m`; `m` itself is left as it is.
     """
-    return _load(m.copy(), vs, protected, uses, policy, cfg)
-
-
-def _load(
-    m: Model,
-    vs,
-    protected,
-    uses: dict[str, float],
-    policy: str,
-    cfg: MachineConfig,
-    slot_prefs: dict[str, int] | None = None,
-    choose=None,
-    at: AnnotatedStatement | None = None,
-) -> tuple[Model, list[Inst]]:
-    """`load`, updating `m` in place.  ``choose(m, v, at)`` picks a free
-    register for `v` at the statement `at` (None when every register is
-    taken); without it `v` takes the lowest free register.
-
-    When every variable is already resident this returns at once.
-    Otherwise one set, `needed`, holds the listed variables and the
-    protected residents: its size is checked against the register count
-    before anything changes (so a PressureError comes before any
-    ModelError), and it is the set the victims are chosen outside.  A
-    protected variable that is not resident never becomes one here, so it
-    needs no place in the set.  A name listed twice is resident by its
-    second turn and costs nothing more.
-
-    A PressureError or ModelError raised part-way leaves `m` half
-    updated.  The allocator lets either abort the whole allocation, so no
-    one reads that model again.
-    """
-    regmap = m.regmap
-    if len(m.reg_owner) <= cfg.registers:
-        for v in vs:
-            if v not in regmap:
-                break
-        else:
-            return m, []
-    needed = set(vs)
-    for v in protected:
-        if v in regmap:
-            needed.add(v)
-    if len(needed) > cfg.registers:
-        raise PressureError(
-            f"{len(needed)} values must be register-resident at once, "
-            f"but the machine has {cfg.registers} register(s)"
-        )
-    insts: list[Inst] = []
-    stackmap = m.stackmap
-    for v in vs:
-        if v in regmap:
-            continue
-        s = stackmap.get(v)
-        if s is None:
-            raise ModelError(f"cannot load unbound variable '{v}'")
-        r = choose(m, v, at) if choose is not None else m.free_register(cfg)
-        if r is None:
-            r = _evict(m, needed, uses, policy, slot_prefs, insts)
-        insts.append(Load(r, s))
-        m.bind_reg(v, r)
-    return m, insts
+    m = m.copy()
+    return m, _Allocator(cfg, policy)._load(m, vs, protected, uses)
 
 
 # ---------------------------------------------------------------------------
@@ -627,58 +561,93 @@ def _rebind_copy(a: AnnotatedStatement, m: Model) -> Model | None:
     return m
 
 
-class _BodyAllocator:
-    """Allocates one procedure body (or the entry body).
+# the instructions that write their `dst` register
+_WRITES = frozenset([Move, LoadImm, Load, BinOpInst, MemLoad, LoadLabel])
+_DST = operator.attrgetter("dst")
 
-    One working model is threaded through the body and updated in place
-    by each statement; it is copied only where an `if` forks it into its
-    two branches.  ``by_point`` maps each point of the body to its
-    annotated statement, so a statement's next uses lead to the
-    statements that read them.
+
+class _Allocator:
+    """One allocation (of a program, a fragment, or one public `load`),
+    whose `body` method allocates one body after another.
+
+    One working model is threaded through a body and updated in place by
+    each statement; it is copied only where an `if` forks it into its two
+    branches.  ``by_point`` maps each point of the body to its annotated
+    statement, so a statement's next uses lead to the statements that
+    read them.
     """
 
-    def __init__(
-        self,
-        by_point: dict[int, AnnotatedStatement],
-        calls: tuple[AnnotatedStatement, ...],
-        cfg: MachineConfig,
-        policy: str,
-        labels: itertools.count,
-        is_entry: bool,
-        scope: str,
-        clobbers: dict[str, frozenset[int]],
-        trace: list[TraceEntry] | None = None,
-    ):
+    def __init__(self, cfg: MachineConfig, policy: str, trace: list[TraceEntry] | None = None):
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}")
-        self.by_point = by_point
-        self.calls = calls
         self.cfg = cfg
-        # callee -> the registers a call to it may change (`_clobber_set`),
-        # for every procedure this body calls
-        self.clobbers = clobbers
-        # where a value that lives across a later non-tail call goes first;
-        # set by `_across_regs` when the body's first such value needs it
-        self.across_regs: tuple[int, ...] | None = None
         self.policy = policy
-        self.labels = labels
-        self.is_entry = is_entry
-        self.scope = scope
+        # callee -> the registers a call to it may change (`_clobber_set`),
+        # recorded as each procedure's code is done (`_clobber` reads it)
+        self.clobbers: dict[str, frozenset[int]] = {}
+        # what a call to a callee not yet allocated may change (`_clobber`)
+        self.caller_saved = frozenset(range(cfg.registers)).difference(cfg.callee_saved)
         self.trace = trace
+        self.labels = itertools.count()
+        self.need_halt = False
+        # the body's point index, set by `body`; a public `load` has none
+        self.by_point: dict[int, AnnotatedStatement] = {}
         # the other branch's final registers and slots, while allocating
         # the else branch of an `if`
         self.prefs: dict[str, int] = {}
         self.slot_prefs: dict[str, int] = {}
-        # what a procedure owes its caller: one model entry per
-        # callee-saved register, kept to the end like RET
-        self.owed = () if is_entry else tuple((f"%c{r}", r) for r in cfg.callee_saved)
-        self.kept = {RET, *(v for v, _ in self.owed)}
-        self.need_halt = False
+
+    def body(
+        self, scope: str, body, by_point, calls, m: Model, owed=()
+    ) -> tuple[list[Inst], Model]:
+        """Allocate `body`, with its point index and calls, from `m`; return
+        its code and the model after it.  `owed` pairs each debt with its
+        callee-saved register: bound there on entry, kept like RET."""
+        self.scope = scope
+        self.by_point = by_point
+        self.calls = calls
+        # where a value that lives across a later non-tail call goes first;
+        # set by `_across_regs` when the body's first such value needs it
+        self.across_regs: tuple[int, ...] | None = None
+        self.owed = owed
+        self.kept = {RET, *(v for v, _ in owed)}
+        for v, r in owed:
+            m.bind_reg(v, r)
+        return self.run(body, m)
 
     # -- helpers -----------------------------------------------------------
 
     def _fresh_label(self) -> str:
         return f".L{next(self.labels)}"
+
+    def _clobber(self, callee: str) -> frozenset[int]:
+        """The registers a call to `callee` may change: its clobber set, or
+        every caller-saved register for a callee not yet allocated (in the
+        caller's own recursive group, or any callee of a fragment)."""
+        regs = self.clobbers.get(callee)
+        return self.caller_saved if regs is None else regs
+
+    def _clobber_set(self, insts: list[Inst], proc: AnnotatedProc) -> frozenset[int]:
+        """The registers a call to `proc`, whose code is `insts`, may
+        change, as its callers see them.
+
+        Every register the code writes, the set of every procedure it calls
+        (tail calls included; `_clobber`), the return-address and
+        return-value registers and the argument registers of its read
+        parameters, less the callee-saved registers, which it hands back.
+        For a recursive group that is every caller-saved register: each
+        member calls one not yet allocated, or one whose set is that.
+        """
+        cfg = self.cfg
+        regs = {cfg.ret_addr_reg, cfg.ret_val_reg, *cfg.arg_regs[: len(proc.read_params)]}
+        for call in proc.calls:
+            regs |= self._clobber(call.stmt.callee)
+        # the code's writes can add only a caller-saved register still missing
+        if not regs.issuperset(self.caller_saved):
+            # the `dst` of each instruction whose type is in _WRITES, looped in C
+            written = itertools.compress(insts, map(_WRITES.__contains__, map(type, insts)))
+            regs.update(map(_DST, written))
+        return frozenset(regs.difference(cfg.callee_saved))
 
     def _across_regs(self) -> tuple[int, ...]:
         """The registers a value that lives across a later non-tail call
@@ -688,7 +657,7 @@ class _BodyAllocator:
         changed = set(saved)
         for call in self.calls:
             if not call.tail:
-                changed |= self.clobbers[call.stmt.callee]
+                changed |= self._clobber(call.stmt.callee)
         return saved + tuple([r for r in range(self.cfg.registers) if r not in changed])
 
     def _read_reg(self, var: str, b: AnnotatedStatement) -> int | None:
@@ -704,17 +673,18 @@ class _BodyAllocator:
                 return r
         return None
 
-    def _free_reg(self, m: Model, var: str, a: AnnotatedStatement) -> int | None:
-        """A free register for `var` at `a`, or None when every register is
-        taken.
+    def _free_reg(self, m: Model, var: str, uses: dict[str, float], across) -> int | None:
+        """A free register for `var`, whose next uses are `uses` and which
+        lives across a later non-tail call when it is in `across`, or None
+        when every register is taken.
 
         First the branch preference (the register `var` holds at the end
         of the other branch), then the register `var`'s next use reads
-        (`_read_reg`), then, for a variable in `a.across` (one that lives
-        across a later non-tail call), a callee-saved register or one that
-        no non-tail call of the body may change (`_across_regs`), and last
-        the lowest free register.  A preference or next-use register that
-        is occupied is passed over, never evicted.
+        (`_read_reg`), then, for a variable in `across`, a callee-saved
+        register or one that no non-tail call of the body may change
+        (`_across_regs`), and last the lowest free register.  A preference
+        or next-use register that is occupied is passed over, never
+        evicted.
         """
         owner = m.reg_owner
         if len(owner) >= self.cfg.registers:  # all taken: no model binds r >= registers
@@ -722,12 +692,12 @@ class _BodyAllocator:
         r = self.prefs.get(var)
         if r is not None and r not in owner:
             return r
-        b = self.by_point.get(a.next_uses.get(var))
+        b = self.by_point.get(uses.get(var))
         if b is not None:
             r = self._read_reg(var, b)
             if r is not None and r not in owner:
                 return r
-        if var in a.across:
+        if var in across:
             regs = self.across_regs
             if regs is None:
                 regs = self.across_regs = self._across_regs()
@@ -736,14 +706,75 @@ class _BodyAllocator:
                     return r
         return m.free_register(self.cfg)
 
+    def _evict(self, m: Model, protected, uses: dict[str, float], insts: list[Inst]) -> int:
+        """Free the register of the policy's victim in `m` and return it.
+
+        A victim without a slot is stored first (`_store`), and the store is
+        appended to `insts`; a multi-homed victim only loses its register.
+        """
+        victim = pick_victim(m, protected, uses, self.policy)
+        r = m.regmap[victim]
+        if victim not in m.stackmap:
+            insts.append(_store(m, victim, self.slot_prefs))
+        m.unbind_reg(victim)
+        return r
+
+    def _load(self, m: Model, vs, protected, uses: dict[str, float], across=()) -> list[Inst]:
+        """`load`, updating `m` in place and returning the instructions;
+        each variable that needs a register takes the one `_free_reg`
+        picks (`across` is the statement's call-crossing set).
+
+        When every variable is already resident this returns at once.
+        Otherwise one set, `needed`, holds the listed variables and the
+        protected residents: its size is checked against the register count
+        before anything changes (so a PressureError comes before any
+        ModelError), and it is the set the victims are chosen outside.  A
+        protected variable that is not resident never becomes one here, so it
+        needs no place in the set.  A name listed twice is resident by its
+        second turn and costs nothing more.
+
+        A PressureError or ModelError raised part-way leaves `m` half
+        updated.  The allocator lets either abort the whole allocation, so no
+        one reads that model again.
+        """
+        regmap = m.regmap
+        registers = self.cfg.registers
+        if len(m.reg_owner) <= registers:
+            for v in vs:
+                if v not in regmap:
+                    break
+            else:
+                return []
+        needed = set(vs)
+        for v in protected:
+            if v in regmap:
+                needed.add(v)
+        if len(needed) > registers:
+            raise PressureError(
+                f"{len(needed)} values must be register-resident at once, "
+                f"but the machine has {registers} register(s)"
+            )
+        insts: list[Inst] = []
+        stackmap = m.stackmap
+        for v in vs:
+            if v in regmap:
+                continue
+            s = stackmap.get(v)
+            if s is None:
+                raise ModelError(f"cannot load unbound variable '{v}'")
+            r = self._free_reg(m, v, uses, across)
+            if r is None:
+                r = self._evict(m, needed, uses, insts)
+            insts.append(Load(r, s))
+            m.bind_reg(v, r)
+        return insts
+
     def _load_operands(self, a: AnnotatedStatement, m: Model) -> tuple[list[Inst], list]:
         """Load the statement's variable operands (`a.refs`, which for an
         assignment, memory write or `if` lists exactly them) together into
         `m`; return the loads and the operand values in order."""
         # the operands protect each other; nothing else is protected
-        _, insts = _load(
-            m, a.refs, (), a.next_uses, self.policy, self.cfg, self.slot_prefs, self._free_reg, a
-        )
+        insts = self._load(m, a.refs, (), a.next_uses, a.across)
         regmap = m.regmap  # load leaves every variable operand in a register
         vals = []
         for o in a.stmt.operands():
@@ -772,9 +803,9 @@ class _BodyAllocator:
             r = self._claim(m, var, a.next_uses, call, insts)
             if r is not None:
                 return r
-        r = self._free_reg(m, var, a)
+        r = self._free_reg(m, var, a.next_uses, a.across)
         if r is None:
-            r = _evict(m, (), a.next_uses, self.policy, self.slot_prefs, insts)
+            r = self._evict(m, (), a.next_uses, insts)
         m.bind_reg(var, r)
         return r
 
@@ -804,7 +835,7 @@ class _BodyAllocator:
         if w is None or uses.get(w, -1) <= call.point:
             return None
         if m.slot_of(w) is None:
-            clobber = self.clobbers[call.stmt.callee]
+            clobber = self._clobber(call.stmt.callee)
             home = self._call_homes(m, clobber, call.ends | {call.stmt.dst})[w]
             if type(home) is Reg:
                 return None
@@ -896,7 +927,7 @@ class _BodyAllocator:
             if trace is not None:
                 kept = ()
                 if kind is Call and not a.tail:
-                    changed = self.clobbers[a.stmt.callee].union(self.cfg.callee_saved)
+                    changed = self._clobber(a.stmt.callee).union(self.cfg.callee_saved)
                     kept = tuple([(v, r) for v, r in m.register_residents() if r not in changed])
                 trace.append(
                     TraceEntry(
@@ -1033,39 +1064,28 @@ class _BodyAllocator:
         if s.dst is not None:
             # the result rebinds the destination; its old value dies here
             m.drop({s.dst})
-        n_reg_args = min(len(cfg.arg_regs), len(arg_srcs))
-        n_stack_args = len(arg_srcs) - n_reg_args
 
         if a.tail:
             # the callee takes over this frame: no call-lives to keep
-            moves: list[tuple[MoveSrc, MoveDst]] = []
-            for i in range(n_reg_args):
-                moves.append((arg_srcs[i], Reg(cfg.arg_regs[i])))
-            for j in range(n_stack_args):
-                moves.append((arg_srcs[n_reg_args + j], Slot(j)))
+            moves = list(zip(arg_srcs, arg_homes(len(arg_srcs), cfg)))
             if m.is_bound(RET):
                 ret_src: MoveSrc = m.whereis(RET)
             else:
                 self.need_halt = True  # entry frame returns to the halt stub
                 ret_src = LabelArg(HALT_LABEL)
-            moves.append((ret_src, Reg(cfg.ret_addr_reg)))
-            for v, r in self.owed:
-                moves.append((m.whereis(v), Reg(r)))
+            self._exit_moves(moves, m, ret_src, cfg.ret_addr_reg)
             insts = self._seq(moves, m)
             insts.append(Jump(s.callee))
             return insts, m
 
-        clobber = self.clobbers[s.callee]
+        clobber = self._clobber(s.callee)
         avoid = {src.i for src in arg_srcs if type(src) is Slot}
         homes = self._call_homes(m, clobber, avoid=avoid)
         moves = [(Reg(m.regmap[v]), h) for v, h in homes.items()]
         home = {**m.stackmap, **{v: h.i for v, h in homes.items() if type(h) is Slot}}
         k = max(home.values(), default=-1) + 1
-        for i in range(n_reg_args):
-            moves.append((arg_srcs[i], Reg(cfg.arg_regs[i])))
-        for j in range(n_stack_args):
-            # outgoing stack args become the callee's fv0.. once fp advances
-            moves.append((arg_srcs[n_reg_args + j], Slot(k + j)))
+        # outgoing stack args become the callee's fv0.. once fp advances
+        moves += zip(arg_srcs, arg_homes(len(arg_srcs), cfg, k))
         lab1 = self._fresh_label()
         moves.append((LabelArg(lab1), Reg(cfg.ret_addr_reg)))
 
@@ -1091,7 +1111,7 @@ class _BodyAllocator:
         cfg = self.cfg
         val_src: MoveSrc = m.whereis(s.value) if isinstance(s.value, str) else s.value
 
-        if self.is_entry:
+        if not m.is_bound(RET):  # nothing to return to (the entry body): halt
             m.drop(a.ends)
             insts = self._seq([(val_src, Reg(cfg.ret_val_reg))], m)
             insts.append(Halt())
@@ -1109,11 +1129,18 @@ class _BodyAllocator:
                 raise PressureError(
                     "cannot hold both the return value and the return address"
                 )
-        moves = [(val_src, Reg(cfg.ret_val_reg)), (ret_src, Reg(target))]
-        moves += [(m.whereis(v), Reg(r)) for v, r in self.owed]
+        moves = [(val_src, Reg(cfg.ret_val_reg))]
+        self._exit_moves(moves, m, ret_src, target)
         insts = self._seq(moves, m)
         insts.append(Jump(Reg(target)))
         return insts, m
+
+    def _exit_moves(self, moves: list, m: Model, ret_src: MoveSrc, ret_reg: int) -> None:
+        """Add the moves that leave the frame (at a return or a tail call):
+        RET from `ret_src` into `ret_reg`, each debt into its register."""
+        moves.append((ret_src, Reg(ret_reg)))
+        for v, r in self.owed:
+            moves.append((m.whereis(v), Reg(r)))
 
 
 # ---------------------------------------------------------------------------
@@ -1127,16 +1154,13 @@ def alloc_fragment(
     m: Model | None = None,
 ) -> tuple[list[Inst], Model]:
     """Allocate a bare statement sequence starting from a given model,
-    which is left as it is (the allocation works on a copy)."""
+    which is left as it is (the allocation works on a copy).  No callee of
+    a fragment is allocated: a call may change every caller-saved register."""
     # a next use outside the fragment has no statement here to read it
     by_point = {a.point: a for a in walk_statements(body)}
     calls = tuple([a for a in by_point.values() if type(a.stmt) is Call])
-    # what the callees may change is unknown: every caller-saved register
-    clobbers = dict.fromkeys([a.stmt.callee for a in calls], _caller_saved(cfg))
-    alloc = _BodyAllocator(
-        by_point, calls, cfg, policy, itertools.count(), True, "<fragment>", clobbers
-    )
-    return alloc.run(body, m.copy() if m is not None else Model())
+    alloc = _Allocator(cfg, policy)
+    return alloc.body("<fragment>", body, by_point, calls, m.copy() if m is not None else Model())
 
 
 @gc_paused
@@ -1151,69 +1175,31 @@ def alloc_program(
     Procedures run in the annotation's callees-first `order` and start
     from the calling convention's initial model of their read parameters.
     Once a procedure's code is done, its clobber set (`_clobber_set`)
-    tells each later caller which registers a call to it may change.  The
-    entry body starts from an empty model, returns by halting, and passes
-    a halt continuation to tail calls.  The code is emitted in source
-    order, entry body first, and `trace` receives the statements in the
-    order they were allocated.  Pauses the cyclic garbage collector while
-    it runs (`_gc.gc_paused`).
+    tells each later caller which registers a call to it may change; a
+    call to a procedure not yet allocated, within a recursive group, may
+    change every caller-saved register.  The entry body starts from an
+    empty model, without RET, so it returns by halting and passes a halt
+    continuation to tail calls.  The code is emitted in source order,
+    entry body first, and `trace` receives the statements in the order
+    they were allocated.  Pauses the cyclic garbage collector while it
+    runs (`_gc.gc_paused`).
     """
-    labels = itertools.count()
+    alloc = _Allocator(cfg, policy, trace)
     procs = {proc.name: proc for proc in ap.procs}
     code: dict[str, list[Inst]] = {}
-    # a recursive group's members may change every caller-saved register;
-    # set up front, it serves their calls to each other too
-    caller_saved = _caller_saved(cfg)
-    clobbers = {proc.name: caller_saved for proc in ap.procs if proc.recursive}
+    owed = tuple([(f"%c{r}", r) for r in cfg.callee_saved])
     for name in ap.order:
         proc = procs[name]
-        proc_alloc = _BodyAllocator(
-            proc.by_point, proc.calls, cfg, policy, labels, False, name, clobbers, trace
-        )
         m0 = initial_model(proc.read_params, cfg)
         # a recursive group's parameters the body never references die on arrival
-        m0.restrict(set(proc.entry_live) | {RET})
-        for v, r in proc_alloc.owed:
-            m0.bind_reg(v, r)
-        insts, _ = proc_alloc.run(proc.body, m0)
+        m0.drop(set(proc.read_params).difference(proc.entry_live))
+        insts, _ = alloc.body(name, proc.body, proc.by_point, proc.calls, m0, owed)
         code[name] = insts
-        if not proc.recursive:
-            clobbers[name] = _clobber_set(insts, proc, cfg, clobbers)
+        alloc.clobbers[name] = alloc._clobber_set(insts, proc)
 
-    entry_alloc = _BodyAllocator(
-        ap.entry_by_point, ap.entry_calls, cfg, policy, labels, True, "<entry>", clobbers, trace
-    )
-    entry_insts, _ = entry_alloc.run(ap.entry, Model())
-    if entry_alloc.need_halt:
+    entry_insts, _ = alloc.body("<entry>", ap.entry, ap.entry_by_point, ap.entry_calls, Model())
+    if alloc.need_halt:
         entry_insts.append(LabelDef(HALT_LABEL))
         entry_insts.append(Halt())
-    return TargetProgram(entry_insts, [(name, code[name]) for name in procs], clobbers)
+    return TargetProgram(entry_insts, [(name, code[name]) for name in procs], alloc.clobbers)
 
-
-# the instructions that write their `dst` register
-_WRITES = frozenset([Move, LoadImm, Load, BinOpInst, MemLoad, LoadLabel])
-_DST = operator.attrgetter("dst")
-
-
-def _clobber_set(insts: list[Inst], proc, cfg: MachineConfig, clobbers) -> frozenset[int]:
-    """The registers a call to the non-recursive `proc`, whose code is
-    `insts`, may change, as its callers see them.
-
-    Every register the code writes, the clobber set of every procedure it
-    calls (tail calls included; `clobbers` holds them all, as callees come
-    first), the return-address and return-value registers and the
-    argument registers of its read parameters, less the callee-saved
-    registers, which it hands back.  A recursive group's set is every
-    caller-saved register instead: its members' sets would depend on each
-    other.
-    """
-    # the `dst` of each instruction whose type is in _WRITES, looped in C
-    regs = set(map(_DST, itertools.compress(insts, map(_WRITES.__contains__, map(type, insts)))))
-    regs.update((cfg.ret_addr_reg, cfg.ret_val_reg), cfg.arg_regs[: len(proc.read_params)])
-    for call in proc.calls:
-        regs |= clobbers[call.stmt.callee]
-    return frozenset(regs.difference(cfg.callee_saved))
-
-
-def _caller_saved(cfg: MachineConfig) -> frozenset[int]:
-    return frozenset(range(cfg.registers)).difference(cfg.callee_saved)

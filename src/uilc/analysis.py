@@ -20,8 +20,8 @@ call, so an assignment that only feeds it is dead in the same walk.  In
 a recursive group (a cycle of calls, self-calls included) every
 parameter counts as read and a call passes every argument, so no
 fixpoint is needed.  The callees-first order (``AnnotatedProgram.order``)
-and each procedure's ``recursive`` flag are recorded for the allocator,
-which runs in the same order.
+is recorded for the allocator, which runs in the same order, and each
+procedure's ``recursive`` flag for ``--trace``.
 
 Points are pre-order, branches then-before-else; the walk hands them out
 from the end of the body down, and enters each statement in its body's
@@ -284,8 +284,10 @@ def annotate(p: Program) -> AnnotatedProgram:
     frame.  Pauses the cyclic garbage collector while it runs
     (`_gc.gc_paused`).
     """
-    # callee -> positions of the arguments a call passes; a callee that is
-    # absent (not yet annotated, or recursive) is passed every argument
+    # callee -> positions of the arguments a call passes, recorded as each
+    # procedure is annotated; a recursive one reads every parameter, and a
+    # callee not yet annotated (a member of the caller's own recursive
+    # group) is absent, so either is passed every argument
     passes: dict[str, tuple[int, ...]] = {}
     procs: dict[str, AnnotatedProc] = {}
     for group, recursive in _call_groups(p.definitions):
@@ -295,8 +297,7 @@ def annotate(p: Program) -> AnnotatedProgram:
             procs[d.name] = AnnotatedProc(
                 d.name, d.params, body, by_point, calls, frozenset(entry_uses), read, recursive
             )
-        if not recursive:  # a group of one
-            passes[d.name] = tuple([i for i, v in enumerate(d.params) if v in entry_uses])
+            passes[d.name] = tuple([i for i, v in enumerate(d.params) if v in read])
     entry, by_point, calls, _ = _annotate_sequence(p.body, count_statements(p.body), True, passes)
     return AnnotatedProgram(
         p, entry, by_point, calls, tuple([procs[d.name] for d in p.definitions]), tuple(procs)

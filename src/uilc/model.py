@@ -312,21 +312,28 @@ class Model:
         return f"Model({self.dump()})"
 
 
+def arg_homes(n: int, cfg: MachineConfig, base: int = 0) -> list[Location]:
+    """Where `n` arguments go, in order: the argument registers, then the
+    stack slots `base`, `base` + 1, ..., which are the callee's fv0, fv1,
+    ... once the caller's frame advances by `base`."""
+    regs = cfg.arg_regs[:n]
+    return [*map(Reg, regs), *map(Slot, range(base, base + n - len(regs)))]
+
+
 def initial_model(params: tuple[str, ...], cfg: MachineConfig) -> Model:
     """Starting model for a procedure, derived from the calling convention.
 
     The return address is an implicit argument: RET binds to the
-    return-address register, then as many parameters as possible go into
-    argument registers, and the rest spill to slots 0, 1, ... in order.
+    return-address register, and the parameters take their `arg_homes`.
     """
     if RET in params:
         raise ModelError(f"'{RET}' cannot be a parameter")
     if len(set(params)) != len(params):
         raise ModelError("duplicate parameter names")
     m = Model().bind_reg(RET, cfg.ret_addr_reg)
-    n_reg = len(cfg.arg_regs)
-    for i, v in enumerate(params[:n_reg]):
-        m.bind_reg(v, cfg.arg_regs[i])
-    for j, v in enumerate(params[n_reg:]):
-        m.bind_slot(v, j)
+    for v, home in zip(params, arg_homes(len(params), cfg)):
+        if type(home) is Reg:
+            m.bind_reg(v, home.i)
+        else:
+            m.bind_slot(v, home.i)
     return m

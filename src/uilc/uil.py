@@ -29,6 +29,9 @@ KEYWORDS = frozenset(
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_?!-]*$")
 _INT_RE = re.compile(r"^-?[0-9]+$")
+# a register in the assembly: `jmp r1` reads back as a jump through r1, so
+# no procedure (whose name is its label) may be named so
+_REGISTER_RE = re.compile(r"^r[0-9]+$")
 
 Pos = tuple[int, int]  # (line, column), 1-based
 
@@ -611,6 +614,8 @@ def validate(p: Program) -> list[Diagnostic]:
     for d in p.definitions:
         if d.name == RESERVED_NAME:
             diags.append(Diagnostic(f"'{RESERVED_NAME}' is a reserved name", d.pos))
+        if _REGISTER_RE.match(d.name):
+            diags.append(Diagnostic(f"procedure name '{d.name}' is a register name", d.pos))
         arities[d.name] = len(d.params)
         if len(set(d.params)) != len(d.params):
             diags.append(Diagnostic(f"duplicate parameter in '{d.name}'", d.pos))

@@ -312,6 +312,17 @@ def test_call_result_bound_to_a_procedure_name_exits_one(capsys, tmp_path):
     assert "1:38: cannot assign procedure name 'f'" in err
 
 
+@pytest.mark.parametrize("command", ["alloc", "run"])
+def test_procedure_named_like_a_register_exits_one(capsys, tmp_path, command):
+    # allocated, `(r1 x)` would print `jmp r1`, which parses back as a jump
+    # through register r1
+    path = tmp_path / "r1.uil"
+    path.write_text("(letrec ((r1 (lambda (a) (return a)))) (set! x (r1 5)) (r1 x))")
+    code, out, err = run_cli(capsys, command, "--registers", "4", str(path))
+    assert (code, out) == (1, "")
+    assert "1:10: procedure name 'r1' is a register name" in err
+
+
 def test_compare_table_over_directory(capsys, tmp_path):
     (tmp_path / "a.uil").write_text(SPLIT_SRC)
     (tmp_path / "b.uil").write_text(CHAIN_SRC)

@@ -12,6 +12,7 @@ from uilc.model import (
     ModelError,
     Reg,
     Slot,
+    arg_homes,
     initial_model,
     make_config,
 )
@@ -52,6 +53,20 @@ def test_initial_model_five_params_three_arg_regs():
     m = initial_model(("a", "b", "c", "d", "e"), make_config(8, max_arg_regs=3))
     assert m.regmap == {"a": 1, "b": 2, "c": 3, RET: 0}
     assert m.stackmap == {"d": 0, "e": 1}
+
+
+def test_arg_homes_take_the_argument_registers_then_the_slots_from_base():
+    cfg = make_config(8, max_arg_regs=3)
+    assert arg_homes(0, cfg) == []
+    assert arg_homes(2, cfg) == [Reg(1), Reg(2)]
+    assert arg_homes(5, cfg) == [Reg(1), Reg(2), Reg(3), Slot(0), Slot(1)]
+    # a caller keeping two slots of its own places them above those
+    assert arg_homes(5, cfg, base=2) == [Reg(1), Reg(2), Reg(3), Slot(2), Slot(3)]
+    # where a caller puts the arguments, with no slots of its own, is where
+    # the callee finds its parameters
+    params = ("a", "b", "c", "d", "e")
+    m = initial_model(params, cfg)
+    assert [m.whereis(v) for v in params] == arg_homes(len(params), cfg)
 
 
 def test_initial_model_rejects_reserved_name():

@@ -263,6 +263,18 @@ _VALIDATE_CASES = [
             "1:52: procedure 'f' used as a value",
         ],
     ),
+    (
+        # a procedure's name is its assembly label, and `jmp r1` would read
+        # back as a jump through r1; `r`, `r1x` and `R1` are no registers
+        "(letrec ((r1 (lambda (a) (return a))) (r007 (lambda (RET) (return 2)))"
+        " (r (lambda () (return 1))) (r1x (lambda () (return 1))) (R1 (lambda () (return 1))))"
+        " (set! x (r1 5)) (r1 x))",
+        [
+            "1:10: procedure name 'r1' is a register name",
+            "1:39: procedure name 'r007' is a register name",
+            "1:39: 'RET' is a reserved name",
+        ],
+    ),
 ]
 
 
