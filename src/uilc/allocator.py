@@ -84,10 +84,12 @@ to it may change (``_clobber_set``): every register its code writes, the
 sets of the procedures it calls (tail calls included), the return-address
 and return-value registers and the argument registers of its read
 parameters, less the callee-saved registers it hands back.  A callee not
-yet allocated may change every caller-saved register: a member of the
-caller's own recursive group, or any callee of a fragment.  A recursive
-group's set is therefore every caller-saved register, and so is, through
-it, the set of a caller of one of its members.  A non-tail call leaves
+yet allocated may change every caller-saved register: one that reaches
+back to its caller along a cycle of calls (a self-call included), or any
+callee of a fragment.  Each procedure on a cycle calls such a callee, or
+one on the cycle whose set is already every caller-saved register, so
+its own set is every caller-saved register, and so is, through it, the
+set of every procedure that reaches a cycle.  A non-tail call leaves
 every value in a register outside its callee's set where it is (the
 callee-saved registers among them), and moves a value that lives across
 it from any other register into a free callee-saved one, storing it only
@@ -622,8 +624,9 @@ class _Allocator:
 
     def _clobber(self, callee: str) -> frozenset[int]:
         """The registers a call to `callee` may change: its clobber set, or
-        every caller-saved register for a callee not yet allocated (in the
-        caller's own recursive group, or any callee of a fragment)."""
+        every caller-saved register for a callee not yet allocated (one on
+        a cycle of calls through the caller, or any callee of a
+        fragment)."""
         regs = self.clobbers.get(callee)
         return self.caller_saved if regs is None else regs
 
@@ -635,8 +638,9 @@ class _Allocator:
         (tail calls included; `_clobber`), the return-address and
         return-value registers and the argument registers of its read
         parameters, less the callee-saved registers, which it hands back.
-        For a recursive group that is every caller-saved register: each
-        member calls one not yet allocated, or one whose set is that.
+        For a procedure on a cycle of calls that is every caller-saved
+        register: it calls one on the cycle not yet allocated, or one whose
+        set is that already.
         """
         cfg = self.cfg
         regs = {cfg.ret_addr_reg, cfg.ret_val_reg, *cfg.arg_regs[: len(proc.read_params)]}
@@ -1176,13 +1180,13 @@ def alloc_program(
     from the calling convention's initial model of their read parameters.
     Once a procedure's code is done, its clobber set (`_clobber_set`)
     tells each later caller which registers a call to it may change; a
-    call to a procedure not yet allocated, within a recursive group, may
-    change every caller-saved register.  The entry body starts from an
-    empty model, without RET, so it returns by halting and passes a halt
-    continuation to tail calls.  The code is emitted in source order,
-    entry body first, and `trace` receives the statements in the order
-    they were allocated.  Pauses the cyclic garbage collector while it
-    runs (`_gc.gc_paused`).
+    call to a procedure not yet allocated, one that reaches back to the
+    caller along a cycle of calls, may change every caller-saved register.
+    The entry body starts from an empty model, without RET, so it returns
+    by halting and passes a halt continuation to tail calls.  The code is
+    emitted in source order, entry body first, and `trace` receives the
+    statements in the order they were allocated.  Pauses the cyclic
+    garbage collector while it runs (`_gc.gc_paused`).
     """
     alloc = _Allocator(cfg, policy, trace)
     procs = {proc.name: proc for proc in ap.procs}
@@ -1191,7 +1195,8 @@ def alloc_program(
     for name in ap.order:
         proc = procs[name]
         m0 = initial_model(proc.read_params, cfg)
-        # a recursive group's parameters the body never references die on arrival
+        # a procedure called before it was annotated reads every parameter;
+        # those its body never references die on arrival
         m0.drop(set(proc.read_params).difference(proc.entry_live))
         insts, _ = alloc.body(name, proc.body, proc.by_point, proc.calls, m0, owed)
         code[name] = insts

@@ -12,16 +12,18 @@ only dead statements is dead as well, and its test reads nothing.
 Bodies have no loops, so the one walk finds every such statement.
 
 The strong liveness crosses calls.  Procedures are annotated callees
-first, in reverse topological order of the call graph, and a procedure's
+first, in a depth-first post-order of the call graph, and a procedure's
 read parameters are those live on entry to its body.  A call to an
 annotated callee passes only the arguments of its read parameters (the
 call's `passed` operands); any other argument is no reference of the
-call, so an assignment that only feeds it is dead in the same walk.  In
-a recursive group (a cycle of calls, self-calls included) every
-parameter counts as read and a call passes every argument, so no
-fixpoint is needed.  The callees-first order (``AnnotatedProgram.order``)
-is recorded for the allocator, which runs in the same order, and each
-procedure's ``recursive`` flag for ``--trace``.
+call, so an assignment that only feeds it is dead in the same walk.  A
+callee not yet annotated when its caller is (the caller itself, or one
+still on the walk's stack: the two lie on a cycle of calls) is passed
+every argument, and is then *called early*: every parameter of it counts
+as read.  Every other procedure, on a cycle or not, keeps the parameters
+live on entry, so no fixpoint is needed.  The callees-first order
+(``AnnotatedProgram.order``) is recorded for the allocator, which runs
+in the same order.
 
 Points are pre-order, branches then-before-else; the walk hands them out
 from the end of the body down, and enters each statement in its body's
@@ -37,7 +39,7 @@ joins need no fixpoint iteration.
 from __future__ import annotations
 
 import math
-from collections.abc import KeysView
+from collections.abc import Iterator, KeysView
 from dataclasses import dataclass, field
 
 from ._gc import gc_paused
@@ -109,10 +111,8 @@ class AnnotatedProc:
     # parameters never referenced at all have no ending to record
     entry_live: frozenset[str]
     # the parameters a caller passes, in order: those in `entry_live`, or
-    # every one in a recursive group
+    # every one for a procedure called before it was annotated
     read_params: tuple[str, ...]
-    # in a recursive group of the call graph (a cycle, self-calls included)
-    recursive: bool
 
 
 @dataclass(frozen=True)
@@ -124,9 +124,9 @@ class AnnotatedProgram:
     # the calls of `entry` (branches included), tail calls too
     entry_calls: tuple[AnnotatedStatement, ...] = field(compare=False, repr=False)
     procs: tuple[AnnotatedProc, ...]
-    # the procedure names callees first (reverse topological order of the
-    # call graph, a recursive group's members together); `procs` keeps
-    # source order
+    # the procedure names callees first (a depth-first post-order of the
+    # call graph: a procedure comes after each callee that does not reach
+    # back to it); `procs` keeps source order
     order: tuple[str, ...]
 
 
@@ -276,28 +276,29 @@ def annotate(p: Program) -> AnnotatedProgram:
     """Annotate a validated program with ending sets, next uses, tails,
     dead statements, read parameters and passed arguments.
 
-    Procedures are annotated callees first (`_call_groups`), so that each
-    call knows which arguments its callee reads; that order is recorded as
-    `order` (the allocator runs in it too), and `procs` keeps source
-    order.  Each procedure body (and the entry body) is numbered
+    Procedures are annotated callees first (`_callees_first`), so that
+    each call knows which arguments its callee reads; that order is
+    recorded as `order` (the allocator runs in it too), and `procs` keeps
+    source order.  A procedure called before it was annotated reads every
+    parameter.  Each procedure body (and the entry body) is numbered
     independently in pre-order, branches then-before-else, and ends its
     frame.  Pauses the cyclic garbage collector while it runs
     (`_gc.gc_paused`).
     """
     # callee -> positions of the arguments a call passes, recorded as each
-    # procedure is annotated; a recursive one reads every parameter, and a
-    # callee not yet annotated (a member of the caller's own recursive
-    # group) is absent, so either is passed every argument
+    # procedure is annotated; a callee not yet annotated is absent, so its
+    # callers pass it every argument, and it is called early
     passes: dict[str, tuple[int, ...]] = {}
+    early: set[str] = set()
     procs: dict[str, AnnotatedProc] = {}
-    for group, recursive in _call_groups(p.definitions):
-        for d, size in group:
-            body, by_point, calls, entry_uses = _annotate_sequence(d.body, size, True, passes)
-            read = d.params if recursive else tuple([v for v in d.params if v in entry_uses])
-            procs[d.name] = AnnotatedProc(
-                d.name, d.params, body, by_point, calls, frozenset(entry_uses), read, recursive
-            )
-            passes[d.name] = tuple([i for i, v in enumerate(d.params) if v in read])
+    for d, size in _callees_first(p.definitions):
+        body, by_point, calls, entry_uses = _annotate_sequence(d.body, size, True, passes)
+        early.update([a.stmt.callee for a in calls if a.stmt.callee not in passes])
+        read = d.params if d.name in early else tuple([v for v in d.params if v in entry_uses])
+        procs[d.name] = AnnotatedProc(
+            d.name, d.params, body, by_point, calls, frozenset(entry_uses), read
+        )
+        passes[d.name] = tuple([i for i, v in enumerate(d.params) if v in read])
     entry, by_point, calls, _ = _annotate_sequence(p.body, count_statements(p.body), True, passes)
     return AnnotatedProgram(
         p, entry, by_point, calls, tuple([procs[d.name] for d in p.definitions]), tuple(procs)
@@ -316,62 +317,37 @@ def _scan(body: tuple[Statement, ...], callees: dict[str, None]) -> int:
     return n
 
 
-def _call_groups(definitions) -> list[tuple[list[tuple[Definition, int]], bool]]:
-    """The strongly connected components of the call graph, callees first:
-    each is a list of (definition, statement count), with whether it is
-    recursive (a cycle, self-calls included).
+def _callees_first(definitions) -> Iterator[tuple[Definition, int]]:
+    """Each definition with its statement count, callees first: a
+    depth-first post-order of the call graph, roots in source order and
+    callees in order of first call.
 
-    Tarjan's algorithm, with an explicit stack: it closes a component only
-    after every component it reaches, so the list is in reverse
-    topological order.  Roots go in source order.  The members of a
-    recursive component pass each other every argument, so their own
-    order does not matter.  A closed procedure's index is raised past
-    every other, so it never lowers a low-link.
+    A procedure comes after every callee but one still on the walk's
+    stack, which reaches back to it.  An undefined callee is passed over
+    (`validate` reports it).  The walk keeps its own stack, so a long
+    chain of calls cannot exhaust Python's.
     """
     calls: dict[str, tuple[Definition, int, dict[str, None]]] = {}
     for d in definitions:
         callees: dict[str, None] = {}
         calls[d.name] = (d, _scan(d.body, callees), callees)
-    closed = len(calls)
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    stack: list[str] = []
-    groups = []
+    seen: set[str] = set()
     for root in calls:
-        if root in index:
+        if root in seen:
             continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
+        seen.add(root)
         work = [(root, iter(calls[root][2]))]
         while work:
             v, callees = work[-1]
             for w in callees:
-                if w not in index:
-                    if w not in calls:  # undefined: `validate` reports it
-                        continue
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
+                if w not in seen and w in calls:
+                    seen.add(w)
                     work.append((w, iter(calls[w][2])))
                     break
-                if index[w] < low[v]:
-                    low[v] = index[w]
             else:
                 work.pop()
-                if work:
-                    u = work[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                if low[v] == index[v]:
-                    group = []
-                    while True:
-                        w = stack.pop()
-                        index[w] = closed
-                        d, size, _ = calls[w]
-                        group.append((d, size))
-                        if w == v:
-                            break
-                    groups.append((group, len(group) > 1 or v in calls[v][2]))
-    return groups
+                d, size, _ = calls[v]
+                yield d, size
 
 
 def annotate_statements(stmts: tuple[Statement, ...]) -> tuple[AnnotatedStatement, ...]:

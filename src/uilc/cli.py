@@ -98,7 +98,7 @@ def _print_trace(
                 print(f"; {scope}: unread parameters: {', '.join(unread) or 'none'}")
                 if scope in clobbers:
                     regs = ", ".join(f"r{r}" for r in sorted(clobbers[scope]))
-                    print(f"; {scope}: clobbers {'all caller-saved' if proc.recursive else regs}")
+                    print(f"; {scope}: clobbers {regs}")
         print(f"; {entry.scope} #{entry.point}: {entry.stmt}")
         if entry.dead is not None:
             print(f";   dead: {entry.dead}")

@@ -623,6 +623,12 @@ def validate(p: Program) -> list[Diagnostic]:
             diags.append(Diagnostic(f"'{RESERVED_NAME}' is a reserved name", d.pos))
 
     for d in p.definitions:
+        # a call names its callee, so a parameter would read as live
+        for v in d.params:
+            if v in arities:
+                diags.append(
+                    Diagnostic(f"parameter '{v}' of '{d.name}' is a procedure name", d.pos)
+                )
         if not d.body:
             diags.append(Diagnostic(f"procedure '{d.name}' has an empty body", d.pos))
             continue

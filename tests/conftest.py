@@ -37,6 +37,33 @@ CHAIN_SRC = """
   (f x z))
 """
 
+# A 3-cycle a -> b -> c -> a.  The callees-first walk annotates c, b, then
+# a, so c and b know what their callees read: c drops y, and b drops u and
+# v.  c calls a before a is annotated, so a is passed every argument.
+CYCLE3_SRC = """
+(letrec ((a (lambda (n p q)
+           (if (< n 1)
+             (begin (return p))
+             (begin (set! m (- n 1)) (set! s (+ p q)) (b m s q)))))
+         (b (lambda (n u v) (set! t (+ n 1)) (set! r (c n t u)) (set! w (+ r t)) (return w)))
+         (c (lambda (n w y) (set! k (+ w 2)) (a n k n))))
+  (set! x (mref 0 0)) (set! r (a 5 x 3)) (mset! 0 1 r) (return r))
+"""
+
+# A diamond cycle a -> b, a -> c, b -> a, c -> a.  The walk leaves b, then
+# c, then a (Tarjan's components would close c before b); b and c call a
+# before a is annotated, and drop q and p.
+DIAMOND_SRC = """
+(letrec ((a (lambda (n x y)
+           (if (< n 1)
+             (begin (return x))
+             (begin (set! m (- n 1)) (set! u (b m x y)) (set! v (c m u y))
+                    (set! s (+ u v)) (return s)))))
+         (b (lambda (n p q) (set! t (+ p 1)) (a n t n)))
+         (c (lambda (n p q) (set! t (* q 2)) (a n t t))))
+  (set! x (mref 0 0)) (set! y (mref 0 1)) (set! r (a 4 x y)) (mset! 0 2 r) (return r))
+"""
+
 
 def nested_ifs(levels):
     """Entry body with `levels` nested non-tail ifs on one line.

