@@ -288,51 +288,47 @@ def _value_into_reg(r: int, src: MoveSrc) -> Inst:
 def _sequence_moves(
     moves: list[tuple[MoveSrc, MoveDst]],
     cfg: MachineConfig,
-    pinned_regs=(),
     busy_slots=(),
 ) -> list[Inst]:
-    """Emit instructions realizing the moves as if simultaneous.
+    """Emit instructions realizing a set of simultaneous moves.
 
-    The mapping is broken into paths and loops.  A path of k locations
-    costs k-1 single moves, emitted deepest destination first; each loop
-    costs one extra instruction that parks its entry value in a free
-    register (or a scratch stack slot when none is free).
+    The moves are a set: each location is the destination of one move at
+    most, and their order never changes the code.  An identity move
+    ``(loc, loc)`` emits nothing: `loc` already holds its final value, so
+    the sequence must keep it, which is how a caller pins a register.
+    ``busy_slots`` are occupied frame slots that scratch must avoid.
 
-    A leg into a slot from anything but a register passes through a
-    temporary: a register that is not pinned, not a pending source and
-    not yet written (a destination register still waiting for its value
-    holds a dead one).  Ready legs therefore go in the order that keeps a
-    temporary for the legs that need one, then by location index:
-    register <- register, then slot <- register (a store, which can free
-    its source), then slot <- slot/immediate/label while a temporary is
-    free, and last register <- slot/immediate/label.  A slot leg that
-    finds no temporary waits while any other leg is ready.  When nothing
-    else is ready it first moves a parked loop value out to a scratch
-    slot, which frees that register; only when no register holds a parked
-    value does it borrow one.  The borrowed register is the lowest one
-    that no pending leg reads: it is stored to a scratch slot once, serves
-    as the temporary for every later leg, and is reloaded once, last.
-    When every register is still read, r0 is spilled around the one leg.
+    The other moves (the legs) form paths and loops.  A path of k
+    locations costs k-1 single moves, emitted deepest destination first;
+    each loop costs one extra instruction that parks the value of its
+    least location (registers before slots, then by index) in a free
+    register, or in a scratch slot when none is free.
 
-    ``pinned_regs`` hold values that must survive the whole sequence;
-    pinning a destination register changes nothing, as its old value dies
-    at its leg anyway.  ``busy_slots`` are occupied frame slots scratch
-    must avoid.
+    Ready legs go in order of least (rank, index): register <- register
+    (rank 0), slot <- register (1, a store, which can free its source),
+    slot <- slot/immediate/label (2), register <- slot/immediate/label
+    (3).  Ranks 0 and 3 write registers and 1 and 2 slots, so the key is
+    unique per leg, and the loop entry and every register or slot picked
+    below is the least one that serves: nothing depends on move order.
+
+    A rank-2 leg passes through a temporary, the lowest register that is
+    not live (`_Shuffle`).  When none is free, it first moves a parked
+    loop value out to a scratch slot, which frees that register; only when
+    no register holds a parked value does it borrow one.  The borrowed
+    register is the lowest one that no pending leg reads: it is stored to
+    a scratch slot once, serves as the temporary for every later leg, and
+    is reloaded once, last.  When every register is still read, r0 is
+    spilled around the one leg.
     """
     pending: dict[MoveDst, MoveSrc] = {}
-    written: set[int] = set()
-    identity_slots: set[int] = set()
+    kept: set[MoveDst] = set()  # the destinations of identity moves
     for src, dst in moves:
-        if dst in pending:
+        if dst in pending or dst in kept:
             raise AllocError(f"overlapping shuffle destinations at {dst}")
         if src is dst:
-            # already holds its final value; the location must survive
-            if type(dst) is Reg:
-                written.add(dst.i)
-            else:
-                identity_slots.add(dst.i)
-            continue
-        pending[dst] = src
+            kept.add(dst)
+        else:
+            pending[dst] = src
     if len(pending) <= 1:  # most shuffles: no leg, or one that needs no temporary
         if not pending:
             return []
@@ -341,7 +337,7 @@ def _sequence_moves(
             return [_value_into_reg(dst.i, src)]
         if type(src) is Reg:
             return [Store(dst.i, src.i)]
-    return _Shuffle(pending, written, identity_slots, cfg.registers, pinned_regs, busy_slots).run()
+    return _Shuffle(pending, kept, cfg.registers, busy_slots).run()
 
 
 class _Shuffle:
@@ -349,18 +345,27 @@ class _Shuffle:
 
     ``src_count`` counts the pending readers of each register or slot, and
     ``ready`` lists the pending destinations that no pending leg reads;
-    both are kept up to date leg by leg.  A register is a free temporary
-    when it is neither ``live`` (pinned, a pending source, or written by a
-    leg) nor ``written`` (written by a leg, or already holding its final
-    value).
+    both are kept up to date leg by leg.  A register is ``live`` while it
+    holds a value the sequence still needs: it is ``pinned`` (the
+    destination of an identity move), a pending source, parked, or written
+    by a leg.  A written register stays live: no leg reads it again.  Any
+    other register is a free temporary.  Two facts make this one set
+    enough:
+
+    * a ready destination register is read by no pending leg, and is not
+      pinned, parked or written before its own leg, so it is free: when no
+      temporary is free, no register leg is ready, and the only ready legs
+      besides rank 2 are stores (rank 1);
+    * in a loop no leg is ready, so every pending destination register is
+      some leg's source and live: a parked value never lands in one.
     """
 
     __slots__ = (
         "pending", "src_count", "ready", "registers", "pinned", "live",
-        "written", "parked", "busy_slots", "used_slots", "insts", "restore",
+        "parked", "busy_slots", "used_slots", "insts", "restore",
     )
 
-    def __init__(self, pending, written, identity_slots, registers, pinned_regs, busy_slots):
+    def __init__(self, pending, kept, registers, busy_slots):
         src_count: dict[MoveSrc, int] = {}
         for src in pending.values():
             if type(src) is Reg or type(src) is Slot:
@@ -369,13 +374,13 @@ class _Shuffle:
         self.src_count = src_count
         self.ready = [d for d in pending if d not in src_count]
         self.registers = registers
-        self.pinned = set(pinned_regs).difference(d.i for d in pending if type(d) is Reg)
+        self.pinned = {loc.i for loc in kept if type(loc) is Reg}
         self.live = self.pinned | {s.i for s in src_count if type(s) is Reg}
-        self.written = written
         self.parked: set[int] = set()  # registers holding a loop's entry value
         # the frame's occupied slots stay a view: only a scratch slot reads them
         self.busy_slots = busy_slots
-        used = identity_slots  # plus the legs' slots and the scratch slots taken
+        # the identity moves' slots, the legs' slots and the scratch slots taken
+        used = {loc.i for loc in kept if type(loc) is Slot}
         used.update(loc.i for loc in pending if type(loc) is Slot)
         used.update(loc.i for loc in src_count if type(loc) is Slot)
         self.used_slots = used
@@ -384,25 +389,18 @@ class _Shuffle:
 
     def run(self) -> list[Inst]:
         pending, ready, src_count = self.pending, self.ready, self.src_count
-        live, written, insts = self.live, self.written, self.insts
+        live, insts = self.live, self.insts
         while pending:
             if not ready:
                 self._break_loop()
                 continue
-            # the ready leg of least (rank, index); ranks 0..3 as documented,
-            # 4 for a slot leg that finds no temporary
+            # the ready leg of least (rank, index), ranks as documented
             best = None
-            temp = -1  # the free temporary, looked up at most once a step
             for d in ready:
-                s = pending[d]
-                if type(s) is Reg:
+                if type(pending[d]) is Reg:
                     key = (0 if type(d) is Reg else 1, d.i)
-                elif type(d) is Reg:
-                    key = (3, d.i)
                 else:
-                    if temp == -1:
-                        temp = self._temp()
-                    key = (2 if temp is not None else 4, d.i)
+                    key = (3 if type(d) is Reg else 2, d.i)
                 if best is None or key < best_key:
                     best, best_key = d, key
             d = best
@@ -410,12 +408,11 @@ class _Shuffle:
             ready.remove(d)
             if type(d) is Reg:
                 insts.append(_value_into_reg(d.i, s))
-                written.add(d.i)
                 live.add(d.i)
             elif type(s) is Reg:
                 insts.append(Store(d.i, s.i))
             else:
-                self._through_temp(d.i, s, temp)
+                self._through_temp(d.i, s)
             if type(s) is Reg or type(s) is Slot:
                 n = src_count[s] - 1
                 if n:
@@ -424,11 +421,11 @@ class _Shuffle:
                     self._release(s)
         return insts + self.restore
 
-    def _temp(self, avoid=()) -> int | None:
-        """The lowest free temporary that is not in `avoid`."""
-        live, written = self.live, self.written
+    def _temp(self) -> int | None:
+        """The lowest free temporary: a register that is not live."""
+        live = self.live
         for r in range(self.registers):
-            if r not in live and r not in written and r not in avoid:
+            if r not in live:
                 return r
         return None
 
@@ -458,10 +455,11 @@ class _Shuffle:
                 src_count[new] = src_count.get(new, 0) + 1
         self._release(old)
 
-    def _through_temp(self, dst: int, src: MoveSrc, t: int | None) -> None:
-        """Emit slot `dst` <- `src` through the temporary `t`, or through a
-        parked, borrowed or spilled register when `t` is None."""
+    def _through_temp(self, dst: int, src: MoveSrc) -> None:
+        """Emit slot `dst` <- `src` through a free temporary, or through a
+        parked, borrowed or spilled register when none is free."""
         insts = self.insts
+        t = self._temp()
         if t is None and self.parked:
             # move a parked loop value out to the stack to free its register
             t = min(self.parked)
@@ -494,19 +492,16 @@ class _Shuffle:
                 self.insts.append(Store(keep, b))
                 self.restore.append(Load(b, keep))
                 self.pinned.discard(b)
-                self.written.discard(b)
                 self.live.discard(b)
                 return b
         return None
 
     def _break_loop(self) -> None:
         """Every pending destination is still someone's source: a loop.
-        Park the entry value in a temporary and redirect its readers.  A
-        destination register is no temporary here: parked, it would become
-        a source and hold up its own leg."""
-        pending = self.pending
-        d0 = min(pending, key=_loc_key)
-        t = self._temp({d.i for d in pending if type(d) is Reg})
+        Park the value of its least location in a temporary and redirect
+        its readers."""
+        d0 = min(self.pending, key=_loc_key)
+        t = self._temp()
         if t is not None:
             self.insts.append(_value_into_reg(t, d0))
             self.live.add(t)
@@ -517,7 +512,7 @@ class _Shuffle:
         if type(d0) is Reg:
             self.insts.append(Store(keep, d0.i))
         else:
-            self._through_temp(keep, d0, self._temp())
+            self._through_temp(keep, d0)
         self._redirect(d0, Slot(keep))
 
 
@@ -884,13 +879,8 @@ class _Allocator:
                 taken.add(i)
         return homes
 
-    def _seq(self, moves, m: Model, pinned_regs=()) -> list[Inst]:
-        return _sequence_moves(
-            moves,
-            self.cfg,
-            pinned_regs=pinned_regs,
-            busy_slots=m.slot_owner.keys(),
-        )
+    def _seq(self, moves, m: Model) -> list[Inst]:
+        return _sequence_moves(moves, self.cfg, busy_slots=m.slot_owner.keys())
 
     # -- statement dispatch --------------------------------------------------
 
@@ -1013,26 +1003,18 @@ class _Allocator:
             insts.extend(then_insts)
             return insts, m3
 
-        # make the then side conform to the else side's final model: only
-        # a variable whose register or slot differs between the two needs
-        # a move (a variable unbound in the then branch differs).  Each
-        # branch has dropped what ends in it, so both models bind only the
-        # values live after the `if`, RET and the debts
-        regs2, slots2 = m2.regmap, m2.stackmap
-        differ = {v for v, r in m3.regmap.items() if regs2.get(v) != r}
-        differ.update([v for v, i in m3.stackmap.items() if slots2.get(v) != i])
-        moves: list[tuple[MoveSrc, MoveDst]] = []
-        for v in sorted(differ):
-            if not m2.is_bound(v):
-                raise AllocError(f"'{v}' live at join but unbound in the then branch")
-            src = m2.whereis(v)
-            rdst = m3.reg_of(v)
-            sdst = m3.slot_of(v)
-            if rdst is not None and m2.reg_of(v) != rdst:
-                moves.append((src, Reg(rdst)))
-            if sdst is not None and m2.slot_of(v) != sdst:
-                moves.append((src, Slot(sdst)))
-        shuffle_insts = self._seq(moves, m2, pinned_regs=m3.reg_owner.keys())
+        # make the then side conform to the else side's final model: a
+        # move into each register of m3 (an identity, which pins it, where
+        # m2 agrees) and into each slot of m3 that m2 does not already
+        # use for the same value.  Each branch has dropped what ends in it,
+        # so both models bind only the values live after the `if`, RET and
+        # the debts
+        slots2 = m2.stackmap
+        moves: list[tuple[MoveSrc, MoveDst]] = [
+            (m2.whereis(v), Reg(r)) for v, r in m3.regmap.items()
+        ]
+        moves += [(m2.whereis(v), Slot(i)) for v, i in m3.stackmap.items() if slots2.get(v) != i]
+        shuffle_insts = self._seq(moves, m2)
 
         end_label = self._fresh_label()
         insts.extend(else_insts)
@@ -1093,10 +1075,12 @@ class _Allocator:
         lab1 = self._fresh_label()
         moves.append((LabelArg(lab1), Reg(cfg.ret_addr_reg)))
 
-        # the callee leaves every register outside `clobber` as it is
+        # the callee leaves every register outside `clobber` as it is, so
+        # the shuffle keeps each one's value in place (an identity move)
+        moves += [(Reg(r), Reg(r)) for r in m.reg_owner if r not in clobber]
+        insts = self._seq(moves, m)
         moved = {v: h.i for v, h in homes.items() if type(h) is Reg}
         stay = {v: moved.get(v, r) for v, r in m.regmap.items() if r not in clobber or v in moved}
-        insts = self._seq(moves, m, pinned_regs=stay.values())
         if k:
             insts.append(FrameAdjust(k))
         insts.append(Jump(s.callee))

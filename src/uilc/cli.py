@@ -54,13 +54,14 @@ def _distinct(flag: str, values: list) -> list:
     return values
 
 
-def _configs(registers: str) -> list[MachineConfig]:
-    """One configuration per register count of a comma-separated list."""
+def _configs(registers: str, low: int = 1) -> list[MachineConfig]:
+    """One configuration per register count of a comma-separated list, each
+    count at least `low`."""
     try:
         counts = [int(r) for r in registers.split(",")]
     except ValueError:
         raise CliError(f"--registers must be comma-separated integers, not {registers!r}")
-    return [_config(r) for r in _distinct("--registers", counts)]
+    return [make_config(_at_least("--registers", r, low)) for r in _distinct("--registers", counts)]
 
 
 def _load(path: str) -> tuple[Program, AnnotatedProgram]:
@@ -254,7 +255,9 @@ def cmd_compare(args) -> int:
 def cmd_fuzz(args) -> int:
     count = _at_least("--count", args.count, 0)
     fuel = _at_least("--fuel", args.fuel, 1)
-    configs = _configs(args.registers)
+    # at R=1 the return address and the result share r0, so no program
+    # with a procedure allocates
+    configs = _configs(args.registers, 2)
     failures = []
     checked = 0
     for i in range(count):

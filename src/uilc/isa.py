@@ -239,58 +239,77 @@ def _parse_src(tok: str) -> Src:
     raise AsmError(f"expected a register or immediate, got {tok!r}")
 
 
+def _parse_int(tok: str) -> int:
+    if not _INT_RE.match(tok):
+        raise AsmError(f"expected an integer, got {tok!r}")
+    return int(tok)
+
+
+# the operand count of each mnemonic
+_ARITY = {
+    "move": 2, "loadimm": 2, "load": 2, "store": 2, "mload": 3, "mstore": 3,
+    "jmp": 1, "loadlabel": 2, "fp+=": 1, "halt": 0,
+    **dict.fromkeys(_MNEMONIC_BINOP, 3),
+    **dict.fromkeys(_MNEMONIC_REL, 3),
+}
+
+
 def parse_asm(text: str) -> list[Inst]:
-    """Parse assembly text back into instructions (inverse of format_insts)."""
+    """Parse assembly text back into instructions (inverse of format_insts).
+
+    A line with an unknown mnemonic, too few or too many operands, or an
+    operand of the wrong kind raises AsmError naming the line.
+    """
     insts: list[Inst] = []
-    for raw in text.splitlines():
+    for n, raw in enumerate(text.splitlines(), 1):
         line = raw.split(";", 1)[0].strip()
         if not line:
             continue
-        if line.endswith(":"):
-            insts.append(LabelDef(line[:-1]))
-            continue
-        if line.startswith("fp+="):
-            insts.append(FrameAdjust(int(line[len("fp+=") :].strip())))
-            continue
-        parts = line.replace(",", " ").split()
-        op, args = parts[0], parts[1:]
-        if op == "move":
-            insts.append(Move(_parse_reg(args[0]), _parse_reg(args[1])))
-        elif op == "loadimm":
-            insts.append(LoadImm(_parse_reg(args[0]), int(args[1])))
-        elif op == "load":
-            insts.append(Load(_parse_reg(args[0]), _parse_slot(args[1])))
-        elif op == "store":
-            insts.append(Store(_parse_slot(args[0]), _parse_reg(args[1])))
-        elif op in _MNEMONIC_BINOP:
-            insts.append(
-                BinOpInst(
-                    _MNEMONIC_BINOP[op],
-                    _parse_reg(args[0]),
-                    _parse_src(args[1]),
-                    _parse_src(args[2]),
-                )
-            )
-        elif op == "mload":
-            insts.append(MemLoad(_parse_reg(args[0]), _parse_src(args[1]), _parse_src(args[2])))
-        elif op == "mstore":
-            insts.append(MemStore(_parse_src(args[0]), _parse_src(args[1]), _parse_src(args[2])))
-        elif op in _MNEMONIC_REL:
-            insts.append(
-                CondJump(_MNEMONIC_REL[op], _parse_src(args[0]), _parse_src(args[1]), args[2])
-            )
-        elif op == "jmp":
-            if _REG_RE.match(args[0]):
-                insts.append(Jump(Reg(int(_REG_RE.match(args[0]).group(1)))))
-            else:
-                insts.append(Jump(args[0]))
-        elif op == "loadlabel":
-            insts.append(LoadLabel(_parse_reg(args[0]), args[1]))
-        elif op == "halt":
-            insts.append(Halt())
-        else:
-            raise AsmError(f"unknown mnemonic {op!r}")
+        try:
+            insts.append(_parse_line(line))
+        except AsmError as e:
+            raise AsmError(f"line {n}: {line!r}: {e}") from None
     return insts
+
+
+def _parse_line(line: str) -> Inst:
+    if line.endswith(":"):
+        return LabelDef(line[:-1])
+    if line.startswith("fp+="):  # the delta may follow without a space
+        op, args = "fp+=", line[len("fp+=") :].split()
+    else:
+        op, *args = line.replace(",", " ").split()
+    arity = _ARITY.get(op)
+    if arity is None:
+        raise AsmError(f"unknown mnemonic {op!r}")
+    if len(args) != arity:
+        raise AsmError(f"{op} takes {arity} operand(s), got {len(args)}")
+    if op == "move":
+        return Move(_parse_reg(args[0]), _parse_reg(args[1]))
+    if op == "loadimm":
+        return LoadImm(_parse_reg(args[0]), _parse_int(args[1]))
+    if op == "load":
+        return Load(_parse_reg(args[0]), _parse_slot(args[1]))
+    if op == "store":
+        return Store(_parse_slot(args[0]), _parse_reg(args[1]))
+    if op in _MNEMONIC_BINOP:
+        return BinOpInst(
+            _MNEMONIC_BINOP[op], _parse_reg(args[0]), _parse_src(args[1]), _parse_src(args[2])
+        )
+    if op == "mload":
+        return MemLoad(_parse_reg(args[0]), _parse_src(args[1]), _parse_src(args[2]))
+    if op == "mstore":
+        return MemStore(_parse_src(args[0]), _parse_src(args[1]), _parse_src(args[2]))
+    if op in _MNEMONIC_REL:
+        return CondJump(_MNEMONIC_REL[op], _parse_src(args[0]), _parse_src(args[1]), args[2])
+    if op == "jmp":
+        m = _REG_RE.match(args[0])
+        return Jump(Reg(int(m.group(1))) if m else args[0])
+    if op == "loadlabel":
+        return LoadLabel(_parse_reg(args[0]), args[1])
+    if op == "fp+=":
+        return FrameAdjust(_parse_int(args[0]))
+    return Halt()
 
 
 def static_traffic(insts: list[Inst]) -> tuple[int, int, int]:

@@ -373,17 +373,21 @@ def test_shuffle_loop_plus_path_instruction_count():
 
 
 def test_shuffle_identity_emits_nothing():
-    assert _sequence_moves([(Reg(1), Reg(1))], make_config(2), pinned_regs={1}) == []
+    assert _sequence_moves([(Reg(1), Reg(1))], make_config(2)) == []
 
 
 def test_shuffle_rejects_overlapping_destinations():
     with pytest.raises(AllocError, match="overlapping"):
         _sequence_moves([(Reg(0), Reg(2)), (Reg(1), Reg(2))], make_config(4))
+    # an identity move pins its location: a second move into it contradicts it
+    for moves in ([(Reg(2), Reg(2)), (Reg(1), Reg(2))], [(Slot(0), Slot(1)), (Slot(1), Slot(1))]):
+        with pytest.raises(AllocError, match="overlapping"):
+            _sequence_moves(moves, make_config(4))
 
 
 def test_shuffle_swap_needs_temporary():
     cfg = make_config(8)
-    insts = _sequence_moves([(Reg(0), Reg(1)), (Reg(1), Reg(0))], cfg, pinned_regs={0, 1})
+    insts = _sequence_moves([(Reg(0), Reg(1)), (Reg(1), Reg(0))], cfg)
     assert len(insts) == 3  # n + l = 2 + 1
     machine = run_insts(insts, cfg, regs=[5, 6, 0, 0, 0, 0, 0, 0])
     assert machine.regs[0] == 6 and machine.regs[1] == 5
@@ -392,8 +396,8 @@ def test_shuffle_swap_needs_temporary():
 def test_shuffle_register_starved_swap_borrows_through_stack():
     # every register is pinned: a slot swap must spill one around the legs
     cfg = make_config(2)
-    moves = [(Slot(0), Slot(1)), (Slot(1), Slot(0))]
-    insts = _sequence_moves(moves, cfg, pinned_regs={0, 1}, busy_slots={0, 1})
+    moves = [(Slot(0), Slot(1)), (Slot(1), Slot(0)), (Reg(0), Reg(0)), (Reg(1), Reg(1))]
+    insts = _sequence_moves(moves, cfg, busy_slots={0, 1})
     machine = run_insts(insts, cfg, regs=[70, 71], stack=[1, 2])
     assert machine.stack[0] == 2 and machine.stack[1] == 1
     assert machine.regs == [70, 71]  # pinned values restored
@@ -404,8 +408,8 @@ def test_shuffle_borrows_once_for_many_slot_legs():
     # both registers pinned, two slot <- slot legs: r0 goes out to a
     # scratch slot once, carries both legs, and comes back once at the end
     cfg = make_config(2)
-    moves = [(Slot(0), Slot(2)), (Slot(1), Slot(3))]
-    insts = _sequence_moves(moves, cfg, pinned_regs={0, 1}, busy_slots={0, 1})
+    moves = [(Slot(0), Slot(2)), (Slot(1), Slot(3)), (Reg(0), Reg(0)), (Reg(1), Reg(1))]
+    insts = _sequence_moves(moves, cfg, busy_slots={0, 1})
     assert insts == [
         Store(4, 0),
         Load(0, 0),
@@ -514,8 +518,10 @@ def test_shuffle_realizes_simultaneous_assignment(seed):
         locations = [Reg(i) for i in range(cfg.registers)] + [Slot(i) for i in range(5)]
         moves = _random_moves(rng, locations)
         pinned = {r for r in range(cfg.registers) if rng.random() < 0.4}
+        dsts = {dst for _, dst in moves}
+        moves += [(Reg(r), Reg(r)) for r in pinned if Reg(r) not in dsts]
         busy = {i for i in range(7) if rng.random() < 0.3}
-        insts = _sequence_moves(moves, cfg, pinned_regs=pinned, busy_slots=busy)
+        insts = _sequence_moves(moves, cfg, busy_slots=busy)
         regs = [1000 + i for i in range(cfg.registers)]
         stack = [2000 + i for i in range(7)]
         code = insts + [LabelDef(lbl) for lbl in LABELS]
@@ -540,6 +546,57 @@ def test_shuffle_realizes_simultaneous_assignment(seed):
 def test_sequence_handles_label_sources():
     insts = _sequence_moves([(LabelArg("L1"), Reg(0))], make_config(2))
     assert [opcode_name(i) for i in insts] == ["loadlabel"]
+
+
+def _shuffle_case(rng):
+    """A random set of moves at R1-8 (paths, loops, immediates, labels and
+    identity legs), registers pinned by identity moves, and busy slots.
+    One case in fifty moves two values into one destination."""
+    cfg = make_config(rng.randint(1, 8))
+    locations = [Reg(i) for i in range(cfg.registers)] + [Slot(i) for i in range(6)]
+    moves = _random_moves(rng, locations)
+    dsts = {dst for _, dst in moves}
+    moves += [
+        (Reg(r), Reg(r)) for r in range(cfg.registers) if rng.random() < 0.4 and Reg(r) not in dsts
+    ]
+    legs = [dst for src, dst in moves if src is not dst]
+    if legs and rng.random() < 0.02:
+        moves.append((rng.randint(-9, 9), rng.choice(legs)))
+    busy = sorted(i for i in range(8) if rng.random() < 0.3)
+    return cfg, moves, busy
+
+
+def _shuffle_outcome(cfg, moves, busy) -> str:
+    """The sequencer's code for the moves as text, or its error."""
+    try:
+        return format_insts(_sequence_moves(moves, cfg, busy_slots=busy))
+    except AllocError as e:
+        return f"error: {e}"
+
+
+# sha256 over 10,000 `_shuffle_case`s (seed 0) of each case and its outcome
+SHUFFLE_SHA256 = "8ab9fffb48c616816f2fc4d128a20e52e93f05f749550f1c28e79bada612ce24"
+
+
+def test_shuffle_outcomes_are_pinned():
+    rng = random.Random(0)
+    digest = hashlib.sha256()
+    for _ in range(10_000):
+        cfg, moves, busy = _shuffle_case(rng)
+        outcome = _shuffle_outcome(cfg, moves, busy)
+        digest.update(f"R{cfg.registers} {moves} {busy}\n{outcome}\n".encode())
+    assert digest.hexdigest() == SHUFFLE_SHA256
+
+
+def test_shuffle_outcome_ignores_move_order():
+    # the moves are a set: the join and the call pass them in any order
+    rng = random.Random(1)
+    for case in range(2000):
+        cfg, moves, busy = _shuffle_case(rng)
+        want = _shuffle_outcome(cfg, moves, busy)
+        for _ in range(3):
+            rng.shuffle(moves)
+            assert _shuffle_outcome(cfg, moves, busy) == want, (case, moves, busy)
 
 
 # ---------------------------------------------------------------------------

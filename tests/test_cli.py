@@ -409,11 +409,16 @@ def test_fuzz_sweeps_the_listed_register_counts(capsys, monkeypatch):
     assert code == 0 and sorted(set(seen)) == [3, 4, 8]
 
 
-@pytest.mark.parametrize("registers", ["0", "2,0", "2,x", ""])
-def test_fuzz_bad_register_list_exits_one(capsys, registers):
+@pytest.mark.parametrize("registers", ["0", "2,0", "2,x", "", "1", "2,1"])
+def test_fuzz_bad_register_list_exits_one(capsys, tmp_path, monkeypatch, registers):
+    monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, "fuzz", "--count", "1", "--registers", registers)
     assert (code, out) == (1, "")
     assert err.startswith("error: --registers")
+    if registers in ("1", "2,1"):
+        # at R=1 the return address and the result share r0
+        assert err == "error: --registers must be at least 2\n"
+    assert list(tmp_path.iterdir()) == []  # no reproducer
 
 
 @pytest.mark.parametrize("registers", ["3,3", "3,4,3"])

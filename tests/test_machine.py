@@ -7,6 +7,7 @@ from uilc.allocator import alloc_program
 from uilc.analysis import annotate, annotate_statements
 from uilc.gen import generate_program, generate_straight_line
 from uilc.isa import (
+    AsmError,
     BinOpInst,
     CondJump,
     FrameAdjust,
@@ -335,6 +336,27 @@ def test_asm_round_trip_covers_every_instruction_form():
     # format_inst is each line without its indent
     lines = format_insts(insts).splitlines()
     assert [format_inst(i) for i in insts] == [line.strip() for line in lines]
+
+
+@pytest.mark.parametrize(
+    "line, why",
+    [
+        ("move r1", "move takes 2 operand(s), got 1"),
+        ("jmp", "jmp takes 1 operand(s), got 0"),
+        ("blt r1, 2", "blt takes 3 operand(s), got 2"),
+        ("loadimm r1, x", "expected an integer, got 'x'"),
+        ("fp+= x", "expected an integer, got 'x'"),
+        ("move r1, r2, r3", "move takes 2 operand(s), got 3"),
+        ("load r1 fv0 fv1", "load takes 2 operand(s), got 3"),
+        ("halt r1", "halt takes 0 operand(s), got 1"),
+        ("push r1", "unknown mnemonic 'push'"),
+        ("store r1, r2", "expected a frame slot, got 'r1'"),
+    ],
+)
+def test_parse_asm_names_the_malformed_line(line, why):
+    with pytest.raises(AsmError) as e:
+        parse_asm(f"halt\n  {line}  ; comment\nhalt\n")
+    assert str(e.value) == f"line 2: {line!r}: {why}"
 
 
 @pytest.mark.parametrize("obj", [Reg(1), "move r1, r2", None, [Halt()]])
