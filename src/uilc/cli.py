@@ -193,7 +193,7 @@ def cmd_compare(args) -> int:
             r = cfg.registers
             try:
                 oracle_loads = belady_oracle(annotated, r)
-            except ValueError:  # beyond the oracle's size, shape or register caps
+            except ValueError:  # a branch, a call, over ORACLE_MAX_VARS variables or r reads
                 oracle_loads = None
             for policy in policies:
                 try:

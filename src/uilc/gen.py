@@ -29,7 +29,8 @@ from .uil import (
 HEAP_BASE_MAX = 47
 HEAP_INDEX_MAX = 15
 MAX_VARS = 10  # variable budget of a program without pressure_vars: 4..MAX_VARS
-# generate_straight_line stays within machine.ORACLE_MAX_STMTS and ORACLE_MAX_VARS
+# generate_straight_line stays within machine.ORACLE_MAX_VARS; its short bodies keep
+# the acceptance corpus quick
 STRAIGHT_LINE_STMTS = 10
 STRAIGHT_LINE_VARS = 6
 
@@ -165,7 +166,7 @@ def generate_program(
 
 
 def generate_straight_line(seed: int) -> Program:
-    """Straight-line, entry-only program within the eviction-oracle bounds.
+    """Straight-line, entry-only program within the eviction oracle's variable cap.
 
     Statements reference at most two distinct variables, so allocation
     succeeds down to two registers.

@@ -5,9 +5,9 @@ relative stack, and a flat word heap, counting register-memory traffic
 as it goes.  The reference interpreter gives UIL programs their meaning
 directly, environment style.  Agreement between the two on the same
 observation (return value plus ordered heap writes) is the correctness
-criterion for an allocation; an exhaustive eviction-choice search over
-small straight-line programs provides a lower bound that the default
-replacement policy is expected to meet.
+criterion for an allocation; a forward pass over every eviction choice
+of a straight-line program of few variables gives a lower bound on its
+loads that the default replacement policy is expected to meet.
 
 Both executors decode once, then dispatch on small integers.  Faults
 that an instruction's text decides (register out of range, negative
@@ -520,118 +520,95 @@ def equivalent(
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive eviction-choice lower bound (straight-line programs)
+# Eviction-choice lower bound (straight-line programs)
 
-ORACLE_MAX_STMTS = 10
 ORACLE_MAX_VARS = 6
-ORACLE_MAX_REGS = 3
 
 
 def belady_oracle(body, R: int) -> int:
     """Minimum achievable dynamic load count over all eviction choices.
 
-    Searches every victim decision at every pressure point of a single
-    straight-line body, counting one load per register fill from the
-    stack.  Dead statements (a dead `if` with its branches) emit nothing
-    and are left out, as the allocator leaves them out.  Guarded to small
-    instances (counting the statements that are not dead); raises
-    ValueError beyond them.
+    One forward pass over a single straight-line body carries a frontier:
+    each set of register residents that some choice of victims reaches,
+    with the fewest loads (register fills from the stack) that reach it.
+    An operand that is not resident may evict any resident that is not
+    one of its statement's reads; the destination may evict any resident
+    left once the statement's endings are dropped.  What the allocator
+    emits nothing for costs nothing: a dead statement (a dead `if` with
+    its branches) is left out, a copy to a dead destination only drops
+    what ends there, and a copy whose source dies there, or a self-copy,
+    renames the source (as `allocator._rebind_copy`).  The frontier holds
+    at most 2**ORACLE_MAX_VARS sets, so the work grows linearly with the
+    statements.  Raises ValueError beyond that many variables, on a branch
+    or a call, and on a statement that reads more than R variables.
     """
     if isinstance(body, AnnotatedProgram):
         if body.procs:
             raise ValueError("oracle handles single straight-line bodies only")
         body = body.entry
-    steps: list[tuple[list[str], frozenset[str], str | None]] = []
+    steps: list[AnnotatedStatement] = []
     variables: set[str] = set()
     for a in body:
         if a.dead:  # emits nothing, as in the allocator
             continue
         if isinstance(a.stmt, (If, Call)):
             raise ValueError("oracle handles straight-line code only")
-        reads = list(dict.fromkeys(a.refs))
-        defs = a.stmt.defs()
-        variables.update(reads)
-        variables.update(defs)
-        steps.append((reads, a.ends, defs[0] if defs else None))
-    if len(steps) > ORACLE_MAX_STMTS:
-        raise ValueError(f"oracle bound exceeded: {len(steps)} statements")
+        variables.update(a.refs)
+        variables.update(a.stmt.defs())
+        steps.append(a)
     if len(variables) > ORACLE_MAX_VARS:
         raise ValueError(f"oracle bound exceeded: {len(variables)} variables")
-    if R > ORACLE_MAX_REGS:
-        raise ValueError(f"oracle bound exceeded: R={R}")
 
-    return _Oracle(steps, R).per_stmt(0, frozenset())
+    frontier = {frozenset(): 0}
+    for a in steps:
+        reads = list(dict.fromkeys(a.refs))
+        if len(reads) > R:
+            raise ValueError(f"statement needs {len(reads)} registers, R={R}")
+        s, ends = a.stmt, a.ends
+        if type(s) is Assign and type(s.rhs) is str:
+            x, y = s.dst, s.rhs
+            if x in ends:  # a dead destination: only the endings go
+                frontier = _fewest((res - ends, n) for res, n in frontier.items())
+                continue
+            if x == y or y in ends:  # x takes over y's register, if y has one
+                frontier = _fewest(
+                    ((res - {x, y}) | {x} if y in res else res - {x}, n)
+                    for res, n in frontier.items()
+                )
+                continue
+        for v in reads:
+            frontier = _fewest(
+                (after, n + (v not in res))
+                for res, n in frontier.items()
+                for after in _homes(res, v, R, res.difference(reads))
+            )
+        dst = s.dst if type(s) is Assign else None
+        gone = ends - {dst}
+        left = [(res - gone, n) for res, n in frontier.items()]
+        frontier = _fewest(
+            (after - ends, n) for res, n in left for after in _homes(res, dst, R, res)
+        )
+    return min(frontier.values())
 
 
-class _Oracle:
-    """The search of one `belady_oracle` call over its statements.
+def _fewest(pairs) -> dict[frozenset[str], int]:
+    """Each resident set of the (set, loads) `pairs`, with its fewest loads."""
+    best: dict[frozenset[str], int] = {}
+    for res, n in pairs:
+        if n < best.get(res, n + 1):
+            best[res] = n
+    return best
 
-    ``memo`` maps (statement index, residents on entry) to the fewest
-    loads from there on.  The search is plain methods on this object
-    rather than closures that call each other, so it builds no reference
-    cycle and its memo is freed as soon as the call returns.
-    """
 
-    __slots__ = ("steps", "R", "memo")
-
-    def __init__(self, steps: list[tuple[list[str], frozenset[str], str | None]], R: int):
-        self.steps = steps
-        self.R = R
-        self.memo: dict[tuple[int, frozenset[str]], int] = {}
-
-    def per_stmt(self, i: int, resident: frozenset[str]) -> int:
-        if i == len(self.steps):
-            return 0
-        key = (i, resident)
-        memo = self.memo
-        if key in memo:
-            return memo[key]
-        reads = self.steps[i][0]
-        if len(set(reads)) > self.R:
-            raise ValueError(f"statement needs {len(set(reads))} registers, R={self.R}")
-        result = self.fill(i, 0, resident)
-        memo[key] = result
-        return result
-
-    def fill(self, i: int, j: int, res: frozenset[str]) -> int:
-        """Fewest loads from operand `j` of statement `i` on."""
-        reads = self.steps[i][0]
-        if j == len(reads):
-            return self.finish(i, res)
-        v = reads[j]
-        if v in res:
-            return self.fill(i, j + 1, res)
-        if len(res) < self.R:
-            return 1 + self.fill(i, j + 1, res | {v})
-        best = None
-        for victim in sorted(res - set(reads)):
-            cost = 1 + self.fill(i, j + 1, (res - {victim}) | {v})
-            if best is None or cost < best:
-                best = cost
-        if best is None:
-            raise ValueError("operands alone exceed the register count")
-        return best
-
-    def finish(self, i: int, res: frozenset[str]) -> int:
-        """Fewest loads once statement `i`'s operands are resident."""
-        _, ends, dst = self.steps[i]
-        res = res - (ends - ({dst} if dst else set()))
-        if dst is None:
-            return self.per_stmt(i + 1, res)
-        if dst in res:
-            after = res
-        elif len(res) < self.R:
-            after = res | {dst}
-        else:
-            best = None
-            for victim in sorted(res):
-                cost = self.per_stmt(i + 1, ((res - {victim}) | {dst}) - ({dst} & ends))
-                if best is None or cost < best:
-                    best = cost
-            return best
-        if dst in ends:
-            after = after - {dst}
-        return self.per_stmt(i + 1, after)
+def _homes(res: frozenset[str], v: str | None, R: int, victims) -> list[frozenset[str]]:
+    """The resident sets once `v` is resident, from residents `res`: `res`
+    itself when `v` is one (or None), `v` in a free register when one of
+    the `R` is free, else `v` in the register of any of `victims`."""
+    if v is None or v in res:
+        return [res]
+    if len(res) < R:
+        return [res | {v}]
+    return [(res - {w}) | {v} for w in victims]
 
 
 # ---------------------------------------------------------------------------

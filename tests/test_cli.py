@@ -241,6 +241,49 @@ def test_run_fuel_exhaustion_reported_distinctly(capsys, tmp_path):
     assert "fuel" in err
 
 
+HEAP_FAULT_SRC = "(letrec () (set! x (mref 1000 0)) (return x))"
+
+
+def test_run_heap_fault_exits_one(capsys, tmp_path):
+    path = tmp_path / "fault.uil"
+    path.write_text(HEAP_FAULT_SRC)
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: heap access out of range: 1000+0\n"
+
+
+def test_compare_reports_a_heap_fault_per_configuration(capsys, tmp_path):
+    path = tmp_path / "fault.uil"
+    path.write_text(HEAP_FAULT_SRC)
+    code, out, _ = run_cli(
+        capsys, "compare", str(path), "--registers", "2,4", "--policies", "furthest,lifo", "--json"
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["rows"] == [] and payload["totals"] == []
+    assert payload["errors"] == [
+        f"{path} R={r} {policy}: heap access out of range: 1000+0"
+        for r in (2, 4)
+        for policy in ("furthest", "lifo")
+    ]
+
+
+def test_compare_unknown_policy_exits_one(capsys, split_file):
+    code, out, err = run_cli(capsys, "compare", split_file, "--policies", "best")
+    assert code == 1
+    assert out == ""
+    assert err == "error: unknown policy 'best'\n"
+
+
+def test_compare_directory_without_programs_exits_one(capsys, tmp_path):
+    (tmp_path / "notes.txt").write_text("not a program")
+    code, out, err = run_cli(capsys, "compare", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: no .uil files in {tmp_path}\n"
+
+
 def test_parse_error_exits_one(capsys, tmp_path):
     path = tmp_path / "bad.uil"
     path.write_text("(letrec () (set! x))")
@@ -349,15 +392,17 @@ def test_compare_table_over_directory(capsys, tmp_path):
 
 
 def test_compare_json_includes_belady_column(capsys, split_file):
-    code, out, _ = run_cli(
-        capsys, "compare", split_file, "--registers", "2", "--policies", "furthest", "--json"
-    )
-    assert code == 0
-    payload = json.loads(out)
-    row = payload["rows"][0]
-    assert row["loads"] == 1
-    assert row["belady_loads"] == 1
-    assert payload["totals"][0]["loads"] == 1
+    # the oracle has no register cap: at R=8 the column reads 0, not null
+    for registers, loads in (("2", 1), ("8", 0)):
+        code, out, _ = run_cli(
+            capsys, "compare", split_file, "--registers", registers, "--policies", "furthest", "--json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        row = payload["rows"][0]
+        assert row["loads"] == loads
+        assert row["belady_loads"] == loads
+        assert payload["totals"][0]["loads"] == loads
 
 
 def test_compare_continues_past_bad_files(capsys, tmp_path):
