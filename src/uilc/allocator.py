@@ -189,15 +189,13 @@ class TraceEntry:
 # Primitive transformers
 
 
-def save(m: Model, vs, slot_prefs: dict[str, int] | None = None) -> tuple[Model, list[Inst]]:
+def save(m: Model, vs) -> tuple[Model, list[Inst]]:
     """Give each variable a stack home, in order.
 
     Variables that already have one are skipped with no instructions, so
     repeated saves are free.  Register bindings are kept: after a save
-    the variable lives in both places.  A variable takes its slot
-    preference (the slot it has at the end of the other branch of an
-    `if`) when that slot is free, else the lowest free slot.  Returns the
-    updated copy of `m`; `m` itself is left as it is.
+    the variable lives in both places, in the lowest free slot.  Returns
+    the updated copy of `m`; `m` itself is left as it is.
     """
     m = m.copy()
     insts: list[Inst] = []
@@ -205,14 +203,14 @@ def save(m: Model, vs, slot_prefs: dict[str, int] | None = None) -> tuple[Model,
         if not m.is_bound(v):
             raise ModelError(f"cannot save unbound variable '{v}'")
         if m.slot_of(v) is None:
-            insts.append(_store(m, v, slot_prefs))
+            insts.append(_store(m, v, {}))
     return m, insts
 
 
-def _store(m: Model, v: str, slot_prefs: dict[str, int] | None) -> Store:
+def _store(m: Model, v: str, slot_prefs: dict[str, int]) -> Store:
     """Give the slotless register resident `v` a slot in `m`: its slot
     preference when free, else the lowest free slot; return the store."""
-    s = slot_prefs.get(v) if slot_prefs else None
+    s = slot_prefs.get(v)
     if s is None or s in m.slot_owner:
         s = m.free_slot()
     m.bind_slot(v, s)

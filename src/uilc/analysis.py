@@ -117,7 +117,6 @@ class AnnotatedProc:
 
 @dataclass(frozen=True)
 class AnnotatedProgram:
-    program: Program
     entry: tuple[AnnotatedStatement, ...]
     # point -> the statement of `entry` (branches included) at that point
     entry_by_point: dict[int, AnnotatedStatement] = field(compare=False, repr=False)
@@ -301,7 +300,7 @@ def annotate(p: Program) -> AnnotatedProgram:
         passes[d.name] = tuple([i for i, v in enumerate(d.params) if v in read])
     entry, by_point, calls, _ = _annotate_sequence(p.body, count_statements(p.body), True, passes)
     return AnnotatedProgram(
-        p, entry, by_point, calls, tuple([procs[d.name] for d in p.definitions]), tuple(procs)
+        entry, by_point, calls, tuple([procs[d.name] for d in p.definitions]), tuple(procs)
     )
 
 

@@ -89,13 +89,13 @@ class TrafficStats:
         return dict(self.__dict__)
 
 
-def default_heap(size: int = DEFAULT_HEAP_WORDS) -> list[int]:
-    return [0] * size
+def default_heap() -> list[int]:
+    return [0] * DEFAULT_HEAP_WORDS
 
 
-def heap_from_seed(seed: int, size: int = DEFAULT_HEAP_WORDS) -> list[int]:
+def heap_from_seed(seed: int) -> list[int]:
     rng = random.Random(seed)
-    return [rng.randrange(-(1 << 31), 1 << 31) for _ in range(size)]
+    return [rng.randrange(-(1 << 31), 1 << 31) for _ in range(DEFAULT_HEAP_WORDS)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ callers models behave as values.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, field
+from typing import ClassVar
 
 RET = "RET"  # reserved model entry for the return address
 
@@ -74,54 +75,44 @@ Location = Reg | Slot
 
 @dataclass(frozen=True)
 class MachineConfig:
-    registers: int
-    arg_regs: tuple[int, ...]
-    ret_addr_reg: int = 0
-    ret_val_reg: int = 1
-    # registers a procedure hands back to its caller holding what they held
-    # on entry; every other register is caller-saved
-    callee_saved: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.registers < 1:
-            raise ValueError("need at least one register")
-        if self.ret_addr_reg in self.arg_regs:
-            raise ValueError("return-address register cannot be an argument register")
-        if set(self.callee_saved) & {self.ret_addr_reg, self.ret_val_reg, *self.arg_regs}:
-            raise ValueError(
-                "a callee-saved register cannot carry the return address, "
-                "the result or an argument"
-            )
-        for r in self.arg_regs + (self.ret_addr_reg, self.ret_val_reg) + self.callee_saved:
-            if not 0 <= r < self.registers:
-                raise ValueError(f"register r{r} out of range")
-
-
-def make_config(registers: int, *, max_arg_regs: int = 3) -> MachineConfig:
-    """Default convention: r0 return address, r1 result, r1.. arguments,
-    and the other registers callee-saved, the highest five at most: r4 at
-    R=5, r4-r5 at R=6, and from R=7 on all but r4, which stays
-    caller-saved (r5-r6 at R=7, r5-r7 at R=8, r5-r9 at R=10, r11-r15 at
-    R=16).  A machine of four registers or fewer has none.
+    """A machine of `registers` registers and the calling convention that
+    the register count alone decides: r0 return address, r1 result, r1..
+    the first `max_arg_regs` arguments, and the other registers
+    callee-saved, the highest five at most: r4 at R=5, r4-r5 at R=6, and
+    from R=7 on all but r4, which stays caller-saved (r5-r6 at R=7, r5-r7
+    at R=8, r5-r9 at R=10, r11-r15 at R=16).  A machine of four registers
+    or fewer has none.  `max_arg_regs` stays settable because C3 pins a
+    convention of two argument registers.
 
     Chosen by dynamic loads plus stores on the generated corpus, measured
     for every count at R=5..16: keeping one scratch register caller-saved
     pays from R=7 on, and more than five saved under 1%.
     """
-    n_args = max(0, min(max_arg_regs, registers - 1))
-    ret_val = 1 if registers > 1 else 0
-    arg_regs = tuple(range(1, 1 + n_args))
-    rest = [r for r in range(1, registers) if r != ret_val and r not in arg_regs]
-    if len(rest) > 2:
-        rest = rest[1:]
-    callee_saved = tuple(rest[-5:]) if registers > 4 else ()
-    return MachineConfig(
-        registers=registers,
-        arg_regs=arg_regs,
-        ret_addr_reg=0,
-        ret_val_reg=ret_val,
-        callee_saved=callee_saved,
-    )
+
+    registers: int
+    max_arg_regs: int = field(default=3, kw_only=True)
+    ret_addr_reg: ClassVar[int] = 0
+    ret_val_reg: int = field(init=False)
+    arg_regs: tuple[int, ...] = field(init=False)
+    # registers a procedure hands back to its caller holding what they held
+    # on entry; every other register is caller-saved
+    callee_saved: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        registers = self.registers
+        if registers < 1:
+            raise ValueError("need at least one register")
+        arg_regs = tuple(range(1, 1 + max(0, min(self.max_arg_regs, registers - 1))))
+        rest = [r for r in range(2, registers) if r not in arg_regs]
+        if len(rest) > 2:
+            rest = rest[1:]
+        object.__setattr__(self, "ret_val_reg", min(1, registers - 1))
+        object.__setattr__(self, "arg_regs", arg_regs)
+        object.__setattr__(self, "callee_saved", tuple(rest[-5:]) if registers > 4 else ())
+
+
+# the constructor under the name the CLI, the benchmark and C3 call
+make_config = MachineConfig
 
 
 class Model:

@@ -991,12 +991,6 @@ def test_slotless_holder_steps_aside_in_any_branch(src):
     assert run_target(tp, cfg)[0] == run_uil(program)
 
 
-def test_save_takes_a_free_slot_preference():
-    m = Model({"x": 0, "y": 1}, {"z": 3})
-    assert save(m, ["x"], {"x": 2})[1] == [Store(2, 0)]
-    assert save(m, ["x"], {"x": 3})[1] == [Store(0, 0)]  # fv3 is z's: lowest free
-
-
 def test_else_branch_saves_into_the_then_branch_slot():
     # the then branch's call saves q to fv0 and y to fv1; the else branch's
     # call saves only y, and takes fv1 too, so the join moves no slot (f

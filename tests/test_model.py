@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import pickle
 import random
 
@@ -286,32 +287,52 @@ def test_multi_homing_allowed():
 
 
 def test_config_validation():
+    # the convention is derived from the register count: none of it can be set
+    for derived in ("arg_regs", "ret_addr_reg", "ret_val_reg", "callee_saved"):
+        with pytest.raises(TypeError):
+            MachineConfig(registers=8, **{derived: (1,)})
     with pytest.raises(ValueError):
-        MachineConfig(registers=2, arg_regs=(0,))  # collides with return address
-    with pytest.raises(ValueError):
-        MachineConfig(registers=2, arg_regs=(5,))
+        make_config(0)
     cfg = make_config(1)
     assert cfg.arg_regs == ()
     # a register left over beside fewer arguments is still not callee-saved at R<=4
     assert make_config(4, max_arg_regs=2).callee_saved == ()
-    with pytest.raises(ValueError):
-        MachineConfig(registers=8, arg_regs=(1, 2), callee_saved=(2,))  # an argument register
-    with pytest.raises(ValueError):
-        MachineConfig(registers=8, arg_regs=(1, 2), callee_saved=(8,))
 
 
 @pytest.mark.parametrize("registers", range(1, 18))
 def test_callee_saved_registers_carry_nothing_of_the_call(registers):
+    for max_arg_regs in range(5):
+        cfg = make_config(registers, max_arg_regs=max_arg_regs)
+        carried = {cfg.ret_addr_reg, cfg.ret_val_reg, *cfg.arg_regs}
+        assert cfg.ret_addr_reg not in cfg.arg_regs, max_arg_regs
+        assert not carried & set(cfg.callee_saved), max_arg_regs
+        assert all(0 <= r < registers for r in carried | set(cfg.callee_saved)), max_arg_regs
+        if registers <= 4:
+            assert cfg.callee_saved == (), max_arg_regs
+        elif cfg.callee_saved:
+            # the highest registers the call leaves alone
+            saved = cfg.callee_saved
+            assert saved == tuple(range(registers - len(saved), registers)), max_arg_regs
+            assert saved[0] > max(carried) and len(saved) <= 5, max_arg_regs
     cfg = make_config(registers)
-    carried = {cfg.ret_addr_reg, cfg.ret_val_reg, *cfg.arg_regs}
-    assert not carried & set(cfg.callee_saved)
-    assert all(0 <= r < registers for r in cfg.callee_saved)
-    if registers <= 4:
-        assert cfg.callee_saved == ()
-    else:
-        # the highest registers the call leaves alone
-        assert cfg.callee_saved == tuple(range(registers - len(cfg.callee_saved), registers))
-        assert cfg.callee_saved[0] > max(carried)
-        assert len(cfg.callee_saved) <= 5
+    if registers > 4:
+        assert cfg.callee_saved
         # from R=7 on r4 stays caller-saved as a scratch register
         assert (4 in cfg.callee_saved) == (registers in (5, 6))
+
+
+# Digest of the calling convention of `make_config(r, max_arg_regs=k)` for
+# r = 1..17 and k = 0..4: (r, k, arg_regs, ret_addr_reg, ret_val_reg,
+# callee_saved).  The convention is derived from these two values alone,
+# so a change to its rules must change this pin and say why.
+CONVENTION_SHA256 = "a1ac2226067a9339e290fa6ebd29f3620ad1aa4e6a5814d3071047542f9a658e"
+
+
+def test_calling_convention_is_pinned():
+    digest = hashlib.sha256()
+    for r in range(1, 18):
+        for k in range(5):
+            cfg = make_config(r, max_arg_regs=k)
+            fact = (r, k, cfg.arg_regs, cfg.ret_addr_reg, cfg.ret_val_reg, cfg.callee_saved)
+            digest.update(repr(fact).encode())
+    assert digest.hexdigest() == CONVENTION_SHA256
