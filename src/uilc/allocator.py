@@ -145,18 +145,18 @@ class AllocError(Exception):
 
 
 class PressureError(Exception):
-    """Register pressure exceeds the machine's register count."""
+    """Register pressure exceeds the machine's register count.
 
-    def __init__(self, message: str, stmt: str | None = None, point: int | None = None):
-        super().__init__(message)
-        self.message = message
-        self.stmt = stmt
-        self.point = point
+    The allocation that catches it records the statement's text and point.
+    """
+
+    stmt: str | None = None
+    point: int | None = None
 
     def __str__(self) -> str:
         if self.stmt is not None:
-            return f"{self.message} (at statement {self.point}: {self.stmt})"
-        return self.message
+            return f"{super().__str__()} (at statement {self.point}: {self.stmt})"
+        return super().__str__()
 
 
 @dataclass(frozen=True)

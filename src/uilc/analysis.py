@@ -78,8 +78,8 @@ class AnnotatedStatement:
     # Nothing in the frame runs after this statement: a call here is a
     # tail call, and an If here has no join.
     tail: bool
-    # `stmt_refs(stmt)`, for the stages that read the statement's variables;
-    # a call's lists only the variables it passes
+    # the variables the statement reads, for the stages that read them; a
+    # call's lists its callee name first, then only the variables it passes
     refs: list[str] = field(compare=False)
     # Variables live across a later non-tail call before they are assigned
     # again, after this statement (for an If: on entry to either branch).
@@ -127,14 +127,6 @@ class AnnotatedProgram:
     # call graph: a procedure comes after each callee that does not reach
     # back to it); `procs` keeps source order
     order: tuple[str, ...]
-
-
-def stmt_refs(s: Statement) -> list[str]:
-    """Variables (and callee names) referenced by a statement itself, every
-    argument of a call included."""
-    refs = variables(s.operands())
-    # The callee name counts as a reference and shows up in ending sets.
-    return [s.callee, *refs] if type(s) is Call else refs
 
 
 def _annotate_body(

@@ -42,16 +42,14 @@ class _BodyGen:
         callables: list[tuple[str, int]],
         var_prefix: str,
         max_vars: int,
-        allow_calls: bool,
     ):
         self.rng = rng
         self.callables = callables
         self.var_prefix = var_prefix
         self.max_vars = max_vars
-        self.allow_calls = allow_calls
         self.names: list[str] = []
 
-    def _new_var(self, defined: set[str]) -> str:
+    def _new_var(self) -> str:
         if self.names and (len(self.names) >= self.max_vars or self.rng.random() < 0.3):
             return self.rng.choice(self.names)  # redefinition
         name = f"{self.var_prefix}{len(self.names)}"
@@ -86,16 +84,14 @@ class _BodyGen:
             then_body = self.statements(then_defined, inner_budget, depth + 1)
             else_defined = set(defined)
             else_body = self.statements(else_defined, inner_budget, depth + 1)
-            if not then_body or not else_body:
-                return 1  # retry with remaining budget
             out.append(If(test, tuple(then_body), tuple(else_body)))
             defined |= then_defined & else_defined  # assigned on both paths
             return 1 + len(then_body) + len(else_body)
-        if roll < 0.20 and self.allow_calls and self.callables:
+        if roll < 0.20 and self.callables:
             name, arity = rng.choice(self.callables)
             args = tuple(self._operand(defined) for _ in range(arity))
             if rng.random() < 0.6:
-                dst = self._new_var(defined)
+                dst = self._new_var()
                 out.append(Call(name, args, dst=dst))
                 defined.add(dst)
             else:
@@ -106,12 +102,12 @@ class _BodyGen:
             out.append(MemWrite(base, index, self._operand(defined)))
             return 1
         if roll < 0.40:
-            dst = self._new_var(defined)
+            dst = self._new_var()
             base, index = self._imm_addr()
             out.append(Assign(dst, MemRead(base, index)))
             defined.add(dst)
             return 1
-        dst = self._new_var(defined)
+        dst = self._new_var()
         if not defined or roll < 0.55:
             out.append(Assign(dst, rng.randint(-99, 99)))
         elif roll < 0.65:
@@ -122,9 +118,9 @@ class _BodyGen:
         defined.add(dst)
         return 1
 
-    def ending(self, defined: set[str], tail_call_ok: bool) -> Statement:
+    def ending(self, defined: set[str]) -> Statement:
         rng = self.rng
-        if tail_call_ok and self.allow_calls and self.callables and rng.random() < 0.3:
+        if self.callables and rng.random() < 0.3:
             name, arity = rng.choice(self.callables)
             return Call(name, tuple(self._operand(defined) for _ in range(arity)))
         return ReturnValue(self._operand(defined, imm_ratio=0.1))
@@ -149,19 +145,19 @@ def generate_program(
         arity = rng.randint(0, 4)
         params = tuple(f"a{j}" for j in range(arity))
         body_budget = min(budget - 1, rng.randint(1, 8))
-        gen = _BodyGen(rng, list(callables), f"v{pi}_", var_budget, allow_calls=True)
+        gen = _BodyGen(rng, list(callables), f"v{pi}_", var_budget)
         gen.names = list(params)
         defined = set(params)
         body = gen.statements(defined, max(0, body_budget), depth=0)
-        body.append(gen.ending(defined, tail_call_ok=True))
+        body.append(gen.ending(defined))
         budget -= count_statements(body)
         definitions.append(Definition(name, params, tuple(body)))
         callables.append((name, arity))
 
-    gen = _BodyGen(rng, callables, "x", var_budget, allow_calls=True)
+    gen = _BodyGen(rng, callables, "x", var_budget)
     defined: set[str] = set()
     body = gen.statements(defined, max(1, budget - 1), depth=0)
-    body.append(gen.ending(defined, tail_call_ok=True))
+    body.append(gen.ending(defined))
     return Program(tuple(definitions), tuple(body))
 
 

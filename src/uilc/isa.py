@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 
 from ._gc import gc_paused
 from .model import Reg
@@ -137,9 +138,7 @@ class TargetProgram:
 
 
 _BINOP_MNEMONIC = {"+": "add", "-": "sub", "*": "mul"}
-_MNEMONIC_BINOP = {v: k for k, v in _BINOP_MNEMONIC.items()}
 _REL_MNEMONIC = {"<": "blt", "<=": "ble", "=": "beq", ">=": "bge", ">": "bgt"}
-_MNEMONIC_REL = {v: k for k, v in _REL_MNEMONIC.items()}
 
 
 def _fmt_src(s: Src) -> str:
@@ -245,12 +244,27 @@ def _parse_int(tok: str) -> int:
     return int(tok)
 
 
-# the operand count of each mnemonic
-_ARITY = {
-    "move": 2, "loadimm": 2, "load": 2, "store": 2, "mload": 3, "mstore": 3,
-    "jmp": 1, "loadlabel": 2, "fp+=": 1, "halt": 0,
-    **dict.fromkeys(_MNEMONIC_BINOP, 3),
-    **dict.fromkeys(_MNEMONIC_REL, 3),
+def _parse_target(tok: str) -> str | Reg:
+    m = _REG_RE.match(tok)
+    return Reg(int(m.group(1))) if m else tok
+
+
+# each mnemonic's constructor and the parser of each of its operands
+_SYNTAX = {
+    "move": (Move, (_parse_reg, _parse_reg)),
+    "loadimm": (LoadImm, (_parse_reg, _parse_int)),
+    "load": (Load, (_parse_reg, _parse_slot)),
+    "store": (Store, (_parse_slot, _parse_reg)),
+    "mload": (MemLoad, (_parse_reg, _parse_src, _parse_src)),
+    "mstore": (MemStore, (_parse_src, _parse_src, _parse_src)),
+    "jmp": (Jump, (_parse_target,)),
+    "loadlabel": (LoadLabel, (_parse_reg, str)),
+    "fp+=": (FrameAdjust, (_parse_int,)),
+    "halt": (Halt, ()),
+    **{m: (partial(BinOpInst, op), (_parse_reg, _parse_src, _parse_src))
+       for op, m in _BINOP_MNEMONIC.items()},
+    **{m: (partial(CondJump, rel), (_parse_src, _parse_src, str))
+       for rel, m in _REL_MNEMONIC.items()},
 }
 
 
@@ -279,37 +293,13 @@ def _parse_line(line: str) -> Inst:
         op, args = "fp+=", line[len("fp+=") :].split()
     else:
         op, *args = line.replace(",", " ").split()
-    arity = _ARITY.get(op)
-    if arity is None:
+    syntax = _SYNTAX.get(op)
+    if syntax is None:
         raise AsmError(f"unknown mnemonic {op!r}")
-    if len(args) != arity:
-        raise AsmError(f"{op} takes {arity} operand(s), got {len(args)}")
-    if op == "move":
-        return Move(_parse_reg(args[0]), _parse_reg(args[1]))
-    if op == "loadimm":
-        return LoadImm(_parse_reg(args[0]), _parse_int(args[1]))
-    if op == "load":
-        return Load(_parse_reg(args[0]), _parse_slot(args[1]))
-    if op == "store":
-        return Store(_parse_slot(args[0]), _parse_reg(args[1]))
-    if op in _MNEMONIC_BINOP:
-        return BinOpInst(
-            _MNEMONIC_BINOP[op], _parse_reg(args[0]), _parse_src(args[1]), _parse_src(args[2])
-        )
-    if op == "mload":
-        return MemLoad(_parse_reg(args[0]), _parse_src(args[1]), _parse_src(args[2]))
-    if op == "mstore":
-        return MemStore(_parse_src(args[0]), _parse_src(args[1]), _parse_src(args[2]))
-    if op in _MNEMONIC_REL:
-        return CondJump(_MNEMONIC_REL[op], _parse_src(args[0]), _parse_src(args[1]), args[2])
-    if op == "jmp":
-        m = _REG_RE.match(args[0])
-        return Jump(Reg(int(m.group(1))) if m else args[0])
-    if op == "loadlabel":
-        return LoadLabel(_parse_reg(args[0]), args[1])
-    if op == "fp+=":
-        return FrameAdjust(_parse_int(args[0]))
-    return Halt()
+    make, parsers = syntax
+    if len(args) != len(parsers):
+        raise AsmError(f"{op} takes {len(parsers)} operand(s), got {len(args)}")
+    return make(*[parse(tok) for parse, tok in zip(parsers, args)])
 
 
 def static_traffic(insts: list[Inst]) -> tuple[int, int, int]:

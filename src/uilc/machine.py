@@ -484,9 +484,6 @@ class EquivReport:
     source_obs: Observation | None = None
     target_obs: Observation | None = None
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def equivalent(
     p: Program,
@@ -620,8 +617,8 @@ def spill_free_shape(ap: AnnotatedProgram, cfg: MachineConfig) -> bool:
 
     Requires peak liveness (plus, inside procedures, the return address
     and what each callee-saved register held on entry) within the register
-    count, the read parameters of every procedure and the passed arguments
-    of every call within the argument registers, and no values live across
+    count, the read parameters of every procedure (which are what each call
+    to it passes) within the argument registers, and no values live across
     a non-tail call: every call-live, the caller's return address
     included, must be saved.
     """
@@ -641,8 +638,6 @@ def spill_free_shape(ap: AnnotatedProgram, cfg: MachineConfig) -> bool:
             if len(live) > budget:
                 return False
             if isinstance(s, Call):
-                if len(a.passed) > len(cfg.arg_regs):
-                    return False
                 if a.tail and s.dst is None:
                     continue
                 if in_proc:

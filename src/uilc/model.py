@@ -132,7 +132,8 @@ class Model:
     ``regmap`` lists the register residents in the order they were last
     bound (a constructor-built model in the order of the map it is
     given), which is all the recency-based eviction policies read; the
-    order never affects equality.
+    order never affects equality.  Models compare by value and, being
+    mutable, do not hash.
     """
 
     __slots__ = ("regmap", "stackmap", "reg_owner", "slot_owner")
@@ -194,11 +195,6 @@ class Model:
         if v in self.stackmap:
             return Slot(self.stackmap[v])
         raise ModelError(f"'{v}' is not bound in the model")
-
-    def variables(self) -> set[str]:
-        vs = set(self.regmap)
-        vs.update(self.stackmap)
-        return vs
 
     def register_residents(self) -> list[tuple[str, int]]:
         """(variable, register) pairs ordered by register index."""
@@ -271,7 +267,8 @@ class Model:
 
     def restrict(self, keep) -> "Model":
         """Drop every variable not in `keep`."""
-        gone = self.variables()
+        gone = set(self.regmap)
+        gone.update(self.stackmap)
         gone.difference_update(keep)
         return self.drop(gone)
 
@@ -281,13 +278,6 @@ class Model:
         if not isinstance(other, Model):
             return NotImplemented
         return self.regmap == other.regmap and self.stackmap == other.stackmap
-
-    def __hash__(self) -> int:
-        # hashes the current bindings: a model must not change while a set
-        # or dict holds it
-        return hash(
-            (frozenset(self.regmap.items()), frozenset(self.stackmap.items()))
-        )
 
     def dump(self) -> str:
         """Textual form like `{x:r1, y:r2}{z:fv0}`, entries ordered by index."""

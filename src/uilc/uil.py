@@ -452,16 +452,12 @@ def parse(text: str) -> Program:
 # Pretty printer (canonical form: one statement per line, two-space indent)
 
 
-def _fmt_operand(v: Operand) -> str:
-    return str(v)
-
-
 def _fmt_rhs(rhs: Rhs) -> str:
     if isinstance(rhs, BinExpr):
-        return f"({rhs.op} {_fmt_operand(rhs.a)} {_fmt_operand(rhs.b)})"
+        return f"({rhs.op} {rhs.a} {rhs.b})"
     if isinstance(rhs, MemRead):
-        return f"(mref {_fmt_operand(rhs.base)} {_fmt_operand(rhs.index)})"
-    return _fmt_operand(rhs)
+        return f"(mref {rhs.base} {rhs.index})"
+    return str(rhs)
 
 
 def _fmt_statement(s: Statement, indent: int, out: list[str]) -> None:
@@ -469,12 +465,10 @@ def _fmt_statement(s: Statement, indent: int, out: list[str]) -> None:
     if isinstance(s, Assign):
         out.append(f"{pad}(set! {s.dst} {_fmt_rhs(s.rhs)})")
     elif isinstance(s, MemWrite):
-        out.append(
-            f"{pad}(mset! {_fmt_operand(s.base)} {_fmt_operand(s.index)} {_fmt_operand(s.src)})"
-        )
+        out.append(f"{pad}(mset! {s.base} {s.index} {s.src})")
     elif isinstance(s, If):
         t = s.test
-        out.append(f"{pad}(if ({t.rel} {_fmt_operand(t.a)} {_fmt_operand(t.b)})")
+        out.append(f"{pad}(if ({t.rel} {t.a} {t.b})")
         out.append(f"{pad}  (begin")
         for sub in s.then_body:
             _fmt_statement(sub, indent + 2, out)
@@ -489,13 +483,13 @@ def _fmt_statement(s: Statement, indent: int, out: list[str]) -> None:
         else:
             out[-1] = f"{pad}  (begin))"
     elif isinstance(s, Call):
-        call = f"({s.callee}" + "".join(f" {_fmt_operand(a)}" for a in s.args) + ")"
+        call = f"({s.callee}" + "".join(f" {a}" for a in s.args) + ")"
         if s.dst is not None:
             out.append(f"{pad}(set! {s.dst} {call})")
         else:
             out.append(f"{pad}{call}")
     elif isinstance(s, ReturnValue):
-        out.append(f"{pad}(return {_fmt_operand(s.value)})")
+        out.append(f"{pad}(return {s.value})")
     else:  # pragma: no cover
         raise TypeError(f"unknown statement {s!r}")
 

@@ -12,11 +12,10 @@ from uilc.analysis import (
     INF,
     annotate,
     annotate_statements,
-    stmt_refs,
     walk_statements,
 )
 from uilc.gen import generate_program, generate_straight_line
-from uilc.uil import Assign, Call, If, MemRead, Program, format_program, parse, validate
+from uilc.uil import Assign, Call, If, MemRead, Program, format_program, parse, validate, variables
 
 from conftest import CHAIN_SRC, CYCLE3_SRC, DIAMOND_SRC, load_program
 
@@ -24,6 +23,14 @@ from conftest import CHAIN_SRC, CYCLE3_SRC, DIAMOND_SRC, load_program
 # ---------------------------------------------------------------------------
 # Path-enumeration oracle: expand every branch combination into linear
 # paths and read liveness facts straight off them.
+
+
+def stmt_refs(s):
+    """Variables (and callee names) referenced by a statement itself, every
+    argument of a call included."""
+    refs = variables(s.operands())
+    # The callee name counts as a reference and shows up in ending sets.
+    return [s.callee, *refs] if type(s) is Call else refs
 
 
 def _refs(s, reads):

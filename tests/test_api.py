@@ -10,7 +10,7 @@ from uilc import machine
 # records, one `name signature` line each.  A change that adds, removes or
 # renames a parameter, or changes a default, must change this pin and say
 # so.
-SIGNATURES_SHA256 = "9145ef1334392b639665df923672f13b8f720c626d44fbf949c8aed7bedb5f3f"
+SIGNATURES_SHA256 = "37bb235e17331c476a72fd1990dcc289a79ec91b48f037b89243d8f79095b35a"
 
 
 def _signature(obj) -> str:

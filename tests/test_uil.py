@@ -15,6 +15,7 @@ from uilc.uil import (
     BinExpr,
     Call,
     Cmp,
+    Definition,
     If,
     MemRead,
     MemWrite,
@@ -283,12 +284,37 @@ _VALIDATE_CASES = [
             "1:39: 'RET' is a reserved name",
         ],
     ),
+    ("(letrec ((RET (lambda () (return 1)))) (return 0))", ["1:10: 'RET' is a reserved name"]),
 ]
 
 
 @pytest.mark.parametrize("text,expected", _VALIDATE_CASES)
 def test_validate_exact_diagnostics(text, expected):
     assert [str(d) for d in validate(parse(text))] == expected
+
+
+def test_validate_empty_bodies_of_built_programs():
+    # the parser rejects an empty body, so only a built program has one
+    (proc,) = validate(Program((Definition("f", (), ()),), (ReturnValue(0),)))
+    assert str(proc) == "procedure 'f' has an empty body"
+    (entry,) = validate(Program((), ()))
+    assert entry.pos is None and str(entry) == "program body is empty"
+
+
+def test_print_empty_branches():
+    p = Program(
+        (),
+        (
+            If(Cmp("<", 1, 2), (), (Assign("x", 1),)),
+            If(Cmp("<", 1, 2), (Assign("x", 1),), ()),
+            ReturnValue(0),
+        ),
+    )
+    text = format_program(p)
+    lines = text.splitlines()
+    assert lines[2] == "    (begin)"
+    assert lines[8] == "    (begin))"
+    assert parse(text) == p
 
 
 def test_print_canonical_form(split_prog):
@@ -359,6 +385,14 @@ def _parse_error(text):
         # an immediate wider than 64 bits
         ("(letrec ()\n  (return 18446744073709551616))", ("immediate 18446744073709551616 does not fit a 64-bit word", 2, 11)),
         ("(letrec () (return -9223372036854775809))", ("immediate -9223372036854775809 does not fit a 64-bit word", 1, 20)),
+        # malformed definitions, expressions and statements
+        ("(letrec (((f) (lambda () (return 1)))) (return 0))", ("expected procedure name", 1, 11)),
+        ("(letrec () (set! x ()) (return 0))", ("empty expression", 1, 20)),
+        ("(letrec () (set! x ((+) 1 2)) (return 0))", ("malformed expression", 1, 20)),
+        ("(letrec ())", ("empty statement body", 1, 1)),
+        ("(letrec () (return))", ("'return' takes one value", 1, 12)),
+        ("(letrec () (begin) (return 0))", ("'begin' is not a statement here", 1, 12)),
+        ("(letrec () (+ 1 2) (return 0))", ("'+' is not a statement here", 1, 12)),
     ],
 )
 def test_parse_error_exact_position(text, expected):
