@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,8 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from uilc.cli import main
+from uilc.allocator import POLICIES, PressureError, alloc_program
+from uilc.analysis import annotate
+from uilc.cli import _print_trace, main
+from uilc.gen import generate_program
 from uilc.machine import EquivReport
+from uilc.model import make_config
 
 from uilc.uil import parse
 
@@ -188,6 +195,35 @@ def test_alloc_trace_prints_transitions_before_pressure_error(capsys, split_file
     assert ";   post {}{x:fv0, y:fv1}" in out
     assert (code, err) == (plain[0], plain[2])
     assert err.startswith("error: register pressure: ")
+
+
+# sha256 of the `--trace` text of generator seeds 0..99 at R{1,2,3,4,8}
+# under every policy, and of the `PressureError` text where the allocation
+# fails (after the transitions that led to it, as `uilc alloc --trace`
+# prints them; at R=1 every program with a procedure fails).  A change to the trace's content or order must update this
+# constant and say why.
+TRACE_SHA256 = "4fe712869693c0eaacf212fb1aba1b619425c0a3629b743b1aca50e759df315c"
+
+
+def test_trace_text_is_pinned():
+    digest = hashlib.sha256()
+    for seed in range(100):
+        ap = annotate(generate_program(seed))
+        for r in (1, 2, 3, 4, 8):
+            cfg = make_config(r)
+            for policy in POLICIES:
+                trace: list = []
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    try:
+                        tp = alloc_program(ap, cfg, policy, trace=trace)
+                    except PressureError as e:
+                        _print_trace(trace, ap, {})
+                        print(e)
+                    else:
+                        _print_trace(trace, ap, tp.clobbers)
+                digest.update(out.getvalue().encode())
+    assert digest.hexdigest() == TRACE_SHA256
 
 
 def test_run_reports_value_and_traffic(capsys, split_file):
