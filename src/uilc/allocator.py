@@ -133,7 +133,7 @@ from .model import (
     arg_homes,
     initial_model,
 )
-from .uil import Assign, BinExpr, Call, If, MemRead, MemWrite, ReturnValue, _fmt_statement
+from .uil import Assign, BinExpr, Call, If, MemRead, MemWrite, ReturnValue, statement_line
 
 POLICIES = ("furthest", "lifo", "fifo")
 
@@ -172,17 +172,15 @@ MoveDst = Reg | Slot
 
 @dataclass
 class TraceEntry:
+    """One allocated statement: its scope, its annotation, the models before
+    and after it (copies; both None for a dead statement, which emits
+    nothing) and its code."""
+
     scope: str
-    point: int
-    stmt: str
-    pre: str
+    a: AnnotatedStatement
+    pre: Model | None
     insts: list[Inst]
-    post: str
-    # why a dead statement is dead (it has no models and no code)
-    dead: str | None = None
-    # for a non-tail call: the values that stay, in register order, in
-    # registers outside the callee's clobber set that are not callee-saved
-    kept: tuple[tuple[str, int], ...] = ()
+    post: Model | None
 
 
 # ---------------------------------------------------------------------------
@@ -516,12 +514,6 @@ class _Shuffle:
 
 # ---------------------------------------------------------------------------
 # Compound transformers (dispatch on statement syntax)
-
-
-def _stmt_text(stmt) -> str:
-    buf: list[str] = []
-    _fmt_statement(stmt, 0, buf)
-    return buf[0]
 
 
 def _next_live(body: tuple[AnnotatedStatement, ...], i: int) -> AnnotatedStatement | None:
@@ -890,12 +882,9 @@ class _Allocator:
         for i, a in enumerate(body):
             if a.dead:  # emits nothing and leaves the model as it is
                 if trace is not None:
-                    why = "every branch statement is dead" if type(a.stmt) is If else (
-                        f"{a.stmt.dst} is never read"
-                    )
-                    trace.append(TraceEntry(self.scope, a.point, _stmt_text(a.stmt), "", [], "", why))
+                    trace.append(TraceEntry(self.scope, a, None, [], None))
                 continue
-            pre = m.dump() if trace is not None else ""
+            pre = m.copy() if trace is not None else None
             try:
                 kind = type(a.stmt)
                 if kind is Assign:
@@ -912,20 +901,12 @@ class _Allocator:
                     raise AllocError(f"unknown statement {a.stmt!r}")
             except PressureError as e:
                 if e.stmt is None:
-                    e.stmt = _stmt_text(a.stmt)
+                    e.stmt = statement_line(a.stmt)
                     e.point = a.point
                 raise
             insts.extend(new_insts)
             if trace is not None:
-                kept = ()
-                if kind is Call and not a.tail:
-                    changed = self._clobber(a.stmt.callee).union(self.cfg.callee_saved)
-                    kept = tuple([(v, r) for v, r in m.register_residents() if r not in changed])
-                trace.append(
-                    TraceEntry(
-                        self.scope, a.point, _stmt_text(a.stmt), pre, new_insts, m.dump(), kept=kept
-                    )
-                )
+                trace.append(TraceEntry(self.scope, a, pre, new_insts, m.copy()))
         return insts, m
 
     def _assign(self, body, i: int, m: Model) -> tuple[list[Inst], Model]:

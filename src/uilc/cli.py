@@ -29,7 +29,7 @@ from .machine import (
     run_target,
 )
 from .model import MachineConfig, make_config
-from .uil import Call, ParseError, Program, format_program, parse, validate
+from .uil import Call, If, ParseError, Program, format_program, parse, statement_line, validate
 
 
 class CliError(Exception):
@@ -80,13 +80,18 @@ def _load(path: str) -> tuple[Program, AnnotatedProgram]:
 
 
 def _print_trace(
-    trace: list[TraceEntry], ap: AnnotatedProgram, clobbers: dict[str, frozenset[int]]
+    trace: list[TraceEntry],
+    ap: AnnotatedProgram,
+    clobbers: dict[str, frozenset[int]],
+    cfg: MachineConfig,
 ) -> None:
     """Print each statement's transition, in source order (the allocator
     runs callees first).  Before a procedure's first one, print its unread
-    parameters and its clobber set (when `clobbers` has it), and under a
-    call the arguments it leaves out and the values it keeps in registers
-    the callee never writes."""
+    parameters and its clobber set (when `clobbers` has it); for a dead
+    statement, why nothing reads it; and under a call the arguments it
+    leaves out and, for a non-tail call, the values it keeps in registers
+    the callee never writes: after the call, only those and the result
+    are in registers that are not callee-saved."""
     procs = {proc.name: proc for proc in ap.procs}
     rank = {name: i for i, name in enumerate(procs, 1)}  # the entry body is 0
     scope = None
@@ -100,27 +105,33 @@ def _print_trace(
                 if scope in clobbers:
                     regs = ", ".join(f"r{r}" for r in sorted(clobbers[scope]))
                     print(f"; {scope}: clobbers {regs}")
-        print(f"; {entry.scope} #{entry.point}: {entry.stmt}")
-        if entry.dead is not None:
-            print(f";   dead: {entry.dead}")
+        a = entry.a
+        stmt = a.stmt
+        print(f"; {scope} #{a.point}: {statement_line(stmt)}")
+        if a.dead:
+            why = "every branch statement is dead" if type(stmt) is If else f"{stmt.dst} is never read"
+            print(f";   dead: {why}")
             continue
-        by_point = procs[scope].by_point if scope in procs else ap.entry_by_point
-        call = by_point[entry.point].stmt
-        if type(call) is Call:
-            callee = procs[call.callee]
+        if type(stmt) is Call:
+            callee = procs[stmt.callee]
             left = [
                 f"{arg} for {v}"
-                for v, arg in zip(callee.params, call.args)
+                for v, arg in zip(callee.params, stmt.args)
                 if v not in callee.read_params
             ]
             if left:
                 print(f";   left out: {', '.join(left)}")
-            if entry.kept:
-                print(f";   kept: {', '.join(f'{v} in r{r}' for v, r in entry.kept)}")
-        print(f";   pre  {entry.pre}")
+            kept = [
+                f"{v} in r{r}"
+                for v, r in entry.post.register_residents()
+                if r not in cfg.callee_saved and r != cfg.ret_val_reg
+            ]
+            if kept and not a.tail:
+                print(f";   kept: {', '.join(kept)}")
+        print(f";   pre  {entry.pre.dump()}")
         for inst in entry.insts:
             print(f";     {format_inst(inst)}")
-        print(f";   post {entry.post}")
+        print(f";   post {entry.post.dump()}")
 
 
 def cmd_alloc(args) -> int:
@@ -134,7 +145,7 @@ def cmd_alloc(args) -> int:
         # on a PressureError the transitions up to it explain it; with no
         # program there are no clobber sets
         if trace is not None:
-            _print_trace(trace, annotated, tp.clobbers if tp is not None else {})
+            _print_trace(trace, annotated, tp.clobbers if tp is not None else {}, cfg)
     sys.stdout.write(format_target(tp))
     return 0
 

@@ -460,38 +460,35 @@ def _fmt_rhs(rhs: Rhs) -> str:
     return str(rhs)
 
 
+def statement_line(s: Statement) -> str:
+    """The first line of `s`'s canonical text: an `if`'s holds its test."""
+    if isinstance(s, Assign):
+        return f"(set! {s.dst} {_fmt_rhs(s.rhs)})"
+    if isinstance(s, MemWrite):
+        return f"(mset! {s.base} {s.index} {s.src})"
+    if isinstance(s, If):
+        t = s.test
+        return f"(if ({t.rel} {t.a} {t.b})"
+    if isinstance(s, Call):
+        call = f"({s.callee}" + "".join(f" {a}" for a in s.args) + ")"
+        return call if s.dst is None else f"(set! {s.dst} {call})"
+    if isinstance(s, ReturnValue):
+        return f"(return {s.value})"
+    raise TypeError(f"unknown statement {s!r}")  # pragma: no cover
+
+
 def _fmt_statement(s: Statement, indent: int, out: list[str]) -> None:
     pad = "  " * indent
-    if isinstance(s, Assign):
-        out.append(f"{pad}(set! {s.dst} {_fmt_rhs(s.rhs)})")
-    elif isinstance(s, MemWrite):
-        out.append(f"{pad}(mset! {s.base} {s.index} {s.src})")
-    elif isinstance(s, If):
-        t = s.test
-        out.append(f"{pad}(if ({t.rel} {t.a} {t.b})")
+    out.append(pad + statement_line(s))
+    if isinstance(s, If):
         out.append(f"{pad}  (begin")
         for sub in s.then_body:
             _fmt_statement(sub, indent + 2, out)
-        out[-1] += ")" if s.then_body else ""
-        if not s.then_body:
-            out[-1] = f"{pad}  (begin)"
+        out[-1] += ")"
         out.append(f"{pad}  (begin")
         for sub in s.else_body:
             _fmt_statement(sub, indent + 2, out)
-        if s.else_body:
-            out[-1] += "))"
-        else:
-            out[-1] = f"{pad}  (begin))"
-    elif isinstance(s, Call):
-        call = f"({s.callee}" + "".join(f" {a}" for a in s.args) + ")"
-        if s.dst is not None:
-            out.append(f"{pad}(set! {s.dst} {call})")
-        else:
-            out.append(f"{pad}{call}")
-    elif isinstance(s, ReturnValue):
-        out.append(f"{pad}(return {s.value})")
-    else:  # pragma: no cover
-        raise TypeError(f"unknown statement {s!r}")
+        out[-1] += "))"
 
 
 def format_program(p: Program) -> str:

@@ -44,7 +44,7 @@ from uilc.isa import (
 )
 from uilc.machine import equivalent, heap_from_seed, run_insts, run_target, run_uil
 from uilc.model import RET, Model, ModelError, Reg, Slot, make_config
-from uilc.uil import Assign, BinExpr, Call, Cmp, If, Program, ReturnValue, parse, validate
+from uilc.uil import Assign, BinExpr, Call, Cmp, If, Program, ReturnValue, parse, statement_line, validate
 
 from conftest import CYCLE3_SRC, DIAMOND_SRC, SPLIT_SRC, load_program
 
@@ -1268,8 +1268,9 @@ def test_procedure_that_fits_below_the_callee_saved_registers_never_names_one():
     models = [m for e in trace if e.scope == "f" for m in (e.pre, e.post)]
     assert models
     for m in models:
-        debts = re.findall(r"%c(\d+):(\w+)", m)
-        assert sorted(debts) == [(r, f"r{r}") for r in ("5", "6", "7")], m
+        debts = [(v, loc) for v, loc in m.regmap.items() if v.startswith("%c")]
+        assert sorted(debts) == [(f"%c{r}", r) for r in (5, 6, 7)], m
+        assert not [v for v in m.stackmap if v.startswith("%c")], m
     assert run_target(tp, cfg)[0] == run_uil(program)
 
 
@@ -1442,7 +1443,6 @@ def test_model_after_each_statement_binds_only_what_lives_on():
     # call are left out)
     for seed in range(200):
         ap = annotate(generate_program(seed))
-        by_point = {"<entry>": ap.entry_by_point, **{p.name: p.by_point for p in ap.procs}}
         for r in (2, 3, 4, 8):
             cfg = make_config(r)
             owed = {RET, *(f"%c{c}" for c in cfg.callee_saved)}
@@ -1453,16 +1453,16 @@ def test_model_after_each_statement_binds_only_what_lives_on():
                 except PressureError:
                     continue
                 for e in trace:
-                    if e.dead:
+                    a = e.a
+                    if a.dead:
                         continue
-                    a = by_point[e.scope][e.point]
                     allowed = owed | a.live_after
                     if type(a.stmt) is ReturnValue:
                         allowed |= {a.stmt.value}
                     elif a.tail:
                         continue
-                    bound = set(re.findall(r"([^\s{},]+):(?:r|fv)\d+", e.post))
-                    assert bound <= allowed, (seed, r, policy, e.scope, e.stmt, e.post)
+                    bound = e.post.regmap.keys() | e.post.stackmap.keys()
+                    assert bound <= allowed, (seed, r, policy, e.scope, a.point, e.post)
 
 
 # sha256 of the assembly for generator seeds 0..99 at R{2,3,4,8} under every
@@ -1585,7 +1585,7 @@ def test_dynamic_moves_do_not_rise():
 def test_dead_assignment_evicts_neither_ret_nor_a_debt(seed, scope, dead_stmt, holder, traffic):
     ap = annotate(generate_program(seed))
     body = next(proc.body for proc in ap.procs if proc.name == scope)
-    assert dead_stmt in [allocator._stmt_text(a.stmt) for a in walk_statements(body) if a.dead]
+    assert dead_stmt in [statement_line(a.stmt) for a in walk_statements(body) if a.dead]
     cfg = make_config(8)
     tp = alloc_program(ap, cfg, "furthest")
     _, stats = run_target(tp, cfg, heap_from_seed(seed))

@@ -218,10 +218,10 @@ def test_trace_text_is_pinned():
                     try:
                         tp = alloc_program(ap, cfg, policy, trace=trace)
                     except PressureError as e:
-                        _print_trace(trace, ap, {})
+                        _print_trace(trace, ap, {}, cfg)
                         print(e)
                     else:
-                        _print_trace(trace, ap, tp.clobbers)
+                        _print_trace(trace, ap, tp.clobbers, cfg)
                 digest.update(out.getvalue().encode())
     assert digest.hexdigest() == TRACE_SHA256
 
