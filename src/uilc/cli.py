@@ -85,8 +85,9 @@ def _print_trace(
     clobbers: dict[str, frozenset[int]],
     cfg: MachineConfig,
 ) -> None:
-    """Print each statement's transition, in source order (the allocator
-    runs callees first).  Before a procedure's first one, print its unread
+    """Print each statement's transition in source order: scope by scope,
+    in point order (the allocator runs callees first, and an `if` after
+    its branches).  Before a procedure's first one, print its unread
     parameters and its clobber set (when `clobbers` has it); for a dead
     statement, why nothing reads it; and under a call the arguments it
     leaves out and, for a non-tail call, the values it keeps in registers
@@ -95,7 +96,7 @@ def _print_trace(
     procs = {proc.name: proc for proc in ap.procs}
     rank = {name: i for i, name in enumerate(procs, 1)}  # the entry body is 0
     scope = None
-    for entry in sorted(trace, key=lambda e: rank.get(e.scope, 0)):
+    for entry in sorted(trace, key=lambda e: (rank.get(e.scope, 0), e.a.point)):
         if entry.scope != scope:
             scope = entry.scope
             if scope in procs:

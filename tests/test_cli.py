@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -159,6 +160,35 @@ def test_alloc_trace_lists_clobber_sets_and_kept_values_in_source_order(capsys, 
     assert out.endswith(run_cli(capsys, "alloc", str(path), "--registers", "4")[1])
 
 
+def _allocated_points(body):
+    """The points the allocator visits: all but those in a dead `if`'s
+    branches."""
+    for a in body:
+        yield a.point
+        if not a.dead:
+            yield from _allocated_points(a.then_body)
+            yield from _allocated_points(a.else_body)
+
+
+@pytest.mark.parametrize("sample", ["branch.uil", "split.uil", "sum_call.uil"])
+def test_alloc_trace_prints_each_point_once_in_order(capsys, sample):
+    # an `if` is allocated after its branches but printed before them
+    path = ROOT / "samples" / sample
+    ap = annotate(parse(path.read_text()))
+    bodies = {"<entry>": ap.entry, **{proc.name: proc.body for proc in ap.procs}}
+    expected = {scope: sorted(_allocated_points(body)) for scope, body in bodies.items()}
+    for r in ("2", "3", "4", "8"):
+        for policy in POLICIES:
+            code, out, _ = run_cli(
+                capsys, "alloc", str(path), "--registers", r, "--policy", policy, "--trace"
+            )
+            assert code == 0
+            printed: dict[str, list[int]] = {}
+            for m in re.finditer(r"^; (\S+) #(\d+): ", out, re.MULTILINE):
+                printed.setdefault(m[1], []).append(int(m[2]))
+            assert printed == expected, (r, policy)
+
+
 def test_alloc_trace_names_no_unread_parameter_of_a_kernel(capsys):
     code, out, _ = run_cli(capsys, "alloc", str(ROOT / "tests" / "data" / "walk.uil"), "--trace")
     assert code == 0
@@ -202,7 +232,7 @@ def test_alloc_trace_prints_transitions_before_pressure_error(capsys, split_file
 # fails (after the transitions that led to it, as `uilc alloc --trace`
 # prints them; at R=1 every program with a procedure fails).  A change to the trace's content or order must update this
 # constant and say why.
-TRACE_SHA256 = "4fe712869693c0eaacf212fb1aba1b619425c0a3629b743b1aca50e759df315c"
+TRACE_SHA256 = "eae4de14336964147a85b386626c76898bd9581ae081f1a05f90681419c60604"
 
 
 def test_trace_text_is_pinned():
