@@ -110,8 +110,10 @@ def _print_trace(
         stmt = a.stmt
         print(f"; {scope} #{a.point}: {statement_line(stmt)}")
         if a.dead:
-            why = "every branch statement is dead" if type(stmt) is If else f"{stmt.dst} is never read"
-            print(f";   dead: {why}")
+            if type(stmt) is If:
+                print(";   dead: every branch statement is dead")
+            else:
+                print(f";   dead: {stmt.dst} is never read")
             continue
         if type(stmt) is Call:
             callee = procs[stmt.callee]

@@ -44,7 +44,18 @@ from uilc.isa import (
 )
 from uilc.machine import equivalent, heap_from_seed, run_insts, run_target, run_uil
 from uilc.model import RET, Model, ModelError, Reg, Slot, make_config
-from uilc.uil import Assign, BinExpr, Call, Cmp, If, Program, ReturnValue, parse, statement_line, validate
+from uilc.uil import (
+    Assign,
+    BinExpr,
+    Call,
+    Cmp,
+    If,
+    Program,
+    ReturnValue,
+    parse,
+    statement_line,
+    validate,
+)
 
 from conftest import CYCLE3_SRC, DIAMOND_SRC, SPLIT_SRC, load_program
 
