@@ -554,22 +554,32 @@ def _validate_body(
     `defined` (assigned on entry) must be the caller's own fresh set: the
     walk adds to it in place.  `arities` holds every procedure name.  An
     operand that is a defined variable, neither a procedure name nor
-    `RET`, draws no diagnostic and skips `_check_defined`.
+    `RET`, draws no diagnostic and skips `_check_defined`.  Operators,
+    relations and immediates are checked too, in the parser's words, for
+    a program built without it.
     """
     last = len(body) - 1
     for idx, s in enumerate(body):
         kind = type(s)
         is_tail = tail and idx == last
         for v in s.operands():
-            if type(v) is str and (v not in defined or v in arities or v == RESERVED_NAME):
-                _check_defined(v, defined, arities, s.pos, diags)
+            if type(v) is str:
+                if v not in defined or v in arities or v == RESERVED_NAME:
+                    _check_defined(v, defined, arities, s.pos, diags)
+            elif type(v) is int and not WORD_MIN <= v <= WORD_MAX:
+                diags.append(Diagnostic(f"immediate {v} does not fit a 64-bit word", s.pos))
         defs = s.defs()
         for v in defs:
             if v == RESERVED_NAME:
                 diags.append(Diagnostic(f"cannot assign reserved name '{RESERVED_NAME}'", s.pos))
             if v in arities:
                 diags.append(Diagnostic(f"cannot assign procedure name '{v}'", s.pos))
-        if kind is If:
+        if kind is Assign:
+            if type(s.rhs) is BinExpr and s.rhs.op not in BINOPS:
+                diags.append(Diagnostic(f"unknown operator '{s.rhs.op}'", s.pos))
+        elif kind is If:
+            if s.test.rel not in RELATIONS:
+                diags.append(Diagnostic("unknown relation in test", s.pos))
             if not s.then_body or not s.else_body:
                 diags.append(Diagnostic("'if' branches must be nonempty", s.pos))
             then_defined = _validate_body(s.then_body, set(defined), arities, diags, is_tail)

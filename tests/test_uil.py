@@ -21,6 +21,8 @@ from uilc.uil import (
     MemWrite,
     ParseError,
     Program,
+    WORD_MAX,
+    WORD_MIN,
     ReturnValue,
     format_program,
     parse,
@@ -299,6 +301,57 @@ def test_validate_empty_bodies_of_built_programs():
     assert str(proc) == "procedure 'f' has an empty body"
     (entry,) = validate(Program((), ()))
     assert entry.pos is None and str(entry) == "program body is empty"
+
+
+_BUILT_CASES = [
+    # the parser reads `(/ 1 2)` as a call, so only a built program has one
+    ((Assign("x", BinExpr("/", 1, 2), (2, 3)), ReturnValue("x")), ["2:3: unknown operator '/'"]),
+    (
+        (If(Cmp("!=", 1, 2), (Assign("x", 1),), (Assign("x", 2),), (1, 5)), ReturnValue("x")),
+        ["1:5: unknown relation in test"],
+    ),
+    (
+        (Assign("x", 1 << 70), ReturnValue("x")),
+        ["immediate 1180591620717411303424 does not fit a 64-bit word"],
+    ),
+    (
+        (
+            MemWrite(WORD_MIN - 1, 0, WORD_MAX + 1),
+            Call("f", (WORD_MIN, WORD_MAX), "y"),
+            ReturnValue(-(1 << 64)),
+        ),
+        [
+            f"immediate {WORD_MIN - 1} does not fit a 64-bit word",
+            f"immediate {WORD_MAX + 1} does not fit a 64-bit word",
+            f"immediate {-(1 << 64)} does not fit a 64-bit word",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("body,expected", _BUILT_CASES)
+def test_validate_checks_what_only_the_parser_checked(body, expected):
+    program = Program((Definition("f", ("a", "b"), (ReturnValue("a"),)),), body)
+    assert [str(d) for d in validate(program)] == expected
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "(letrec () (if (!= 1 2) (begin (return 1)) (begin (return 2))))",
+            "unknown relation in test",
+        ),
+        (
+            f"(letrec () (return {WORD_MAX + 1}))",
+            f"immediate {WORD_MAX + 1} does not fit a 64-bit word",
+        ),
+    ],
+)
+def test_parser_words_what_validate_reports(text, message):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert e.value.message == message
 
 
 def test_print_empty_branches():
