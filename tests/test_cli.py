@@ -230,8 +230,8 @@ def test_alloc_trace_prints_transitions_before_pressure_error(capsys, split_file
 # sha256 of the `--trace` text of generator seeds 0..99 at R{1,2,3,4,8}
 # under every policy, and of the `PressureError` text where the allocation
 # fails (after the transitions that led to it, as `uilc alloc --trace`
-# prints them; at R=1 every program with a procedure fails).  A change to the trace's content or order must update this
-# constant and say why.
+# prints them; at R=1 every program with a procedure fails).  A change to
+# the trace's content or order must update this constant and say why.
 TRACE_SHA256 = "eae4de14336964147a85b386626c76898bd9581ae081f1a05f90681419c60604"
 
 
