@@ -15,6 +15,7 @@ from functools import partial
 
 from ._gc import gc_paused
 from .model import Reg
+from .uil import WORD_MAX, WORD_MIN
 
 Src = Reg | int  # register operand or immediate
 
@@ -234,14 +235,17 @@ def _parse_src(tok: str) -> Src:
     if m:
         return Reg(int(m.group(1)))
     if _INT_RE.match(tok):
-        return int(tok)
+        return _parse_int(tok)
     raise AsmError(f"expected a register or immediate, got {tok!r}")
 
 
 def _parse_int(tok: str) -> int:
     if not _INT_RE.match(tok):
         raise AsmError(f"expected an integer, got {tok!r}")
-    return int(tok)
+    value = int(tok)
+    if not WORD_MIN <= value <= WORD_MAX:
+        raise AsmError(f"immediate {tok} does not fit a 64-bit word")
+    return value
 
 
 def _parse_target(tok: str) -> str | Reg:
@@ -271,8 +275,9 @@ _SYNTAX = {
 def parse_asm(text: str) -> list[Inst]:
     """Parse assembly text back into instructions (inverse of format_insts).
 
-    A line with an unknown mnemonic, too few or too many operands, or an
-    operand of the wrong kind raises AsmError naming the line.
+    A line with an unknown mnemonic, too few or too many operands, an
+    operand of the wrong kind or an immediate outside a 64-bit word raises
+    AsmError naming the line.
     """
     insts: list[Inst] = []
     for n, raw in enumerate(text.splitlines(), 1):

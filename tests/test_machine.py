@@ -479,6 +479,18 @@ def test_asm_round_trip_covers_every_instruction_form():
         ("store r1, r2", "expected a frame slot, got 'r1'"),
         ("move fv0, r1", "expected a register, got 'fv0'"),
         ("add r0, fv1, 2", "expected a register or immediate, got 'fv1'"),
+        (
+            "loadimm r1, 99999999999999999999999",
+            "immediate 99999999999999999999999 does not fit a 64-bit word",
+        ),
+        (
+            "mstore 0, 9223372036854775808, r1",
+            "immediate 9223372036854775808 does not fit a 64-bit word",
+        ),
+        (
+            "blt r1, -9223372036854775809, .L0",
+            "immediate -9223372036854775809 does not fit a 64-bit word",
+        ),
     ],
 )
 def test_parse_asm_names_the_malformed_line(line, why):
