@@ -172,9 +172,8 @@ MoveDst = Reg | Slot
 
 @dataclass
 class TraceEntry:
-    """One allocated statement: its scope, its annotation, the models before
-    and after it (copies; both None for a dead statement, which emits
-    nothing) and its code."""
+    """A statement's scope and annotation, copies of the models before and
+    after it (both None when it is dead and emits nothing), and its code."""
 
     scope: str
     a: AnnotatedStatement

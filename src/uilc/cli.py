@@ -85,14 +85,12 @@ def _print_trace(
     clobbers: dict[str, frozenset[int]],
     cfg: MachineConfig,
 ) -> None:
-    """Print each statement's transition in source order: scope by scope,
-    in point order (the allocator runs callees first, and an `if` after
-    its branches).  Before a procedure's first one, print its unread
-    parameters and its clobber set (when `clobbers` has it); for a dead
-    statement, why nothing reads it; and under a call the arguments it
-    leaves out and, for a non-tail call, the values it keeps in registers
-    the callee never writes: after the call, only those and the result
-    are in registers that are not callee-saved."""
+    """Print each statement's transition, scope by scope in point order (the
+    allocator runs callees first, and an `if` after its branches).  Before
+    a procedure's first one, print its unread parameters and its clobber
+    set (when `clobbers` has it); for a dead statement, why; under a call,
+    the arguments it leaves out and, for a non-tail call, the values it
+    keeps in registers the callee never writes."""
     procs = {proc.name: proc for proc in ap.procs}
     rank = {name: i for i, name in enumerate(procs, 1)}  # the entry body is 0
     scope = None
@@ -124,6 +122,8 @@ def _print_trace(
             ]
             if left:
                 print(f";   left out: {', '.join(left)}")
+            # after the call, only these and the result sit in registers
+            # that are not callee-saved
             kept = [
                 f"{v} in r{r}"
                 for v, r in entry.post.register_residents()

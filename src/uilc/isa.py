@@ -242,10 +242,9 @@ def _parse_src(tok: str) -> Src:
 def _parse_int(tok: str) -> int:
     if not _INT_RE.match(tok):
         raise AsmError(f"expected an integer, got {tok!r}")
-    value = int(tok)
-    if not WORD_MIN <= value <= WORD_MAX:
+    if not WORD_MIN <= int(tok) <= WORD_MAX:
         raise AsmError(f"immediate {tok} does not fit a 64-bit word")
-    return value
+    return int(tok)
 
 
 def _parse_target(tok: str) -> str | Reg:

@@ -281,12 +281,8 @@ class Model:
 
     def dump(self) -> str:
         """Textual form like `{x:r1, y:r2}{z:fv0}`, entries ordered by index."""
-        regs = ", ".join(
-            f"{v}:r{r}" for v, r in sorted(self.regmap.items(), key=lambda kv: kv[1])
-        )
-        slots = ", ".join(
-            f"{v}:fv{s}" for v, s in sorted(self.stackmap.items(), key=lambda kv: kv[1])
-        )
+        regs = ", ".join([f"{v}:r{r}" for r, v in sorted(self.reg_owner.items())])
+        slots = ", ".join([f"{v}:fv{i}" for i, v in sorted(self.slot_owner.items())])
         return "{" + regs + "}{" + slots + "}"
 
     def __repr__(self) -> str:

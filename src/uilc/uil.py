@@ -452,18 +452,15 @@ def parse(text: str) -> Program:
 # Pretty printer (canonical form: one statement per line, two-space indent)
 
 
-def _fmt_rhs(rhs: Rhs) -> str:
-    if isinstance(rhs, BinExpr):
-        return f"({rhs.op} {rhs.a} {rhs.b})"
-    if isinstance(rhs, MemRead):
-        return f"(mref {rhs.base} {rhs.index})"
-    return str(rhs)
-
-
 def statement_line(s: Statement) -> str:
     """The first line of `s`'s canonical text: an `if`'s holds its test."""
     if isinstance(s, Assign):
-        return f"(set! {s.dst} {_fmt_rhs(s.rhs)})"
+        rhs = s.rhs
+        if isinstance(rhs, BinExpr):
+            rhs = f"({rhs.op} {rhs.a} {rhs.b})"
+        elif isinstance(rhs, MemRead):
+            rhs = f"(mref {rhs.base} {rhs.index})"
+        return f"(set! {s.dst} {rhs})"
     if isinstance(s, MemWrite):
         return f"(mset! {s.base} {s.index} {s.src})"
     if isinstance(s, If):
@@ -554,9 +551,8 @@ def _validate_body(
     `defined` (assigned on entry) must be the caller's own fresh set: the
     walk adds to it in place.  `arities` holds every procedure name.  An
     operand that is a defined variable, neither a procedure name nor
-    `RET`, draws no diagnostic and skips `_check_defined`.  Operators,
-    relations and immediates are checked too, in the parser's words, for
-    a program built without it.
+    `RET`, draws no diagnostic and skips `_check_defined`.  What only the
+    parser checks (operators, relations, immediates) is checked again.
     """
     last = len(body) - 1
     for idx, s in enumerate(body):
@@ -574,9 +570,8 @@ def _validate_body(
                 diags.append(Diagnostic(f"cannot assign reserved name '{RESERVED_NAME}'", s.pos))
             if v in arities:
                 diags.append(Diagnostic(f"cannot assign procedure name '{v}'", s.pos))
-        if kind is Assign:
-            if type(s.rhs) is BinExpr and s.rhs.op not in BINOPS:
-                diags.append(Diagnostic(f"unknown operator '{s.rhs.op}'", s.pos))
+        if kind is Assign and type(s.rhs) is BinExpr and s.rhs.op not in BINOPS:
+            diags.append(Diagnostic(f"unknown operator '{s.rhs.op}'", s.pos))
         elif kind is If:
             if s.test.rel not in RELATIONS:
                 diags.append(Diagnostic("unknown relation in test", s.pos))
