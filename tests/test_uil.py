@@ -335,25 +335,6 @@ def test_validate_checks_what_only_the_parser_checked(body, expected):
     assert [str(d) for d in validate(program)] == expected
 
 
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        (
-            "(letrec () (if (!= 1 2) (begin (return 1)) (begin (return 2))))",
-            "unknown relation in test",
-        ),
-        (
-            f"(letrec () (return {WORD_MAX + 1}))",
-            f"immediate {WORD_MAX + 1} does not fit a 64-bit word",
-        ),
-    ],
-)
-def test_parser_words_what_validate_reports(text, message):
-    with pytest.raises(ParseError) as e:
-        parse(text)
-    assert e.value.message == message
-
-
 def test_print_empty_branches():
     p = Program(
         (),
@@ -446,6 +427,10 @@ def _parse_error(text):
         ("(letrec () (return))", ("'return' takes one value", 1, 12)),
         ("(letrec () (begin) (return 0))", ("'begin' is not a statement here", 1, 12)),
         ("(letrec () (+ 1 2) (return 0))", ("'+' is not a statement here", 1, 12)),
+        (
+            "(letrec () (if (!= 1 2) (begin (return 1)) (begin (return 2))))",
+            ("unknown relation in test", 1, 16),
+        ),
     ],
 )
 def test_parse_error_exact_position(text, expected):
