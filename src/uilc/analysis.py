@@ -43,6 +43,7 @@ from collections.abc import Iterator, KeysView
 from dataclasses import dataclass, field
 
 from ._gc import gc_paused
+from ._record import record
 from .uil import (
     Assign,
     Call,
@@ -59,7 +60,7 @@ from .uil import (
 INF = math.inf
 
 
-@dataclass(frozen=True)
+@record
 class AnnotatedStatement:
     stmt: Statement
     point: int

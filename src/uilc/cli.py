@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -276,7 +277,16 @@ def cmd_fuzz(args) -> int:
     checked = 0
     for i in range(count):
         seed = args.seed + i
-        program = generate_program(seed)
+        # compiled from its text, as `uilc alloc` compiles a file
+        generated = generate_program(seed)
+        try:
+            program = parse(format_program(generated))
+        except ParseError as e:
+            failures.append((seed, f"the generated program's text does not parse: {e}"))
+            break
+        if program != generated:
+            failures.append((seed, "the generated program's text parses to another program"))
+            break
         diags = validate(program)
         if diags:
             failures.append((seed, f"generator produced invalid program: {diags[0]}"))
@@ -353,7 +363,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:  # argparse exits 0 after --help, 2 on a usage error
         return 0 if e.code == 0 else 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered nowhere, so the
+        # flush at exit cannot fail again, and exit as a failed write does
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

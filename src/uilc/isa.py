@@ -14,37 +14,38 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from ._gc import gc_paused
+from ._record import record
 from .model import Reg
 from .uil import WORD_MAX, WORD_MIN
 
 Src = Reg | int  # register operand or immediate
 
 
-@dataclass(frozen=True)
+@record
 class Move:
     dst: int
     src: int
 
 
-@dataclass(frozen=True)
+@record
 class LoadImm:
     dst: int
     imm: int
 
 
-@dataclass(frozen=True)
+@record
 class Load:
     dst: int
     slot: int
 
 
-@dataclass(frozen=True)
+@record
 class Store:
     slot: int
     src: int
 
 
-@dataclass(frozen=True)
+@record
 class BinOpInst:
     op: str  # + - *
     dst: int
@@ -52,21 +53,21 @@ class BinOpInst:
     b: Src
 
 
-@dataclass(frozen=True)
+@record
 class MemLoad:
     dst: int
     base: Src
     index: Src
 
 
-@dataclass(frozen=True)
+@record
 class MemStore:
     base: Src
     index: Src
     src: Src
 
 
-@dataclass(frozen=True)
+@record
 class CondJump:
     rel: str  # < <= = >= >
     a: Src
@@ -74,28 +75,28 @@ class CondJump:
     target: str
 
 
-@dataclass(frozen=True)
+@record
 class Jump:
     target: str | Reg  # direct label or indirect through a register
 
 
-@dataclass(frozen=True)
+@record
 class LoadLabel:
     dst: int
     label: str
 
 
-@dataclass(frozen=True)
+@record
 class LabelDef:
     label: str
 
 
-@dataclass(frozen=True)
+@record
 class FrameAdjust:
     delta: int
 
 
-@dataclass(frozen=True)
+@record
 class Halt:
     pass
 

@@ -5,6 +5,11 @@ fixed-arity procedures over flat statements (assignments, memory reads
 and writes, two-way branches, calls, and value returns).  The concrete
 syntax is parenthesized prefix form; comments run from `;` to end of
 line.
+
+The syntax nodes are frozen records (`_record.record`).  `parse` reads
+the text in one pass into nested lists of token matches, then builds the
+nodes; positions are counted only for statements and definitions, and
+for whatever a `ParseError` names.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import re
 from dataclasses import dataclass, field
 
 from ._gc import gc_paused
+from ._record import record
 
 Operand = str | int  # identifier or signed 64-bit immediate
 
@@ -49,7 +55,7 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
+@record
 class BinExpr:
     op: str
     a: Operand
@@ -59,7 +65,7 @@ class BinExpr:
         return (self.a, self.b)
 
 
-@dataclass(frozen=True)
+@record
 class MemRead:
     base: Operand
     index: Operand
@@ -71,7 +77,7 @@ class MemRead:
 Rhs = BinExpr | MemRead | Operand
 
 
-@dataclass(frozen=True)
+@record
 class Cmp:
     rel: str
     a: Operand
@@ -80,7 +86,7 @@ class Cmp:
 
 # Every statement answers operands(): each operand it reads, immediates
 # included, in evaluation order; and defs(): the variables it assigns.
-@dataclass(frozen=True)
+@record
 class Assign:
     dst: str
     rhs: Rhs
@@ -88,13 +94,13 @@ class Assign:
 
     def operands(self) -> tuple[Operand, ...]:
         rhs = self.rhs
-        return (rhs,) if isinstance(rhs, (str, int)) else rhs.operands()
+        return rhs.operands() if isinstance(rhs, (BinExpr, MemRead)) else (rhs,)
 
     def defs(self) -> tuple[str, ...]:
         return (self.dst,)
 
 
-@dataclass(frozen=True)
+@record
 class MemWrite:
     base: Operand
     index: Operand
@@ -108,7 +114,7 @@ class MemWrite:
         return ()
 
 
-@dataclass(frozen=True)
+@record
 class If:
     test: Cmp
     then_body: tuple["Statement", ...]
@@ -122,7 +128,7 @@ class If:
         return ()
 
 
-@dataclass(frozen=True)
+@record
 class Call:
     callee: str
     args: tuple[Operand, ...]
@@ -137,7 +143,7 @@ class Call:
         return () if self.dst is None else (self.dst,)
 
 
-@dataclass(frozen=True)
+@record
 class ReturnValue:
     value: Operand
     pos: Pos | None = field(default=None, compare=False)
@@ -192,67 +198,64 @@ class Diagnostic:
 
 
 # ---------------------------------------------------------------------------
-# S-expression reader
+# S-expression reader: lists of token matches, no positions
 
 
 class _Sexpr:
-    """List node of the reader.  Its items are `_Sexpr` nodes and atoms;
-    an atom is the `_TOKEN_RE` match itself, whose position is worked out
-    from the text only when a diagnostic names it (see `_pos`)."""
+    """List node of the reader.  Its items are `_Sexpr` nodes and atoms; an
+    atom is the `_TOKEN_RE` match itself, and a list keeps the match of its
+    "(" as `paren`.  No position is counted while reading: a statement's is
+    counted by the parser as it goes (`_Parser.pos`), and any other only
+    when a diagnostic names it (`_pos`)."""
 
-    __slots__ = ("items", "line", "col")
+    __slots__ = ("items", "paren")
 
-    def __init__(self, items: list, line: int, col: int):
+    def __init__(self, items: list, paren: re.Match):
         self.items = items
-        self.line = line
-        self.col = col
+        self.paren = paren
 
 
-# One match per newline, parenthesis, comment or atom; spaces, tabs and
-# carriage returns match nothing and are skipped.  Every character but a
-# newline advances the column by one.  The group that matched tells the
-# kind: 1 a newline, 2 "(", 3 ")", 4 an atom; a comment has none.
-_TOKEN_RE = re.compile(r"(\n)|(\()|(\))|;[^\n]*|([^ \t\r\n();]+)")
+# One match per parenthesis, comment or atom; spaces, tabs, carriage
+# returns and newlines match nothing and are skipped.  The group that
+# matched tells the kind: 1 "(", 2 ")", 3 an atom; a comment has none.
+_TOKEN_RE = re.compile(r"(\()|(\))|;[^\n]*|([^ \t\r\n();]+)")
 
 
 def _read_all(text: str) -> list:
     """Read the top-level forms in one left-to-right pass."""
     forms: list = []
     items = forms  # the list that receives the next form
-    open_lists: list[_Sexpr] = []
+    # the item lists of the enclosing lists, innermost last: an open list
+    # is the last item of the one it sits in
+    enclosing: list[list] = []
     too_deep: _Sexpr | None = None  # the first list opened past MAX_DEPTH
-    line, line_start = 1, 0
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastindex
-        if kind == 4:
+        if kind == 3:
             items.append(m)
-        elif kind == 2:
-            node = _Sexpr([], line, m.start() - line_start + 1)
-            items.append(node)
-            open_lists.append(node)
-            items = node.items
-            if too_deep is None and len(open_lists) > MAX_DEPTH:
-                too_deep = node
-        elif kind == 3:
-            if not open_lists:
-                raise ParseError("unexpected ')'", line, m.start() - line_start + 1)
-            open_lists.pop()
-            items = open_lists[-1].items if open_lists else forms
         elif kind == 1:
-            line += 1
-            line_start = m.end()
-    if open_lists:
-        innermost = open_lists[-1]
-        raise ParseError("unclosed parenthesis", innermost.line, innermost.col)
+            node = _Sexpr([], m)
+            items.append(node)
+            enclosing.append(items)
+            items = node.items
+            if len(enclosing) > MAX_DEPTH and too_deep is None:
+                too_deep = node
+        elif kind == 2:
+            if not enclosing:
+                raise _err(m, "unexpected ')'")
+            items = enclosing.pop()
+    if enclosing:
+        raise _err(enclosing[-1][-1], "unclosed parenthesis")
     if too_deep is not None:
         raise _err(too_deep, f"nesting deeper than {MAX_DEPTH} parentheses")
     return forms
 
 
 def _pos(node) -> Pos:
-    """The (line, column) of a list node or an atom."""
+    """The (line, column) of a list node or an atom, counted from the start
+    of the text: every character but a newline advances the column by one."""
     if type(node) is _Sexpr:
-        return node.line, node.col
+        node = node.paren
     text, start = node.string, node.start()
     return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
 
@@ -280,12 +283,31 @@ class _Parser:
     ``operands`` maps each atom text met as an operand or identifier to its
     value: the integer of an integer, the text of an identifier.  Each
     distinct text is classified once; one that is neither ends the parse.
+    ``line`` is the line of ``text`` that holds offset ``last``, the start
+    of the list `pos` counted last, and the line starts at ``line_start``.
     """
 
-    __slots__ = ("operands",)
+    __slots__ = ("operands", "text", "line", "line_start", "last")
 
-    def __init__(self) -> None:
+    def __init__(self, text: str) -> None:
         self.operands: dict[str, Operand] = {}
+        self.text = text
+        self.line = 1
+        self.line_start = 0
+        self.last = 0
+
+    def pos(self, node: _Sexpr) -> Pos:
+        """The (line, column) of a statement or definition.  The parser
+        meets them in text order, so only the newlines since the one
+        counted last are counted."""
+        start = node.paren.start()
+        text, last = self.text, self.last
+        newlines = text.count("\n", last, start)
+        if newlines:
+            self.line += newlines
+            self.line_start = text.rfind("\n", last, start) + 1
+        self.last = start
+        return self.line, start - self.line_start + 1
 
     def operand(self, node) -> Operand:
         if type(node) is _Sexpr:
@@ -357,7 +379,7 @@ class _Parser:
     def statement(self, node) -> Statement:
         if type(node) is not _Sexpr or not node.items:
             raise _err(node, "expected a statement")
-        pos = (node.line, node.col)
+        pos = self.pos(node)
         items = node.items
         head = items[0]
         if type(head) is _Sexpr:
@@ -406,6 +428,7 @@ class _Parser:
         # ((name (lambda (params...) stmt...)))
         if not _is_list(node) or len(node.items) != 2:
             raise _err(node, "definition must be (name (lambda (params...) stmt...))")
+        pos = self.pos(node)
         name = self.ident(node.items[0], "procedure name")
         lam = node.items[1]
         if not _is_list(lam, "lambda") or len(lam.items) < 3:
@@ -415,15 +438,16 @@ class _Parser:
             raise _err(lam, "lambda parameter list must be parenthesized")
         params = tuple([self.ident(p, "parameter") for p in params_node.items])
         body = self.body(lam.items[2:], lam)
-        return Definition(name, params, body, (node.line, node.col))
+        return Definition(name, params, body, pos)
 
 
 @gc_paused
 def parse(text: str) -> Program:
     """Parse concrete UIL text into a Program.
 
-    Raises ParseError with line/column on malformed input.  Pauses the
-    cyclic garbage collector while it runs (`_gc.gc_paused`).
+    Raises ParseError with line/column on malformed input.  Each statement
+    and definition carries its (line, column) as `pos`.  Pauses the cyclic
+    garbage collector while it runs (`_gc.gc_paused`).
     """
     forms = _read_all(text)
     if len(forms) != 1:
@@ -432,12 +456,12 @@ def parse(text: str) -> Program:
         raise _err(forms[1], "expected a single (letrec ...) form")
     top = forms[0]
     if not _is_list(top, "letrec") or len(top.items) < 2:
-        node = top if type(top) is _Sexpr else _Sexpr([], 1, 1)
-        raise _err(node, "program must be (letrec (definitions...) stmt...)")
+        line, col = _pos(top) if type(top) is _Sexpr else (1, 1)
+        raise ParseError("program must be (letrec (definitions...) stmt...)", line, col)
     defs_node = top.items[1]
     if not _is_list(defs_node):
         raise _err(top, "letrec definitions must be parenthesized")
-    parser = _Parser()
+    parser = _Parser(text)
     definitions = tuple([parser.definition(d) for d in defs_node.items])
     seen = set()
     for d in definitions:
@@ -552,7 +576,8 @@ def _validate_body(
     walk adds to it in place.  `arities` holds every procedure name.  An
     operand that is a defined variable, neither a procedure name nor
     `RET`, draws no diagnostic and skips `_check_defined`.  What only the
-    parser checks (operators, relations, immediates) is checked again.
+    parser checks (operators, relations, immediates) is checked again, and
+    an operand that is neither a `str` nor an exact `int` is a bad one.
     """
     last = len(body) - 1
     for idx, s in enumerate(body):
@@ -562,7 +587,9 @@ def _validate_body(
             if type(v) is str:
                 if v not in defined or v in arities or v == RESERVED_NAME:
                     _check_defined(v, defined, arities, s.pos, diags)
-            elif type(v) is int and not WORD_MIN <= v <= WORD_MAX:
+            elif type(v) is not int:
+                diags.append(Diagnostic(f"bad operand {v!r}", s.pos))
+            elif not WORD_MIN <= v <= WORD_MAX:
                 diags.append(Diagnostic(f"immediate {v} does not fit a 64-bit word", s.pos))
         defs = s.defs()
         for v in defs:

@@ -97,6 +97,8 @@ def test_record_fields_are_frozen(cls, args, signature):
             setattr(record, f.name, getattr(record, f.name))
         with pytest.raises(FrozenInstanceError):
             delattr(record, f.name)
+    with pytest.raises(FrozenInstanceError):
+        record.extra = 0
 
 
 @pytest.mark.parametrize("cls,args,signature", _RECORDS, ids=_RECORD_IDS)

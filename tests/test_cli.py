@@ -17,7 +17,7 @@ from uilc.gen import generate_program
 from uilc.machine import EquivReport
 from uilc.model import make_config
 
-from uilc.uil import parse
+from uilc.uil import ParseError, Program, ReturnValue, format_program, parse
 
 from conftest import SPLIT_OBSERVED_SRC, SPLIT_SRC, CHAIN_SRC, nested_ifs
 
@@ -377,16 +377,43 @@ def test_diagnostics_name_the_file(capsys, tmp_path, command, text, where):
     assert err == f"error: {path}:{where}\n"
 
 
+def _uilc_env():
+    path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
 def test_python_dash_m_runs_the_command_line(capsys):
     argv = ["alloc", str(ROOT / "samples" / "split.uil"), "--registers", "2"]
-    path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     done = subprocess.run(
-        [sys.executable, "-m", "uilc", *argv], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-m", "uilc", *argv],
+        capture_output=True,
+        text=True,
+        env=_uilc_env(),
+        timeout=60,
     )
     code, out, _ = run_cli(capsys, *argv)
     assert (done.returncode, done.stdout, done.stderr) == (code, out, "")
     assert code == 0 and out
+
+
+@pytest.mark.parametrize("trace", [[], ["--trace"]])
+def test_closed_pipe_exits_one_with_nothing_on_stderr(trace):
+    # a reader that is gone before anything is written, as `| head -2` is
+    # once it has its lines
+    argv = ["alloc", str(ROOT / "samples" / "sum_call.uil"), "--registers", "4", *trace]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "uilc", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=_uilc_env(),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
 
 
 def test_deeply_nested_parse_error_exits_one(capsys, tmp_path):
@@ -559,6 +586,44 @@ def test_fuzz_injected_fault_writes_reproducer(capsys, tmp_path, monkeypatch):
     repro = tmp_path / "fuzz_fail_7.uil"
     assert repro.exists()
     assert repro.read_text().startswith("(letrec")
+
+
+def test_fuzz_compiles_each_program_from_its_text(capsys, monkeypatch):
+    texts = []
+
+    def recording(text):
+        texts.append(text)
+        return parse(text)
+
+    monkeypatch.setattr("uilc.cli.parse", recording)
+    code, out, _ = run_cli(capsys, "fuzz", "--count", "3", "--seed", "40", "--registers", "3")
+    assert code == 0
+    assert out == "fuzz: 3 program(s), 9 allocation(s) checked, all equivalent\n"
+    assert texts == [format_program(generate_program(seed)) for seed in (40, 41, 42)]
+
+
+@pytest.mark.parametrize(
+    "parsed, detail",
+    [
+        (Program((), (ReturnValue(0),)), "the generated program's text parses to another program"),
+        (ParseError("bad operand 'x#'", 3, 4), "the generated program's text does not parse: 3:4: bad operand 'x#'"),
+    ],
+)
+def test_fuzz_text_that_does_not_read_back_writes_reproducer(
+    capsys, tmp_path, monkeypatch, parsed, detail
+):
+    monkeypatch.chdir(tmp_path)
+
+    def misreading(text):
+        if isinstance(parsed, ParseError):
+            raise parsed
+        return parsed
+
+    monkeypatch.setattr("uilc.cli.parse", misreading)
+    code, out, err = run_cli(capsys, "fuzz", "--count", "3", "--seed", "7")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"FAIL seed=7: {detail}", "reproducer written to fuzz_fail_7.uil"]
+    assert (tmp_path / "fuzz_fail_7.uil").read_text() == format_program(generate_program(7))
 
 
 def test_fuzz_allocation_error_writes_reproducer(capsys, tmp_path, monkeypatch):

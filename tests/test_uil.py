@@ -326,6 +326,27 @@ _BUILT_CASES = [
             f"immediate {-(1 << 64)} does not fit a 64-bit word",
         ],
     ),
+    # an operand is a str or an exact int: a float or a bool is neither
+    (
+        (Assign("x", BinExpr("+", 1.5, True), (2, 3)), ReturnValue("x")),
+        ["2:3: bad operand 1.5", "2:3: bad operand True"],
+    ),
+    ((Assign("x", 1.5, (4, 1)), ReturnValue("x")), ["4:1: bad operand 1.5"]),
+    (
+        (
+            MemWrite(None, "b", 0, (1, 2)),
+            Call("f", (0.0, False), "y", (1, 9)),
+            If(Cmp("<", "y", ()), (ReturnValue("y"),), (ReturnValue(b"x", (3, 4)),), (2, 1)),
+        ),
+        [
+            "1:2: bad operand None",
+            "1:2: variable 'b' may be used before assignment",
+            "1:9: bad operand 0.0",
+            "1:9: bad operand False",
+            "2:1: bad operand ()",
+            "3:4: bad operand b'x'",
+        ],
+    ),
 ]
 
 
