@@ -1,3 +1,5 @@
+import ast
+import functools
 import hashlib
 import random
 import re
@@ -452,6 +454,13 @@ def _parse_error(text):
             "(letrec () (if (!= 1 2) (begin (return 1)) (begin (return 2))))",
             ("unknown relation in test", 1, 16),
         ),
+        # only space, tab, carriage return and newline separate atoms: any
+        # other whitespace is part of an atom or is an atom itself
+        ("(letrec () (set! x 1\x0b) (return x))", ("bad operand '1\\x0b'", 1, 20)),
+        ("(letrec () (set! x\x0c 1) (return x))", ("bad variable 'x\\x0c'", 1, 18)),
+        ("(letrec ()\n  (set! x 1)\xa0(return x))", ("expected a statement", 2, 13)),
+        ("(letrec () (set! x 1)\x1c(return x))", ("expected a statement", 1, 22)),
+        ("(letrec () (set! x 1) (return x)) \x85", ("expected a single (letrec ...) form", 1, 35)),
     ],
 )
 def test_parse_error_exact_position(text, expected):
@@ -461,6 +470,12 @@ def test_parse_error_exact_position(text, expected):
 def test_comment_at_eof_without_newline_parses():
     p = parse("(letrec () (set! x 0) (return x)) ; trailing")
     assert p.body == (Assign("x", 0), ReturnValue("x"))
+
+
+def test_parentheses_in_a_comment_are_not_read():
+    p = parse("(letrec () (set! x 1) ; a (comment) with )) parens\n (return x))")
+    assert p.body == (Assign("x", 1), ReturnValue("x"))
+    assert [s.pos for s in p.body] == [(1, 12), (2, 2)]
 
 
 def test_deep_nesting_is_a_parse_error():
@@ -491,30 +506,45 @@ def test_nesting_past_max_depth_is_a_parse_error():
 
 
 _EDIT_CHARS = "()  \t\n\r;x9-+RETbegin"
+# Whitespace that does not separate atoms (vertical tab, form feed, the
+# file separator, NEL, no-break space, em space) and characters no atom
+# may hold.  Only space, tab, carriage return and newline separate atoms.
+_WIDE_EDIT_CHARS = _EDIT_CHARS + "\x0b\x0c\x1c\x85\xa0\u2003\"\\#"
 
 
-def _generated_and_edited_texts():
-    """The canonical text of generator programs 0..299 with each program,
-    then 2,000 seeded random edits of them (one to three characters
-    inserted, deleted or replaced from `_EDIT_CHARS`)."""
-    rng = random.Random(4)
+@functools.lru_cache(maxsize=None)
+def _generated_texts():
+    """Generator programs 0..299 and their canonical texts."""
     programs = [generate_program(seed) for seed in range(300)]
-    texts = [format_program(p) for p in programs]
+    return programs, [format_program(p) for p in programs]
+
+
+def _edited_texts(texts, alphabet, count, seed):
+    """`count` seeded random edits of `texts`: one to three characters
+    inserted, deleted or replaced from `alphabet`."""
+    rng = random.Random(seed)
     edited = []
-    for _ in range(2000):
+    for _ in range(count):
         chars = list(rng.choice(texts))
         for _ in range(rng.randint(1, 3)):
             i = rng.randrange(len(chars) + 1)
             kind = rng.randrange(3)
             if kind == 0:
-                chars.insert(i, rng.choice(_EDIT_CHARS))
+                chars.insert(i, rng.choice(alphabet))
             elif i < len(chars):
                 if kind == 1:
                     del chars[i]
                 else:
-                    chars[i] = rng.choice(_EDIT_CHARS)
+                    chars[i] = rng.choice(alphabet)
         edited.append("".join(chars))
-    return programs, texts, edited
+    return edited
+
+
+def _generated_and_edited_texts():
+    """The canonical text of generator programs 0..299 with each program,
+    then 2,000 seeded random edits of them from `_EDIT_CHARS`."""
+    programs, texts = _generated_texts()
+    return programs, texts, _edited_texts(texts, _EDIT_CHARS, 2000, 4)
 
 
 def test_parse_roundtrip_and_random_edits_property():
@@ -551,6 +581,41 @@ def test_parse_outcomes_are_pinned():
         digest.update(b"\n")
     assert digest.hexdigest() == PARSE_OUTCOMES_SHA256
 
+
+
+# The same digest over 2,000 seeded edits from `_WIDE_EDIT_CHARS`: it pins
+# which characters separate atoms and which ones an atom holds.
+PARSE_OUTCOMES_WIDE_SHA256 = "651ade9f40c2d9ed0dc7ad69bf0d70645caf506b8b8c817bbb7d3d2be53cc042"
+
+
+def test_parse_outcomes_of_wide_edits_are_pinned():
+    _, texts = _generated_texts()
+    digest = hashlib.sha256()
+    for text in _edited_texts(texts, _WIDE_EDIT_CHARS, 2000, 5):
+        digest.update(_parse_outcome(text).encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == PARSE_OUTCOMES_WIDE_SHA256
+
+
+_ATOM_ERROR_RE = re.compile(r"bad (?:operand|variable|parameter|procedure name) ('.*'|\".*\")\Z")
+
+
+def test_an_atom_error_points_at_the_atom():
+    """The line and column of every error that names an atom are where
+    that atom starts in the text."""
+    _, texts = _generated_texts()
+    named = 0
+    for text in _edited_texts(texts, _WIDE_EDIT_CHARS, 4000, 6):
+        try:
+            parse(text)
+        except ParseError as e:
+            m = _ATOM_ERROR_RE.match(e.message)
+            if m:
+                named += 1
+                atom = ast.literal_eval(m.group(1))
+                line = text.split("\n")[e.line - 1]
+                assert line[e.col - 1 :].startswith(atom), (e.message, e.line, e.col)
+    assert named > 700  # 775 of the 4,000 edits
 
 # Digest of the `(message, pos)` list that `validate` returns for every
 # text of `_generated_and_edited_texts` that parses (861 of them).  The
