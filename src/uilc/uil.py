@@ -198,83 +198,96 @@ class Diagnostic:
 
 
 # ---------------------------------------------------------------------------
-# S-expression reader: lists of token matches, no positions
+# S-expression reader: nested lists of atom texts, no positions
+
+# Only space, tab, carriage return and newline separate atoms; a comment
+# runs from `;` to the end of its line.  Both rewrites keep every offset.
+_COMMENT_RE = re.compile(r";[^\n]*")
+_SPACES = str.maketrans("\t\r\n", "   ")
+_PAREN_RE = re.compile(r"([()])")
+# what may sit between two items: separators and comments
+_GAP_RE = re.compile(r"(?:[ \t\r\n]+|;[^\n]*)*")
 
 
-class _Sexpr:
-    """List node of the reader.  Its items are `_Sexpr` nodes and atoms; an
-    atom is the `_TOKEN_RE` match itself, and a list keeps the match of its
-    "(" as `paren`.  No position is counted while reading: a statement's is
-    counted by the parser as it goes (`_Parser.pos`), and any other only
-    when a diagnostic names it (`_pos`)."""
-
-    __slots__ = ("items", "paren")
-
-    def __init__(self, items: list, paren: re.Match):
-        self.items = items
-        self.paren = paren
-
-
-# One match per parenthesis, comment or atom; spaces, tabs, carriage
-# returns and newlines match nothing and are skipped.  The group that
-# matched tells the kind: 1 "(", 2 ")", 3 an atom; a comment has none.
-_TOKEN_RE = re.compile(r"(\()|(\))|;[^\n]*|([^ \t\r\n();]+)")
+def _blank_comment(m: re.Match) -> str:
+    return " " * len(m[0])
 
 
 def _read_all(text: str) -> list:
-    """Read the top-level forms in one left-to-right pass."""
-    forms: list = []
-    items = forms  # the list that receives the next form
-    # the item lists of the enclosing lists, innermost last: an open list
-    # is the last item of the one it sits in
+    """Read the top-level forms in one left-to-right pass.
+
+    A list node is a Python `list`: item 0 is the offset of its "(" in
+    `text`, and the items after it are its elements, lists and atoms.  An
+    atom is its text, a `str`.  The top level is returned as a list node
+    whose "(" sits at offset -1.  The text is split once at parentheses,
+    after comments are blanked and tabs, carriage returns and newlines are
+    made spaces, so the Python-level work is per parenthesis: the atoms
+    between two parentheses are added by one `split(" ")`.  No position is
+    counted while reading: a statement's is counted by the parser as it
+    goes (`_Parser.pos`), and any other only when a diagnostic names it
+    (`_item_offset`)."""
+    blank = _COMMENT_RE.sub(_blank_comment, text) if ";" in text else text
+    parts = _PAREN_RE.split(blank.translate(_SPACES))
+    forms: list = [-1]
+    items = forms  # the list that receives the next item
+    # the enclosing lists, innermost last: an open list is the last item
+    # of the one it sits in
     enclosing: list[list] = []
-    too_deep: _Sexpr | None = None  # the first list opened past MAX_DEPTH
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastindex
-        if kind == 3:
-            items.append(m)
-        elif kind == 1:
-            node = _Sexpr([], m)
+    too_deep: list | None = None  # the first list opened past MAX_DEPTH
+    chunk = parts[0]
+    forms.extend(filter(None, chunk.split(" ")))
+    offset = len(chunk)  # of the parenthesis that comes next
+    paired = iter(parts)
+    next(paired)
+    for paren, chunk in zip(paired, paired):
+        if paren == "(":
+            node = [offset]
             items.append(node)
             enclosing.append(items)
-            items = node.items
+            items = node
             if len(enclosing) > MAX_DEPTH and too_deep is None:
                 too_deep = node
-        elif kind == 2:
-            if not enclosing:
-                raise _err(m, "unexpected ')'")
+        elif enclosing:
             items = enclosing.pop()
+        else:
+            raise ParseError("unexpected ')'", *_pos(text, offset))
+        offset += len(chunk) + 1
+        if chunk.strip(" "):
+            items.extend(filter(None, chunk.split(" ")))
     if enclosing:
-        raise _err(enclosing[-1][-1], "unclosed parenthesis")
+        raise ParseError("unclosed parenthesis", *_pos(text, items[0]))
     if too_deep is not None:
-        raise _err(too_deep, f"nesting deeper than {MAX_DEPTH} parentheses")
+        raise ParseError(
+            f"nesting deeper than {MAX_DEPTH} parentheses", *_pos(text, too_deep[0])
+        )
     return forms
 
 
-def _pos(node) -> Pos:
-    """The (line, column) of a list node or an atom, counted from the start
-    of the text: every character but a newline advances the column by one."""
-    if type(node) is _Sexpr:
-        node = node.paren
-    text, start = node.string, node.start()
-    return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
+def _item_offset(text: str, node: list, index: int) -> int:
+    """The offset in `text` of item `index` of the list node `node`, or of
+    its ")" when `index` is `len(node)`.  Found by stepping over the items
+    before it, their separators and comments; only a diagnostic needs it."""
+    at = node[0] + 1
+    for item in node[1:index]:
+        at = _GAP_RE.match(text, at).end()
+        at = _item_offset(text, item, len(item)) + 1 if type(item) is list else at + len(item)
+    return _GAP_RE.match(text, at).end()
+
+
+def _pos(text: str, offset: int) -> Pos:
+    """The (line, column) of `offset`, counted from the start of `text`:
+    every character but a newline advances the column by one."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
 
-def _err(node, message: str) -> ParseError:
-    return ParseError(message, *_pos(node))
-
-
 def _is_list(node, head: str | None = None) -> bool:
-    if type(node) is not _Sexpr:
+    if type(node) is not list:
         return False
-    if head is None:
-        return True
-    items = node.items
-    return len(items) > 0 and type(items[0]) is not _Sexpr and items[0][0] == head
+    return head is None or (len(node) > 1 and node[1] == head)
 
 
 class _Parser:
@@ -285,6 +298,8 @@ class _Parser:
     distinct text is classified once; one that is neither ends the parse.
     ``line`` is the line of ``text`` that holds offset ``last``, the start
     of the list `pos` counted last, and the line starts at ``line_start``.
+    An item that a diagnostic may name is passed as its list node and its
+    index there, since an atom does not know its offset.
     """
 
     __slots__ = ("operands", "text", "line", "line_start", "last")
@@ -296,11 +311,22 @@ class _Parser:
         self.line_start = 0
         self.last = 0
 
-    def pos(self, node: _Sexpr) -> Pos:
+    def err(self, node: list, message: str) -> ParseError:
+        """The error `message` at the "(" of the list node `node`."""
+        return ParseError(message, *_pos(self.text, node[0]))
+
+    def err_at(self, parent: list, i: int, message: str) -> ParseError:
+        """The error `message` at item `i` of the list node `parent`."""
+        node = parent[i]
+        if type(node) is list:
+            return self.err(node, message)
+        return ParseError(message, *_pos(self.text, _item_offset(self.text, parent, i)))
+
+    def pos(self, node: list) -> Pos:
         """The (line, column) of a statement or definition.  The parser
         meets them in text order, so only the newlines since the one
         counted last are counted."""
-        start = node.paren.start()
+        start = node[0]
         text, last = self.text, self.last
         newlines = text.count("\n", last, start)
         if newlines:
@@ -309,136 +335,131 @@ class _Parser:
         self.last = start
         return self.line, start - self.line_start + 1
 
-    def operand(self, node) -> Operand:
-        if type(node) is _Sexpr:
-            raise _err(node, "expected an identifier or integer")
-        text = node[0]
+    def operand(self, parent: list, i: int) -> Operand:
+        text = parent[i]
+        if type(text) is list:
+            raise self.err(text, "expected an identifier or integer")
         value = self.operands.get(text)
         if value is None:
             if _INT_RE.match(text):
                 value = int(text)
                 if not (WORD_MIN <= value <= WORD_MAX):
-                    raise _err(node, f"immediate {text} does not fit a 64-bit word")
+                    raise self.err_at(parent, i, f"immediate {text} does not fit a 64-bit word")
             elif _IDENT_RE.match(text) and text not in KEYWORDS:
                 value = text
             else:
-                raise _err(node, f"bad operand {text!r}")
+                raise self.err_at(parent, i, f"bad operand {text!r}")
             self.operands[text] = value
         return value
 
-    def ident(self, node, what: str) -> str:
-        if type(node) is _Sexpr:
-            raise _err(node, f"expected {what}")
-        text = node[0]
+    def ident(self, parent: list, i: int, what: str) -> str:
+        text = parent[i]
+        if type(text) is list:
+            raise self.err(text, f"expected {what}")
         value = self.operands.get(text)
         if value is None:
             if not _IDENT_RE.match(text) or text in KEYWORDS:
-                raise _err(node, f"bad {what} {text!r}")
+                raise self.err_at(parent, i, f"bad {what} {text!r}")
             value = self.operands[text] = text
         elif type(value) is not str:
-            raise _err(node, f"bad {what} {text!r}")
+            raise self.err_at(parent, i, f"bad {what} {text!r}")
         return value
 
-    def call_args(self, items) -> tuple[Operand, ...]:
+    def call_args(self, node: list) -> tuple[Operand, ...]:
+        """The operands from item 2 of `node` on, the callee at item 1."""
         operand = self.operand
-        return tuple([operand(a) for a in items[1:]])
+        return tuple([operand(node, i) for i in range(2, len(node))])
 
-    def assignment(self, node: _Sexpr, pos: Pos) -> Assign | Call:
+    def assignment(self, node: list, pos: Pos) -> Assign | Call:
         """`(set! dst rhs)`; a call right-hand side binds the call's result."""
-        items = node.items
-        if len(items) != 3:
-            raise _err(node, "'set!' takes a destination and a value")
-        dst = self.ident(items[1], "variable")
-        rhs = items[2]
-        if type(rhs) is not _Sexpr:
-            return Assign(dst, self.operand(rhs), pos)
-        ritems = rhs.items
-        if not ritems:
-            raise _err(rhs, "empty expression")
-        head = ritems[0]
-        if type(head) is _Sexpr:
-            raise _err(rhs, "malformed expression")
-        op = head[0]
+        if len(node) != 4:
+            raise self.err(node, "'set!' takes a destination and a value")
+        dst = self.ident(node, 2, "variable")
+        rhs = node[3]
+        if type(rhs) is not list:
+            return Assign(dst, self.operand(node, 3), pos)
+        if len(rhs) == 1:
+            raise self.err(rhs, "empty expression")
+        op = rhs[1]
+        if type(op) is list:
+            raise self.err(rhs, "malformed expression")
         if op in BINOPS:
-            if len(ritems) != 3:
-                raise _err(rhs, f"'{op}' takes two operands")
-            return Assign(dst, BinExpr(op, self.operand(ritems[1]), self.operand(ritems[2])), pos)
+            if len(rhs) != 4:
+                raise self.err(rhs, f"'{op}' takes two operands")
+            return Assign(dst, BinExpr(op, self.operand(rhs, 2), self.operand(rhs, 3)), pos)
         if op == "mref":
-            if len(ritems) != 3:
-                raise _err(rhs, "'mref' takes base and index")
-            return Assign(dst, MemRead(self.operand(ritems[1]), self.operand(ritems[2])), pos)
-        callee = self.ident(head, "procedure name")
-        return Call(callee, self.call_args(ritems), dst, pos)
+            if len(rhs) != 4:
+                raise self.err(rhs, "'mref' takes base and index")
+            return Assign(dst, MemRead(self.operand(rhs, 2), self.operand(rhs, 3)), pos)
+        callee = self.ident(rhs, 1, "procedure name")
+        return Call(callee, self.call_args(rhs), dst, pos)
 
-    def body(self, nodes, where) -> tuple[Statement, ...]:
-        if not nodes:
-            raise _err(where, "empty statement body")
+    def body(self, parent: list, start: int) -> tuple[Statement, ...]:
+        """The statements from item `start` of `parent` on."""
         statement = self.statement
-        return tuple([statement(n) for n in nodes])
+        return tuple([statement(parent, i) for i in range(start, len(parent))])
 
-    def statement(self, node) -> Statement:
-        if type(node) is not _Sexpr or not node.items:
-            raise _err(node, "expected a statement")
+    def statement(self, parent: list, i: int) -> Statement:
+        node = parent[i]
+        if type(node) is not list or len(node) == 1:
+            raise self.err_at(parent, i, "expected a statement")
         pos = self.pos(node)
-        items = node.items
-        head = items[0]
-        if type(head) is _Sexpr:
-            raise _err(node, "malformed statement")
-        kind = head[0]
+        kind = node[1]
+        if type(kind) is list:
+            raise self.err(node, "malformed statement")
 
         if kind == "set!":
             return self.assignment(node, pos)
 
         if kind == "if":
-            if len(items) != 4:
-                raise _err(node, "'if' takes a test and two begin blocks")
-            test_node = items[1]
-            if type(test_node) is not _Sexpr or len(test_node.items) != 3:
-                raise _err(node, "'if' test must be (rel a b)")
-            rel, a, b = test_node.items
-            if type(rel) is _Sexpr or rel[0] not in RELATIONS:
-                raise _err(test_node, "unknown relation in test")
-            test = Cmp(rel[0], self.operand(a), self.operand(b))
+            if len(node) != 5:
+                raise self.err(node, "'if' takes a test and two begin blocks")
+            test = node[2]
+            if type(test) is not list or len(test) != 4:
+                raise self.err(node, "'if' test must be (rel a b)")
+            rel = test[1]
+            if type(rel) is list or rel not in RELATIONS:
+                raise self.err(test, "unknown relation in test")
+            cmp = Cmp(rel, self.operand(test, 2), self.operand(test, 3))
             branches = []
-            statement = self.statement
-            for branch in items[2:4]:
+            for branch in node[3:5]:
                 if not _is_list(branch, "begin"):
-                    raise _err(node, "'if' branches must be (begin ...) blocks")
-                branches.append(tuple([statement(s) for s in branch.items[1:]]))
-            return If(test, branches[0], branches[1], pos)
+                    raise self.err(node, "'if' branches must be (begin ...) blocks")
+                branches.append(self.body(branch, 2))
+            return If(cmp, branches[0], branches[1], pos)
 
         if kind == "return":
-            if len(items) != 2:
-                raise _err(node, "'return' takes one value")
-            return ReturnValue(self.operand(items[1]), pos)
+            if len(node) != 3:
+                raise self.err(node, "'return' takes one value")
+            return ReturnValue(self.operand(node, 2), pos)
 
         if kind == "mset!":
-            if len(items) != 4:
-                raise _err(node, "'mset!' takes base, index, and source")
+            if len(node) != 5:
+                raise self.err(node, "'mset!' takes base, index, and source")
             operand = self.operand
-            return MemWrite(operand(items[1]), operand(items[2]), operand(items[3]), pos)
+            return MemWrite(operand(node, 2), operand(node, 3), operand(node, 4), pos)
 
         if kind in KEYWORDS or kind in BINOPS or kind in RELATIONS:
-            raise _err(node, f"'{kind}' is not a statement here")
+            raise self.err(node, f"'{kind}' is not a statement here")
 
-        callee = self.ident(head, "procedure name")
-        return Call(callee, self.call_args(items), None, pos)
+        callee = self.ident(node, 1, "procedure name")
+        return Call(callee, self.call_args(node), None, pos)
 
-    def definition(self, node) -> Definition:
+    def definition(self, parent: list, i: int) -> Definition:
         # ((name (lambda (params...) stmt...)))
-        if not _is_list(node) or len(node.items) != 2:
-            raise _err(node, "definition must be (name (lambda (params...) stmt...))")
+        node = parent[i]
+        if type(node) is not list or len(node) != 3:
+            raise self.err_at(parent, i, "definition must be (name (lambda (params...) stmt...))")
         pos = self.pos(node)
-        name = self.ident(node.items[0], "procedure name")
-        lam = node.items[1]
-        if not _is_list(lam, "lambda") or len(lam.items) < 3:
-            raise _err(node, "definition body must be a lambda with statements")
-        params_node = lam.items[1]
-        if not _is_list(params_node):
-            raise _err(lam, "lambda parameter list must be parenthesized")
-        params = tuple([self.ident(p, "parameter") for p in params_node.items])
-        body = self.body(lam.items[2:], lam)
-        return Definition(name, params, body, pos)
+        name = self.ident(node, 1, "procedure name")
+        lam = node[2]
+        if not _is_list(lam, "lambda") or len(lam) < 4:
+            raise self.err(node, "definition body must be a lambda with statements")
+        params_node = lam[2]
+        if type(params_node) is not list:
+            raise self.err(lam, "lambda parameter list must be parenthesized")
+        params = tuple([self.ident(params_node, k, "parameter") for k in range(1, len(params_node))])
+        return Definition(name, params, self.body(lam, 3), pos)
 
 
 @gc_paused
@@ -450,25 +471,27 @@ def parse(text: str) -> Program:
     garbage collector while it runs (`_gc.gc_paused`).
     """
     forms = _read_all(text)
-    if len(forms) != 1:
-        if not forms:
-            raise ParseError("empty input", 1, 1)
-        raise _err(forms[1], "expected a single (letrec ...) form")
-    top = forms[0]
-    if not _is_list(top, "letrec") or len(top.items) < 2:
-        line, col = _pos(top) if type(top) is _Sexpr else (1, 1)
-        raise ParseError("program must be (letrec (definitions...) stmt...)", line, col)
-    defs_node = top.items[1]
-    if not _is_list(defs_node):
-        raise _err(top, "letrec definitions must be parenthesized")
     parser = _Parser(text)
-    definitions = tuple([parser.definition(d) for d in defs_node.items])
+    if len(forms) != 2:
+        if len(forms) == 1:
+            raise ParseError("empty input", 1, 1)
+        raise parser.err_at(forms, 2, "expected a single (letrec ...) form")
+    top = forms[1]
+    if not _is_list(top, "letrec") or len(top) < 3:
+        line, col = _pos(text, top[0]) if type(top) is list else (1, 1)
+        raise ParseError("program must be (letrec (definitions...) stmt...)", line, col)
+    defs_node = top[2]
+    if type(defs_node) is not list:
+        raise parser.err(top, "letrec definitions must be parenthesized")
+    definitions = tuple([parser.definition(defs_node, i) for i in range(1, len(defs_node))])
     seen = set()
     for d in definitions:
         if d.name in seen:
             raise ParseError(f"duplicate definition of '{d.name}'", d.pos[0], d.pos[1])
         seen.add(d.name)
-    body = parser.body(top.items[2:], top)
+    if len(top) == 3:
+        raise parser.err(top, "empty statement body")
+    body = parser.body(top, 3)
     return Program(definitions, body)
 
 
