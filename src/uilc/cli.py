@@ -66,10 +66,14 @@ def _configs(registers: str, low: int = 1) -> list[MachineConfig]:
 
 
 def _load(path: str) -> tuple[Program, AnnotatedProgram]:
+    """Read, parse, validate and annotate a UTF-8 source file; a leading
+    byte order mark is dropped."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as e:
         raise CliError(str(e))
+    except UnicodeDecodeError as e:
+        raise CliError(f"{path}: not UTF-8: {e.reason} at byte {e.start}")
     try:
         program = parse(text)
     except ParseError as e:

@@ -359,6 +359,32 @@ def test_parse_error_exits_one(capsys, tmp_path):
     assert err == f"error: {path}:1:12: 'set!' takes a destination and a value\n"
 
 
+def test_a_source_that_is_not_utf8_exits_one(capsys, tmp_path):
+    path = tmp_path / "bad.uil"
+    path.write_bytes(b"(letrec () (return \xff))")
+    code, out, err = run_cli(capsys, "alloc", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: not UTF-8: invalid start byte at byte 19\n"
+
+
+def test_compare_lists_a_source_that_is_not_utf8_and_goes_on(capsys, tmp_path):
+    (tmp_path / "a.uil").write_bytes(b"\xfe(letrec () (return 0))")
+    (tmp_path / "b.uil").write_text(SPLIT_OBSERVED_SRC)
+    code, out, err = run_cli(capsys, "compare", str(tmp_path), "--registers", "2", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert {row["program"] for row in payload["rows"]} == {"b.uil"}
+    assert payload["errors"] == [f"{tmp_path / 'a.uil'}: not UTF-8: invalid start byte at byte 0"]
+    assert err == ""
+
+
+def test_a_byte_order_mark_is_dropped(capsys, tmp_path):
+    sample = ROOT / "samples" / "split.uil"
+    path = tmp_path / "bom.uil"
+    path.write_bytes(b"\xef\xbb\xbf" + sample.read_bytes())
+    assert run_cli(capsys, "alloc", str(path)) == run_cli(capsys, "alloc", str(sample))
+
+
 # a parse error and a validation diagnostic both read <path>:<line>:<col>
 @pytest.mark.parametrize(
     "text, where",
