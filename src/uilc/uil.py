@@ -7,9 +7,10 @@ syntax is parenthesized prefix form; comments run from `;` to end of
 line.
 
 The syntax nodes are frozen records (`_record.record`).  `parse` reads
-the text in one pass into nested lists of token matches, then builds the
-nodes; positions are counted only for statements and definitions, and
-for whatever a `ParseError` names.
+the text in one pass into nested lists of atom texts, split at
+parentheses, then builds the nodes.  Only space, tab, carriage return and
+newline separate atoms.  Positions are counted only for statements and
+definitions, and for whatever a `ParseError` names.
 """
 
 from __future__ import annotations
@@ -284,10 +285,9 @@ def _pos(text: str, offset: int) -> Pos:
 # Parser
 
 
-def _is_list(node, head: str | None = None) -> bool:
-    if type(node) is not list:
-        return False
-    return head is None or (len(node) > 1 and node[1] == head)
+def _is_list(node, head: str) -> bool:
+    """Whether `node` is a list node whose first element is `head`."""
+    return type(node) is list and len(node) > 1 and node[1] == head
 
 
 class _Parser:
