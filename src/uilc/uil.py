@@ -317,9 +317,6 @@ class _Parser:
 
     def err_at(self, parent: list, i: int, message: str) -> ParseError:
         """The error `message` at item `i` of the list node `parent`."""
-        node = parent[i]
-        if type(node) is list:
-            return self.err(node, message)
         return ParseError(message, *_pos(self.text, _item_offset(self.text, parent, i)))
 
     def pos(self, node: list) -> Pos:
