@@ -582,7 +582,6 @@ def test_parse_outcomes_are_pinned():
     assert digest.hexdigest() == PARSE_OUTCOMES_SHA256
 
 
-
 # The same digest over 2,000 seeded edits from `_WIDE_EDIT_CHARS`: it pins
 # which characters separate atoms and which ones an atom holds.
 PARSE_OUTCOMES_WIDE_SHA256 = "651ade9f40c2d9ed0dc7ad69bf0d70645caf506b8b8c817bbb7d3d2be53cc042"
@@ -616,6 +615,7 @@ def test_an_atom_error_points_at_the_atom():
                 line = text.split("\n")[e.line - 1]
                 assert line[e.col - 1 :].startswith(atom), (e.message, e.line, e.col)
     assert named > 700  # 775 of the 4,000 edits
+
 
 # Digest of the `(message, pos)` list that `validate` returns for every
 # text of `_generated_and_edited_texts` that parses (861 of them).  The
