@@ -489,6 +489,26 @@ def test_annotations_are_pinned():
     assert digest.hexdigest() == ANNOTATION_SHA256
 
 
+# Digest of each statement's references and call-crossing set over the
+# corpus `_pinned_programs` yields: the point, `refs` in order and the
+# sorted `across` of every statement in pre-order, first of each whole
+# program's bodies (`annotate`), then of its entry body as a fragment
+# (`annotate_statements`).  A change to how `annotate` finds what a
+# statement reads must leave it as it is.
+ANNOTATION_REFS_SHA256 = "8eec2f82e8e8b2a8452c09b85a5979bf27f7d66a5c7e7bb064b7806e9d2cf133"
+
+
+def test_annotation_refs_are_pinned():
+    digest = hashlib.sha256()
+    for p in _pinned_programs():
+        ap = annotate(p)
+        bodies = [ap.entry] + [proc.body for proc in ap.procs] + [annotate_statements(p.body)]
+        for body in bodies:
+            for a in walk_statements(body):
+                digest.update(repr((a.point, a.refs, sorted(a.across))).encode())
+    assert digest.hexdigest() == ANNOTATION_REFS_SHA256
+
+
 def test_each_body_is_indexed_by_point():
     for p in _pinned_programs():
         ap = annotate(p)

@@ -1,11 +1,15 @@
+import copy
+import dataclasses
 import hashlib
 import inspect
+import pickle
+from collections.abc import KeysView
 from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
 import uilc
-from uilc import analysis, isa, machine, uil
+from uilc import _record, analysis, isa, machine, uil
 from uilc.model import Reg
 
 # Digest of the public signatures: every callable in `uilc.__all__` (an
@@ -122,3 +126,47 @@ def test_record_pos_is_ignored_by_eq_and_hash(cls, args):
     assert a.pos == (1, 2) and b.pos == (3, 4)
     assert a == b and hash(a) == hash(b)
     assert a == cls(*args) and hash(a) == hash(cls(*args))
+
+
+@pytest.mark.parametrize("cls,args,signature", _RECORDS, ids=_RECORD_IDS)
+def test_record_is_built_as_its_own_class(cls, args, signature):
+    params = inspect.signature(cls).parameters.values()
+    assert type(cls(*args)) is cls
+    assert type(cls(**{p.name: a for p, a in zip(params, args)})) is cls
+
+
+def _copyable(value):
+    """`value`, with a key view (which neither pickles nor deep-copies) as
+    the frozen set of its keys."""
+    return frozenset(value) if isinstance(value, KeysView) else value
+
+
+@pytest.mark.parametrize("cls,args,signature", _RECORDS, ids=_RECORD_IDS)
+def test_record_copies_are_frozen_records(cls, args, signature):
+    record = cls(*[_copyable(a) for a in args])
+    copies = [
+        copy.copy(record),
+        copy.deepcopy(record),
+        pickle.loads(pickle.dumps(record)),
+        dataclasses.replace(record),
+    ]
+    for other in copies:
+        assert type(other) is cls
+        assert other == record and hash(other) == hash(record)
+        for f in fields(cls):
+            assert getattr(other, f.name) == getattr(record, f.name)
+            with pytest.raises(FrozenInstanceError):
+                setattr(other, f.name, getattr(other, f.name))
+        with pytest.raises(FrozenInstanceError):
+            other.extra = 0
+
+
+def test_every_record_class_is_checked():
+    listed = {cls for cls, _, _ in _RECORDS}
+    found = {
+        obj
+        for module in (uil, analysis, isa)
+        for obj in vars(module).values()
+        if isinstance(obj, type) and getattr(obj, "__setattr__", None) is _record._refuse_assign
+    }
+    assert found <= listed, sorted(cls.__name__ for cls in found - listed)
