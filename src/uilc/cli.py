@@ -67,9 +67,10 @@ def _configs(registers: str, low: int = 1) -> list[MachineConfig]:
 
 def _load(path: str) -> tuple[Program, AnnotatedProgram]:
     """Read, parse, validate and annotate a UTF-8 source file; a leading
-    byte order mark is dropped."""
+    byte order mark is dropped.  Line endings are left as they are, so a
+    position names the line and column that `parse` of the raw text does."""
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        text = Path(path).read_bytes().decode("utf-8-sig")
     except OSError as e:
         raise CliError(str(e))
     except UnicodeDecodeError as e:

@@ -378,6 +378,20 @@ def test_compare_lists_a_source_that_is_not_utf8_and_goes_on(capsys, tmp_path):
     assert err == ""
 
 
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_a_parse_error_names_the_position_parse_does_for_each_line_ending(
+    capsys, tmp_path, ending
+):
+    text = ending.join(["(letrec ()", "(set! x 1)", "(return x#))"])
+    path = tmp_path / "ending.uil"
+    path.write_bytes(text.encode())
+    with pytest.raises(ParseError) as raised:
+        parse(text)
+    code, out, err = run_cli(capsys, "alloc", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}:{raised.value}\n"
+
+
 def test_a_byte_order_mark_is_dropped(capsys, tmp_path):
     sample = ROOT / "samples" / "split.uil"
     path = tmp_path / "bom.uil"
