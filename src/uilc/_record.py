@@ -1,25 +1,46 @@
 """The frozen record class of the syntax nodes, annotated statements and
 instructions: the objects a compile builds once per statement or
-instruction."""
+instruction.
+
+A frozen dataclass's ``__init__`` stores each field through
+``object.__setattr__``, which costs more than the rest of building a
+small record.  Here each record class ``cls`` gets an unfrozen twin: a
+subclass with no slots of its own whose ``__setattr__`` and
+``__delattr__`` are ``object``'s again.  Its ``__init__`` moves the new
+record to the twin, stores every field with a plain ``self.f = f``,
+which the interpreter serves as a direct slot store, and moves the record
+back to ``cls``.  Outside its ``__init__`` a record is never a twin.
+"""
 
 from __future__ import annotations
 
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 
+# the `__class__` setter, which bypasses a frozen class's `__setattr__`
+_set_class = object.__dict__["__class__"].__set__
+
 
 def record(cls):
     """``cls`` as a ``@dataclass(frozen=True, slots=True)`` whose
-    ``__init__`` stores each field through its slot's descriptor.
+    ``__init__`` stores each field with a plain attribute store on an
+    unfrozen twin of ``cls``.
 
-    The ``__init__`` that `dataclass` writes for a frozen class calls
-    ``object.__setattr__`` once per field, which costs more than the rest
-    of building a small record.  So `dataclass` writes none here
-    (``init=False``), and this one stores each value with the slot's
-    descriptor (``cls.field.__set__``) instead, under the same parameters,
-    defaults and annotations.  Only ``__init__`` stores: assigning or
-    deleting any attribute of a built record raises
+    `dataclass` writes no ``__init__`` here (``init=False``).  This one
+    has the same parameters, defaults and annotations, and runs in three
+    steps: it sets the record's class to the twin (through ``object``'s
+    ``__class__`` setter, since ``cls`` refuses the store), stores each
+    field, and sets the class back to ``cls``.  A record with no fields
+    skips both swaps.  The twin is made once per class, with no slots of
+    its own, so the record's layout is the same under either class.  It
+    resets ``__delattr__`` as well as ``__setattr__``: CPython serves
+    both through one type slot, and a twin that inherited the frozen
+    ``__delattr__`` would store through the slow generic path.
+
+    Assigning or deleting any attribute of a built record raises
     ``FrozenInstanceError``, and equality, hashing and ``repr`` are the
-    dataclass's own.  A field takes a plain default or none.
+    dataclass's own.  ``copy`` and ``pickle`` restore a record through
+    the dataclass's ``__setstate__`` and never meet the twin.  A field
+    takes a plain default or none, and a record class is not subclassed.
     """
     cls = dataclass(frozen=True, slots=True, init=False)(cls)
     env = {"__name__": cls.__module__}
@@ -32,9 +53,21 @@ def record(cls):
         else:
             env[f"_default_{f.name}"] = f.default
             params.append(f"{f.name}=_default_{f.name}")
-        env[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
-        lines.append(f"    _set_{f.name}(self, {f.name})")
+        lines.append(f"    self.{f.name} = {f.name}")
         annotations[f.name] = f.type
+    if lines:
+        env["_set_class"] = _set_class
+        env["_cls"] = cls
+        env["_twin"] = type(
+            cls.__name__,
+            (cls,),
+            {
+                "__slots__": (),
+                "__setattr__": object.__setattr__,
+                "__delattr__": object.__delattr__,
+            },
+        )
+        lines = ["    _set_class(self, _twin)", *lines, "    self.__class__ = _cls"]
     exec(f"def __init__({', '.join(params)}):\n" + ("\n".join(lines) or "    pass"), env)
     init = env["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
