@@ -46,15 +46,16 @@ from ._gc import gc_paused
 from ._record import record
 from .uil import (
     Assign,
+    BinExpr,
     Call,
     Definition,
     If,
     MemRead,
+    MemWrite,
     Operand,
     Program,
     Statement,
     count_statements,
-    variables,
 )
 
 INF = math.inf
@@ -163,13 +164,9 @@ def _annotate_body(
     uses = cont  # never mutated: each statement builds its own `before`
     for s in reversed(body):
         kind = type(s)
-        if kind is Call:
-            keep = passes.get(s.callee)
-            passed = s.args if keep is None else tuple([s.args[i] for i in keep])
-            refs = [s.callee, *variables(passed)]
-        else:
-            refs = variables(s.operands())
         if kind is If:
+            test = s.test
+            refs = [v for v in (test.a, test.b) if type(v) is str]
             # pre-order: the If, its then branch, its else branch
             else_body, else_uses, else_across, end = _annotate_body(
                 s.else_body, end, uses, tail, across, strong=strong, passes=passes,
@@ -213,42 +210,75 @@ def _annotate_body(
                 frozenset(else_uses),
             )
             annotated.append(a)
-        elif strong and kind is Assign and s.dst not in uses and type(s.rhs) is not MemRead:
-            end -= 1
-            a = by_point[end] = AnnotatedStatement(
-                s, end, frozenset((s.dst,)), uses.keys(), uses, tail, refs, across, dead=True
-            )
-            annotated.append(a)
-            tail = False
-            continue
+            for v in refs:
+                before[v] = end
         else:
+            # what the statement reads and the variable it defines, if any,
+            # read off each kind's own fields
+            dst = None
+            if kind is Assign:
+                dst = s.dst
+                rhs = s.rhs
+                rhs_kind = type(rhs)
+                if rhs_kind is BinExpr:
+                    refs = [v for v in (rhs.a, rhs.b) if type(v) is str]
+                elif rhs_kind is str:
+                    refs = [rhs]
+                elif rhs_kind is MemRead:
+                    refs = [v for v in (rhs.base, rhs.index) if type(v) is str]
+                else:
+                    refs = []
+                if strong and dst not in uses and rhs_kind is not MemRead:
+                    end -= 1
+                    a = by_point[end] = AnnotatedStatement(
+                        s, end, frozenset((dst,)), uses.keys(), uses, tail, refs, across,
+                        dead=True,
+                    )
+                    annotated.append(a)
+                    tail = False
+                    continue
+            elif kind is Call:
+                keep = passes.get(s.callee)
+                passed = s.args if keep is None else tuple([s.args[i] for i in keep])
+                refs = [s.callee, *[v for v in passed if type(v) is str]]
+                dst = s.dst
+            elif kind is MemWrite:
+                refs = [v for v in (s.base, s.index, s.src) if type(v) is str]
+            else:
+                refs = [s.value] if type(s.value) is str else []
             end -= 1
             before = dict(uses)
-            defs = s.defs()
-            for v in defs:
-                before.pop(v, None)
+            # a live definition starts a new value; a dead one is in neither
+            # `uses` nor `across`, and None is no variable
+            if dst in uses:
+                del before[dst]
             # Endings: live into the statement (or defined by it) but not
-            # live after it.  A dead definition ends immediately.
-            ends = frozenset([v for v in (*refs, *defs) if v not in uses])
+            # live after it.  A dead definition ends immediately.  Every
+            # entry already in `before` is a later point: `end` is the minimum.
+            ends = []
+            for v in refs:
+                if v not in uses:
+                    ends.append(v)
+                before[v] = end
+            if dst is not None and dst not in uses:
+                ends.append(dst)
             if kind is Call:
                 a = AnnotatedStatement(
-                    s, end, ends, uses.keys(), uses, tail, refs, across, passed=passed
+                    s, end, frozenset(ends), uses.keys(), uses, tail, refs, across,
+                    passed=passed,
                 )
                 calls.append(a)
                 # what lives after a non-tail call lives across it
                 if not tail:
                     across = across.union(uses.keys())
             else:
-                a = AnnotatedStatement(s, end, ends, uses.keys(), uses, tail, refs, across)
+                a = AnnotatedStatement(
+                    s, end, frozenset(ends), uses.keys(), uses, tail, refs, across
+                )
             by_point[end] = a
             annotated.append(a)
-            # a definition starts a new value
-            for v in defs:
-                if v in across:
-                    across = across - {v}
-        # every entry already in `before` is a later point: `end` is the minimum
-        for v in refs:
-            before[v] = end
+            if dst in across:
+                across = across - {dst}
         uses = before
         tail = False
     annotated.reverse()
