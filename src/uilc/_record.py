@@ -4,12 +4,9 @@ instruction.
 
 A frozen dataclass's ``__init__`` stores each field through
 ``object.__setattr__``, which costs more than the rest of building a
-small record.  Here each record class ``cls`` gets an unfrozen twin: a
-subclass with no slots of its own whose ``__setattr__`` and
-``__delattr__`` are ``object``'s again.  Its ``__init__`` moves the new
-record to the twin, stores every field with a plain ``self.f = f``,
-which the interpreter serves as a direct slot store, and moves the record
-back to ``cls``.  Outside its ``__init__`` a record is never a twin.
+small record.  A record is instead built on an unfrozen twin of its
+class, where a plain ``self.f = f`` is a direct slot store (`record`).
+Outside its ``__init__`` a record is never a twin.
 """
 
 from __future__ import annotations
@@ -34,7 +31,8 @@ def record(cls):
     its own, so the record's layout is the same under either class.  It
     resets ``__delattr__`` as well as ``__setattr__``: CPython serves
     both through one type slot, and a twin that inherited the frozen
-    ``__delattr__`` would store through the slow generic path.
+    ``__delattr__`` would get the slot that calls Python-level methods,
+    so its stores would not become direct slot stores.
 
     Assigning or deleting any attribute of a built record raises
     ``FrozenInstanceError``, and equality, hashing and ``repr`` are the
