@@ -130,7 +130,6 @@ from .model import (
     ModelError,
     Reg,
     Slot,
-    arg_homes,
     initial_model,
 )
 from .uil import Assign, BinExpr, Call, If, MemRead, MemWrite, ReturnValue, statement_line
@@ -259,7 +258,9 @@ def load(
     Returns the updated copy of `m`; `m` itself is left as it is.
     """
     m = m.copy()
-    return m, _Allocator(cfg, policy)._load(m, vs, protected, uses)
+    insts: list[Inst] = []
+    _Allocator(cfg, policy)._load(m, vs, protected, uses, insts)
+    return m, insts
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +272,12 @@ def _loc_key(loc) -> tuple[int, int]:
 
 
 def _value_into_reg(r: int, src: MoveSrc) -> Inst:
-    if isinstance(src, Reg):
+    kind = type(src)
+    if kind is Reg:
         return Move(r, src.i)
-    if isinstance(src, Slot):
+    if kind is Slot:
         return Load(r, src.i)
-    if isinstance(src, LabelArg):
+    if kind is LabelArg:
         return LoadLabel(r, src.label)
     return LoadImm(r, src)
 
@@ -332,7 +334,7 @@ def _sequence_moves(
             return [_value_into_reg(dst.i, src)]
         if type(src) is Reg:
             return [Store(dst.i, src.i)]
-    return _Shuffle(pending, kept, cfg.registers, busy_slots).run()
+    return _Shuffle(moves, pending, kept, cfg.registers, busy_slots).run()
 
 
 class _Shuffle:
@@ -353,32 +355,38 @@ class _Shuffle:
       besides rank 2 are stores (rank 1);
     * in a loop no leg is ready, so every pending destination register is
       some leg's source and live: a parked value never lands in one.
+
+    Most sequences take no scratch slot, so the set of slots a scratch
+    slot must avoid is built when the first one is taken (`_fresh_slot`).
     """
 
     __slots__ = (
-        "pending", "src_count", "ready", "registers", "pinned", "live",
+        "moves", "pending", "src_count", "ready", "registers", "pinned", "live",
         "parked", "busy_slots", "used_slots", "insts", "restore",
     )
 
-    def __init__(self, pending, kept, registers, busy_slots):
+    def __init__(self, moves, pending, kept, registers, busy_slots):
+        pinned = {loc.i for loc in kept if type(loc) is Reg}
+        live = set(pinned)
         src_count: dict[MoveSrc, int] = {}
         for src in pending.values():
-            if type(src) is Reg or type(src) is Slot:
-                src_count[src] = src_count.get(src, 0) + 1
+            kind = type(src)
+            if kind is Reg:
+                live.add(src.i)
+            elif kind is not Slot:
+                continue
+            src_count[src] = src_count.get(src, 0) + 1
+        self.moves = moves
         self.pending = pending
         self.src_count = src_count
         self.ready = [d for d in pending if d not in src_count]
         self.registers = registers
-        self.pinned = {loc.i for loc in kept if type(loc) is Reg}
-        self.live = self.pinned | {s.i for s in src_count if type(s) is Reg}
+        self.pinned = pinned
+        self.live = live
         self.parked: set[int] = set()  # registers holding a loop's entry value
         # the frame's occupied slots stay a view: only a scratch slot reads them
         self.busy_slots = busy_slots
-        # the identity moves' slots, the legs' slots and the scratch slots taken
-        used = {loc.i for loc in kept if type(loc) is Slot}
-        used.update(loc.i for loc in pending if type(loc) is Slot)
-        used.update(loc.i for loc in src_count if type(loc) is Slot)
-        self.used_slots = used
+        self.used_slots: set[int] | None = None  # built by the first `_fresh_slot`
         self.insts: list[Inst] = []
         self.restore: list[Inst] = []  # reload of a borrowed register, emitted last
 
@@ -393,11 +401,11 @@ class _Shuffle:
             best = None
             for d in ready:
                 if type(pending[d]) is Reg:
-                    key = (0 if type(d) is Reg else 1, d.i)
+                    rank = 0 if type(d) is Reg else 1
                 else:
-                    key = (3 if type(d) is Reg else 2, d.i)
-                if best is None or key < best_key:
-                    best, best_key = d, key
+                    rank = 3 if type(d) is Reg else 2
+                if best is None or rank < best_rank or (rank == best_rank and d.i < best.i):
+                    best, best_rank = d, rank
             d = best
             s = pending.pop(d)
             ready.remove(d)
@@ -425,7 +433,15 @@ class _Shuffle:
         return None
 
     def _fresh_slot(self) -> int:
-        used, busy = self.used_slots, self.busy_slots
+        """The lowest slot that no move names, that is not busy and that no
+        earlier scratch slot took.  The move slots come from the moves as
+        given: a leg already done still holds its value there."""
+        used = self.used_slots
+        if used is None:
+            used = self.used_slots = {
+                loc.i for move in self.moves for loc in move if type(loc) is Slot
+            }
+        busy = self.busy_slots
         s = 0
         while s in used or s in busy:
             s += 1
@@ -547,6 +563,9 @@ def _rebind_copy(a: AnnotatedStatement, m: Model) -> Model | None:
     return m
 
 
+# each register count's `Reg`s by index, built once (`_Allocator.regs`)
+_REG_TABLES: dict[int, tuple[Reg, ...]] = {}
+
 # the instructions that write their `dst` register
 _WRITES = frozenset([Move, LoadImm, Load, BinOpInst, MemLoad, LoadLabel])
 _DST = operator.attrgetter("dst")
@@ -558,7 +577,11 @@ class _Allocator:
 
     One working model is threaded through a body and updated in place by
     each statement; it is copied only where an `if` forks it into its two
-    branches.  ``by_point`` maps each point of the body to its annotated
+    branches.  Each statement's transformer appends its code to the one
+    instruction list of its body (an `if` keeps its then branch's code
+    apart until the else branch's is in place).  ``regs`` holds the
+    machine's `Reg`s by index, so no operand value, move or pin builds
+    its own.  ``by_point`` maps each point of the body to its annotated
     statement, so a statement's next uses lead to the statements that
     read them.
     """
@@ -568,6 +591,15 @@ class _Allocator:
             raise ValueError(f"unknown policy {policy!r}")
         self.cfg = cfg
         self.policy = policy
+        # the machine's registers as locations, by index: every operand
+        # value, move and pin takes its `Reg` from here
+        regs = _REG_TABLES.get(cfg.registers)
+        if regs is None:
+            regs = _REG_TABLES[cfg.registers] = tuple(map(Reg, range(cfg.registers)))
+        self.regs = regs
+        self.arg_locs = tuple([regs[r] for r in cfg.arg_regs])
+        # the registers a return restores: it may not jump through one
+        self.ret_busy = {cfg.ret_val_reg, *cfg.callee_saved}
         # callee -> the registers a call to it may change (`_clobber_set`),
         # recorded as each procedure's code is done (`_clobber` reads it)
         self.clobbers: dict[str, frozenset[int]] = {}
@@ -595,16 +627,23 @@ class _Allocator:
         # where a value that lives across a later non-tail call goes first;
         # set by `_across_regs` when the body's first such value needs it
         self.across_regs: tuple[int, ...] | None = None
-        self.owed = owed
+        self.owed = [(v, self.regs[r]) for v, r in owed]
         self.kept = {RET, *(v for v, _ in owed)}
         for v, r in owed:
             m.bind_reg(v, r)
-        return self.run(body, m)
+        insts: list[Inst] = []
+        m = self.run(body, m, insts)
+        return insts, m
 
     # -- helpers -----------------------------------------------------------
 
     def _fresh_label(self) -> str:
         return f".L{next(self.labels)}"
+
+    def _where(self, m: Model, v: str) -> Reg | Slot:
+        """`m.whereis(v)`, with the register taken from the table."""
+        r = m.regmap.get(v)
+        return m.whereis(v) if r is None else self.regs[r]
 
     def _clobber(self, callee: str) -> frozenset[int]:
         """The registers a call to `callee` may change: its clobber set, or
@@ -707,10 +746,12 @@ class _Allocator:
         m.unbind_reg(victim)
         return r
 
-    def _load(self, m: Model, vs, protected, uses: dict[str, float], across=()) -> list[Inst]:
-        """`load`, updating `m` in place and returning the instructions;
-        each variable that needs a register takes the one `_free_reg`
-        picks (`across` is the statement's call-crossing set).
+    def _load(
+        self, m: Model, vs, protected, uses: dict[str, float], insts: list[Inst], across=()
+    ) -> None:
+        """`load`, updating `m` in place and appending the instructions to
+        `insts`; each variable that needs a register takes the one
+        `_free_reg` picks (`across` is the statement's call-crossing set).
 
         When every variable is already resident this returns at once.
         Otherwise one set, `needed`, holds the listed variables and the
@@ -732,7 +773,7 @@ class _Allocator:
                 if v not in regmap:
                     break
             else:
-                return []
+                return
         needed = set(vs)
         for v in protected:
             if v in regmap:
@@ -742,7 +783,6 @@ class _Allocator:
                 f"{len(needed)} values must be register-resident at once, "
                 f"but the machine has {registers} register(s)"
             )
-        insts: list[Inst] = []
         stackmap = m.stackmap
         for v in vs:
             if v in regmap:
@@ -755,19 +795,16 @@ class _Allocator:
                 r = self._evict(m, needed, uses, insts)
             insts.append(Load(r, s))
             m.bind_reg(v, r)
-        return insts
 
-    def _load_operands(self, a: AnnotatedStatement, m: Model) -> tuple[list[Inst], list]:
+    def _load_operands(self, a: AnnotatedStatement, m: Model, insts: list[Inst]) -> list:
         """Load the statement's variable operands (`a.refs`, which for an
         assignment, memory write or `if` lists exactly them) together into
-        `m`; return the loads and the operand values in order."""
+        `m`, appending the loads to `insts`; return the operand values in
+        order."""
         # the operands protect each other; nothing else is protected
-        insts = self._load(m, a.refs, (), a.next_uses, a.across)
-        regmap = m.regmap  # load leaves every variable operand in a register
-        vals = []
-        for o in a.stmt.operands():
-            vals.append(Reg(regmap[o]) if type(o) is str else o)
-        return insts, vals
+        self._load(m, a.refs, (), a.next_uses, insts, a.across)
+        regmap, regs = m.regmap, self.regs  # every variable operand is in a register
+        return [regs[regmap[o]] if type(o) is str else o for o in a.stmt.operands()]
 
     def _dest_reg(self, m: Model, body, i: int, insts: list[Inst]) -> int:
         """Bind the variable `var` that ``body[i]`` assigns to a register in
@@ -841,17 +878,21 @@ class _Allocator:
         the call.  In register order, the others take the free callee-saved
         registers first; the rest take a free slot preference, else the
         lowest free slots not in `avoid` (the slots the call's arguments are
-        read from).
+        read from).  When no resident needs a home this returns at once.
         """
-        saved = self.cfg.callee_saved
+        stackmap = m.stackmap
         slotless = [
-            v
-            for v, r in m.register_residents()
-            if r in clobber and v not in m.stackmap and v not in gone
+            (r, v)
+            for r, v in m.reg_owner.items()
+            if r in clobber and v not in stackmap and v not in gone
         ]
-        free = [r for r in saved if r not in m.reg_owner]
-        homes: dict[str, Reg | Slot] = {v: Reg(r) for v, r in zip(slotless, free)}
-        slotless = slotless[len(free):]
+        if not slotless:
+            return {}
+        slotless.sort()
+        owner, regs = m.reg_owner, self.regs
+        free = [r for r in self.cfg.callee_saved if r not in owner]
+        homes: dict[str, Reg | Slot] = {v: regs[r] for (_, v), r in zip(slotless, free)}
+        slotless = [v for _, v in slotless[len(free):]]
         taken = set(m.slot_owner)
         slot_prefs = self.slot_prefs
         for v in slotless:
@@ -868,34 +909,35 @@ class _Allocator:
                 taken.add(i)
         return homes
 
-    def _seq(self, moves, m: Model) -> list[Inst]:
-        return _sequence_moves(moves, self.cfg, busy_slots=m.slot_owner.keys())
+    def _seq(self, moves, m: Model, insts: list[Inst]) -> None:
+        """Append the code of the simultaneous `moves` out of `m` to `insts`."""
+        insts += _sequence_moves(moves, self.cfg, busy_slots=m.slot_owner.keys())
 
     # -- statement dispatch --------------------------------------------------
 
-    def run(self, body, m: Model) -> tuple[list[Inst], Model]:
-        """Allocate `body` statement by statement from `m`; return its code
-        and the model after it."""
-        insts: list[Inst] = []
+    def run(self, body, m: Model, insts: list[Inst]) -> Model:
+        """Allocate `body` statement by statement from `m`, appending its
+        code to `insts`; return the model after it."""
         trace = self.trace
         for i, a in enumerate(body):
             if a.dead:  # emits nothing and leaves the model as it is
                 if trace is not None:
                     trace.append(TraceEntry(self.scope, a, None, [], None))
                 continue
-            pre = m.copy() if trace is not None else None
+            if trace is not None:
+                pre, start = m.copy(), len(insts)
             try:
                 kind = type(a.stmt)
                 if kind is Assign:
-                    new_insts, m = self._assign(body, i, m)
+                    m = self._assign(body, i, m, insts)
                 elif kind is Call:
-                    new_insts, m = self._call(a, m)
+                    m = self._call(a, m, insts)
                 elif kind is If:
-                    new_insts, m = self._if(a, m)
+                    m = self._if(a, m, insts)
                 elif kind is MemWrite:
-                    new_insts, m = self._memwrite(a, m)
+                    m = self._memwrite(a, m, insts)
                 elif kind is ReturnValue:
-                    new_insts, m = self._return(a, m)
+                    m = self._return(a, m, insts)
                 else:  # pragma: no cover
                     raise AllocError(f"unknown statement {a.stmt!r}")
             except PressureError as e:
@@ -903,12 +945,11 @@ class _Allocator:
                     e.stmt = statement_line(a.stmt)
                     e.point = a.point
                 raise
-            insts.extend(new_insts)
             if trace is not None:
-                trace.append(TraceEntry(self.scope, a, pre, new_insts, m.copy()))
-        return insts, m
+                trace.append(TraceEntry(self.scope, a, pre, insts[start:], m.copy()))
+        return m
 
-    def _assign(self, body, i: int, m: Model) -> tuple[list[Inst], Model]:
+    def _assign(self, body, i: int, m: Model, insts: list[Inst]) -> Model:
         """Compute the right-hand side of ``body[i]`` into the destination's
         register.
 
@@ -923,8 +964,8 @@ class _Allocator:
         if type(rhs) is str:
             rebound = _rebind_copy(a, m)
             if rebound is not None:
-                return [], rebound
-        insts, vals = self._load_operands(a, m)
+                return rebound
+        vals = self._load_operands(a, m, insts)
 
         # operands that end here die, and so does the destination's old
         # binding (implicit renaming)
@@ -945,16 +986,17 @@ class _Allocator:
 
         if dst in a.ends:  # dead destination: never occupy a register
             m.unbind_reg(dst)
-        return insts, m
+        return m
 
-    def _memwrite(self, a: AnnotatedStatement, m: Model) -> tuple[list[Inst], Model]:
-        insts, vals = self._load_operands(a, m)
-        insts.append(MemStore(*vals))
-        return insts, m.drop(a.ends)
+    def _memwrite(self, a: AnnotatedStatement, m: Model, insts: list[Inst]) -> Model:
+        insts.append(MemStore(*self._load_operands(a, m, insts)))
+        return m.drop(a.ends)
 
-    def _if(self, a: AnnotatedStatement, m: Model) -> tuple[list[Inst], Model]:
+    def _if(self, a: AnnotatedStatement, m: Model, insts: list[Inst]) -> Model:
+        """Test, branch and join.  The else branch's code follows the test,
+        and the then branch's, allocated first, follows that."""
         s = a.stmt
-        insts, (va, vb) = self._load_operands(a, m)
+        va, vb = self._load_operands(a, m, insts)
         m.drop(a.ends)
 
         then_label = self._fresh_label()
@@ -967,19 +1009,19 @@ class _Allocator:
         m_then = m.restrict(a.then_live | self.kept)
 
         saved = self.prefs, self.slot_prefs
-        then_insts, m2 = self.run(a.then_body, m_then)
+        then_insts: list[Inst] = []
+        m2 = self.run(a.then_body, m_then, then_insts)
         # steer the other branch toward the allocations already made; these
         # alias m2's maps, which nothing changes after the then branch
         self.prefs, self.slot_prefs = m2.regmap, m2.stackmap
-        else_insts, m3 = self.run(a.else_body, m_else)
+        m3 = self.run(a.else_body, m_else, insts)
         self.prefs, self.slot_prefs = saved
 
         if a.tail:
             # both branches leave the procedure; no join to reconcile
-            insts.extend(else_insts)
             insts.append(LabelDef(then_label))
-            insts.extend(then_insts)
-            return insts, m3
+            insts += then_insts
+            return m3
 
         # make the then side conform to the else side's final model: a
         # move into each register of m3 (an identity, which pins it, where
@@ -987,23 +1029,22 @@ class _Allocator:
         # use for the same value.  Each branch has dropped what ends in it,
         # so both models bind only the values live after the `if`, RET and
         # the debts
+        regs, where = self.regs, self._where
         slots2 = m2.stackmap
         moves: list[tuple[MoveSrc, MoveDst]] = [
-            (m2.whereis(v), Reg(r)) for v, r in m3.regmap.items()
+            (where(m2, v), regs[r]) for v, r in m3.regmap.items()
         ]
-        moves += [(m2.whereis(v), Slot(i)) for v, i in m3.stackmap.items() if slots2.get(v) != i]
-        shuffle_insts = self._seq(moves, m2)
+        moves += [(where(m2, v), Slot(i)) for v, i in m3.stackmap.items() if slots2.get(v) != i]
 
         end_label = self._fresh_label()
-        insts.extend(else_insts)
         insts.append(Jump(end_label))
         insts.append(LabelDef(then_label))
-        insts.extend(then_insts)
-        insts.extend(shuffle_insts)
+        insts += then_insts
+        self._seq(moves, m2, insts)
         insts.append(LabelDef(end_label))
-        return insts, m3
+        return m3
 
-    def _call(self, a: AnnotatedStatement, m: Model) -> tuple[list[Inst], Model]:
+    def _call(self, a: AnnotatedStatement, m: Model, insts: list[Inst]) -> Model:
         """Move the arguments and the return address into place and jump.
 
         A non-tail call keeps every call-live value in this frame: a value
@@ -1019,46 +1060,62 @@ class _Allocator:
         """
         s = a.stmt
         cfg = self.cfg
-        arg_srcs: list[MoveSrc] = []
-        for arg in a.passed:
-            arg_srcs.append(m.whereis(arg) if isinstance(arg, str) else arg)
+        regs = self.regs
+        where = self._where
+        arg_srcs: list[MoveSrc] = [
+            where(m, arg) if isinstance(arg, str) else arg for arg in a.passed
+        ]
 
         # the argument sources are read above, before anything is dropped
         m.drop(a.ends)  # dropping the callee label is a no-op
         if s.dst is not None:
             # the result rebinds the destination; its old value dies here
-            m.drop({s.dst})
+            m.drop((s.dst,))
 
         if a.tail:
             # the callee takes over this frame: no call-lives to keep
-            moves = list(zip(arg_srcs, arg_homes(len(arg_srcs), cfg)))
+            moves = list(zip(arg_srcs, self._arg_homes(len(arg_srcs), 0)))
             if m.is_bound(RET):
-                ret_src: MoveSrc = m.whereis(RET)
+                ret_src: MoveSrc = where(m, RET)
             else:
                 self.need_halt = True  # entry frame returns to the halt stub
                 ret_src = LabelArg(HALT_LABEL)
             self._exit_moves(moves, m, ret_src, cfg.ret_addr_reg)
-            insts = self._seq(moves, m)
+            self._seq(moves, m, insts)
             insts.append(Jump(s.callee))
-            return insts, m
+            return m
 
         clobber = self._clobber(s.callee)
         avoid = {src.i for src in arg_srcs if type(src) is Slot}
         homes = self._call_homes(m, clobber, avoid=avoid)
-        moves = [(Reg(m.regmap[v]), h) for v, h in homes.items()]
-        home = {**m.stackmap, **{v: h.i for v, h in homes.items() if type(h) is Slot}}
-        k = max(home.values(), default=-1) + 1
+        regmap = m.regmap
+        moves = [(regs[regmap[v]], h) for v, h in homes.items()]
+        # the post-call model: what stays in a register outside `clobber`
+        # (pinned by an identity move: the callee leaves it as it is), what
+        # moves to a callee-saved home, and every slot, old and new
+        stay: dict[str, int] = {}
+        stay_owner: dict[int, str] = {}
+        for v, r in regmap.items():
+            if r not in clobber:
+                moves.append((regs[r], regs[r]))
+            else:
+                h = homes.get(v)
+                if type(h) is not Reg:
+                    continue
+                r = h.i
+            stay[v] = r
+            stay_owner[r] = v
+        home, home_owner = dict(m.stackmap), dict(m.slot_owner)
+        for v, h in homes.items():
+            if type(h) is Slot:
+                home[v] = h.i
+                home_owner[h.i] = v
+        k = max(home_owner, default=-1) + 1
         # outgoing stack args become the callee's fv0.. once fp advances
-        moves += zip(arg_srcs, arg_homes(len(arg_srcs), cfg, k))
+        moves += zip(arg_srcs, self._arg_homes(len(arg_srcs), k))
         lab1 = self._fresh_label()
-        moves.append((LabelArg(lab1), Reg(cfg.ret_addr_reg)))
-
-        # the callee leaves every register outside `clobber` as it is, so
-        # the shuffle keeps each one's value in place (an identity move)
-        moves += [(Reg(r), Reg(r)) for r in m.reg_owner if r not in clobber]
-        insts = self._seq(moves, m)
-        moved = {v: h.i for v, h in homes.items() if type(h) is Reg}
-        stay = {v: moved.get(v, r) for v, r in m.regmap.items() if r not in clobber or v in moved}
+        moves.append((LabelArg(lab1), regs[cfg.ret_addr_reg]))
+        self._seq(moves, m, insts)
         if k:
             insts.append(FrameAdjust(k))
         insts.append(Jump(s.callee))
@@ -1066,47 +1123,57 @@ class _Allocator:
         if k:
             insts.append(FrameAdjust(-k))
 
-        # no other register survives the call; the result arrives in ret_val
-        m2 = Model(stay, home)
+        # no other register survives the call; the result arrives in ret_val.
+        # Both maps are injective by construction, so the model takes them
+        # (and their owner indexes) as they are
+        m2 = Model(_state=(stay, home, stay_owner, home_owner))
         if s.dst is not None and s.dst not in a.ends:
             m2.bind_reg(s.dst, cfg.ret_val_reg)
-        return insts, m2
+        return m2
 
-    def _return(self, a: AnnotatedStatement, m: Model) -> tuple[list[Inst], Model]:
+    def _arg_homes(self, n: int, base: int) -> list[Reg | Slot]:
+        """`model.arg_homes(n, cfg, base)`, with the registers from the table."""
+        locs = self.arg_locs
+        if n <= len(locs):
+            return locs[:n]
+        return [*locs, *map(Slot, range(base, base + n - len(locs)))]
+
+    def _return(self, a: AnnotatedStatement, m: Model, insts: list[Inst]) -> Model:
         s = a.stmt
-        cfg = self.cfg
-        val_src: MoveSrc = m.whereis(s.value) if isinstance(s.value, str) else s.value
+        regs = self.regs
+        val_src: MoveSrc = self._where(m, s.value) if isinstance(s.value, str) else s.value
+        val_reg = regs[self.cfg.ret_val_reg]
 
         if not m.is_bound(RET):  # nothing to return to (the entry body): halt
             m.drop(a.ends)
-            insts = self._seq([(val_src, Reg(cfg.ret_val_reg))], m)
+            self._seq([(val_src, val_reg)], m, insts)
             insts.append(Halt())
-            return insts, m
+            return m
 
-        ret_src = m.whereis(RET)
+        ret_src = self._where(m, RET)
 
         # the jump register must not be one the return restores
-        busy = {cfg.ret_val_reg, *cfg.callee_saved}
-        if isinstance(ret_src, Reg) and ret_src.i not in busy:
+        busy = self.ret_busy
+        if type(ret_src) is Reg and ret_src.i not in busy:
             target = ret_src.i
         else:
-            target = next((r for r in range(cfg.registers) if r not in busy), None)
+            target = next((r for r in range(self.cfg.registers) if r not in busy), None)
             if target is None:
                 raise PressureError(
                     "cannot hold both the return value and the return address"
                 )
-        moves = [(val_src, Reg(cfg.ret_val_reg))]
+        moves = [(val_src, val_reg)]
         self._exit_moves(moves, m, ret_src, target)
-        insts = self._seq(moves, m)
-        insts.append(Jump(Reg(target)))
-        return insts, m
+        self._seq(moves, m, insts)
+        insts.append(Jump(regs[target]))
+        return m
 
     def _exit_moves(self, moves: list, m: Model, ret_src: MoveSrc, ret_reg: int) -> None:
         """Add the moves that leave the frame (at a return or a tail call):
         RET from `ret_src` into `ret_reg`, each debt into its register."""
-        moves.append((ret_src, Reg(ret_reg)))
+        moves.append((ret_src, self.regs[ret_reg]))
         for v, r in self.owed:
-            moves.append((m.whereis(v), Reg(r)))
+            moves.append((self._where(m, v), r))
 
 
 # ---------------------------------------------------------------------------

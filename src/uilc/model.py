@@ -146,7 +146,8 @@ class Model:
         _state: tuple | None = None,
     ):
         if _state is not None:
-            # `copy` hands over fresh maps and indexes already in step
+            # `copy`, `initial_model` and the allocator's post-call model
+            # hand over fresh maps and indexes already in step: no check
             self.regmap, self.stackmap, self.reg_owner, self.slot_owner = _state
             return
         self.regmap = dict(regmap or {})
@@ -307,10 +308,13 @@ def initial_model(params: tuple[str, ...], cfg: MachineConfig) -> Model:
         raise ModelError(f"'{RET}' cannot be a parameter")
     if len(set(params)) != len(params):
         raise ModelError("duplicate parameter names")
-    m = Model().bind_reg(RET, cfg.ret_addr_reg)
+    regmap, stackmap = {RET: cfg.ret_addr_reg}, {}
     for v, home in zip(params, arg_homes(len(params), cfg)):
         if type(home) is Reg:
-            m.bind_reg(v, home.i)
+            regmap[v] = home.i
         else:
-            m.bind_slot(v, home.i)
-    return m
+            stackmap[v] = home.i
+    # distinct names in distinct homes: both maps are injective as built
+    reg_owner = {r: v for v, r in regmap.items()}
+    slot_owner = {s: v for v, s in stackmap.items()}
+    return Model(_state=(regmap, stackmap, reg_owner, slot_owner))
