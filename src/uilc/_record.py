@@ -11,6 +11,7 @@ Outside its ``__init__`` a record is never a twin.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 
 # the `__class__` setter, which bypasses a frozen class's `__setattr__`
@@ -39,7 +40,13 @@ def record(cls):
     dataclass's own.  ``copy`` and ``pickle`` restore a record through
     the dataclass's ``__setstate__`` and never meet the twin.  A field
     takes a plain default or none, and a record class is not subclassed.
+
+    A record class without a docstring gets the one a plain dataclass
+    gets, its name and constructor signature.  `dataclass` writes it from
+    the ``__init__`` it sees, which is not this one yet, so it is written
+    again once this one is in place.
     """
+    documented = cls.__doc__ is not None
     cls = dataclass(frozen=True, slots=True, init=False)(cls)
     env = {"__name__": cls.__module__}
     params, lines, annotations = ["self"], [], {}
@@ -71,6 +78,8 @@ def record(cls):
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     init.__annotations__ = {**annotations, "return": None}
     cls.__init__ = init
+    if not documented:
+        cls.__doc__ = cls.__name__ + str(inspect.signature(cls)).replace(" -> None", "")
     # the frozen dataclass's own refusals raise TypeError for a name that is
     # no field, once `slots` has made the class anew (CPython 3.11)
     cls.__setattr__ = _refuse_assign

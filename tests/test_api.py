@@ -94,6 +94,19 @@ def test_record_constructor_signature(cls, args, signature):
 
 
 @pytest.mark.parametrize("cls,args,signature", _RECORDS, ids=_RECORD_IDS)
+def test_record_docstring_is_a_plain_dataclass_docstring(cls, args, signature):
+    # what `help` shows: a plain dataclass of the same fields names the
+    # same constructor, as `uil.Definition.__doc__` does
+    plain = dataclasses.make_dataclass(
+        cls.__name__,
+        [(f.name, f.type, dataclasses.field(default=f.default)) for f in fields(cls)],
+        frozen=True,
+    )
+    assert cls.__doc__ == plain.__doc__
+    assert cls.__doc__.startswith(f"{cls.__name__}(") and cls.__doc__.count(":") >= len(args)
+
+
+@pytest.mark.parametrize("cls,args,signature", _RECORDS, ids=_RECORD_IDS)
 def test_record_fields_are_frozen(cls, args, signature):
     record = cls(*args)
     for f in fields(cls):
