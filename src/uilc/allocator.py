@@ -1231,7 +1231,9 @@ def alloc_program(
         code[name] = insts
         alloc.clobbers[name] = alloc._clobber_set(insts, proc)
 
-    entry_insts, _ = alloc.body("<entry>", ap.entry, ap.entry_by_point, ap.entry_calls, Model())
+    # the entry body starts from an empty model, built without the check
+    m = Model(_state=({}, {}, {}, {}))
+    entry_insts, _ = alloc.body("<entry>", ap.entry, ap.entry_by_point, ap.entry_calls, m)
     if alloc.need_halt:
         entry_insts.append(LabelDef(HALT_LABEL))
         entry_insts.append(Halt())

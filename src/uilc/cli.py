@@ -29,7 +29,7 @@ from .machine import (
     heap_from_seed,
     run_target,
 )
-from .model import MachineConfig, make_config
+from .model import MachineConfig, ModelError, make_config
 from .uil import Call, If, ParseError, Program, format_program, parse, statement_line, validate
 
 
@@ -272,6 +272,21 @@ def cmd_compare(args) -> int:
     return 1 if errors else 0
 
 
+def _check_models(trace: list[TraceEntry]) -> None:
+    """Run `Model.check` on the models before and after each statement of
+    `trace`; raise ModelError naming the first that is out of step.  The
+    allocator builds its models without the check, so fuzzing keeps it."""
+    for entry in trace:
+        for when, m in (("before", entry.pre), ("after", entry.post)):
+            if m is not None:
+                try:
+                    m.check()
+                except ModelError as e:
+                    raise ModelError(
+                        f"model {when} {entry.scope} #{entry.a.point} out of step: {e}"
+                    ) from None
+
+
 def cmd_fuzz(args) -> int:
     count = _at_least("--count", args.count, 0)
     fuel = _at_least("--fuel", args.fuel, 1)
@@ -302,8 +317,10 @@ def cmd_fuzz(args) -> int:
             r = cfg.registers
             for policy in POLICIES:
                 checked += 1
+                trace: list[TraceEntry] = []
                 try:
-                    tp = alloc_program(annotated, cfg, policy)
+                    tp = alloc_program(annotated, cfg, policy, trace=trace)
+                    _check_models(trace)
                     report = equivalent(program, tp, cfg, heaps, fuel=fuel)
                 except Exception as e:  # any blow-up is a reportable failure
                     failures.append((seed, f"R={r} {policy}: {type(e).__name__}: {e}"))

@@ -1548,6 +1548,40 @@ def test_kernel_assembly_is_byte_identical():
     assert digest.hexdigest() == KERNEL_ASM_SHA256
 
 
+def test_every_model_the_allocator_builds_is_consistent():
+    # the allocator builds its models without `Model.check` (the post-call
+    # model and `initial_model` hand their maps over as built), so check
+    # each one after the fact: the model before and after every live
+    # statement of C5 seeds 0..99 and of the kernels, at R{2,3,4,8} under
+    # every policy.  An allocation that runs out of registers is checked up
+    # to the statement that ran out.
+    kernels = Path(__file__).parents[1] / "perfbench" / "kernels"
+    programs = [(f"seed {seed}", generate_program(seed)) for seed in range(100)]
+    programs += [
+        (name, parse((kernels / f"{name}.uil").read_text())) for name in ("fib", "walk", "evenodd")
+    ]
+    checked = 0
+    for label, program in programs:
+        ap = annotate(program)
+        for r in (2, 3, 4, 8):
+            cfg = make_config(r)
+            for policy in POLICIES:
+                trace = []
+                try:
+                    alloc_program(ap, cfg, policy, trace=trace)
+                except PressureError:
+                    pass
+                for e in trace:
+                    for m in (e.pre, e.post):
+                        if m is not None:
+                            try:
+                                m.check()
+                            except ModelError as err:
+                                pytest.fail(f"{label} R={r} {policy} {e.scope} #{e.a.point}: {err}")
+                            checked += 1
+    assert checked > 40_000  # 48,648 at the time of writing
+
+
 # Dynamic loads plus stores, and dynamic moves, of the furthest policy over
 # generator seeds 0..99 at R{3,4,8}, each program on heap_from_seed(seed).
 # A change that raises either must raise its bound and say why.  Moves

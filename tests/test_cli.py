@@ -15,7 +15,7 @@ from uilc.analysis import annotate
 from uilc.cli import _print_trace, main
 from uilc.gen import generate_program
 from uilc.machine import EquivReport
-from uilc.model import make_config
+from uilc.model import Model, ModelError, make_config
 
 from uilc.uil import ParseError, Program, ReturnValue, format_program, parse
 
@@ -573,9 +573,9 @@ def test_fuzz_sweeps_the_listed_register_counts(capsys, monkeypatch):
     seen = []
     real = main.__globals__["alloc_program"]
 
-    def recording(ap, cfg, policy):
+    def recording(ap, cfg, policy, trace=None):
         seen.append(cfg.registers)
-        return real(ap, cfg, policy)
+        return real(ap, cfg, policy, trace)
 
     monkeypatch.setattr("uilc.cli.alloc_program", recording)
     code, out, _ = run_cli(capsys, "fuzz", "--count", "4", "--registers", "2")
@@ -669,7 +669,7 @@ def test_fuzz_text_that_does_not_read_back_writes_reproducer(
 def test_fuzz_allocation_error_writes_reproducer(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
 
-    def failing(ap, cfg, policy):
+    def failing(ap, cfg, policy, trace=None):
         raise RuntimeError("injected blow-up")
 
     monkeypatch.setattr("uilc.cli.alloc_program", failing)
@@ -680,6 +680,51 @@ def test_fuzz_allocation_error_writes_reproducer(capsys, tmp_path, monkeypatch):
         "reproducer written to fuzz_fail_7.uil",
     ]
     assert (tmp_path / "fuzz_fail_7.uil").read_text().startswith("(letrec")
+
+
+def test_fuzz_checks_every_model_the_allocator_builds(capsys, tmp_path, monkeypatch):
+    # the allocator itself never runs the check, so only fuzz can meet one
+    # that fails; it reports the first model of the trace, before its
+    # first live statement
+    monkeypatch.chdir(tmp_path)
+
+    def out_of_step(self):
+        raise ModelError("owner index out of step with the maps")
+
+    monkeypatch.setattr(Model, "check", out_of_step)
+    trace = []
+    alloc_program(annotate(generate_program(7)), make_config(3), "furthest", trace)
+    first = next(e for e in trace if e.pre is not None)
+    code, out, err = run_cli(capsys, "fuzz", "--count", "3", "--seed", "7")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"FAIL seed=7: R=3 furthest: ModelError: model before {first.scope} #{first.a.point}"
+        " out of step: owner index out of step with the maps",
+        "reproducer written to fuzz_fail_7.uil",
+    ]
+    assert (tmp_path / "fuzz_fail_7.uil").read_text() == format_program(generate_program(7))
+
+
+def test_fuzz_names_a_model_after_its_statement(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    trace = []
+    alloc_program(annotate(generate_program(7)), make_config(3), "furthest", trace)
+    first = next(e for e in trace if e.pre is not None)
+    checked = []
+
+    def second_out_of_step(self):
+        # fuzz checks each entry's model before it, then the one after it
+        checked.append(self)
+        if len(checked) == 2:
+            raise ModelError("two variables share a register")
+
+    monkeypatch.setattr(Model, "check", second_out_of_step)
+    code, out, err = run_cli(capsys, "fuzz", "--count", "3", "--seed", "7")
+    assert (code, out) == (1, "")
+    assert err.splitlines()[0] == (
+        f"FAIL seed=7: R=3 furthest: ModelError: model after {first.scope} #{first.a.point}"
+        " out of step: two variables share a register"
+    )
 
 
 def test_missing_file_is_a_diagnostic(capsys):
