@@ -130,6 +130,7 @@ from .model import (
     ModelError,
     Reg,
     Slot,
+    arg_homes,
     initial_model,
 )
 from .uil import Assign, BinExpr, Call, If, MemRead, MemWrite, ReturnValue, statement_line
@@ -563,9 +564,6 @@ def _rebind_copy(a: AnnotatedStatement, m: Model) -> Model | None:
     return m
 
 
-# each register count's `Reg`s by index, built once (`_Allocator.regs`)
-_REG_TABLES: dict[int, tuple[Reg, ...]] = {}
-
 # the instructions that write their `dst` register
 _WRITES = frozenset([Move, LoadImm, Load, BinOpInst, MemLoad, LoadLabel])
 _DST = operator.attrgetter("dst")
@@ -593,11 +591,7 @@ class _Allocator:
         self.policy = policy
         # the machine's registers as locations, by index: every operand
         # value, move and pin takes its `Reg` from here
-        regs = _REG_TABLES.get(cfg.registers)
-        if regs is None:
-            regs = _REG_TABLES[cfg.registers] = tuple(map(Reg, range(cfg.registers)))
-        self.regs = regs
-        self.arg_locs = tuple([regs[r] for r in cfg.arg_regs])
+        self.regs = tuple(map(Reg, range(cfg.registers)))
         # the registers a return restores: it may not jump through one
         self.ret_busy = {cfg.ret_val_reg, *cfg.callee_saved}
         # callee -> the registers a call to it may change (`_clobber_set`),
@@ -1074,7 +1068,7 @@ class _Allocator:
 
         if a.tail:
             # the callee takes over this frame: no call-lives to keep
-            moves = list(zip(arg_srcs, self._arg_homes(len(arg_srcs), 0)))
+            moves = list(zip(arg_srcs, arg_homes(len(arg_srcs), cfg)))
             if m.is_bound(RET):
                 ret_src: MoveSrc = where(m, RET)
             else:
@@ -1112,7 +1106,7 @@ class _Allocator:
                 home_owner[h.i] = v
         k = max(home_owner, default=-1) + 1
         # outgoing stack args become the callee's fv0.. once fp advances
-        moves += zip(arg_srcs, self._arg_homes(len(arg_srcs), k))
+        moves += zip(arg_srcs, arg_homes(len(arg_srcs), cfg, k))
         lab1 = self._fresh_label()
         moves.append((LabelArg(lab1), regs[cfg.ret_addr_reg]))
         self._seq(moves, m, insts)
@@ -1130,13 +1124,6 @@ class _Allocator:
         if s.dst is not None and s.dst not in a.ends:
             m2.bind_reg(s.dst, cfg.ret_val_reg)
         return m2
-
-    def _arg_homes(self, n: int, base: int) -> list[Reg | Slot]:
-        """`model.arg_homes(n, cfg, base)`, with the registers from the table."""
-        locs = self.arg_locs
-        if n <= len(locs):
-            return locs[:n]
-        return [*locs, *map(Slot, range(base, base + n - len(locs)))]
 
     def _return(self, a: AnnotatedStatement, m: Model, insts: list[Inst]) -> Model:
         s = a.stmt
@@ -1188,12 +1175,20 @@ def alloc_fragment(
 ) -> tuple[list[Inst], Model]:
     """Allocate a bare statement sequence starting from a given model,
     which is left as it is (the allocation works on a copy).  No callee of
-    a fragment is allocated: a call may change every caller-saved register."""
+    a fragment is allocated: a call may change every caller-saved register.
+    A model that binds a register the machine lacks raises ModelError."""
+    if m is None:
+        m = Model()
+    else:
+        for r in m.reg_owner:
+            if not 0 <= r < cfg.registers:
+                raise ModelError(f"the model binds r{r}, which the machine lacks")
+        m = m.copy()
     # a next use outside the fragment has no statement here to read it
     by_point = {a.point: a for a in walk_statements(body)}
     calls = tuple([a for a in by_point.values() if type(a.stmt) is Call])
     alloc = _Allocator(cfg, policy)
-    return alloc.body("<fragment>", body, by_point, calls, m.copy() if m is not None else Model())
+    return alloc.body("<fragment>", body, by_point, calls, m)
 
 
 @gc_paused

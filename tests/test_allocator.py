@@ -1413,6 +1413,15 @@ def test_split_fragment_matches_golden_shape(split_prog):
     ]
 
 
+@pytest.mark.parametrize("r", [3, 5, -1])
+def test_fragment_model_with_a_register_the_machine_lacks_raises(r):
+    body = annotate_statements(parse("(letrec () (set! y (+ x 1)) (return y))").body)
+    with pytest.raises(ModelError, match=f"binds r{r}, which the machine lacks"):
+        alloc_fragment(body, make_config(3), "furthest", Model({"x": r}))
+    insts, _ = alloc_fragment(body, make_config(3), "furthest", Model({"x": 2}))
+    assert format_insts(insts).splitlines()[0].split() == ["add", "r1,", "r2,", "1"]
+
+
 def test_pressure_fault_names_statement():
     program, ap = load_program(SPLIT_SRC)
     with pytest.raises(PressureError) as exc:
