@@ -2,7 +2,8 @@
 
 Subcommands: ``alloc`` prints target assembly, ``run`` allocates and
 simulates, ``compare`` tabulates traffic across register counts and
-replacement policies, ``fuzz`` differential-tests random programs.
+replacement policies, ``fuzz`` differential-tests random programs and
+checks every model the allocator builds for them.
 
 Exit codes: 0 success, 1 diagnostics (usage errors, bad input, pressure,
 runtime faults, fuel, inequivalence), 2 internal fault.
