@@ -44,20 +44,22 @@ def record(cls):
     A record class without a docstring gets the one a plain dataclass
     gets, its name and constructor signature.  `dataclass` writes it from
     the ``__init__`` it sees, which is not this one yet, so it is written
-    again once this one is in place.
+    again here, from the fields.
     """
     documented = cls.__doc__ is not None
     cls = dataclass(frozen=True, slots=True, init=False)(cls)
     env = {"__name__": cls.__module__}
-    params, lines, annotations = ["self"], [], {}
+    params, lines, annotations, shown = ["self"], [], {}, []
     for f in fields(cls):
         if f.default_factory is not MISSING or not f.init:
             raise TypeError(f"{cls.__name__}.{f.name}: a record field takes a plain default")
+        shown.append(f"{f.name}: {inspect.formatannotation(f.type)}")
         if f.default is MISSING:
             params.append(f.name)
         else:
             env[f"_default_{f.name}"] = f.default
             params.append(f"{f.name}=_default_{f.name}")
+            shown[-1] += f" = {f.default!r}"
         lines.append(f"    self.{f.name} = {f.name}")
         annotations[f.name] = f.type
     if lines:
@@ -78,8 +80,8 @@ def record(cls):
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     init.__annotations__ = {**annotations, "return": None}
     cls.__init__ = init
-    if not documented:
-        cls.__doc__ = cls.__name__ + str(inspect.signature(cls)).replace(" -> None", "")
+    if not documented:  # as `inspect.signature` shows the constructor
+        cls.__doc__ = f"{cls.__name__}({', '.join(shown)})"
     # the frozen dataclass's own refusals raise TypeError for a name that is
     # no field, once `slots` has made the class anew (CPython 3.11)
     cls.__setattr__ = _refuse_assign

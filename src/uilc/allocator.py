@@ -435,8 +435,8 @@ class _Shuffle:
 
     def _fresh_slot(self) -> int:
         """The lowest slot that no move names, that is not busy and that no
-        earlier scratch slot took.  The move slots come from the moves as
-        given: a leg already done still holds its value there."""
+        earlier scratch slot took.  A slot a move names stays off limits
+        once its leg is done: the set is built from the moves as given."""
         used = self.used_slots
         if used is None:
             used = self.used_slots = {
@@ -591,7 +591,10 @@ class _Allocator:
         self.policy = policy
         # the machine's registers as locations, by index: every operand
         # value, move and pin takes its `Reg` from here
-        self.regs = tuple(map(Reg, range(cfg.registers)))
+        self.regs = regs = tuple(map(Reg, range(cfg.registers)))
+        # the homes of a call's arguments while they fit the argument
+        # registers, which do not depend on where the stack arguments go
+        self.arg_locs = tuple(map(regs.__getitem__, cfg.arg_regs))
         # the registers a return restores: it may not jump through one
         self.ret_busy = {cfg.ret_val_reg, *cfg.callee_saved}
         # callee -> the registers a call to it may change (`_clobber_set`),
@@ -622,7 +625,7 @@ class _Allocator:
         # set by `_across_regs` when the body's first such value needs it
         self.across_regs: tuple[int, ...] | None = None
         self.owed = [(v, self.regs[r]) for v, r in owed]
-        self.kept = {RET, *(v for v, _ in owed)}
+        self.kept = {RET, *dict(owed)}
         for v, r in owed:
             m.bind_reg(v, r)
         insts: list[Inst] = []
@@ -1061,14 +1064,13 @@ class _Allocator:
         ]
 
         # the argument sources are read above, before anything is dropped
-        m.drop(a.ends)  # dropping the callee label is a no-op
-        if s.dst is not None:
-            # the result rebinds the destination; its old value dies here
-            m.drop((s.dst,))
+        # (dropping the callee label is a no-op); the result rebinds the
+        # destination, whose old value dies here
+        m.drop(a.ends if s.dst is None else (s.dst, *a.ends))
 
         if a.tail:
             # the callee takes over this frame: no call-lives to keep
-            moves = list(zip(arg_srcs, arg_homes(len(arg_srcs), cfg)))
+            moves = list(zip(arg_srcs, self._arg_homes(len(arg_srcs), 0)))
             if m.is_bound(RET):
                 ret_src: MoveSrc = where(m, RET)
             else:
@@ -1106,7 +1108,7 @@ class _Allocator:
                 home_owner[h.i] = v
         k = max(home_owner, default=-1) + 1
         # outgoing stack args become the callee's fv0.. once fp advances
-        moves += zip(arg_srcs, arg_homes(len(arg_srcs), cfg, k))
+        moves += zip(arg_srcs, self._arg_homes(len(arg_srcs), k))
         lab1 = self._fresh_label()
         moves.append((LabelArg(lab1), regs[cfg.ret_addr_reg]))
         self._seq(moves, m, insts)
@@ -1124,6 +1126,12 @@ class _Allocator:
         if s.dst is not None and s.dst not in a.ends:
             m2.bind_reg(s.dst, cfg.ret_val_reg)
         return m2
+
+    def _arg_homes(self, n: int, base: int) -> tuple[Reg | Slot, ...] | list[Reg | Slot]:
+        """Where `n` arguments go, as `arg_homes(n, cfg, base)` places them;
+        while they fit the argument registers, from the table."""
+        homes = self.arg_locs
+        return homes[:n] if n <= len(homes) else arg_homes(n, self.cfg, base)
 
     def _return(self, a: AnnotatedStatement, m: Model, insts: list[Inst]) -> Model:
         s = a.stmt

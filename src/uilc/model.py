@@ -308,13 +308,14 @@ def initial_model(params: tuple[str, ...], cfg: MachineConfig) -> Model:
         raise ModelError(f"'{RET}' cannot be a parameter")
     if len(set(params)) != len(params):
         raise ModelError("duplicate parameter names")
-    regmap, stackmap = {RET: cfg.ret_addr_reg}, {}
+    regmap, reg_owner = {RET: cfg.ret_addr_reg}, {cfg.ret_addr_reg: RET}
+    stackmap, slot_owner = {}, {}
     for v, home in zip(params, arg_homes(len(params), cfg)):
         if type(home) is Reg:
             regmap[v] = home.i
+            reg_owner[home.i] = v
         else:
             stackmap[v] = home.i
+            slot_owner[home.i] = v
     # distinct names in distinct homes: both maps are injective as built
-    reg_owner = {r: v for v, r in regmap.items()}
-    slot_owner = {s: v for v, s in stackmap.items()}
     return Model(_state=(regmap, stackmap, reg_owner, slot_owner))
