@@ -1127,11 +1127,11 @@ class _Allocator:
             m2.bind_reg(s.dst, cfg.ret_val_reg)
         return m2
 
-    def _arg_homes(self, n: int, base: int) -> tuple[Reg | Slot, ...] | list[Reg | Slot]:
+    def _arg_homes(self, n: int, base: int) -> tuple[Reg | Slot, ...]:
         """Where `n` arguments go, as `arg_homes(n, cfg, base)` places them;
         while they fit the argument registers, from the table."""
         homes = self.arg_locs
-        return homes[:n] if n <= len(homes) else arg_homes(n, self.cfg, base)
+        return homes[:n] if n <= len(homes) else tuple(arg_homes(n, self.cfg, base))
 
     def _return(self, a: AnnotatedStatement, m: Model, insts: list[Inst]) -> Model:
         s = a.stmt

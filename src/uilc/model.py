@@ -146,8 +146,8 @@ class Model:
         _state: tuple | None = None,
     ):
         if _state is not None:
-            # `copy`, `initial_model` and the allocator's post-call model
-            # hand over fresh maps and indexes already in step: no check
+            # `copy`, `initial_model` and the allocator's post-call and entry
+            # models hand over fresh maps and indexes already in step: no check
             self.regmap, self.stackmap, self.reg_owner, self.slot_owner = _state
             return
         self.regmap = dict(regmap or {})
