@@ -1,6 +1,7 @@
 import pytest
 
 from uilc import annotate, parse, validate
+from uilc.uil import If
 
 # Two-register live-range splitting example: x and y fill the machine,
 # allocating z forces x out, and the final sum brings x back.
@@ -76,6 +77,15 @@ def nested_ifs(levels):
     for _ in range(levels):
         text = f"(if (< x 1000) (begin (set! x (+ x 1)) {text}) (begin (set! y (- y 1))))"
     return f"(letrec () (set! x 0) (set! y 0) {text} (return y))"
+
+
+def live_after(a):
+    """The variables live after annotated statement `a`: the keys of its
+    next-use map, or, for an `if` that is not dead, the join set, which is
+    what lives after the last statement of its else branch."""
+    if type(a.stmt) is If and not a.dead:
+        return live_after(a.else_body[-1])
+    return a.next_uses.keys()
 
 
 def load_program(src):

@@ -17,7 +17,7 @@ from uilc.analysis import (
 from uilc.gen import generate_program, generate_straight_line
 from uilc.uil import Assign, Call, If, MemRead, Program, format_program, parse, validate, variables
 
-from conftest import CHAIN_SRC, CYCLE3_SRC, DIAMOND_SRC, load_program
+from conftest import CHAIN_SRC, CYCLE3_SRC, DIAMOND_SRC, live_after, load_program
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +475,7 @@ def test_annotations_are_pinned():
                 fact = (
                     a.point,
                     sorted(a.ends),
-                    sorted(a.live_after),
+                    sorted(live_after(a)),
                     sorted(a.next_uses.items()),
                     a.tail,
                     sorted(a.then_live),
@@ -615,11 +615,7 @@ def test_one_walk_finds_every_dead_assignment():
     assert dead_total > 5000 and dead_ifs > 10
 
 
-def test_live_after_is_a_view_of_the_next_use_map():
-    # `live_after` costs no copy: for a statement other than an `if` it is
-    # the key view of the statement's own next-use map.  It still acts as
-    # a set, and annotations stay hashable with value equality.
-    views = []
+def test_annotating_twice_gives_equal_records_with_equal_hashes():
     for seed in range(40):
         p = generate_program(seed)
         first, again = annotate(p), annotate(p)
@@ -627,8 +623,21 @@ def test_live_after_is_a_view_of_the_next_use_map():
             (x.body, y.body) for x, y in zip(first.procs, again.procs)
         ]
         for body, twin in bodies:
-            for a, b in zip(walk_statements(body), walk_statements(twin)):
+            pairs = list(zip(walk_statements(body), walk_statements(twin)))
+            assert pairs
+            for a, b in pairs:
                 assert a == b and hash(a) == hash(b)
+
+
+def test_live_after_is_a_view_of_the_next_use_map():
+    # `live_after` costs no copy: for a statement other than an `if` it is
+    # the key view of the statement's own next-use map, and it still acts
+    # as a set.
+    views = []
+    for seed in range(40):
+        ap = annotate(generate_program(seed))
+        for body in [ap.entry] + [proc.body for proc in ap.procs]:
+            for a in walk_statements(body):
                 if isinstance(a.stmt, If):
                     continue
                 expected = frozenset(a.next_uses)
