@@ -159,14 +159,9 @@ class PressureError(Exception):
         return super().__str__()
 
 
-@dataclass(frozen=True)
-class LabelArg:
-    """A label used as a move source (return addresses, halt continuation)."""
-
-    label: str
-
-
-MoveSrc = Reg | Slot | int | LabelArg
+# a move source: a location, an immediate, or a label (a `str`: return
+# addresses, the halt continuation)
+MoveSrc = Reg | Slot | int | str
 MoveDst = Reg | Slot
 
 
@@ -278,8 +273,8 @@ def _value_into_reg(r: int, src: MoveSrc) -> Inst:
         return Move(r, src.i)
     if kind is Slot:
         return Load(r, src.i)
-    if kind is LabelArg:
-        return LoadLabel(r, src.label)
+    if kind is str:
+        return LoadLabel(r, src)
     return LoadImm(r, src)
 
 
@@ -577,11 +572,10 @@ class _Allocator:
     each statement; it is copied only where an `if` forks it into its two
     branches.  Each statement's transformer appends its code to the one
     instruction list of its body (an `if` keeps its then branch's code
-    apart until the else branch's is in place).  ``regs`` holds the
-    machine's `Reg`s by index, so no operand value, move or pin builds
-    its own.  ``by_point`` maps each point of the body to its annotated
-    statement, so a statement's next uses lead to the statements that
-    read them.
+    apart until the else branch's is in place).  Every operand value,
+    move and pin takes its `Reg` from the machine's table (`cfg.regs`).
+    ``by_point`` maps each point of the body to its annotated statement,
+    so a statement's next uses lead to the statements that read them.
     """
 
     def __init__(self, cfg: MachineConfig, policy: str, trace: list[TraceEntry] | None = None):
@@ -589,19 +583,9 @@ class _Allocator:
             raise ValueError(f"unknown policy {policy!r}")
         self.cfg = cfg
         self.policy = policy
-        # the machine's registers as locations, by index: every operand
-        # value, move and pin takes its `Reg` from here
-        self.regs = regs = tuple(map(Reg, range(cfg.registers)))
-        # the homes of a call's arguments while they fit the argument
-        # registers, which do not depend on where the stack arguments go
-        self.arg_locs = tuple(map(regs.__getitem__, cfg.arg_regs))
-        # the registers a return restores: it may not jump through one
-        self.ret_busy = {cfg.ret_val_reg, *cfg.callee_saved}
         # callee -> the registers a call to it may change (`_clobber_set`),
         # recorded as each procedure's code is done (`_clobber` reads it)
         self.clobbers: dict[str, frozenset[int]] = {}
-        # what a call to a callee not yet allocated may change (`_clobber`)
-        self.caller_saved = frozenset(range(cfg.registers)).difference(cfg.callee_saved)
         self.trace = trace
         self.labels = itertools.count()
         self.need_halt = False
@@ -624,7 +608,7 @@ class _Allocator:
         # where a value that lives across a later non-tail call goes first;
         # set by `_across_regs` when the body's first such value needs it
         self.across_regs: tuple[int, ...] | None = None
-        self.owed = [(v, self.regs[r]) for v, r in owed]
+        self.owed = [(v, self.cfg.regs[r]) for v, r in owed]
         self.kept = {RET, *dict(owed)}
         for v, r in owed:
             m.bind_reg(v, r)
@@ -640,7 +624,7 @@ class _Allocator:
     def _where(self, m: Model, v: str) -> Reg | Slot:
         """`m.whereis(v)`, with the register taken from the table."""
         r = m.regmap.get(v)
-        return m.whereis(v) if r is None else self.regs[r]
+        return m.whereis(v) if r is None else self.cfg.regs[r]
 
     def _clobber(self, callee: str) -> frozenset[int]:
         """The registers a call to `callee` may change: its clobber set, or
@@ -648,7 +632,7 @@ class _Allocator:
         a cycle of calls through the caller, or any callee of a
         fragment)."""
         regs = self.clobbers.get(callee)
-        return self.caller_saved if regs is None else regs
+        return self.cfg.caller_saved if regs is None else regs
 
     def _clobber_set(self, insts: list[Inst], proc: AnnotatedProc) -> frozenset[int]:
         """The registers a call to `proc`, whose code is `insts`, may
@@ -667,7 +651,7 @@ class _Allocator:
         for call in proc.calls:
             regs |= self._clobber(call.stmt.callee)
         # the code's writes can add only a caller-saved register still missing
-        if not regs.issuperset(self.caller_saved):
+        if not regs.issuperset(cfg.caller_saved):
             # the `dst` of each instruction whose type is in _WRITES, looped in C
             written = itertools.compress(insts, map(_WRITES.__contains__, map(type, insts)))
             regs.update(map(_DST, written))
@@ -800,7 +784,7 @@ class _Allocator:
         order."""
         # the operands protect each other; nothing else is protected
         self._load(m, a.refs, (), a.next_uses, insts, a.across)
-        regmap, regs = m.regmap, self.regs  # every variable operand is in a register
+        regmap, regs = m.regmap, self.cfg.regs  # every variable operand is in a register
         return [regs[regmap[o]] if type(o) is str else o for o in a.stmt.operands()]
 
     def _dest_reg(self, m: Model, body, i: int, insts: list[Inst]) -> int:
@@ -886,7 +870,7 @@ class _Allocator:
         if not slotless:
             return {}
         slotless.sort()
-        owner, regs = m.reg_owner, self.regs
+        owner, regs = m.reg_owner, self.cfg.regs
         free = [r for r in self.cfg.callee_saved if r not in owner]
         homes: dict[str, Reg | Slot] = {v: regs[r] for (_, v), r in zip(slotless, free)}
         slotless = [v for _, v in slotless[len(free):]]
@@ -1026,7 +1010,7 @@ class _Allocator:
         # use for the same value.  Each branch has dropped what ends in it,
         # so both models bind only the values live after the `if`, RET and
         # the debts
-        regs, where = self.regs, self._where
+        regs, where = self.cfg.regs, self._where
         slots2 = m2.stackmap
         moves: list[tuple[MoveSrc, MoveDst]] = [
             (where(m2, v), regs[r]) for v, r in m3.regmap.items()
@@ -1057,7 +1041,7 @@ class _Allocator:
         """
         s = a.stmt
         cfg = self.cfg
-        regs = self.regs
+        regs = cfg.regs
         where = self._where
         arg_srcs: list[MoveSrc] = [
             where(m, arg) if isinstance(arg, str) else arg for arg in a.passed
@@ -1070,12 +1054,12 @@ class _Allocator:
 
         if a.tail:
             # the callee takes over this frame: no call-lives to keep
-            moves = list(zip(arg_srcs, self._arg_homes(len(arg_srcs), 0)))
+            moves = list(zip(arg_srcs, arg_homes(len(arg_srcs), cfg)))
             if m.is_bound(RET):
                 ret_src: MoveSrc = where(m, RET)
             else:
                 self.need_halt = True  # entry frame returns to the halt stub
-                ret_src = LabelArg(HALT_LABEL)
+                ret_src = HALT_LABEL
             self._exit_moves(moves, m, ret_src, cfg.ret_addr_reg)
             self._seq(moves, m, insts)
             insts.append(Jump(s.callee))
@@ -1108,9 +1092,9 @@ class _Allocator:
                 home_owner[h.i] = v
         k = max(home_owner, default=-1) + 1
         # outgoing stack args become the callee's fv0.. once fp advances
-        moves += zip(arg_srcs, self._arg_homes(len(arg_srcs), k))
+        moves += zip(arg_srcs, arg_homes(len(arg_srcs), cfg, k))
         lab1 = self._fresh_label()
-        moves.append((LabelArg(lab1), regs[cfg.ret_addr_reg]))
+        moves.append((lab1, regs[cfg.ret_addr_reg]))
         self._seq(moves, m, insts)
         if k:
             insts.append(FrameAdjust(k))
@@ -1127,17 +1111,11 @@ class _Allocator:
             m2.bind_reg(s.dst, cfg.ret_val_reg)
         return m2
 
-    def _arg_homes(self, n: int, base: int) -> tuple[Reg | Slot, ...]:
-        """Where `n` arguments go, as `arg_homes(n, cfg, base)` places them;
-        while they fit the argument registers, from the table."""
-        homes = self.arg_locs
-        return homes[:n] if n <= len(homes) else tuple(arg_homes(n, self.cfg, base))
-
     def _return(self, a: AnnotatedStatement, m: Model, insts: list[Inst]) -> Model:
         s = a.stmt
-        regs = self.regs
+        cfg = self.cfg
         val_src: MoveSrc = self._where(m, s.value) if isinstance(s.value, str) else s.value
-        val_reg = regs[self.cfg.ret_val_reg]
+        val_reg = cfg.regs[cfg.ret_val_reg]
 
         if not m.is_bound(RET):  # nothing to return to (the entry body): halt
             m.drop(a.ends)
@@ -1148,11 +1126,11 @@ class _Allocator:
         ret_src = self._where(m, RET)
 
         # the jump register must not be one the return restores
-        busy = self.ret_busy
-        if type(ret_src) is Reg and ret_src.i not in busy:
+        val, saved = cfg.ret_val_reg, cfg.callee_saved
+        if type(ret_src) is Reg and ret_src.i != val and ret_src.i not in saved:
             target = ret_src.i
         else:
-            target = next((r for r in range(self.cfg.registers) if r not in busy), None)
+            target = next((r for r in range(cfg.registers) if r != val and r not in saved), None)
             if target is None:
                 raise PressureError(
                     "cannot hold both the return value and the return address"
@@ -1160,13 +1138,13 @@ class _Allocator:
         moves = [(val_src, val_reg)]
         self._exit_moves(moves, m, ret_src, target)
         self._seq(moves, m, insts)
-        insts.append(Jump(regs[target]))
+        insts.append(Jump(cfg.regs[target]))
         return m
 
     def _exit_moves(self, moves: list, m: Model, ret_src: MoveSrc, ret_reg: int) -> None:
         """Add the moves that leave the frame (at a return or a tail call):
         RET from `ret_src` into `ret_reg`, each debt into its register."""
-        moves.append((ret_src, self.regs[ret_reg]))
+        moves.append((ret_src, self.cfg.regs[ret_reg]))
         for v, r in self.owed:
             moves.append((self._where(m, v), r))
 

@@ -30,16 +30,16 @@ from the end of the body down, and enters each statement in its body's
 point index (``AnnotatedProc.by_point``, ``AnnotatedProgram.entry_by_point``)
 as it builds it, and each call in its body's call list (``calls``,
 ``entry_calls``), so a later stage reaches the statement a next use names,
-or a body's calls, without a walk of its own.  Each statement's live set is a read-only
-view of the next-use map the walk already holds, so no statement copies
-it.  No interference graph is built.  UIL has no loop form, so branch
-joins need no fixpoint iteration.
+or a body's calls, without a walk of its own.  A statement's live set is
+the key set of its next-use map, the map the walk already holds, so no
+statement copies it.  No interference graph is built.  UIL has no loop
+form, so branch joins need no fixpoint iteration.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, KeysView
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from ._gc import gc_paused
@@ -66,16 +66,12 @@ class AnnotatedStatement:
     stmt: Statement
     point: int
     ends: frozenset[str]
-    # Variables referenced (before redefinition) strictly after this
-    # statement, on some path.  For an If this is join liveness.  It is
-    # the key view of the map the walk holds after the statement (for
-    # anything but an If, `next_uses`): a read-only view that compares
-    # as a set but does not hash.  Never mutate the map behind it.
-    live_after: KeysView[str] = field(hash=False)
     # The next reference of each variable live after this statement (for
-    # an If: entering either branch): the first point after `point` that
-    # reads the value on some path.  An absent variable is dead.  The
-    # annotator shares these dicts between statements: never mutate one.
+    # an If: entering either branch, which is what the registers hold at
+    # its test): the first point after `point` that reads the value on
+    # some path.  An absent variable is dead, so the keys are the live
+    # set.  The annotator shares these dicts between statements: never
+    # mutate one.
     next_uses: dict[str, float] = field(compare=False)
     # Nothing in the frame runs after this statement: a call here is a
     # tail call, and an If here has no join.
@@ -185,7 +181,7 @@ def _annotate_body(
                 # as they found it too, and the test reads nothing
                 live = frozenset(uses)
                 a = by_point[end] = AnnotatedStatement(
-                    s, end, frozenset(), uses.keys(), uses, tail, refs, across,
+                    s, end, frozenset(), uses, tail, refs, across,
                     then_body, else_body, live, live, dead=True,
                 )
                 annotated.append(a)
@@ -199,7 +195,6 @@ def _annotate_body(
                 s,
                 end,
                 ends,
-                uses.keys(),  # join liveness
                 after,
                 tail,
                 refs,
@@ -231,8 +226,7 @@ def _annotate_body(
                 if strong and dst not in uses and rhs_kind is not MemRead:
                     end -= 1
                     a = by_point[end] = AnnotatedStatement(
-                        s, end, frozenset((dst,)), uses.keys(), uses, tail, refs, across,
-                        dead=True,
+                        s, end, frozenset((dst,)), uses, tail, refs, across, dead=True,
                     )
                     annotated.append(a)
                     tail = False
@@ -264,17 +258,14 @@ def _annotate_body(
                 ends.append(dst)
             if kind is Call:
                 a = AnnotatedStatement(
-                    s, end, frozenset(ends), uses.keys(), uses, tail, refs, across,
-                    passed=passed,
+                    s, end, frozenset(ends), uses, tail, refs, across, passed=passed,
                 )
                 calls.append(a)
                 # what lives after a non-tail call lives across it
                 if not tail:
                     across = across.union(uses.keys())
             else:
-                a = AnnotatedStatement(
-                    s, end, frozenset(ends), uses.keys(), uses, tail, refs, across
-                )
+                a = AnnotatedStatement(s, end, frozenset(ends), uses, tail, refs, across)
             by_point[end] = a
             annotated.append(a)
             if dst in across:

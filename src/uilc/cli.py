@@ -408,7 +408,3 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as e:  # anything else is a bug
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -620,7 +620,8 @@ def spill_free_shape(ap: AnnotatedProgram, cfg: MachineConfig) -> bool:
     count, the read parameters of every procedure (which are what each call
     to it passes) within the argument registers, and no values live across
     a non-tail call: every call-live, the caller's return address
-    included, must be saved.
+    included, must be saved.  What lives at an `if` is what it reads and
+    what lives into either branch.
     """
     proc_names = {proc.name for proc in ap.procs}
     for proc in ap.procs:
@@ -633,7 +634,7 @@ def spill_free_shape(ap: AnnotatedProgram, cfg: MachineConfig) -> bool:
             if a.dead:
                 continue
             s = a.stmt
-            live = set(a.live_after).union(a.refs, s.defs())
+            live = set(a.next_uses).union(a.refs, s.defs())
             live -= proc_names
             if len(live) > budget:
                 return False
@@ -642,7 +643,7 @@ def spill_free_shape(ap: AnnotatedProgram, cfg: MachineConfig) -> bool:
                     continue
                 if in_proc:
                     return False  # the return address is live across the call
-                across = (set(a.live_after) - set(s.defs())) - proc_names
+                across = set(a.next_uses).difference(s.defs(), proc_names)
                 if across:
                     return False
         return True

@@ -97,6 +97,11 @@ class MachineConfig:
     # registers a procedure hands back to its caller holding what they held
     # on entry; every other register is caller-saved
     callee_saved: tuple[int, ...] = field(init=False)
+    # built once per machine for every allocation on it, and no part of
+    # construction, repr or equality: the `Reg` of each register by index,
+    # and every register that is not callee-saved (what a call may change)
+    regs: tuple[Reg, ...] = field(init=False, repr=False, compare=False)
+    caller_saved: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         registers = self.registers
@@ -108,7 +113,10 @@ class MachineConfig:
             rest = rest[1:]
         object.__setattr__(self, "ret_val_reg", min(1, registers - 1))
         object.__setattr__(self, "arg_regs", arg_regs)
-        object.__setattr__(self, "callee_saved", tuple(rest[-5:]) if registers > 4 else ())
+        callee_saved = tuple(rest[-5:]) if registers > 4 else ()
+        object.__setattr__(self, "callee_saved", callee_saved)
+        object.__setattr__(self, "regs", tuple(map(Reg, range(registers))))
+        object.__setattr__(self, "caller_saved", frozenset(range(registers)).difference(callee_saved))
 
 
 # the constructor under the name the CLI, the benchmark and C3 call
@@ -295,7 +303,7 @@ def arg_homes(n: int, cfg: MachineConfig, base: int = 0) -> list[Location]:
     stack slots `base`, `base` + 1, ..., which are the callee's fv0, fv1,
     ... once the caller's frame advances by `base`."""
     regs = cfg.arg_regs[:n]
-    return [*map(Reg, regs), *map(Slot, range(base, base + n - len(regs)))]
+    return [*map(cfg.regs.__getitem__, regs), *map(Slot, range(base, base + n - len(regs)))]
 
 
 def initial_model(params: tuple[str, ...], cfg: MachineConfig) -> Model:

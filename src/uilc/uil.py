@@ -159,11 +159,6 @@ class ReturnValue:
 Statement = Assign | MemWrite | If | Call | ReturnValue
 
 
-def variables(operands) -> list[str]:
-    """The variables among operands, in order; immediates are dropped."""
-    return [v for v in operands if type(v) is str]
-
-
 def count_statements(body: tuple[Statement, ...]) -> int:
     """The number of statements in `body`, branches included."""
     n = len(body)

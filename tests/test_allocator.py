@@ -11,7 +11,6 @@ from uilc import allocator
 from uilc.allocator import (
     POLICIES,
     AllocError,
-    LabelArg,
     PressureError,
     _sequence_moves,
     alloc_fragment,
@@ -351,8 +350,8 @@ def _simultaneous(moves, regs, stack, labels=None):
             return regs[src.i]
         if isinstance(src, Slot):
             return stack[src.i]
-        if isinstance(src, LabelArg):
-            return labels[src.label]
+        if isinstance(src, str):
+            return labels[src]
         return src
 
     values = [(dst, read(src)) for src, dst in moves]
@@ -456,7 +455,7 @@ def _random_moves(rng, locations):
         srcs = [rng.choice(locations) for _ in dsts]
     for i in range(len(srcs)):
         if rng.random() < 0.25:
-            srcs[i] = rng.choice([rng.randint(-9, 9), LabelArg(rng.choice(LABELS))])
+            srcs[i] = rng.choice([rng.randint(-9, 9), rng.choice(LABELS)])
     return list(zip(srcs, dsts))
 
 
@@ -497,7 +496,7 @@ def _borrows(insts, moves):
         elif isinstance(inst, LoadImm):
             state[Reg(inst.dst)] = ("const", inst.imm)
         else:
-            state[Reg(inst.dst)] = ("const", LabelArg(inst.label))
+            state[Reg(inst.dst)] = ("const", inst.label)
     return count
 
 
@@ -555,7 +554,7 @@ def test_shuffle_realizes_simultaneous_assignment(seed):
 
 
 def test_sequence_handles_label_sources():
-    insts = _sequence_moves([(LabelArg("L1"), Reg(0))], make_config(2))
+    insts = _sequence_moves([("L1", Reg(0))], make_config(2))
     assert [opcode_name(i) for i in insts] == ["loadlabel"]
 
 

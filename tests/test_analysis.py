@@ -1,4 +1,3 @@
-import gc
 import hashlib
 import itertools
 import math
@@ -15,7 +14,7 @@ from uilc.analysis import (
     walk_statements,
 )
 from uilc.gen import generate_program, generate_straight_line
-from uilc.uil import Assign, Call, If, MemRead, Program, format_program, parse, validate, variables
+from uilc.uil import Assign, Call, If, MemRead, Program, format_program, parse, validate
 
 from conftest import CHAIN_SRC, CYCLE3_SRC, DIAMOND_SRC, live_after, load_program
 
@@ -28,7 +27,7 @@ from conftest import CHAIN_SRC, CYCLE3_SRC, DIAMOND_SRC, live_after, load_progra
 def stmt_refs(s):
     """Variables (and callee names) referenced by a statement itself, every
     argument of a call included."""
-    refs = variables(s.operands())
+    refs = [v for v in s.operands() if type(v) is str]
     # The callee name counts as a reference and shows up in ending sets.
     return [s.callee, *refs] if type(s) is Call else refs
 
@@ -627,32 +626,6 @@ def test_annotating_twice_gives_equal_records_with_equal_hashes():
             assert pairs
             for a, b in pairs:
                 assert a == b and hash(a) == hash(b)
-
-
-def test_live_after_is_a_view_of_the_next_use_map():
-    # `live_after` costs no copy: for a statement other than an `if` it is
-    # the key view of the statement's own next-use map, and it still acts
-    # as a set.
-    views = []
-    for seed in range(40):
-        ap = annotate(generate_program(seed))
-        for body in [ap.entry] + [proc.body for proc in ap.procs]:
-            for a in walk_statements(body):
-                if isinstance(a.stmt, If):
-                    continue
-                expected = frozenset(a.next_uses)
-                live = a.live_after
-                assert live == expected and expected == live
-                assert live | {"%new"} == expected | {"%new"}
-                assert not live - expected and len(live) == len(expected)
-                assert all(v in live for v in expected) and "%new" not in live
-                views.append(a)
-    assert views
-    for a in views:
-        # `live_after.mapping` is only a read-only proxy of the map, so
-        # the identity is read from the view's one referent
-        assert type(a.live_after) is type({}.keys())
-        assert gc.get_referents(a.live_after)[0] is a.next_uses
 
 
 # ---------------------------------------------------------------------------

@@ -542,6 +542,18 @@ def test_spill_free_shape_accepts_result_chaining():
     assert spill_free_shape(ap, make_config(8))
 
 
+def test_spill_free_shape_counts_what_lives_into_a_branch_not_the_join():
+    # generator seed 1452's first `if` reads x0 and joins with x1, x2 and
+    # x3 live, four values at R=3; but both branches define x3, so only
+    # x1 and x2 live into a branch, and every policy allocates the program
+    # with no load or store
+    ap = annotate(generate_program(1452))
+    cfg = make_config(3)
+    assert spill_free_shape(ap, cfg)
+    for policy in POLICIES:
+        assert static_traffic(alloc_program(ap, cfg, policy).flatten())[:2] == (0, 0), policy
+
+
 def test_spill_free_shape_leaves_room_for_owed_registers():
     # f needs R-1 = 7 registers besides the return address's, but three
     # of them hold what f owes its caller: it must evict one and store it

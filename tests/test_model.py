@@ -320,6 +320,22 @@ def test_callee_saved_registers_carry_nothing_of_the_call(registers):
         assert (4 in cfg.callee_saved) == (registers in (5, 6))
 
 
+def test_config_derives_its_register_table_and_caller_saved_set_once():
+    for r in range(1, 18):
+        for k in range(5):
+            cfg = make_config(r, max_arg_regs=k)
+            assert len(cfg.regs) == r
+            assert all(cfg.regs[i] is Reg(i) for i in range(r))
+            assert cfg.caller_saved == frozenset(range(r)) - set(cfg.callee_saved)
+            # the derived fields take no part in repr, equality or hashing
+            assert repr(cfg) == (
+                f"MachineConfig(registers={r}, max_arg_regs={k}, ret_val_reg={cfg.ret_val_reg},"
+                f" arg_regs={cfg.arg_regs!r}, callee_saved={cfg.callee_saved!r})"
+            )
+            twin = make_config(r, max_arg_regs=k)
+            assert cfg == twin and hash(cfg) == hash(twin)
+
+
 # Digest of the calling convention of `make_config(r, max_arg_regs=k)` for
 # r = 1..17 and k = 0..4: (r, k, arg_regs, ret_addr_reg, ret_val_reg,
 # callee_saved).  The convention is derived from these two values alone,

@@ -29,7 +29,6 @@ from uilc.uil import (
     format_program,
     parse,
     validate,
-    variables,
 )
 
 from conftest import CHAIN_SRC, nested_ifs
@@ -208,7 +207,6 @@ _STATEMENT_CASES = [
 def test_statement_operands_and_defs(stmt, operands, defs):
     assert stmt.operands() == operands
     assert stmt.defs() == defs
-    assert variables(stmt.operands()) == [v for v in operands if isinstance(v, str)]
 
 
 # Programs drawing several diagnostics from one statement, with the exact
