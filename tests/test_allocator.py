@@ -594,9 +594,7 @@ def test_shuffle_outcomes_are_pinned():
     for _ in range(10_000):
         cfg, moves, busy = _shuffle_case(rng)
         outcome = _shuffle_outcome(cfg, moves, busy)
-        # a label source is encoded as its name
-        named = [(getattr(src, "label", src), dst) for src, dst in moves]
-        digest.update(f"R{cfg.registers} {named} {busy}\n{outcome}\n".encode())
+        digest.update(f"R{cfg.registers} {moves} {busy}\n{outcome}\n".encode())
     assert digest.hexdigest() == SHUFFLE_SHA256
 
 
