@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import field
 
 from ._gc import gc_paused
 from ._record import record
@@ -97,7 +97,7 @@ class AnnotatedStatement:
     passed: tuple[Operand, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class AnnotatedProc:
     name: str
     params: tuple[str, ...]
@@ -113,7 +113,7 @@ class AnnotatedProc:
     read_params: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record
 class AnnotatedProgram:
     entry: tuple[AnnotatedStatement, ...]
     # point -> the statement of `entry` (branches included) at that point

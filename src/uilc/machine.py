@@ -24,6 +24,7 @@ import operator
 import random
 from dataclasses import dataclass
 
+from ._record import record
 from .analysis import AnnotatedProgram, AnnotatedStatement, walk_statements
 from .isa import (
     BinOpInst,
@@ -70,7 +71,7 @@ class OutOfFuel(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Observation:
     value: int
     writes: tuple[tuple[int, int], ...]
@@ -78,6 +79,8 @@ class Observation:
 
 @dataclass
 class TrafficStats:
+    """One simulated run's dynamic traffic and steps, and its code size."""
+
     dynamic_loads: int = 0
     dynamic_stores: int = 0
     dynamic_moves: int = 0
@@ -478,6 +481,9 @@ def run_uil(p: Program, heap: list[int] | None = None, fuel: int = 10**6) -> Obs
 
 @dataclass
 class EquivReport:
+    """Whether source and target agreed on the heaps checked, and the
+    first divergence with both sides' observations."""
+
     ok: bool
     checked: int = 0
     detail: str = ""

@@ -16,7 +16,7 @@ definitions, and for whatever a `ParseError` names.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import field
 
 from ._gc import gc_paused
 from ._record import record
@@ -168,7 +168,7 @@ def count_statements(body: tuple[Statement, ...]) -> int:
     return n
 
 
-@dataclass(frozen=True)
+@record
 class Definition:
     name: str
     params: tuple[str, ...]
@@ -176,13 +176,13 @@ class Definition:
     pos: Pos | None = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class Program:
     definitions: tuple[Definition, ...]
     body: tuple[Statement, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Diagnostic:
     message: str
     pos: Pos | None = None

@@ -39,10 +39,12 @@ def test_public_signatures_are_pinned():
 
 
 
-# The records built once per statement or instruction on the compile path:
-# sample values for the parameters without a default, and the constructor's
-# parameter names, order and defaults.  A change to how these records are
-# built must keep them immutable, comparable and hashable as they are.
+# Every record class (`_record.record`): the records built once per
+# statement or instruction on the compile path, then the program,
+# annotation and observation records around them.  Sample values for the
+# parameters without a default, and the constructor's parameter names,
+# order and defaults.  A change to how these records are built must keep
+# them immutable, comparable and hashable as they are.
 _RECORDS = [
     (uil.BinExpr, ("+", "a", 1), "op, a, b"),
     (uil.MemRead, ("b", 0), "base, index"),
@@ -75,6 +77,20 @@ _RECORDS = [
     (isa.LabelDef, ("L1",), "label"),
     (isa.FrameAdjust, (-2,), "delta"),
     (isa.Halt, (), ""),
+    (uil.Definition, ("f", ("a",), (uil.ReturnValue("a"),)), "name, params, body, pos=None"),
+    (uil.Program, ((), (uil.ReturnValue(0),)), "definitions, body"),
+    (uil.Diagnostic, ("undefined variable 'x'",), "message, pos=None"),
+    (
+        analysis.AnnotatedProc,
+        ("f", ("a",), (), {}, (), frozenset({"a"}), ("a",)),
+        "name, params, body, by_point, calls, entry_live, read_params",
+    ),
+    (
+        analysis.AnnotatedProgram,
+        ((), {}, (), (), ("f",)),
+        "entry, entry_by_point, entry_calls, procs, order",
+    ),
+    (machine.Observation, (3, ((0, 7),)), "value, writes"),
 ]
 _RECORD_IDS = [cls.__name__ for cls, _, _ in _RECORDS]
 
@@ -83,6 +99,22 @@ def _parameters(cls) -> str:
     params = inspect.signature(cls).parameters.values()
     return ", ".join(
         p.name if p.default is p.empty else f"{p.name}={p.default!r}" for p in params
+    )
+
+
+def _plain_dataclass(cls):
+    """A frozen dataclass of the same name and fields as the record class."""
+    return dataclasses.make_dataclass(
+        cls.__name__,
+        [
+            (
+                f.name,
+                f.type,
+                dataclasses.field(default=f.default, repr=f.repr, compare=f.compare),
+            )
+            for f in fields(cls)
+        ],
+        frozen=True,
     )
 
 
@@ -95,13 +127,8 @@ def test_record_constructor_signature(cls, args, signature):
 @pytest.mark.parametrize("cls,args,signature", _RECORDS, ids=_RECORD_IDS)
 def test_record_docstring_is_a_plain_dataclass_docstring(cls, args, signature):
     # what `help` shows: a plain dataclass of the same fields names the
-    # same constructor, as `uil.Definition.__doc__` does
-    plain = dataclasses.make_dataclass(
-        cls.__name__,
-        [(f.name, f.type, dataclasses.field(default=f.default)) for f in fields(cls)],
-        frozen=True,
-    )
-    assert cls.__doc__ == plain.__doc__
+    # same constructor
+    assert cls.__doc__ == _plain_dataclass(cls).__doc__
     assert cls.__doc__.startswith(f"{cls.__name__}(") and cls.__doc__.count(":") >= len(args)
 
 
@@ -126,12 +153,19 @@ def test_record_positional_and_keyword_construction_agree(cls, args, signature):
     for p in params[len(args) :]:
         assert getattr(positional, p.name) == p.default
         assert getattr(keyword, p.name) == p.default
-    shown = ", ".join(f"{f.name}={getattr(positional, f.name)!r}" for f in fields(cls))
+    shown = ", ".join(
+        f"{f.name}={getattr(positional, f.name)!r}" for f in fields(cls) if f.repr
+    )
     assert repr(positional) == f"{cls.__name__}({shown})"
 
 
 @pytest.mark.parametrize(
-    "cls,args", [(cls, args) for cls, args, signature in _RECORDS if "pos=" in signature]
+    "cls,args",
+    [
+        (cls, args)
+        for cls, args, signature in _RECORDS
+        if any(f.name == "pos" and not f.compare for f in fields(cls))
+    ],
 )
 def test_record_pos_is_ignored_by_eq_and_hash(cls, args):
     a, b = cls(*args, pos=(1, 2)), cls(*args, pos=(3, 4))
@@ -167,11 +201,59 @@ def test_record_copies_are_frozen_records(cls, args, signature):
             other.extra = 0
 
 
+@pytest.mark.parametrize("cls,args,signature", _RECORDS, ids=_RECORD_IDS)
+def test_record_eq_hash_and_repr_are_a_frozen_dataclass_s(cls, args, signature):
+    plain = _plain_dataclass(cls)
+    params = inspect.signature(cls).parameters.values()
+    values = {p.name: a for p, a in zip(params, args)}
+    # the same values but for each field that takes no part in `==`
+    other = {**values, **{f.name: ("differs",) for f in fields(cls) if not f.compare}}
+    record, plain_record = cls(**values), plain(**values)
+    assert repr(record) == repr(plain_record)
+    assert hash(record) == hash(plain_record)
+    assert (record == cls(**other)) is (plain_record == plain(**other)) is True
+    assert hash(cls(**other)) == hash(plain(**other)) == hash(record)
+    assert record != plain_record and (record == object()) is False
+
+
+def test_record_repr_of_a_record_inside_itself_is_a_dataclass_s():
+    def box(make):
+        b = make([])
+        b.items.append(b)
+        return b
+
+    Box = _record.record(type("Box", (), {"__annotations__": {"items": list}}))
+    Plain = dataclasses.make_dataclass("Box", [("items", list)], frozen=True)
+    assert repr(box(Box)) == repr(box(Plain)) == "Box(items=[...])"
+
+
+def test_record_builds_a_class_without_inspecting_signatures(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("inspect.signature called")
+
+    monkeypatch.setattr(inspect, "signature", refuse)
+    Pair = _record.record(type("Pair", (), {"__annotations__": {"a": int, "b": str}, "b": "x"}))
+    assert Pair.__doc__ == "Pair(a: int, b: str = 'x')"
+    assert repr(Pair(1)) == "Pair(a=1, b='x')"
+    assert Pair(1) == Pair(1, "x") and hash(Pair(1)) == hash((1, "x"))
+    with pytest.raises(FrozenInstanceError):
+        Pair(1).a = 2
+
+
+@pytest.mark.parametrize(
+    "spec", [{"default_factory": list}, {"default": 0, "init": False}, {"default": 0, "hash": False}]
+)
+def test_record_refuses_a_field_it_does_not_build_as_a_dataclass_does(spec):
+    cls = type("Bad", (), {"__annotations__": {"a": int}, "a": dataclasses.field(**spec)})
+    with pytest.raises(TypeError, match="Bad.a: a record field takes a plain default"):
+        _record.record(cls)
+
+
 def test_every_record_class_is_checked():
     listed = {cls for cls, _, _ in _RECORDS}
     found = {
         obj
-        for module in (uil, analysis, isa)
+        for module in (uil, analysis, isa, machine)
         for obj in vars(module).values()
         if isinstance(obj, type) and getattr(obj, "__setattr__", None) is _record._refuse_assign
     }
